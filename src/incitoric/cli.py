@@ -17,7 +17,7 @@ import time
 from . import acceptance, complexes, designs, threepoint, toric
 from .combinat import subset_label, subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import BudgetExceeded, IncitoricError
+from .errors import BudgetExceeded, CertificateError, IncitoricError
 from .incidence import build_matrix, check_rank_laws
 from .polytope import PointConfig, is_face, neighborliness, normalized_volume, placing_triangulation
 
@@ -404,6 +404,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except CertificateError as e:
+        print(f"verification failure: {e}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except IncitoricError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,18 +37,19 @@ def colex_unrank(n: int, k: int, r: int) -> tuple:
     return tuple(out)
 
 
-def subsets_colex(n: int, k: int) -> Iterator[tuple]:
-    """All k-subsets of [1..n] in colex order."""
+def subsets_colex(n: int, k: int, first: int = 1) -> Iterator[tuple]:
+    """All k-subsets of [first..first+n-1] in colex order: of [1..n] by
+    default, of the point indices range(n) with ``first=0``."""
 
     def gen(size: int, cap: int) -> Iterator[tuple]:
         if size == 0:
             yield ()
             return
-        for top in range(size, cap + 1):
+        for top in range(first + size - 1, cap + 1):
             for rest in gen(size - 1, top - 1):
                 yield rest + (top,)
 
-    return gen(k, n)
+    return gen(k, first + n - 1)
 
 
 def subset_label(s: Sequence[int], n: int) -> str:

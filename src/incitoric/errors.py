@@ -25,6 +25,10 @@ class IndexOutOfRange(IncitoricError, ValueError):
     """A pod or subset index exceeds the ground set."""
 
 
+class CertificateError(IncitoricError, RuntimeError):
+    """A computed certificate failed its exact re-check."""
+
+
 class BudgetExceeded(IncitoricError, RuntimeError):
     """An enumeration or pair queue outgrew its configured budget."""
 

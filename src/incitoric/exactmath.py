@@ -3,28 +3,20 @@
 Dense matrices only; desk-scale instances never need sparsity.  The module
 provides the column-style Hermite normal form with its unimodular
 transform, Smith invariant factors, saturated integer kernels, exact ranks
-over Q and over prime fields, Bareiss determinants, lattice membership
-certificates and gcds of maximal minors.  No floating point anywhere.
+over Q and over prime fields, Bareiss determinants, one HNF solver for
+integer lattice coordinates (behind every lattice membership certificate)
+and gcds of maximal minors.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, gcd, isqrt
 from typing import Iterable, Optional, Sequence
 
-from .errors import BadParameters, CompositeModulus, DimensionMismatch
-
-# the exact LP lives in its own file but belongs to this module's surface
-from .lp import (  # noqa: F401
-    LinearConstraint,
-    LpResult,
-    RationalLpProblem,
-    lp_feasible,
-    verify_farkas,
-)
+from .combinat import subsets_colex
+from .errors import BadParameters, CertificateError, CompositeModulus, DimensionMismatch
 
 
 @dataclass(frozen=True)
@@ -382,6 +374,45 @@ def lattice_is_saturated(basis: LatticeBasis) -> bool:
     return all(f == 1 for f in invariant_factors(m))
 
 
+class HnfSolver:
+    """Integer solutions of ``m x = v`` for many right-hand sides ``v``.
+
+    The column HNF of ``m`` is computed once; each solve is one
+    back-substitution through its staircase followed by one product with
+    the unimodular transform.
+    """
+
+    def __init__(self, m: IntMatrix):
+        self.m = m
+        self._hnf = hnf(m)
+        self.rank = len(self._hnf.pivots)
+
+    def solve(self, v: Sequence[int]) -> Optional[tuple]:
+        """An integer ``x`` with ``m x == v``, or None when ``v`` lies
+        outside the column lattice of ``m``."""
+        if len(v) != self.m.rows:
+            raise DimensionMismatch("right-hand side length does not match row count")
+        v = tuple(int(a) for a in v)
+        h = self._hnf.h.entries
+        rem = list(v)
+        y = [0] * self.m.cols
+        for pi, pj in self._hnf.pivots:
+            q, r = divmod(rem[pi], h[pi][pj])
+            if r:
+                return None
+            y[pj] = q
+            if q:
+                # column pj of the staircase is zero above its pivot row
+                for i in range(pi, self.m.rows):
+                    rem[i] -= q * h[i][pj]
+        if any(rem):
+            return None
+        x = self._hnf.u.mat_vec(y)
+        if self.m.mat_vec(x) != v:
+            raise CertificateError("HNF solution does not recombine to the right-hand side")
+        return x
+
+
 def lattice_member(basis: LatticeBasis, v: Sequence[int]) -> Optional[tuple]:
     """Integer coefficients expressing ``v`` in the basis, or None.
 
@@ -390,31 +421,12 @@ def lattice_member(basis: LatticeBasis, v: Sequence[int]) -> Optional[tuple]:
     """
     if len(v) != basis.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    v = tuple(int(x) for x in v)
     if not basis.vectors:
-        return () if all(x == 0 for x in v) else None
-    cols = IntMatrix.from_rows(basis.vectors).transpose()
-    res = hnf(cols)
-    rank = len(res.pivots)
-    if rank != len(basis.vectors):
+        return () if not any(v) else None
+    solver = HnfSolver(IntMatrix.from_rows(basis.vectors).transpose())
+    if solver.rank != basis.rank:
         raise BadParameters("basis vectors are not Z-linearly independent")
-    rem = list(v)
-    y = [0] * rank
-    for idx, (pi, pj) in enumerate(res.pivots):
-        p = res.h.entries[pi][pj]
-        if rem[pi] % p != 0:
-            return None
-        y[pj] = rem[pi] // p
-        if y[pj]:
-            for i in range(basis.ambient_dim):
-                rem[i] -= y[pj] * res.h.entries[i][pj]
-    if any(rem):
-        return None
-    coeffs = tuple(
-        sum(res.u.entries[i][j] * y[j] for j in range(rank)) for i in range(len(basis.vectors))
-    )
-    assert basis.combination(coeffs) == v
-    return coeffs
+    return solver.solve(v)
 
 
 def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
@@ -464,10 +476,9 @@ def gcd_maximal_minors(m: IntMatrix, size: int, budget: int) -> MinorScan:
     g = 0
     seen = 0
     nonzero = 0
-    row_sets = _colex_combinations(m.rows, size)
-    for rset in row_sets:
+    for rset in subsets_colex(m.rows, size, first=0):
         sub_rows = [m.entries[i] for i in rset]
-        for cset in _colex_combinations(m.cols, size):
+        for cset in subsets_colex(m.cols, size, first=0):
             if seen >= budget:
                 return MinorScan(g, False, seen, nonzero)
             seen += 1
@@ -479,11 +490,6 @@ def gcd_maximal_minors(m: IntMatrix, size: int, budget: int) -> MinorScan:
                 if g == 1:
                     return MinorScan(1, True, seen, nonzero)
     return MinorScan(g, seen == total or g == 1, seen, nonzero)
-
-
-def _colex_combinations(n: int, k: int):
-    # subsets of range(n) ordered by their reversed tuples
-    return sorted(combinations(range(n), k), key=lambda s: tuple(reversed(s)))
 
 
 def solve_rational(a_rows: Sequence[Sequence], b: Sequence) -> Optional[list]:

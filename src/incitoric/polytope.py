@@ -13,13 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from functools import partial
 
 from . import exactmath
+from .combinat import subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig, parallel_map
 from .errors import BadParameters, BudgetExceeded, PreconditionFailed
 from .exactmath import IntMatrix
@@ -66,16 +66,8 @@ class FaceCertificate:
 
 
 def _scale_to_int(vals: Sequence[Fraction]) -> tuple:
-    denom = 1
-    for v in vals:
-        denom = denom * v.denominator // _gcd(denom, v.denominator)
+    denom = lcm(*(v.denominator for v in vals))
     return tuple(int(v * denom) for v in vals)
-
-
-def _gcd(a: int, b: int) -> int:
-    from math import gcd
-
-    return gcd(a, b)
 
 
 def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
@@ -185,7 +177,7 @@ def neighborliness(
             cert = is_face(cfg, subset)
             if not cert.is_face:
                 return NeighborlinessReport(s - 1, s_max, tested, (subset, cert.witness))
-        subsets = [c for c in _colex_subsets(m, s) if c not in seen]
+        subsets = [c for c in subsets_colex(m, s, first=0) if c not in seen]
         if config.workers > 1:
             flags = parallel_map(partial(_face_flag, cfg), subsets, config.workers)
             tested += len(subsets)
@@ -208,10 +200,6 @@ def neighborliness(
 
 def _face_flag(cfg: PointConfig, subset: tuple) -> bool:
     return is_face(cfg, subset).is_face
-
-
-def _colex_subsets(m: int, s: int):
-    return sorted(combinations(range(m), s), key=lambda c: tuple(reversed(c)))
 
 
 @dataclass(frozen=True)
@@ -294,16 +282,14 @@ def placing_triangulation(
     boundary: Dict[frozenset, tuple] = {}  # facet -> (functional g, offset beta)
     basis_rows: List[tuple] = []  # direction vectors spanning the hull
     origin: Optional[int] = None
-    interior: Optional[tuple] = None  # rational interior reference point
+    # interior reference: the sum of the first cell's vertices, i.e. their
+    # centroid scaled by ``weight``, the number of vertices
+    interior: Optional[tuple] = None
+    weight = 0
 
     def in_affine_hull(idx: int) -> bool:
-        if origin is None:
-            return False
         diff = tuple(a - b for a, b in zip(pts[idx], pts[origin]))
-        if not basis_rows:
-            return not any(diff)
-        sol = exactmath.solve_rational(list(zip(*basis_rows)), diff)
-        return sol is not None
+        return exactmath.rank_q(IntMatrix.from_rows(basis_rows + [diff])) == len(basis_rows)
 
     def facet_functional(facet: frozenset) -> tuple:
         """Primitive integer functional vanishing on the facet, negative at
@@ -315,7 +301,7 @@ def placing_triangulation(
         kern = exactmath.kernel_basis(rows_m)
         g = None
         for cand in kern.vectors:
-            val = sum(c * (x - y) for c, x, y in zip(cand, interior, f0))
+            val = sum(c * (x - weight * y) for c, x, y in zip(cand, interior, f0))
             if val != 0:
                 g = cand if val < 0 else tuple(-x for x in cand)
                 break
@@ -344,10 +330,8 @@ def placing_triangulation(
             boundary = new_boundary
             basis_rows.append(tuple(a - b for a, b in zip(pts[idx], pts[origin])))
             first = cells[0]
-            interior = tuple(
-                Fraction(sum(pts[v][r] for v in first), len(first))
-                for r in range(cfg.ambient_dim)
-            )
+            interior = tuple(sum(pts[v][r] for v in first) for r in range(cfg.ambient_dim))
+            weight = len(first)
             for f in boundary:
                 boundary[f] = facet_functional(f)
             continue
@@ -424,17 +408,16 @@ def normalized_volume(
         return 0
     if basis.rank != triangulation.dim:
         raise BadParameters("lattice rank does not match triangulation dimension")
-    basis_m = [list(v) for v in basis.vectors]
+    solver = exactmath.HnfSolver(IntMatrix.from_rows(basis.vectors).transpose())
     total = 0
     for simplex in triangulation.simplices:
         p0 = cfg.points[simplex[0]]
         coeff_rows = []
         for v in simplex[1:]:
-            edge = [a - b for a, b in zip(cfg.points[v], p0)]
-            sol = exactmath.solve_rational(list(zip(*basis_m)), edge)
-            assert sol is not None, "edge outside the direction space"
-            assert all(x.denominator == 1 for x in sol), "edge outside the lattice"
-            coeff_rows.append([int(x) for x in sol])
+            coeffs = solver.solve([a - b for a, b in zip(cfg.points[v], p0)])
+            if coeffs is None:
+                raise BadParameters("simplex edge outside the lattice")
+            coeff_rows.append(coeffs)
         det = exactmath.determinant(IntMatrix.from_rows(coeff_rows))
         assert det != 0, "degenerate simplex in triangulation"
         total += abs(det)

@@ -109,32 +109,14 @@ class TriangleLattice:
             raise BadParameters("triangle lattice needs n >= 3")
         self.n = n
         self.inc = build_matrix(n, 3, 2)
-        self._hnf = exactmath.hnf(self.inc.matrix)
-        self.rank = len(self._hnf.pivots)
+        self._solver = exactmath.HnfSolver(self.inc.matrix)
+        self.rank = self._solver.rank
 
     def member(self, v: EdgeVector) -> Optional[tuple]:
         """Integer coefficients on triangle generators summing to v."""
         if v.n != self.n:
             raise DimensionMismatch("edge vector over the wrong ground set")
-        target = list(v.exps)
-        h, u = self._hnf.h, self._hnf.u
-        y = [0] * h.cols
-        rem = target[:]
-        for (pi, pj) in self._hnf.pivots:
-            p = h.entries[pi][pj]
-            if rem[pi] % p != 0:
-                return None
-            y[pj] = rem[pi] // p
-            if y[pj]:
-                for i in range(h.rows):
-                    rem[i] -= y[pj] * h.entries[i][pj]
-        if any(rem):
-            return None
-        coeffs = tuple(
-            sum(u.entries[i][j] * y[j] for j in range(h.cols)) for i in range(h.cols)
-        )
-        assert self.inc.matrix.mat_vec(coeffs) == v.exps
-        return coeffs
+        return self._solver.solve(v.exps)
 
 
 def coset_member(v: EdgeVector, n: int) -> Optional[tuple]:

@@ -170,3 +170,16 @@ def test_binomial_fails_on_boundary_complex(tmp_path, capsys):
     code = main(["--no-meta", "complex", "binomial", str(path)])
     capsys.readouterr()
     assert code == EXIT_VERIFICATION
+
+
+def test_certificate_error_is_verification_failure(monkeypatch, capsys):
+    from incitoric import cli
+    from incitoric.errors import CertificateError
+
+    def broken(args):
+        raise CertificateError("recombination check failed")
+
+    monkeypatch.setattr(cli, "_cmd_incidence_ranks", broken)
+    code = main(["--no-meta", "incidence", "ranks", "--n-max", "3"])
+    assert code == EXIT_VERIFICATION
+    assert "verification failure" in capsys.readouterr().err

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from incitoric import exactmath as em
-from incitoric.errors import CompositeModulus, DimensionMismatch
+from incitoric.errors import CertificateError, CompositeModulus, DimensionMismatch
 from incitoric.exactmath import IntMatrix
 from incitoric.incidence import build_matrix
 
@@ -216,6 +216,52 @@ class TestLatticeMember:
         basis = em.LatticeBasis(2, ((2, 0),))
         assert em.lattice_member(basis, (1, 0)) is None
         assert em.lattice_member(basis, (0, 1)) is None
+
+
+def full_column_rank_systems():
+    """(m, v): a full-column-rank matrix of at most 6 x 4 with entries in
+    [-5, 5], and a target that is either m x for an integer x or arbitrary."""
+
+    def with_target(m):
+        combos = st.lists(st.integers(-5, 5), min_size=m.cols, max_size=m.cols).map(m.mat_vec)
+        free = st.lists(st.integers(-12, 12), min_size=m.rows, max_size=m.rows).map(tuple)
+        return st.tuples(st.just(m), st.one_of(combos, free))
+
+    matrices = st.integers(1, 6).flatmap(
+        lambda r: st.integers(1, min(r, 4)).flatmap(
+            lambda c: st.lists(
+                st.lists(st.integers(-5, 5), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
+        )
+    ).map(IntMatrix.from_rows)
+    return matrices.filter(lambda m: em.rank_q(m) == m.cols).flatmap(with_target)
+
+
+class TestHnfSolver:
+    @settings(max_examples=300, deadline=None)
+    @given(full_column_rank_systems())
+    def test_agrees_with_fraction_elimination(self, system):
+        m, v = system
+        x = em.HnfSolver(m).solve(v)
+        sol = em.solve_rational(m.entries, v)
+        if sol is not None and all(q.denominator == 1 for q in sol):
+            assert x == tuple(int(q) for q in sol)
+        else:
+            assert x is None
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            em.HnfSolver(IntMatrix.identity(2)).solve((1, 2, 3))
+
+    def test_bad_transform_fails_recombination(self):
+        solver = em.HnfSolver(IntMatrix.from_rows([[1, 1], [0, 1]]))
+        res = solver._hnf
+        doubled = IntMatrix.from_rows([[2 * a for a in row] for row in res.u.entries])
+        solver._hnf = em.HnfResult(res.h, doubled, res.pivots)
+        with pytest.raises(CertificateError):
+            solver.solve((3, 1))
 
 
 class TestMinors:

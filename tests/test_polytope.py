@@ -134,6 +134,13 @@ class TestPlacing:
         assert normalized_volume(cfg, "euclidean") == 2
         assert normalized_volume(cfg, "column_lattice") == 1
 
+    def test_point_inside_current_hull_is_skipped(self):
+        cfg = PointConfig.from_points([(0, 0), (2, 0), (1, 0), (0, 1)])
+        tri = placing_triangulation(cfg)
+        assert tri.skipped == (2,)
+        assert tri.simplices == ((0, 1, 3),)
+        assert normalized_volume(cfg, "euclidean", tri) == 2
+
     def test_632_simplex_count_frozen(self, tri632):
         assert tri632.dim == 14
         assert len(tri632.simplices) == 162
