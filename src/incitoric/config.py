@@ -17,11 +17,9 @@ class RunConfig:
     pair_queue_budget: int = 2_000_000
     fiber_budget: int = 200_000
     box_budget: int = 4_000_000
-    minor_budget: int = 40_000
     volume_simplex_budget: int = 200_000
     derangement_max_n: int = 8
     rank_report_max_n: int = 8
-    output_format: str = "json"
     workers: int = 1
 
     def __post_init__(self):
@@ -29,7 +27,6 @@ class RunConfig:
             "pair_queue_budget",
             "fiber_budget",
             "box_budget",
-            "minor_budget",
             "volume_simplex_budget",
             "derangement_max_n",
             "rank_report_max_n",

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt
-from typing import Iterable, Optional, Sequence
+from math import comb, gcd, isqrt, lcm
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .combinat import subsets_colex
 from .errors import BadParameters, CertificateError, CompositeModulus, DimensionMismatch
@@ -94,6 +94,17 @@ class IntMatrix:
 
     def __str__(self):
         return "\n".join(" ".join(f"{x:4d}" for x in row) for row in self.entries)
+
+
+def clear_denominators(values: Sequence) -> Tuple[tuple, int]:
+    """Integers ``ns`` and the least ``d > 0`` with ``values[i] == ns[i] / d``.
+
+    Reads only ``numerator`` and ``denominator``, which ints have too, so
+    integer input comes back unchanged with ``d == 1``.
+    """
+    # lists, not generators: see the note on tuples in the lp module
+    d = lcm(*[v.denominator for v in values])
+    return tuple([v.numerator * (d // v.denominator) for v in values]), d
 
 
 @dataclass(frozen=True)
@@ -413,6 +424,15 @@ class HnfSolver:
         return x
 
 
+def _basis_solver(basis: LatticeBasis) -> HnfSolver:
+    """One ``HnfSolver`` with the basis vectors as columns."""
+    columns = IntMatrix(basis.rank, basis.ambient_dim, tuple(map(tuple, basis.vectors))).transpose()
+    solver = HnfSolver(columns)
+    if solver.rank != basis.rank:
+        raise BadParameters("basis vectors are not Z-linearly independent")
+    return solver
+
+
 def lattice_member(basis: LatticeBasis, v: Sequence[int]) -> Optional[tuple]:
     """Integer coefficients expressing ``v`` in the basis, or None.
 
@@ -421,20 +441,17 @@ def lattice_member(basis: LatticeBasis, v: Sequence[int]) -> Optional[tuple]:
     """
     if len(v) != basis.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")
-    if not basis.vectors:
-        return () if not any(v) else None
-    solver = HnfSolver(IntMatrix.from_rows(basis.vectors).transpose())
-    if solver.rank != basis.rank:
-        raise BadParameters("basis vectors are not Z-linearly independent")
-    return solver.solve(v)
+    return _basis_solver(basis).solve(v)
 
 
 def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
-    """Mutual-inclusion test: every generator of each lies in the other."""
+    """Mutual-inclusion test: every generator of each lies in the other.
+    Each side is factored once."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatch("ambient dimensions differ")
-    return all(lattice_member(b, v) is not None for v in a.vectors) and all(
-        lattice_member(a, v) is not None for v in b.vectors
+    return all(
+        all(solver.solve(v) is not None for v in others)
+        for solver, others in ((_basis_solver(b), a.vectors), (_basis_solver(a), b.vectors))
     )
 
 

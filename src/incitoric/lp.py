@@ -1,21 +1,32 @@
 """Exact rational linear programming.
 
-Two-phase dense-tableau simplex.  Each tableau row is kept as an integer
-vector with one positive denominator, so a pivot is integer cross
-multiplication followed by a gcd reduction and the ratio test never
-leaves the integers.  Variables may be declared non-negative (one
-column) or left free (split into a difference of non-negatives); every
-row gets an artificial in phase one.
+Two-phase dense-tableau simplex in integers from input to certificate.
+Each constraint is stored with its denominators cleared (a positive
+multiple of a constraint is the same constraint), and each tableau row
+is an integer vector with one positive denominator, so a pivot is
+integer cross multiplication followed by a gcd reduction and the ratio
+test never leaves the integers.  Variables may be declared non-negative
+(one column) or left free (split into a difference of non-negatives);
+every row gets an artificial in phase one.
 
 Pivoting is deterministic: steepest Dantzig descent with smallest-index
 tie-breaks, falling back to Bland's rule after a fixed pivot count so
 termination is still guaranteed on (never observed) cycling instances.
-Infeasibility comes back as a Farkas certificate indexed by the original
-constraints: multipliers >= 0 on '<=' rows, <= 0 on '>=' rows and free on
-'=' rows whose combination annihilates every free variable column, is
-non-negative on every non-negative column, and makes the right-hand side
-negative.  Certificates and points are re-verified exactly before being
-returned.
+Infeasibility comes back as a Farkas certificate indexed by
+``problem.constraints``: multipliers >= 0 on '<=' rows, <= 0 on '>=' rows
+and free on '=' rows whose combination annihilates every free variable
+column, is non-negative on every non-negative column, and makes the
+right-hand side negative.  Certificates and points are re-verified in
+integers before being returned; a failed check raises CertificateError.
+``Fraction``s are built only for the returned point, objective value and
+Farkas multipliers.
+
+Tuples on the face-test path are built from lists, not generators.
+``tuple()`` of a generator grows its result by resizing, and CPython
+keeps each freed tuple of at most 20 items on a per-length free list
+(2,000 deep) that only a full garbage collection empties.  An integer LP
+allocates few collectable objects, so full collections are rare and
+those free lists held about a megabyte of peak memory over a face scan.
 """
 
 from __future__ import annotations
@@ -25,35 +36,44 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import BadParameters, DimensionMismatch
+from .errors import BadParameters, CertificateError, DimensionMismatch
+from .exactmath import clear_denominators
 
 RELATIONS = ("<=", "=", ">=")
 
 
 @dataclass(frozen=True)
 class LinearConstraint:
+    """``coeffs . x  relation  rhs`` with integer coefficients and rhs;
+    ``of`` builds one from rational data."""
+
     coeffs: tuple
     relation: str
-    rhs: Fraction
+    rhs: int
 
     def __post_init__(self):
         if self.relation not in RELATIONS:
             raise BadParameters(f"unknown relation {self.relation!r}")
+        if not all(isinstance(a, int) for a in (*self.coeffs, self.rhs)):
+            raise BadParameters("constraint data must be integers; LinearConstraint.of clears denominators")
 
     @classmethod
     def of(cls, coeffs: Sequence, relation: str, rhs) -> "LinearConstraint":
-        return cls(tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs))
+        values, _ = clear_denominators([*coeffs, rhs])
+        return cls(values[:-1], relation, values[-1])
 
-    def evaluate(self, x: Sequence[Fraction]) -> Fraction:
-        return sum(c * v for c, v in zip(self.coeffs, x))
+    def satisfied_by(self, x: Sequence) -> bool:
+        """Exact check at the rational point ``x``."""
+        return self._holds(*clear_denominators(x))
 
-    def satisfied_by(self, x: Sequence[Fraction]) -> bool:
-        lhs = self.evaluate(x)
+    def _holds(self, xs: Sequence[int], d: int) -> bool:
+        """Exact check at the point ``xs / d`` with ``d > 0``."""
+        gap = sum(a * v for a, v in zip(self.coeffs, xs)) - self.rhs * d
         if self.relation == "<=":
-            return lhs <= self.rhs
+            return gap <= 0
         if self.relation == ">=":
-            return lhs >= self.rhs
-        return lhs == self.rhs
+            return gap >= 0
+        return gap == 0
 
 
 @dataclass(frozen=True)
@@ -76,12 +96,12 @@ class RationalLpProblem:
     @classmethod
     def of(cls, objective: Sequence, constraints, nonneg: Sequence = ()) -> "RationalLpProblem":
         return cls(
-            tuple(Fraction(c) for c in objective),
-            tuple(
+            tuple(objective),
+            tuple([
                 c if isinstance(c, LinearConstraint) else LinearConstraint.of(*c)
                 for c in constraints
-            ),
-            tuple(bool(b) for b in nonneg),
+            ]),
+            tuple([bool(b) for b in nonneg]),
         )
 
     def is_nonneg(self, j: int) -> bool:
@@ -109,89 +129,56 @@ def _reduce_row(num: list, den: int) -> tuple:
     return num, den
 
 
+def _eliminate(num: list, den: int, prow: list, col: int) -> tuple:
+    """The row ``num / den`` minus the multiple of the pivot row ``prow``
+    (any denominator) that clears column ``col``, reduced, with a positive
+    denominator."""
+    f, piv = num[col], prow[col]
+    new = [a * piv - f * b for a, b in zip(num, prow)]
+    d = den * piv
+    if d < 0:
+        d = -d
+        new = [-x for x in new]
+    return _reduce_row(new, d)
+
+
 class _Tableau:
     """Rows store (integer vector including the rhs column, positive
     denominator); the cost row is stored the same way with -z in the rhs
     slot."""
 
-    def __init__(self, rows, rhs, cost_rows: int = 0):
+    def __init__(self, rows: list, ncols: int):
         self.m = len(rows)
-        self.ncols = len(rows[0]) if rows else 0
-        self.num = []
-        self.den = []
-        for row, b in zip(rows, rhs):
-            nums, d = _to_int_row(list(row) + [b])
-            self.num.append(nums)
-            self.den.append(d)
-        self.cost = [0] * (self.ncols + 1)
+        self.ncols = ncols
+        self.num = rows
+        self.den = [1] * self.m
+        self.cost = [0] * (ncols + 1)
         self.cden = 1
         self.basis = [0] * self.m
         self.pivots_done = 0
         self.banned: set = set()  # columns that may never enter the basis
 
-    def set_cost(self, cost: Sequence[Fraction]):
-        nums, d = _to_int_row(list(cost) + [Fraction(0)])
-        self.cost = nums
-        self.cden = d
+    def set_cost(self, cost: list):
+        """Install an integer cost row (without its rhs slot) and price
+        out the basic columns."""
+        self.cost, self.cden = cost + [0], 1
         for i in range(self.m):
-            cb = self.cost_value_of_col(self.basis[i])
-            if cb != 0:
-                self._combine_cost(i, cb)
-
-    def cost_value_of_col(self, j) -> Fraction:
-        return Fraction(self.cost[j], self.cden)
-
-    def _combine_cost(self, row, factor: Fraction):
-        # cost -= factor * (row normalized)
-        rn, rd = self.num[row], self.den[row]
-        piv = rn[self.basis[row]]
-        # normalized row entry j = rn[j] / piv ; factor = fn/fd
-        fn, fd = factor.numerator, factor.denominator
-        scale = fd * piv
-        if scale < 0:
-            fn, scale = -fn, -scale
-        new = [c * scale - self.cden * fn * r for c, r in zip(self.cost, rn)]
-        self.cost, self.cden = _reduce_row(new, self.cden * scale)
-
-    def value(self, row) -> Fraction:
-        return Fraction(self.num[row][self.ncols], self.den[row])
-
-    def entry(self, row, col) -> Fraction:
-        return Fraction(self.num[row][col], self.den[row])
-
-    def objective(self) -> Fraction:
-        return Fraction(-self.cost[self.ncols], self.cden)
+            if self.cost[self.basis[i]]:
+                self.cost, self.cden = _eliminate(self.cost, self.cden, self.num[i], self.basis[i])
 
     def pivot(self, row, col):
         self.pivots_done += 1
         rn = self.num[row]
-        piv = rn[col]
         for i in range(self.m):
-            if i == row:
-                continue
-            f = self.num[i][col]
-            if f:
-                ni = self.num[i]
-                new = [a * piv - f * b for a, b in zip(ni, rn)]
-                d = self.den[i] * piv
-                if d < 0:
-                    d = -d
-                    new = [-x for x in new]
-                self.num[i], self.den[i] = _reduce_row(new, d)
-        f = self.cost[col]
-        if f:
-            # normalized pivot row entry j is rn[j]/piv; den[row] cancels
-            new = [a * piv - f * b for a, b in zip(self.cost, rn)]
-            d = self.cden * piv
-            if d < 0:
-                d = -d
-                new = [-x for x in new]
-            self.cost, self.cden = _reduce_row(new, d)
-        d = piv
+            if i != row and self.num[i][col]:
+                self.num[i], self.den[i] = _eliminate(self.num[i], self.den[i], rn, col)
+        if self.cost[col]:
+            self.cost, self.cden = _eliminate(self.cost, self.cden, rn, col)
+        d = rn[col]
         if d < 0:
             d = -d
             rn = [-x for x in rn]
-        self.num[row], self.den[row] = _reduce_row(list(rn), d)
+        self.num[row], self.den[row] = _reduce_row(rn, d)
         self.basis[row] = col
 
     def _entering(self, bland: bool) -> Optional[int]:
@@ -236,12 +223,6 @@ class _Tableau:
             self.pivot(row, col)
 
 
-def _to_int_row(vals) -> tuple:
-    fracs = [Fraction(v) for v in vals]
-    d = 1
-    for f in fracs:
-        d = lcm(d, f.denominator)
-    return [int(f * d) for f in fracs], d
 
 
 def lp_feasible(problem: RationalLpProblem) -> LpResult:
@@ -274,95 +255,93 @@ def lp_feasible(problem: RationalLpProblem) -> LpResult:
     art_base = ncols
     ncols += m
 
+    # row i is sigma[i] * tau[i] * (constraint i, with its slack), so that
+    # the rhs is non-negative, plus its artificial
     rows = []
-    rhs = []
     tau = []
     sigma = [1] * m
     s_idx = slack_base
     for i, c in enumerate(cons):
         tau.append(-1 if c.relation == ">=" else 1)
-        row = [Fraction(0)] * ncols
+        row = [0] * (ncols + 1)
         for j, a in enumerate(c.coeffs):
             if a:
                 row[col_of_var[j]] = tau[i] * a
                 if neg_col_of_var[j] is not None:
                     row[neg_col_of_var[j]] = -tau[i] * a
-        b = tau[i] * c.rhs
+        row[ncols] = tau[i] * c.rhs
         if c.relation != "=":
-            row[s_idx] = Fraction(1)
+            row[s_idx] = 1
             s_idx += 1
-        if b < 0:
+        if row[ncols] < 0:
             sigma[i] = -1
             row = [-x for x in row]
-            b = -b
-        row[art_base + i] = Fraction(1)
+        row[art_base + i] = 1
         rows.append(row)
-        rhs.append(b)
 
-    tab = _Tableau(rows, rhs)
+    tab = _Tableau(rows, ncols)
     for i in range(m):
         tab.basis[i] = art_base + i
 
     # phase 1: minimize the sum of artificials
-    phase1 = [Fraction(0)] * ncols
-    for i in range(m):
-        phase1[art_base + i] = Fraction(1)
-    tab.set_cost(phase1)
-    status = tab.solve()
-    assert status == "optimal"
-    if tab.objective() > 0:  # infeasible
-        y = [Fraction(1) - tab.cost_value_of_col(art_base + i) for i in range(m)]
-        farkas = tuple(-y[i] * sigma[i] * tau[i] for i in range(m))
-        assert verify_farkas(problem, farkas), "bad Farkas certificate"
+    tab.set_cost([0] * art_base + [1] * m)
+    if tab.solve() != "optimal":
+        raise CertificateError("phase one of the simplex did not reach an optimum")
+    if tab.cost[ncols] < 0:  # the artificials sum to -cost[rhs] / cden > 0
+        # multiplier of row i: 1 - (reduced cost of its artificial)
+        farkas = tuple([
+            Fraction((tab.cost[art_base + i] - tab.cden) * sigma[i] * tau[i], tab.cden)
+            for i in range(m)
+        ])
+        if not verify_farkas(problem, farkas):
+            raise CertificateError("bad Farkas certificate")
         return LpResult("infeasible", None, None, farkas)
 
-    feasibility_only = all(c == 0 for c in problem.objective)
-    if not feasibility_only:
+    obj, obj_den = clear_denominators(problem.objective)
+    if any(obj):
         # drive any zero-level artificials out of the basis
         for i in range(m):
             if tab.basis[i] >= art_base:
                 col = next((j for j in range(art_base) if tab.num[i][j] != 0), None)
                 if col is not None:
                     tab.pivot(i, col)
-        cost = [Fraction(0)] * ncols
-        for j, cj in enumerate(problem.objective):
-            cost[col_of_var[j]] = -Fraction(cj)
+        cost = [0] * ncols
+        for j, cj in enumerate(obj):
+            cost[col_of_var[j]] = -cj
             if neg_col_of_var[j] is not None:
-                cost[neg_col_of_var[j]] = Fraction(cj)
+                cost[neg_col_of_var[j]] = cj
         tab.banned = {art_base + i for i in range(m)}  # artificials never re-enter
         tab.set_cost(cost)
-        status = tab.solve()
-        if status == "unbounded":
+        if tab.solve() == "unbounded":
             return LpResult("unbounded", None, None, None)
 
-    values = {}
-    for i in range(m):
-        values[tab.basis[i]] = tab.value(i)
-    point = []
+    # the point is xs / d, d the common denominator of the rows
+    d = lcm(*tab.den)
+    values = {tab.basis[i]: tab.num[i][ncols] * (d // tab.den[i]) for i in range(m)}
+    xs = []
     for j in range(nvars):
-        v = values.get(col_of_var[j], Fraction(0))
+        v = values.get(col_of_var[j], 0)
         if neg_col_of_var[j] is not None:
-            v -= values.get(neg_col_of_var[j], Fraction(0))
-        point.append(v)
-    for c in cons:
-        assert c.satisfied_by(point), "simplex returned an infeasible point"
-    value = sum(c * x for c, x in zip(problem.objective, point))
-    return LpResult("optimal", tuple(point), value, None)
+            v -= values.get(neg_col_of_var[j], 0)
+        xs.append(v)
+    if not all(c._holds(xs, d) for c in cons):
+        raise CertificateError("simplex returned an infeasible point")
+    value = Fraction(sum(c * x for c, x in zip(obj, xs)), obj_den * d)
+    return LpResult("optimal", tuple([Fraction(x, d) for x in xs]), value, None)
 
 
-def verify_farkas(problem: RationalLpProblem, lam: Sequence[Fraction]) -> bool:
-    """Re-check an infeasibility certificate by exact evaluation."""
-    nvars = len(problem.objective)
-    for i, c in enumerate(problem.constraints):
-        if c.relation == "<=" and lam[i] < 0:
+def verify_farkas(problem: RationalLpProblem, lam: Sequence) -> bool:
+    """Re-check an infeasibility certificate (one rational multiplier per
+    constraint of ``problem.constraints``) in integers."""
+    cons = problem.constraints
+    if len(lam) != len(cons):
+        raise DimensionMismatch("one Farkas multiplier per constraint required")
+    lam, _ = clear_denominators(lam)
+    for l, c in zip(lam, cons):
+        if (c.relation == "<=" and l < 0) or (c.relation == ">=" and l > 0):
             return False
-        if c.relation == ">=" and lam[i] > 0:
+    for j in range(len(problem.objective)):
+        combined = sum(l * c.coeffs[j] for l, c in zip(lam, cons))
+        if combined < 0 or (combined and not problem.is_nonneg(j)):
             return False
-    for j in range(nvars):
-        combined = sum(l * c.coeffs[j] for l, c in zip(lam, problem.constraints))
-        if problem.is_nonneg(j):
-            if combined < 0:
-                return False
-        elif combined != 0:
-            return False
-    return sum(l * c.rhs for l, c in zip(lam, problem.constraints)) < 0
+    return sum(l * c.rhs for l, c in zip(lam, cons)) < 0

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from functools import partial
@@ -21,8 +21,8 @@ from functools import partial
 from . import exactmath
 from .combinat import subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig, parallel_map
-from .errors import BadParameters, BudgetExceeded, PreconditionFailed
-from .exactmath import IntMatrix
+from .errors import BadParameters, BudgetExceeded, CertificateError, PreconditionFailed
+from .exactmath import IntMatrix, clear_denominators
 from .incidence import IncidenceMatrix
 from .lp import LinearConstraint, RationalLpProblem, lp_feasible
 
@@ -65,18 +65,14 @@ class FaceCertificate:
     witness: Optional[tuple]  # integer affine dependence, positive support inside subset
 
 
-def _scale_to_int(vals: Sequence[Fraction]) -> tuple:
-    denom = lcm(*(v.denominator for v in vals))
-    return tuple(int(v * denom) for v in vals)
-
-
 def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
     """Exact face test with a certificate either way.
 
     Solves for an affine dependence v with v >= 0 outside the subset and
     total outside weight 1: existence refutes the face (witness -v has
     positive support inside the subset), and the Farkas multipliers of
-    the insoluble system assemble the supporting functional.
+    the insoluble system assemble the supporting functional.  Both are
+    re-checked in integers; a failed check raises CertificateError.
     """
     subset = sorted(set(subset))
     m = len(cfg.points)
@@ -103,27 +99,29 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
     problem = RationalLpProblem.of([0] * m, cons, nonneg)
     res = lp_feasible(problem)
 
+    # tuples from lists, not generators: see the note in the lp module
     if res.status == "optimal":
-        witness = _scale_to_int([-x for x in res.point])
-        assert _is_affine_dependence(cfg, witness)
-        assert all(witness[j] <= 0 for j in outside) and any(
-            witness[j] < 0 for j in outside
-        )
+        witness = tuple([-x for x in clear_denominators(res.point)[0]])
+        if not _is_affine_dependence(cfg, witness):
+            raise CertificateError("face witness is not an affine dependence")
+        if any(witness[j] > 0 for j in outside) or not any(witness[j] < 0 for j in outside):
+            raise CertificateError("face witness has positive support outside the subset")
         return FaceCertificate(False, None, witness)
 
-    assert res.status == "infeasible"
+    if res.status != "infeasible":
+        raise CertificateError(f"face LP came back {res.status}")
     lam = res.farkas
-    w = [lam[r] for r in range(nd)]
-    w_aff = lam[nd]
-    t = lam[nd + 1]
-    assert t < 0
-    c = tuple(-x for x in w)
-    beta = Fraction(w_aff)
-    for i in inside:
-        assert _dot(c, cfg.points[i]) == beta
-    for j in outside:
-        assert _dot(c, cfg.points[j]) < beta
-    return FaceCertificate(True, (c, beta), None)
+    if lam[nd + 1] >= 0:
+        raise CertificateError("Farkas multiplier of the outside weight is not negative")
+    # c = -w and beta = w_aff, where w, w_aff are the first nd + 1
+    # multipliers; checked as integers (times the common denominator)
+    ws, _ = clear_denominators(lam[: nd + 1])
+    c_int, beta_int = [-x for x in ws[:nd]], ws[nd]
+    if any(_dot(c_int, cfg.points[i]) != beta_int for i in inside):
+        raise CertificateError("supporting functional misses a subset point")
+    if any(_dot(c_int, cfg.points[j]) >= beta_int for j in outside):
+        raise CertificateError("supporting functional does not separate an outside point")
+    return FaceCertificate(True, (tuple([-x for x in lam[:nd]]), lam[nd]), None)
 
 
 def _dot(c, p):

@@ -22,7 +22,6 @@ from typing import Iterable, Optional, Sequence
 from . import exactmath
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadParameters, BudgetExceeded
-from .exactmath import IntMatrix
 from .incidence import IncidenceMatrix
 
 
@@ -111,6 +110,12 @@ class Binomial:
         plus = tuple(x if x > 0 else 0 for x in u)
         minus = tuple(-x if x < 0 else 0 for x in u)
         return cls(len(u), plus, minus)
+
+    def oriented(self, order: "DegrevlexOrder") -> "Binomial":
+        """The same binomial up to sign, with the larger monomial first."""
+        if order.compare(self.plus, self.minus) > 0:
+            return self
+        return Binomial(self.var_count, self.minus, self.plus)
 
 
 @dataclass(frozen=True)
@@ -324,29 +329,26 @@ def saturate_binomials(
 # ---------------------------------------------------------------------------
 # lattice ideals for incidence matrices
 
+# keyed by (n, k, t, kind, RunConfig): a result computed under one
+# configuration never stands in for a run under another, so a smaller
+# pair_queue_budget still raises on a cache hit
 _GB_CACHE: dict = {}
 
 
-def _kernel_pairs(a: IntMatrix) -> list:
-    kb = exactmath.kernel_basis(a)
-    pairs = []
-    for u in kb.vectors:
-        plus = tuple(x if x > 0 else 0 for x in u)
-        minus = tuple(-x if x < 0 else 0 for x in u)
-        pairs.append((plus, minus))
-    return pairs
+def _binomial_pairs(vectors: Iterable[Sequence[int]]) -> list:
+    return [(b.plus, b.minus) for b in map(Binomial.from_vector, vectors)]
 
 
 def lattice_ideal_groebner(
     inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG
 ) -> BinomialBasis:
     """Reduced degrevlex Groebner basis of the saturated lattice ideal."""
-    key = (inc.n, inc.k, inc.t, "groebner")
+    key = (inc.n, inc.k, inc.t, "groebner", config)
     if key in _GB_CACHE:
         return _GB_CACHE[key]
     a = inc.matrix
     order = DegrevlexOrder(a.cols)
-    pairs = _kernel_pairs(a)
+    pairs = _binomial_pairs(exactmath.kernel_basis(a).vectors)
     if not pairs:
         result = BinomialBasis("groebner", (), inc, order.name)
         _GB_CACHE[key] = result
@@ -475,7 +477,7 @@ def minimal_markov(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> 
     when its two monomials are not yet connected in their fiber by the
     moves accepted so far, which is ideal membership in the graded piece.
     """
-    key = (inc.n, inc.k, inc.t, "markov")
+    key = (inc.n, inc.k, inc.t, "markov", config)
     if key in _GB_CACHE:
         return _GB_CACHE[key]
     gb = lattice_ideal_groebner(inc, config)
@@ -507,17 +509,13 @@ def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> Bi
     binomials x^{u+} y^{u-} - x^{u-} y^{u+} with u primitive, so the
     Graver elements are read off the x-parts.
     """
-    key = (inc.n, inc.k, inc.t, "graver")
+    key = (inc.n, inc.k, inc.t, "graver", config)
     if key in _GB_CACHE:
         return _GB_CACHE[key]
     a = inc.matrix
     n = a.cols
-    kb = exactmath.kernel_basis(a)
-    pairs = []
-    for u in kb.vectors:
-        plus = tuple(x if x > 0 else 0 for x in u)
-        minus = tuple(-x if x < 0 else 0 for x in u)
-        pairs.append((plus + minus, minus + plus))
+    # the Lawrence lifting of u is (u, -u)
+    pairs = _binomial_pairs(u + tuple(-x for x in u) for u in exactmath.kernel_basis(a).vectors)
     if not pairs:
         result = BinomialBasis("graver", (), inc, "degrevlex")
         _GB_CACHE[key] = result
@@ -535,12 +533,7 @@ def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> Bi
         if tuple(-x for x in u) in seen:
             continue
         seen.add(u)
-        pair = _orient(
-            tuple(x if x > 0 else 0 for x in u),
-            tuple(-x if x < 0 else 0 for x in u),
-            base_order,
-        )
-        elements.append(Binomial(n, pair[0], pair[1]))
+        elements.append(Binomial.from_vector(u).oriented(base_order))
     elements.sort(key=lambda b: (b.degree, base_order.sort_key(b.plus)))
     result = BinomialBasis("graver", tuple(elements), inc, base_order.name)
     _GB_CACHE[key] = result
@@ -606,12 +599,7 @@ def octahedral_generators(n: int, k: int, t: int) -> BinomialBasis:
     for pod in designs.pods(n, k, t):
         design = designs.pod_expand(pod, n)
         u = designs.design_kernel_iso(design)
-        pair = _orient(
-            tuple(x if x > 0 else 0 for x in u),
-            tuple(-x if x < 0 else 0 for x in u),
-            order,
-        )
-        elements.append(Binomial(inc.matrix.cols, pair[0], pair[1]))
+        elements.append(Binomial.from_vector(u).oriented(order))
     return BinomialBasis("octahedral", tuple(elements), inc, order.name)
 
 

@@ -92,6 +92,18 @@ def test_face_command(capsys):
         "136", "246", "145", "235", "146", "236", "245", "135"
     }
 
+    code, out = run_cli(
+        capsys, "--no-meta", "polytope", "faces", "-n", "6", "-k", "3", "-t", "2",
+        "--subset", "123,456",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["is_face"] is True
+    assert payload["functional"] == {
+        "coeffs": ["1", "1", "-3", "0", "-3", "-4", "0", "-3", "-4", "-3", "-4", "0", "1", "1", "1"],
+        "rhs": "-1",
+    }
+
 
 def test_threepoint_check_exit_code(capsys):
     code, out = run_cli(capsys, "--no-meta", "threepoint", "check", "-n", "6")

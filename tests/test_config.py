@@ -2,7 +2,7 @@
 
 import pytest
 
-from incitoric.config import RunConfig, parallel_map
+from incitoric.config import DEFAULT_CONFIG, RunConfig, parallel_map
 from incitoric.errors import BudgetExceeded
 from incitoric.incidence import build_matrix
 from incitoric.polytope import PointConfig, neighborliness
@@ -38,10 +38,11 @@ def test_buchberger_budget():
     from incitoric import toric
 
     inc = build_matrix(6, 3, 2)
-    toric._GB_CACHE.clear()
+    # a basis cached under the default budget must not stand in for a run
+    # under a smaller one
+    toric.lattice_ideal_groebner(inc, DEFAULT_CONFIG)
     with pytest.raises(BudgetExceeded):
         toric.lattice_ideal_groebner(inc, RunConfig(pair_queue_budget=3))
-    toric._GB_CACHE.clear()
 
 
 def test_primitivity_box_budget():

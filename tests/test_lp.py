@@ -1,12 +1,24 @@
 """Exact simplex: statuses, certificates, and an independent basic-solution
 oracle on random instances."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import incitoric
 from incitoric import exactmath as em
-from incitoric.lp import RationalLpProblem, lp_feasible, verify_farkas
+from incitoric import lp, polytope
+from incitoric.errors import CertificateError
+from incitoric.incidence import build_matrix
+from incitoric.lp import LpResult, RationalLpProblem, lp_feasible, verify_farkas
 
 
 def test_infeasible_interval():
@@ -143,3 +155,85 @@ def test_random_instances_against_enumeration():
             assert result.objective_value == oracle
             checked += 1
     assert checked > 50
+
+
+def test_rational_constraints_are_stored_as_integer_rows():
+    p = RationalLpProblem.of(
+        [Fraction(1, 2)], [([Fraction(2, 3)], "<=", Fraction(1, 4)), ([3], ">=", -6)]
+    )
+    assert [(c.coeffs, c.rhs) for c in p.constraints] == [((8,), 3), ((3,), -6)]
+    assert all(type(x) is int for c in p.constraints for x in (*c.coeffs, c.rhs))
+    r = lp_feasible(p)
+    assert r.point == (Fraction(3, 8),)
+    assert r.objective_value == Fraction(3, 16)
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def scaled_lp_pairs(draw):
+    """A small LP with rational data and the same LP with every
+    constraint multiplied by a positive integer."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(
+        st.tuples(st.lists(rationals, min_size=n, max_size=n),
+                  st.sampled_from(["<=", "=", ">="]), rationals),
+        min_size=1, max_size=4,
+    ))
+    scales = draw(st.lists(st.integers(1, 6), min_size=len(rows), max_size=len(rows)))
+    objective = draw(st.lists(rationals, min_size=n, max_size=n))
+    nonneg = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    scaled = [([k * a for a in coeffs], rel, k * b) for (coeffs, rel, b), k in zip(rows, scales)]
+    return (RationalLpProblem.of(objective, rows, nonneg),
+            RationalLpProblem.of(objective, scaled, nonneg))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scaled_lp_pairs())
+def test_positive_row_multiples_give_the_same_lp(pair):
+    results = [lp_feasible(p) for p in pair]
+    assert results[0].status == results[1].status
+    assert results[0].objective_value == results[1].objective_value
+    for p, r in zip(pair, results):
+        if r.status == "infeasible":
+            assert verify_farkas(p, r.farkas)
+        if r.status == "optimal":
+            assert all(c.satisfied_by(r.point) for c in p.constraints)
+
+
+def test_rejected_farkas_certificate_raises(monkeypatch):
+    monkeypatch.setattr(lp, "verify_farkas", lambda problem, lam: False)
+    with pytest.raises(CertificateError):
+        lp_feasible(RationalLpProblem.of([0], [([1], ">=", 1), ([1], "<=", 0)]))
+
+
+def test_rejected_farkas_certificate_raises_under_python_O():
+    # the checks are explicit raises, not asserts, so -O keeps them
+    code = (
+        "from incitoric import lp\n"
+        "from incitoric.errors import CertificateError\n"
+        "lp.verify_farkas = lambda problem, lam: False\n"
+        "try:\n"
+        "    lp.lp_feasible(lp.RationalLpProblem.of([0], [([1], '>=', 1), ([1], '<=', 0)]))\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "raised"
+
+
+@pytest.mark.parametrize("bogus", [
+    # a point that is no affine dependence
+    LpResult("optimal", tuple(Fraction(1) for _ in range(20)), Fraction(0), None),
+    # multipliers whose functional (zero) does not separate the outside points
+    LpResult("infeasible", None, None, (Fraction(0),) * 16 + (Fraction(-1),)),
+])
+def test_bogus_face_lp_result_raises(monkeypatch, bogus):
+    cfg = polytope.PointConfig.from_incidence(build_matrix(6, 3, 2))
+    monkeypatch.setattr(polytope, "lp_feasible", lambda problem: bogus)
+    with pytest.raises(CertificateError):
+        polytope.is_face(cfg, (0, 1))
