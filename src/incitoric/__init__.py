@@ -10,7 +10,7 @@ certificates with their orientation binomials, and the derangement/coset
 calculus behind determinant identities for three-point functions.
 """
 
-from .combinat import Derangement, TwoRowTableau, colex_rank, colex_unrank, derangements
+from .combinat import Derangement, colex_rank, colex_unrank, derangements
 from .config import DEFAULT_CONFIG, RunConfig
 from .exactmath import HnfResult, IntMatrix, LatticeBasis, hnf, kernel_basis, rank_mod_p, rank_q
 from .incidence import IncidenceMatrix, build_matrix, check_rank_laws
@@ -29,7 +29,6 @@ __all__ = [
     "LpResult",
     "RationalLpProblem",
     "RunConfig",
-    "TwoRowTableau",
     "build_matrix",
     "check_rank_laws",
     "colex_rank",

@@ -1,17 +1,19 @@
 """Acceptance suite: one callable check per headline claim.
 
-Each criterion returns a CriterionResult with a pass flag and a short
-detail string; the Workspace memoizes the expensive shared objects
+Each criterion checks its claim and returns a pass flag with a short
+detail string; the ``criterion`` decorator times it and wraps both in a
+CriterionResult.  The Workspace memoizes the expensive shared objects
 (Groebner bases, triangulations, rank reports) so the whole suite runs
 in a few minutes.  All comparisons are exact.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import complexes, designs, exactmath, threepoint, toric
 from .combinat import colex_rank, derangements
@@ -82,6 +84,22 @@ class Workspace:
         )
 
 
+def criterion(number: int, name: str):
+    """Turn a check returning (passed, detail) into a criterion returning
+    a CriterionResult, timed on the monotonic clock."""
+
+    def decorate(check: Callable[[Workspace], Tuple[bool, str]]):
+        @functools.wraps(check)
+        def timed(ws: Workspace) -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = check(ws)
+            return CriterionResult(number, name, passed, time.perf_counter() - start, detail)
+
+        return timed
+
+    return decorate
+
+
 def _displayed_quartic():
     plus = [(1, 3, 6), (2, 4, 6), (1, 4, 5), (2, 3, 5)]
     minus = [(1, 4, 6), (2, 3, 6), (2, 4, 5), (1, 3, 5)]
@@ -104,18 +122,18 @@ def _binomial_from_subsets(nvars, plus, minus):
     return toric.Binomial(nvars, tuple(p), tuple(m))
 
 
-def criterion_01(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(1, "rational rank law")
+def criterion_01(ws: Workspace) -> Tuple[bool, str]:
     report = ws.rank_report()
     bad = [e for e in report.entries if not e.rank_law_ok]
     detail = f"{len(report.entries)} parameter triples, rank over Q equals min(C(n,t), C(n,k))"
     if bad:
         detail = f"failures at {[(e.n, e.k, e.t) for e in bad]}"
-    return CriterionResult(1, "rational rank law", not bad, time.time() - t0, detail)
+    return not bad, detail
 
 
-def criterion_02(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(2, "prime-field rank law")
+def criterion_02(ws: Workspace) -> Tuple[bool, str]:
     report = ws.rank_report()
     bad = []
     checked = 0
@@ -129,11 +147,11 @@ def criterion_02(ws: Workspace) -> CriterionResult:
     )
     if bad:
         detail = f"failures at {bad}"
-    return CriterionResult(2, "prime-field rank law", not bad, time.time() - t0, detail)
+    return not bad, detail
 
 
-def criterion_03(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(3, "minimal Markov basis of (6,3,2)")
+def criterion_03(ws: Workspace) -> Tuple[bool, str]:
     markov = ws.markov632()
     gb = ws.gb632()
     degrees = markov.degree_multiset()
@@ -146,22 +164,19 @@ def criterion_03(ws: Workspace) -> CriterionResult:
     kr = exactmath.kernel_basis(ws.inc(6, 3, 2).matrix).rank
     ok = ok and kr == comb(6, 3) - comb(6, 2)
     detail = f"markov size {len(markov.elements)}, degrees {degrees}, kernel rank {kr}"
-    return CriterionResult(3, "minimal Markov basis of (6,3,2)", ok, time.time() - t0, detail)
+    return ok, detail
 
 
-def criterion_04(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(4, "projective degree via column-lattice volume")
+def criterion_04(ws: Workspace) -> Tuple[bool, str]:
     vol = normalized_volume(
         ws.cfg(6, 3, 2), "column_lattice", ws.triangulation(6, 3, 2), ws.config
     )
-    return CriterionResult(
-        4, "projective degree via column-lattice volume", vol == 162,
-        time.time() - t0, f"normalized volume {vol} (expected 162)"
-    )
+    return vol == 162, f"normalized volume {vol} (expected 162)"
 
 
-def criterion_05(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(5, "euclidean volume divisibility")
+def criterion_05(ws: Workspace) -> Tuple[bool, str]:
     v632 = normalized_volume(
         ws.cfg(6, 3, 2), "euclidean", ws.triangulation(6, 3, 2), ws.config
     )
@@ -169,14 +184,11 @@ def criterion_05(ws: Workspace) -> CriterionResult:
         ws.cfg(7, 4, 3), "euclidean", ws.triangulation(7, 4, 3), ws.config
     )
     ok = v632 % 2 == 0 and v632 % 3 == 0 and v743 % 2 == 0 and v743 % 3 == 0
-    return CriterionResult(
-        5, "euclidean volume divisibility", ok, time.time() - t0,
-        f"(6,3,2): {v632}; (7,4,3): {v743}; both divisible by 2 and 3"
-    )
+    return ok, f"(6,3,2): {v632}; (7,4,3): {v743}; both divisible by 2 and 3"
 
 
-def criterion_06(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(6, "minimum positive support is 2^t")
+def criterion_06(ws: Workspace) -> Tuple[bool, str]:
     ok = True
     details = []
     for n in (6, 7):
@@ -188,13 +200,11 @@ def criterion_06(ws: Workspace) -> CriterionResult:
         is_pod = scan.witness is not None and scan.witness.sign_normalized().values in pods_norm
         ok = ok and scan.min_positive_support == 4 and is_pod
         details.append(f"(n={n}): min positive support {scan.min_positive_support}, pod witness {is_pod}")
-    return CriterionResult(
-        6, "minimum positive support is 2^t", ok, time.time() - t0, "; ".join(details)
-    )
+    return ok, "; ".join(details)
 
 
-def criterion_07(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(7, "exact 3-neighborliness")
+def criterion_07(ws: Workspace) -> Tuple[bool, str]:
     ok = True
     details = []
     for n in (6, 7):
@@ -208,11 +218,11 @@ def criterion_07(ws: Workspace) -> CriterionResult:
         details.append(
             f"(n={n}): {rep.subsets_tested} face LPs up to size 3, pod-support 4-set non-face {not cert.is_face}"
         )
-    return CriterionResult(7, "exact 3-neighborliness", ok, time.time() - t0, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def criterion_08(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(8, "pods span the kernel")
+def criterion_08(ws: Workspace) -> Tuple[bool, str]:
     triples = []
     for n in range(3, 8):
         for k in range(2, n):
@@ -220,23 +230,18 @@ def criterion_08(ws: Workspace) -> CriterionResult:
                 if comb(n, t) < comb(n, k):
                     triples.append((n, k, t))
     bad = [nkt for nkt in triples if not designs.pods_span_kernel(*nkt)]
-    return CriterionResult(
-        8, "pods span the kernel", not bad, time.time() - t0,
-        f"{len(triples)} nontrivial parameter triples with n <= 7" + (f"; failures {bad}" if bad else "")
-    )
+    detail = f"{len(triples)} nontrivial parameter triples with n <= 7"
+    return not bad, detail + (f"; failures {bad}" if bad else "")
 
 
-def criterion_09(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(9, "octahedral generators saturate to the full ideal")
+def criterion_09(ws: Workspace) -> Tuple[bool, str]:
     ok = toric.saturation_equals(ws.octahedral632(), ws.inc(6, 3, 2), ws.config)
-    return CriterionResult(
-        9, "octahedral generators saturate to the full ideal", ok,
-        time.time() - t0, "mutual containment by reduction in both directions"
-    )
+    return ok, "mutual containment by reduction in both directions"
 
 
-def criterion_10(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(10, "pseudomanifold certificates")
+def criterion_10(ws: Workspace) -> Tuple[bool, str]:
     oct_rep = complexes.verify(complexes.octahedron())
     cp4_rep = complexes.verify(complexes.crosspolytope(4))
     all_true = lambda r: (
@@ -256,15 +261,14 @@ def criterion_10(ws: Workspace) -> CriterionResult:
             ok = ok and (r.orientable == r.facet_ridge_bipartite)
     pt = complexes.verify(complexes.pinched_torus())
     ok = ok and pt.orientable and pt.boundaryless and pt.normal is False
-    return CriterionResult(
-        10, "pseudomanifold certificates", ok, time.time() - t0,
+    return ok, (
         "octahedron and 4-crosspolytope fully verified; bipartite iff orientable on "
         "bundled balanced normal spheres; pinched torus orientable but not normal"
     )
 
 
-def criterion_11(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(11, "orientation binomials")
+def criterion_11(ws: Workspace) -> Tuple[bool, str]:
     oct_ = complexes.octahedron()
     rep = complexes.verify(oct_)
     b = complexes.orientation_binomial(oct_, rep.orientation)
@@ -280,15 +284,14 @@ def criterion_11(ws: Workspace) -> CriterionResult:
     ok = ok and bc.plus == displayed.plus and bc.minus == displayed.minus
     ok = ok and toric.is_primitive(b, ws.inc(6, 3, 2), ws.config)
     ok = ok and toric.is_primitive(bc, ws.inc(9, 3, 2), ws.config)
-    return CriterionResult(
-        11, "orientation binomials", ok, time.time() - t0,
+    return ok, (
         "octahedron reproduces the quartic (up to the global orientation sign); "
         "the cross-flip sphere reproduces the degree-7 binomial exactly; both primitive"
     )
 
 
-def criterion_12(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(12, "fiber sizes")
+def criterion_12(ws: Workspace) -> Tuple[bool, str]:
     ok = True
     count = 0
     for n in range(2, 7):
@@ -296,14 +299,11 @@ def criterion_12(ws: Workspace) -> CriterionResult:
             count += 1
             if len(threepoint.fiber(threepoint.phi(d), n, ws.config)) != threepoint.fiber_size_formula(d):
                 ok = False
-    return CriterionResult(
-        12, "fiber sizes", ok, time.time() - t0,
-        f"{count} derangements across n <= 6, brute force equals 2^(t-s)"
-    )
+    return ok, f"{count} derangements across n <= 6, brute force equals 2^(t-s)"
 
 
-def criterion_13(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(13, "coset memberships")
+def criterion_13(ws: Workspace) -> Tuple[bool, str]:
     required = {
         5: ("image_times_all_edges", "triple_products", "all_edges_vs_four_cycle",
             "single_coset_transitivity"),
@@ -322,11 +322,11 @@ def criterion_13(ws: Workspace) -> CriterionResult:
                 details.append(f"n={n}: {name} failed")
     if not details:
         details.append("n=5 products and lemma instance, n=6 all 265 images, n=7 triples and exchange identities")
-    return CriterionResult(13, "coset memberships", ok, time.time() - t0, "; ".join(details))
+    return ok, "; ".join(details)
 
 
-def criterion_14(ws: Workspace) -> CriterionResult:
-    t0 = time.time()
+@criterion(14, "determinant expressions")
+def criterion_14(ws: Workspace) -> Tuple[bool, str]:
     e3 = threepoint.det_as_c_expression(3, ws.config)
     ok = e3.f.terms == (((1,), 2),) and e3.g_exps == (0,)
     e6 = threepoint.det_as_c_expression(6, ws.config)
@@ -337,8 +337,7 @@ def criterion_14(ws: Workspace) -> CriterionResult:
     t3 = threepoint.tilde_ideal_generators(3, ws.config)
     ok = ok and t3.markov_count == 0 and t3.extra_generator.terms == (((1,), 1),)
     ok = ok and t3.containment_verified
-    return CriterionResult(
-        14, "determinant expressions", ok, time.time() - t0,
+    return ok, (
         f"det(P3) = 2 c123 exactly; 265-term identity for n=6 with a {e6.f.term_count()}-term numerator; "
         "n=3 assembly reproduces (c123) with the forward containment"
     )

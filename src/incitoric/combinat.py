@@ -1,5 +1,4 @@
-"""Canonical enumeration and ranking of subsets, derangements and two-row
-standard Young tableaux.
+"""Canonical enumeration and ranking of subsets and derangements.
 
 Colex order is the single global subset order used everywhere in the
 package: a k-subset S ranks as sum(C(s_i - 1, i)) over its sorted elements
@@ -153,41 +152,3 @@ def derangement_count(n: int) -> int:
     for m in range(2, n + 1):
         a, b = b, (m - 1) * (a + b)
     return b
-
-
-def cycle_stats(d: Derangement) -> tuple:
-    return d.t_count, d.s_count
-
-
-def permutation_sign(images: Sequence[int]) -> int:
-    cycles = _cycle_decomposition(images)
-    return -1 if (len(images) - len(cycles)) % 2 else 1
-
-
-@dataclass(frozen=True)
-class TwoRowTableau:
-    top_row: tuple
-    bottom_row: tuple
-
-    def is_standard(self) -> bool:
-        top, bot = self.top_row, self.bottom_row
-        entries = sorted(top + bot)
-        if entries != list(range(1, len(entries) + 1)):
-            return False
-        if list(top) != sorted(top) or list(bot) != sorted(bot):
-            return False
-        return all(top[i] < bot[i] for i in range(len(bot)))
-
-
-def standard_two_row_tableaux(n: int, s: int) -> Iterator[TwoRowTableau]:
-    """All standard tableaux of shape (n - s, s), bottom rows in colex order."""
-    if 2 * s > n:
-        raise BadParameters("shape (n-s, s) needs 2s <= n")
-    if s == 0:
-        yield TwoRowTableau(tuple(range(1, n + 1)), ())
-        return
-    for bottom in subsets_colex(n, s):
-        top = tuple(x for x in range(1, n + 1) if x not in bottom)
-        t = TwoRowTableau(top, bottom)
-        if t.is_standard():
-            yield t

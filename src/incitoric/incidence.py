@@ -49,10 +49,6 @@ def build_matrix(n: int, k: int, t: int, *, allow_identity: bool = False) -> Inc
     return IncidenceMatrix(n, k, t, m, row_labels, col_labels)
 
 
-def kernel_rank(n: int, k: int, t: int) -> int:
-    return max(0, comb(n, k) - comb(n, t))
-
-
 @dataclass(frozen=True)
 class LabeledComplex:
     """A simplicial complex whose vertices carry subset labels."""

@@ -12,16 +12,23 @@ of edge variables runs over exactly these monomials.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from . import exactmath
 from .combinat import Derangement, colex_rank, derangements, subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import BadParameters, BudgetExceeded, DimensionMismatch, PreconditionFailed
+from .errors import (
+    BadParameters,
+    BudgetExceeded,
+    CertificateError,
+    DimensionMismatch,
+    PreconditionFailed,
+)
 from .incidence import build_matrix
 
 
@@ -96,7 +103,8 @@ def phi(d: Derangement) -> EdgeVector:
         key = tuple(sorted((i, d.apply(i))))
         pairs[key] = pairs.get(key, 0) + 1
     v = EdgeVector.from_pairs(d.n, pairs)
-    assert v.degree == d.n
+    if v.degree != d.n:
+        raise CertificateError(f"derangement image has degree {v.degree}, not {d.n}")
     return v
 
 
@@ -119,14 +127,14 @@ class TriangleLattice:
         return self._solver.solve(v.exps)
 
 
-def coset_member(v: EdgeVector, n: int) -> Optional[tuple]:
-    return TriangleLattice(n).member(v)
+def _derangements_within_cap(n: int, config: RunConfig) -> None:
+    if n > config.derangement_max_n:
+        raise BudgetExceeded(f"derangement enumeration capped at n = {config.derangement_max_n}")
 
 
 def fiber(v: EdgeVector, n: int, config: RunConfig = DEFAULT_CONFIG) -> List[Derangement]:
     """All derangements with the given edge image, by exhaustive search."""
-    if n > config.derangement_max_n:
-        raise BudgetExceeded(f"derangement enumeration capped at n = {config.derangement_max_n}")
+    _derangements_within_cap(n, config)
     return [d for d in derangements(n) if phi(d).exps == v.exps]
 
 
@@ -227,47 +235,13 @@ class SymbolicPoly:
 def det_leibniz(n: int, config: RunConfig = DEFAULT_CONFIG) -> SymbolicPoly:
     """Determinant of the hollow symmetric edge matrix, summed over
     derangements with their signs."""
-    if n > config.derangement_max_n:
-        raise BudgetExceeded(f"derangement enumeration capped at n = {config.derangement_max_n}")
+    _derangements_within_cap(n, config)
     arity = comb(n, 2)
     data: Dict[tuple, int] = {}
     for d in derangements(n):
         key = phi(d).exps
         data[key] = data.get(key, 0) + d.sign
     return SymbolicPoly.from_dict(arity, data)
-
-
-def det_cofactor(n: int) -> SymbolicPoly:
-    """Independent oracle: first-row cofactor expansion of the symbolic
-    hollow matrix.  Exponential; intended for n <= 5."""
-    arity = comb(n, 2)
-
-    def entry(i: int, j: int) -> SymbolicPoly:
-        if i == j:
-            return SymbolicPoly.zero(arity)
-        exps = [0] * arity
-        exps[colex_rank(tuple(sorted((i, j))))] = 1
-        return SymbolicPoly.monomial(arity, exps)
-
-    def det(rows: tuple, cols: tuple) -> SymbolicPoly:
-        if not rows:
-            return SymbolicPoly.monomial(arity, (0,) * arity)
-        total = SymbolicPoly.zero(arity)
-        i = rows[0]
-        rest = rows[1:]
-        for pos, j in enumerate(cols):
-            e = entry(i, j)
-            if e.is_zero():
-                continue
-            minor = det(rest, cols[:pos] + cols[pos + 1 :])
-            term = e * minor
-            if pos % 2:
-                term = term.scale(-1)
-            total = total + term
-        return total
-
-    idx = tuple(range(1, n + 1))
-    return det(idx, idx)
 
 
 # ---------------------------------------------------------------------------
@@ -313,170 +287,65 @@ def check_section5(n: int, config: RunConfig = DEFAULT_CONFIG) -> Section5Report
     Memberships quantified over all derangements are checked exhaustively;
     triple products use the single-coset reduction (exhaustive pairwise
     transitivity plus one canonical triple), which the transitivity claim
-    itself justifies.
+    itself justifies.  Claims that state the same membership share one
+    check, and each check runs at most once, when a claim that applies
+    needs it.
     """
     if n < 2:
         raise BadParameters("need n >= 2")
-    if n > config.derangement_max_n:
-        raise BudgetExceeded(f"derangement enumeration capped at n = {config.derangement_max_n}")
-    lattice = TriangleLattice(n) if n >= 3 else None
-    ds = list(derangements(n))
-    images = [phi(d) for d in ds]
-    claims: List[ClaimResult] = []
+    _derangements_within_cap(n, config)
+    lattice = TriangleLattice(n) if n >= 3 else None  # no claim applies at n = 2
+    images = [phi(d) for d in derangements(n)]
+    first, full, count = images[0], all_edges(n), len(images)
 
-    def member(v: EdgeVector) -> bool:
-        return lattice is not None and lattice.member(v) is not None
+    def members(vectors) -> bool:
+        return all(lattice.member(v) is not None for v in vectors)
 
-    # pairwise transitivity: all images in one coset
-    if n >= 5:
-        base = images[0]
-        ok = all(member(img - base) for img in images[1:])
-        claims.append(
-            ClaimResult(
-                "single_coset_transitivity",
-                True,
-                ok,
-                f"{len(ds)} derangements against the lexicographic first",
-            )
-        )
-        transitive = ok
-    else:
-        claims.append(
-            ClaimResult("single_coset_transitivity", False, None, "needs n >= 5")
-        )
-        transitive = False
+    checks: Dict[str, Callable[[], bool]] = {
+        "transitive": lambda: members(img - first for img in images[1:]),
+        "images": lambda: members(images),
+        "images_full": lambda: members(img + full for img in images),
+        "first_cubed": lambda: passed("transitive") and members([first.scale(3)]),
+        "cubes": lambda: members(img.scale(3) for img in images),
+        "four_cycle": lambda: members(
+            [full - (edge(n, 1, 3) + edge(n, 2, 3) + edge(n, 2, 4) + edge(n, 1, 4))]
+        ),
+        "exchange": lambda: transposition_relations_check(n),
+    }
 
-    if n % 3 == 0:
-        ok = all(member(img) for img in images)
-        claims.append(
-            ClaimResult(
-                "images_in_triangle_group",
-                True,
-                ok,
-                f"all {len(ds)} derangement images",
-            )
-        )
-    else:
-        claims.append(
-            ClaimResult("images_in_triangle_group", False, None, "needs 3 | n")
-        )
+    @functools.cache
+    def passed(key: str) -> bool:
+        return checks[key]()
 
-    if n % 3 == 2 and n % 2 == 1 and n > 2:
-        full = all_edges(n)
-        ok = all(member(img + full) for img in images)
-        claims.append(
-            ClaimResult(
-                "image_times_all_edges",
-                True,
-                ok,
-                f"all {len(ds)} products with the full edge monomial",
-            )
-        )
-        ok2 = member(full - (edge(n, 1, 3) + edge(n, 2, 3) + edge(n, 2, 4) + edge(n, 1, 4)))
-        claims.append(
-            ClaimResult(
-                "all_edges_vs_four_cycle",
-                True,
-                ok2,
-                "full edge monomial against p13 p23 p24 p14",
-            )
-        )
-    else:
-        claims.append(
-            ClaimResult("image_times_all_edges", False, None, "needs odd n = 2 mod 3")
-        )
-        claims.append(
-            ClaimResult("all_edges_vs_four_cycle", False, None, "needs odd n = 2 mod 3")
-        )
-
-    if n % 3 != 0 and n >= 5:
-        ok = transitive and member(images[0].scale(3))
-        claims.append(
-            ClaimResult(
-                "triple_products",
-                True,
-                ok,
-                "canonical triple plus single-coset reduction",
-            )
-        )
-    elif n % 3 == 0:
-        claims.append(
-            ClaimResult(
-                "triple_products",
-                True,
-                all(member(img) for img in images),
-                "implied by single images",
-            )
-        )
-    else:
-        claims.append(ClaimResult("triple_products", False, None, "needs n >= 5"))
-
-    # determinant statements at the lattice level
-    if n % 3 == 0:
-        claims.append(
-            ClaimResult(
-                "det_in_triangle_monomials",
-                True,
-                all(member(img) for img in images),
-                "every Leibniz monomial lies in the triangle group",
-            )
-        )
-    else:
-        claims.append(
-            ClaimResult("det_in_triangle_monomials", False, None, "needs 3 | n")
-        )
-
-    if n >= 5:
-        if n % 3 == 0:
-            ok = all(member(img.scale(3)) for img in images)
-        else:
-            ok = transitive and member(images[0].scale(3))
-        claims.append(
-            ClaimResult(
-                "det_cube_in_triangle_monomials",
-                True,
-                ok,
-                "monomials of the cubed determinant",
-            )
-        )
-    else:
-        claims.append(
-            ClaimResult(
-                "det_cube_in_triangle_monomials", False, None, "stated for n >= 5"
-            )
-        )
-
-    if n % 6 == 5:
-        full = all_edges(n)
-        ok = all(member(img + full) for img in images)
-        claims.append(
-            ClaimResult(
-                "det_times_all_edges",
-                True,
-                ok,
-                "every Leibniz monomial shifted by the full edge monomial",
-            )
-        )
-    else:
-        claims.append(
-            ClaimResult("det_times_all_edges", False, None, "needs n = 5 mod 6")
-        )
-
-    if n >= 5:
-        claims.append(
-            ClaimResult(
-                "transposition_relations",
-                True,
-                transposition_relations_check(n),
-                "both exchange identities over all ordered 5-tuples",
-            )
-        )
-    else:
-        claims.append(
-            ClaimResult("transposition_relations", False, None, "needs n >= 5")
-        )
-
-    return Section5Report(n, tuple(claims))
+    divisible = n % 3 == 0
+    odd_two = n % 6 == 5  # odd and n = 2 mod 3
+    table = (
+        # (name, applies, check, detail, reason when it does not apply)
+        ("single_coset_transitivity", n >= 5, "transitive",
+         f"{count} derangements against the lexicographic first", "needs n >= 5"),
+        ("images_in_triangle_group", divisible, "images",
+         f"all {count} derangement images", "needs 3 | n"),
+        ("image_times_all_edges", odd_two, "images_full",
+         f"all {count} products with the full edge monomial", "needs odd n = 2 mod 3"),
+        ("all_edges_vs_four_cycle", odd_two, "four_cycle",
+         "full edge monomial against p13 p23 p24 p14", "needs odd n = 2 mod 3"),
+        ("triple_products", divisible or n >= 5, "images" if divisible else "first_cubed",
+         "implied by single images" if divisible
+         else "canonical triple plus single-coset reduction", "needs n >= 5"),
+        ("det_in_triangle_monomials", divisible, "images",
+         "every Leibniz monomial lies in the triangle group", "needs 3 | n"),
+        ("det_cube_in_triangle_monomials", n >= 5, "cubes" if divisible else "first_cubed",
+         "monomials of the cubed determinant", "stated for n >= 5"),
+        ("det_times_all_edges", odd_two, "images_full",
+         "every Leibniz monomial shifted by the full edge monomial", "needs n = 5 mod 6"),
+        ("transposition_relations", n >= 5, "exchange",
+         "both exchange identities over all ordered 5-tuples", "needs n >= 5"),
+    )
+    return Section5Report(n, tuple(
+        ClaimResult(name, True, passed(key), detail) if applies
+        else ClaimResult(name, False, None, reason)
+        for name, applies, key, detail, reason in table
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -512,18 +381,20 @@ def det_as_c_expression(n: int, config: RunConfig = DEFAULT_CONFIG) -> DetExpres
     f_terms: Dict[tuple, int] = {}
     for (_, coeff, gamma) in certs:
         key = tuple(a + b for a, b in zip(gamma, g_exps))
-        assert all(x >= 0 for x in key)
+        if any(x < 0 for x in key):
+            raise CertificateError("numerator term with a negative triangle exponent")
         f_terms[key] = f_terms.get(key, 0) + coeff
     f = SymbolicPoly.from_dict(ntris, f_terms)
     # f and g must be coprime: each denominator variable hits exponent 0
     for i, e in enumerate(g_exps):
-        if e > 0:
-            assert any(k[i] == 0 for k, _ in f.terms)
+        if e > 0 and all(k[i] for k, _ in f.terms):
+            raise CertificateError(f"numerator and denominator share triangle variable {i}")
     # full symbolic verification: expanding f through the triangle map
     # equals det times the expansion of g
     expanded = expand_triangle_poly(n, f)
     shift = _triangle_image_exps(n, g_exps)
-    assert expanded.terms == det.shift(shift).terms, "determinant identity failed"
+    if expanded.terms != det.shift(shift).terms:
+        raise CertificateError("determinant identity failed")
     return DetExpression(n, f, g_exps, tuple(certs))
 
 
@@ -549,8 +420,8 @@ class TildeIdealResult:
     markov_map_to_zero: bool
     extra_generator: SymbolicPoly  # saturated principal generator in triangle vars
     containment_verified: bool
-    quotient_monomial: tuple  # edge exponents q with phi(extra) = scalar * det * p^q
-    scalar: Fraction
+    quotient_monomial: Optional[tuple]  # edge exponents q with phi(extra) = scalar * det * p^q
+    scalar: Optional[Fraction]
 
 
 def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeIdealResult:
@@ -559,8 +430,9 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
     Emits the toric generators (which map to zero) together with the
     saturation of the principal determinant numerator: the monomial
     content of f is divided out as long as the quotient stays a genuine
-    polynomial, and the result is verified to map into the principal
-    determinant ideal by exact proportionality.
+    polynomial.  ``containment_verified`` reports whether its image lies in
+    the principal determinant ideal by exact proportionality; when it does
+    not, the quotient monomial and the scalar are None.
     """
     from . import toric
 
@@ -568,11 +440,7 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
         raise PreconditionFailed("implemented for 3 | n")
     expr = det_as_c_expression(n, config)
     inc = build_matrix(n, 3, 2)
-    markov = (
-        toric.minimal_markov(inc, config)
-        if exactmath.kernel_basis(inc.matrix).rank
-        else toric.BinomialBasis("markov", (), inc)
-    )
+    markov = toric.minimal_markov(inc, config)
     markov_zero = all(not any(inc.matrix.mat_vec(b.vector)) for b in markov.elements)
 
     f = expr.f
@@ -600,17 +468,8 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
     det = det_leibniz(n, config)
     image = expand_triangle_poly(n, h)
     prop = _proportional_up_to_monomial(image, det)
-    assert prop is not None, "saturated generator image is not a determinant multiple"
-    q, scalar = prop
-    return TildeIdealResult(
-        n,
-        len(markov.elements),
-        markov_zero,
-        h,
-        True,
-        q,
-        scalar,
-    )
+    q, scalar = prop if prop is not None else (None, None)
+    return TildeIdealResult(n, len(markov.elements), markov_zero, h, prop is not None, q, scalar)
 
 
 def _proportional_up_to_monomial(poly: SymbolicPoly, det: SymbolicPoly):

@@ -1,12 +1,51 @@
 """Derangement map, coset calculus, determinant expressions."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from math import comb
+from pathlib import Path
 
 import pytest
 
+import incitoric
 from incitoric import threepoint as tp
-from incitoric.combinat import derangement_from_images, derangements
-from incitoric.errors import BadParameters, PreconditionFailed
+from incitoric.combinat import colex_rank, derangement_from_images, derangements
+from incitoric.errors import BadParameters, CertificateError, PreconditionFailed
+
+
+def det_cofactor(n):
+    """Oracle for det_leibniz: first-row cofactor expansion of the symbolic
+    hollow matrix.  Exponential; intended for n <= 5."""
+    arity = comb(n, 2)
+
+    def entry(i, j):
+        if i == j:
+            return tp.SymbolicPoly.zero(arity)
+        exps = [0] * arity
+        exps[colex_rank(tuple(sorted((i, j))))] = 1
+        return tp.SymbolicPoly.monomial(arity, exps)
+
+    def det(rows, cols):
+        if not rows:
+            return tp.SymbolicPoly.monomial(arity, (0,) * arity)
+        total = tp.SymbolicPoly.zero(arity)
+        i = rows[0]
+        rest = rows[1:]
+        for pos, j in enumerate(cols):
+            e = entry(i, j)
+            if e.is_zero():
+                continue
+            minor = det(rest, cols[:pos] + cols[pos + 1 :])
+            term = e * minor
+            if pos % 2:
+                term = term.scale(-1)
+            total = total + term
+        return total
+
+    idx = tuple(range(1, n + 1))
+    return det(idx, idx)
 
 
 class TestPhi:
@@ -53,11 +92,11 @@ class TestFibers:
 
 class TestCosets:
     def test_triangle_generator_present(self):
-        cert = tp.coset_member(tp.triangle(5, 1, 2, 3), 5)
+        cert = tp.TriangleLattice(5).member(tp.triangle(5, 1, 2, 3))
         assert cert is not None
 
     def test_single_edge_absent(self):
-        assert tp.coset_member(tp.edge(5, 1, 2), 5) is None
+        assert tp.TriangleLattice(5).member(tp.edge(5, 1, 2)) is None
 
     def test_all_derangement_images_for_six(self):
         lattice = tp.TriangleLattice(6)
@@ -112,6 +151,76 @@ class TestSection5:
         assert not claims["single_coset_transitivity"].applicable
         assert not claims["det_cube_in_triangle_monomials"].applicable
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_report_pinned(self, n):
+        expected = [
+            {
+                "name": name,
+                "applicable": name in APPLIES[n],
+                "passed": True if name in APPLIES[n] else None,
+                "detail": APPLIES[n].get(name, reason),
+            }
+            for name, reason in NOT_APPLICABLE.items()
+        ]
+        assert tp.check_section5(n).as_dict() == {"n": n, "claims": expected, "all_passed": True}
+
+    @pytest.mark.parametrize("n, solves", [(5, 89), (6, 794), (7, 1854)])
+    def test_each_membership_set_solved_once(self, monkeypatch, n, solves):
+        calls = []
+        member = tp.TriangleLattice.member
+        monkeypatch.setattr(tp.TriangleLattice, "member", lambda self, v: calls.append(v) or member(self, v))
+        tp.check_section5(n)
+        # one solve per vector of each membership set, however many claims state it
+        assert len(calls) == solves
+
+
+# every claim in report order, with the reason it gives when it does not apply
+NOT_APPLICABLE = {
+    "single_coset_transitivity": "needs n >= 5",
+    "images_in_triangle_group": "needs 3 | n",
+    "image_times_all_edges": "needs odd n = 2 mod 3",
+    "all_edges_vs_four_cycle": "needs odd n = 2 mod 3",
+    "triple_products": "needs n >= 5",
+    "det_in_triangle_monomials": "needs 3 | n",
+    "det_cube_in_triangle_monomials": "stated for n >= 5",
+    "det_times_all_edges": "needs n = 5 mod 6",
+    "transposition_relations": "needs n >= 5",
+}
+
+# the claims that apply to each n, with their details; all of them pass
+APPLIES = {
+    2: {},
+    3: {
+        "images_in_triangle_group": "all 2 derangement images",
+        "triple_products": "implied by single images",
+        "det_in_triangle_monomials": "every Leibniz monomial lies in the triangle group",
+    },
+    4: {},
+    5: {
+        "single_coset_transitivity": "44 derangements against the lexicographic first",
+        "image_times_all_edges": "all 44 products with the full edge monomial",
+        "all_edges_vs_four_cycle": "full edge monomial against p13 p23 p24 p14",
+        "triple_products": "canonical triple plus single-coset reduction",
+        "det_cube_in_triangle_monomials": "monomials of the cubed determinant",
+        "det_times_all_edges": "every Leibniz monomial shifted by the full edge monomial",
+        "transposition_relations": "both exchange identities over all ordered 5-tuples",
+    },
+    6: {
+        "single_coset_transitivity": "265 derangements against the lexicographic first",
+        "images_in_triangle_group": "all 265 derangement images",
+        "triple_products": "implied by single images",
+        "det_in_triangle_monomials": "every Leibniz monomial lies in the triangle group",
+        "det_cube_in_triangle_monomials": "monomials of the cubed determinant",
+        "transposition_relations": "both exchange identities over all ordered 5-tuples",
+    },
+    7: {
+        "single_coset_transitivity": "1854 derangements against the lexicographic first",
+        "triple_products": "canonical triple plus single-coset reduction",
+        "det_cube_in_triangle_monomials": "monomials of the cubed determinant",
+        "transposition_relations": "both exchange identities over all ordered 5-tuples",
+    },
+}
+
 
 class TestDeterminant:
     def test_n2(self):
@@ -124,7 +233,7 @@ class TestDeterminant:
 
     def test_cofactor_oracle(self):
         for n in (2, 3, 4, 5):
-            assert (tp.det_leibniz(n) - tp.det_cofactor(n)).is_zero()
+            assert (tp.det_leibniz(n) - det_cofactor(n)).is_zero()
 
     def test_n4_term_structure(self):
         det = tp.det_leibniz(4)
@@ -146,6 +255,32 @@ class TestDetExpression:
     def test_wrong_residue_rejected(self):
         with pytest.raises(PreconditionFailed):
             tp.det_as_c_expression(5)
+
+    def test_perturbed_expansion_raises(self, monkeypatch):
+        monkeypatch.setattr(tp, "expand_triangle_poly", _perturbed(tp.expand_triangle_poly))
+        with pytest.raises(CertificateError):
+            tp.det_as_c_expression(6)
+
+    def test_perturbed_expansion_raises_under_python_O(self):
+        # the identity check is an explicit raise, not an assert, so -O keeps it
+        code = (
+            "from incitoric import threepoint as tp\n"
+            "from incitoric.errors import CertificateError\n"
+            "expand = tp.expand_triangle_poly\n"
+            "def perturbed(n, f):\n"
+            "    p = expand(n, f)\n"
+            "    return p + tp.SymbolicPoly(p.arity, p.terms[:1])\n"
+            "tp.expand_triangle_poly = perturbed\n"
+            "try:\n"
+            "    tp.det_as_c_expression(6)\n"
+            "except CertificateError:\n"
+            "    print('raised')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "raised"
 
     def test_n6_identity(self):
         expr = tp.det_as_c_expression(6)
@@ -179,3 +314,20 @@ class TestTildeIdeal:
     def test_wrong_residue(self):
         with pytest.raises(PreconditionFailed):
             tp.tilde_ideal_generators(5)
+
+    def test_failed_containment_is_reported(self, monkeypatch):
+        monkeypatch.setattr(tp, "_proportional_up_to_monomial", lambda poly, det: None)
+        res = tp.tilde_ideal_generators(3)
+        assert res.containment_verified is False
+        assert res.quotient_monomial is None
+        assert res.scalar is None
+
+
+def _perturbed(expand):
+    """expand_triangle_poly with the coefficient of its first term doubled."""
+
+    def perturbed(n, f):
+        p = expand(n, f)
+        return p + tp.SymbolicPoly(p.arity, p.terms[:1])
+
+    return perturbed
