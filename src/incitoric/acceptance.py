@@ -66,7 +66,7 @@ class Workspace:
         return self._get("rank_report", lambda: check_rank_laws(self.config.rank_report_max_n))
 
     def markov632(self):
-        return self._get("markov632", lambda: toric.minimal_markov(self.inc(6, 3, 2), self.config))
+        return self._get("markov632", lambda: toric.markov_from_groebner(self.gb632(), self.config))
 
     def gb632(self):
         return self._get("gb632", lambda: toric.lattice_ideal_groebner(self.inc(6, 3, 2), self.config))

@@ -114,9 +114,7 @@ def _cmd_toric(args) -> int:
             args,
         )
         return EXIT_OK if ok else EXIT_VERIFICATION
-    degrees: dict = {}
-    for b in basis.elements:
-        degrees[b.degree] = degrees.get(b.degree, 0) + 1
+    degrees = basis.degree_multiset()
     _emit(
         {
             "n": args.n,

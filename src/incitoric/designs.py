@@ -18,7 +18,13 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 from . import exactmath
 from .combinat import colex_rank, subset_label, subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import BadParameters, BudgetExceeded, DimensionMismatch, IndexOutOfRange
+from .errors import (
+    BadParameters,
+    BudgetExceeded,
+    CertificateError,
+    DimensionMismatch,
+    IndexOutOfRange,
+)
 from .incidence import build_matrix
 
 
@@ -143,7 +149,8 @@ def pod_expand(pod: Pod, n: int) -> NullDesign:
         subset = tuple(sorted(chosen + list(pod.singletons)))
         terms[subset] = terms.get(subset, 0) + sign
     design = NullDesign.from_dict(n, k, terms)
-    assert len(design.values) == 1 << npairs
+    if len(design.values) != 1 << npairs:
+        raise CertificateError("pod expansion does not have 2^(t+1) distinct terms")
     return design
 
 
@@ -218,67 +225,37 @@ class SupportScan:
 
 
 def min_support_scan(
-    n: int,
-    k: int,
-    t: int,
-    box_bound: int = 1,
-    max_half_support: Optional[int] = None,
-    config: RunConfig = DEFAULT_CONFIG,
+    n: int, k: int, t: int, config: RunConfig = DEFAULT_CONFIG
 ) -> SupportScan:
-    """Minimum positive-support size over nonzero kernel vectors.
+    """Minimum positive-support size over nonzero {-1,0,1} kernel vectors
+    with positive support at most 2^t.
 
-    With the default box_bound=1 the scan covers all {-1,0,1} kernel
-    vectors with positive support up to ``max_half_support`` (default
-    2^t): a +-1 kernel vector with |supp+| = s is exactly a pair of
-    distinct s-subsets of columns with equal column sums, so the scan
-    hashes column-subset sums per size and reports the first collision.
-    Larger boxes fall back to full box enumeration and are only feasible
-    for tiny matrices.
+    A +-1 kernel vector with |supp+| = s is exactly a pair of distinct
+    s-subsets of columns with equal column sums, so the scan hashes
+    column-subset sums per size and reports the first collision.
     """
-    inc = build_matrix(n, k, t)
-    a = inc.matrix
-    ncols = a.cols
-    if box_bound == 1:
-        cap = max_half_support if max_half_support is not None else 1 << t
-        enumerated = 0
-        for s in range(1, cap + 1):
-            sums: Dict[tuple, tuple] = {}
-            for cset in combinations(range(ncols), s):
-                enumerated += 1
-                if enumerated > config.box_budget:
-                    raise BudgetExceeded("support scan budget exhausted")
-                total = [0] * a.rows
+    a = build_matrix(n, k, t).matrix
+    enumerated = 0
+    for s in range(1, (1 << t) + 1):
+        sums: Dict[tuple, tuple] = {}
+        for cset in combinations(range(a.cols), s):
+            enumerated += 1
+            if enumerated > config.box_budget:
+                raise BudgetExceeded("support scan budget exhausted")
+            total = [0] * a.rows
+            for j in cset:
+                for i, x in enumerate(a.column(j)):
+                    total[i] += x
+            key = tuple(total)
+            if key in sums:
+                vec = [0] * a.cols
                 for j in cset:
-                    for i, x in enumerate(a.column(j)):
-                        total[i] += x
-                key = tuple(total)
-                if key in sums:
-                    other = sums[key]
-                    vec = [0] * ncols
-                    for j in cset:
-                        vec[j] += 1
-                    for j in other:
-                        vec[j] -= 1
-                    assert not any(a.mat_vec(vec))
-                    witness = vector_to_design(vec, n, k).sign_normalized()
-                    return SupportScan(
-                        len(witness.positive_support), witness, enumerated
-                    )
-                sums[key] = cset
-        return SupportScan(None, None, enumerated)
-    # general small-box enumeration
-    from itertools import product
-
-    total = (2 * box_bound + 1) ** ncols
-    if total > config.box_budget:
-        raise BudgetExceeded(f"box of size {total} exceeds the budget")
-    best: Optional[tuple] = None
-    for vec in product(range(-box_bound, box_bound + 1), repeat=ncols):
-        if not any(vec) or any(a.mat_vec(vec)):
-            continue
-        supp_plus = sum(1 for x in vec if x > 0)
-        if supp_plus and (best is None or supp_plus < best[0]):
-            best = (supp_plus, vec)
-    if best is None:
-        return SupportScan(None, None, total)
-    return SupportScan(best[0], vector_to_design(best[1], n, k), total)
+                    vec[j] += 1
+                for j in sums[key]:
+                    vec[j] -= 1
+                if any(a.mat_vec(vec)):
+                    raise CertificateError("support-scan witness outside the kernel")
+                witness = vector_to_design(vec, n, k).sign_normalized()
+                return SupportScan(len(witness.positive_support), witness, enumerated)
+            sums[key] = cset
+    return SupportScan(None, None, enumerated)

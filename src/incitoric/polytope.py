@@ -233,16 +233,19 @@ def supporting_hyperplane(
         if any(frozenset(tset) <= kset for kset in chosen):
             tsets.append(tset)
     bound = comb(inc.k, inc.t)
-    assert len(tsets) <= len(subset) * bound
+    if len(tsets) > len(subset) * bound:
+        raise CertificateError("more t-subsets than the chosen k-subsets contain")
     row_index = {t: i for i, t in enumerate(inc.row_labels)}
     values = [
         sum(cfg.points[j][row_index[t]] for t in tsets) for j in range(len(cfg.points))
     ]
-    for i in subset:
-        assert values[i] == bound
-    assert all(v <= bound for v in values)
+    if any(values[i] != bound for i in subset):
+        raise CertificateError("a chosen vertex is off the supporting hyperplane")
+    if any(v > bound for v in values):
+        raise CertificateError("a vertex lies above the supporting hyperplane")
     below = next((j for j, v in enumerate(values) if v < bound), None)
-    assert below is not None, "no vertex strictly below the hyperplane"
+    if below is None:
+        raise CertificateError("no vertex strictly below the hyperplane")
     return SupportingHyperplane(tuple(tsets), bound, tuple(subset), below)
 
 
@@ -303,7 +306,8 @@ def placing_triangulation(
             if val != 0:
                 g = cand if val < 0 else tuple(-x for x in cand)
                 break
-        assert g is not None, "interior reference lies on a boundary facet"
+        if g is None:
+            raise CertificateError("interior reference lies on a boundary facet")
         beta = sum(c * x for c, x in zip(g, f0))
         return g, beta
 
@@ -357,7 +361,8 @@ def placing_triangulation(
         for f in visible:
             del boundary[f]
         for r, vis_count in ridge_visible.items():
-            assert ridge_total[r] == 2, "boundary complex is not closed"
+            if ridge_total[r] != 2:
+                raise CertificateError("boundary complex is not closed")
             if vis_count == 1:
                 nf = r | {idx}
                 boundary[nf] = facet_functional(nf)
@@ -417,6 +422,7 @@ def normalized_volume(
                 raise BadParameters("simplex edge outside the lattice")
             coeff_rows.append(coeffs)
         det = exactmath.determinant(IntMatrix.from_rows(coeff_rows))
-        assert det != 0, "degenerate simplex in triangulation"
+        if det == 0:
+            raise CertificateError("degenerate simplex in triangulation")
         total += abs(det)
     return total

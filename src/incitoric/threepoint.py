@@ -406,9 +406,10 @@ def _triangle_image_exps(n: int, c_exps: Sequence[int]) -> tuple:
 def expand_triangle_poly(n: int, f: SymbolicPoly) -> SymbolicPoly:
     """Substitute each triangle variable by its edge monomial."""
     arity = comb(n, 2)
+    a = build_matrix(n, 3, 2).matrix
     data: Dict[tuple, int] = {}
     for c_exps, coeff in f.terms:
-        key = _triangle_image_exps(n, c_exps)
+        key = a.mat_vec(tuple(c_exps))
         data[key] = data.get(key, 0) + coeff
     return SymbolicPoly.from_dict(arity, data)
 

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import product
+from operator import le, sub
 from typing import Iterable, Optional, Sequence
 
 from . import exactmath
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import BadParameters, BudgetExceeded
+from .errors import BadParameters, BudgetExceeded, CertificateError
 from .incidence import IncidenceMatrix
 
 
@@ -61,6 +63,9 @@ class DegrevlexOrder:
     def sort_key(self, m: Sequence[int]) -> tuple:
         # larger monomial sorts later
         return (sum(m), tuple(-m[v] for v in self.scan))
+
+    def binomial_key(self, b: "Binomial") -> tuple:
+        return (b.degree, self.sort_key(b.plus), self.sort_key(b.minus))
 
     @property
     def name(self) -> str:
@@ -161,7 +166,7 @@ def _orient(a: tuple, b: tuple, order: DegrevlexOrder):
 
 
 def _divides(d: tuple, m: tuple) -> bool:
-    return all(x <= y for x, y in zip(d, m))
+    return all(map(le, d, m))
 
 
 def _sub_add(m: tuple, sub: tuple, add: tuple) -> tuple:
@@ -308,7 +313,6 @@ def saturate_binomials(
     generators: Iterable[tuple],
     nvars: int,
     pair_budget: int = DEFAULT_CONFIG.pair_queue_budget,
-    variables: Optional[Sequence[int]] = None,
 ) -> list:
     """Saturate the binomial ideal w.r.t. the product of all variables.
 
@@ -317,9 +321,7 @@ def saturate_binomials(
     every element.  Sound for homogeneous binomial ideals.
     """
     gens = [(tuple(a), tuple(b)) for a, b in generators]
-    if variables is None:
-        variables = range(nvars)
-    for v in variables:
+    for v in range(nvars):
         order = DegrevlexOrder(nvars, cheapest=v)
         gb = buchberger(gens, order, pair_budget)
         gens = [strip_variable(g, v) for g in gb]
@@ -329,39 +331,29 @@ def saturate_binomials(
 # ---------------------------------------------------------------------------
 # lattice ideals for incidence matrices
 
-# keyed by (n, k, t, kind, RunConfig): a result computed under one
-# configuration never stands in for a run under another, so a smaller
-# pair_queue_budget still raises on a cache hit
-_GB_CACHE: dict = {}
-
-
 def _binomial_pairs(vectors: Iterable[Sequence[int]]) -> list:
     return [(b.plus, b.minus) for b in map(Binomial.from_vector, vectors)]
+
+
+def _saturated_groebner(pairs: list, nvars: int, config: RunConfig) -> list:
+    """Reduced degrevlex Groebner basis of the saturation of the ideal the
+    binomial pairs span; empty for no pairs."""
+    sat = saturate_binomials(pairs, nvars, config.pair_queue_budget)
+    return buchberger(sat, DegrevlexOrder(nvars), config.pair_queue_budget)
 
 
 def lattice_ideal_groebner(
     inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG
 ) -> BinomialBasis:
     """Reduced degrevlex Groebner basis of the saturated lattice ideal."""
-    key = (inc.n, inc.k, inc.t, "groebner", config)
-    if key in _GB_CACHE:
-        return _GB_CACHE[key]
     a = inc.matrix
-    order = DegrevlexOrder(a.cols)
     pairs = _binomial_pairs(exactmath.kernel_basis(a).vectors)
-    if not pairs:
-        result = BinomialBasis("groebner", (), inc, order.name)
-        _GB_CACHE[key] = result
-        return result
-    sat = saturate_binomials(pairs, a.cols, config.pair_queue_budget)
-    gb = buchberger(sat, order, config.pair_queue_budget)
+    gb = _saturated_groebner(pairs, a.cols, config)
     elements = tuple(Binomial(a.cols, lead, tail) for lead, tail in gb)
     for b in elements:
         if not b.is_homogeneous():
             raise BadParameters("inhomogeneous element in a lattice ideal basis")
-    result = BinomialBasis("groebner", elements, inc, order.name)
-    _GB_CACHE[key] = result
-    return result
+    return BinomialBasis("groebner", elements, inc, DegrevlexOrder(a.cols).name)
 
 
 def reduce_to_zero(b: Binomial, basis: BinomialBasis) -> bool:
@@ -380,9 +372,6 @@ class Fiber:
     matrix: IncidenceMatrix
     target: tuple
     points: tuple
-
-    def __contains__(self, u) -> bool:
-        return tuple(u) in set(self.points)
 
 
 def fiber_enumerate(
@@ -470,74 +459,107 @@ def _component(start: tuple, moves: list, budget: int) -> set:
     return seen
 
 
-def minimal_markov(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> BinomialBasis:
-    """Inclusion-minimal Markov basis extracted from the Groebner basis.
+def markov_from_groebner(gb: BinomialBasis, config: RunConfig = DEFAULT_CONFIG) -> BinomialBasis:
+    """Inclusion-minimal Markov basis extracted from a Groebner basis.
 
     Candidates are processed by increasing degree; one is kept exactly
     when its two monomials are not yet connected in their fiber by the
     moves accepted so far, which is ideal membership in the graded piece.
     """
-    key = (inc.n, inc.k, inc.t, "markov", config)
-    if key in _GB_CACHE:
-        return _GB_CACHE[key]
-    gb = lattice_ideal_groebner(inc, config)
-    order = DegrevlexOrder(inc.matrix.cols)
-    cands = sorted(
-        gb.elements, key=lambda b: (b.degree, order.sort_key(b.plus), order.sort_key(b.minus))
-    )
+    order = DegrevlexOrder(gb.matrix.matrix.cols)
     accepted: list = []
     moves: list = []
-    for cand in cands:
+    for cand in sorted(gb.elements, key=order.binomial_key):
         comp = _component(cand.plus, moves, config.fiber_budget)
         if cand.minus not in comp:
             accepted.append(cand)
             moves.append((cand.plus, cand.minus))
-    result = BinomialBasis("markov", tuple(accepted), inc, gb.order_name)
-    _GB_CACHE[key] = result
-    return result
+    return BinomialBasis("markov", tuple(accepted), gb.matrix, gb.order_name)
+
+
+def minimal_markov(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> BinomialBasis:
+    """Inclusion-minimal Markov basis of the lattice ideal."""
+    return markov_from_groebner(lattice_ideal_groebner(inc, config), config)
 
 
 # ---------------------------------------------------------------------------
-# Graver bases via the Lawrence lifting
+# Graver bases by completion
+
+
+def _sum_pair(f: tuple, g: tuple) -> tuple:
+    """(plus, minus) of the vector sum of two (plus, minus) moves."""
+    u = [fp - fm + gp - gm for fp, fm, gp, gm in zip(f[0], f[1], g[0], g[1])]
+    return tuple(x if x > 0 else 0 for x in u), tuple(-x if x < 0 else 0 for x in u)
+
+
+def _signs_conflict(f: tuple, g: tuple) -> bool:
+    """Some coordinate is positive in one move and negative in the other."""
+    return any(
+        (fp and gm) or (fm and gp) for fp, fm, gp, gm in zip(f[0], f[1], g[0], g[1])
+    )
+
+
+def _conformal_sign(g: tuple, s: tuple) -> Optional[tuple]:
+    """The move g or its negative, whichever fits conformally inside s
+    (both halves divide); None if neither does."""
+    gp, gm = g
+    if _divides(gp, s[0]) and _divides(gm, s[1]):
+        return g
+    if _divides(gm, s[0]) and _divides(gp, s[1]):
+        return gm, gp
+    return None
+
+
+def _conformal_remainder(s: tuple, moves: list) -> Optional[tuple]:
+    """Subtract moves that fit conformally inside ``s`` until none fits;
+    None if nothing is left."""
+    changed = True
+    while changed:
+        changed = False
+        for g in moves:
+            h = _conformal_sign(g, s)
+            if h is not None:
+                s = tuple(map(sub, s[0], h[0])), tuple(map(sub, s[1], h[1]))
+                changed = True
+    if any(s[0]) or any(s[1]):
+        return s
+    return None
 
 
 def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> BinomialBasis:
-    """Graver basis of the lattice ideal.
+    """Graver basis of the lattice ideal by completion on kernel vectors.
 
-    The kernel of the Lawrence lifting [[A, 0], [I, I]] is {(u, -u)}; any
-    reduced Groebner basis of its lattice ideal consists exactly of the
-    binomials x^{u+} y^{u-} - x^{u-} y^{u+} with u primitive, so the
-    Graver elements are read off the x-parts.
+    A move (plus, minus) stands for itself and its negative.  Starting
+    from a kernel basis, the sum of every two moves whose signs conflict
+    somewhere is reduced by the moves that fit conformally inside it, and
+    a nonzero remainder becomes a new move (Hemmecke, "On the positive sum
+    property and the computation of Graver test sets", 2003).  The moves
+    then have the positive sum property, so the conformally minimal ones
+    are the primitive vectors.  Each pair reduced counts against
+    ``pair_queue_budget``.
     """
-    key = (inc.n, inc.k, inc.t, "graver", config)
-    if key in _GB_CACHE:
-        return _GB_CACHE[key]
     a = inc.matrix
-    n = a.cols
-    # the Lawrence lifting of u is (u, -u)
-    pairs = _binomial_pairs(u + tuple(-x for x in u) for u in exactmath.kernel_basis(a).vectors)
-    if not pairs:
-        result = BinomialBasis("graver", (), inc, "degrevlex")
-        _GB_CACHE[key] = result
-        return result
-    sat = saturate_binomials(pairs, 2 * n, config.pair_queue_budget)
-    order = DegrevlexOrder(2 * n)
-    gb = buchberger(sat, order, config.pair_queue_budget)
-    base_order = DegrevlexOrder(n)
-    seen = set()
-    elements = []
-    for lead, tail in gb:
-        u = tuple(lead[i] - tail[i] for i in range(n))
-        if all(x == 0 for x in u):
-            raise BadParameters("Lawrence basis produced a zero x-part")
-        if tuple(-x for x in u) in seen:
-            continue
-        seen.add(u)
-        elements.append(Binomial.from_vector(u).oriented(base_order))
-    elements.sort(key=lambda b: (b.degree, base_order.sort_key(b.plus)))
-    result = BinomialBasis("graver", tuple(elements), inc, base_order.name)
-    _GB_CACHE[key] = result
-    return result
+    moves = _binomial_pairs(exactmath.kernel_basis(a).vectors)
+    pairs = 0
+    for i, f in enumerate(moves):  # grows while iterated
+        for g in moves[:i]:
+            for h in (g, g[::-1]):
+                if not _signs_conflict(f, h):
+                    continue
+                pairs += 1
+                if pairs > config.pair_queue_budget:
+                    raise BudgetExceeded("pair queue budget exhausted")
+                r = _conformal_remainder(_sum_pair(f, h), moves)
+                if r is not None:
+                    moves.append(r)
+    order = DegrevlexOrder(a.cols)
+    minimal = [
+        Binomial(a.cols, *g).oriented(order)
+        for g in moves
+        if not any(h is not g and _conformal_sign(h, g) for h in moves)
+    ]
+    minimal.sort(key=order.binomial_key)
+    return BinomialBasis("graver", tuple(minimal), inc, order.name)
 
 
 def is_primitive(b: Binomial, inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> bool:
@@ -557,7 +579,8 @@ def is_primitive(b: Binomial, inc: IncidenceMatrix, config: RunConfig = DEFAULT_
         if size > config.box_budget:
             raise BudgetExceeded("primitivity box budget exhausted")
     zero = (0,) * a.rows
-    for idx_vals in _box_vectors(u, support):
+    box = product(*(range(min(u[i], 0), max(u[i], 0) + 1) for i in support))
+    for idx_vals in box:
         s = zero
         for i, val in zip(support, idx_vals):
             if val:
@@ -570,18 +593,6 @@ def is_primitive(b: Binomial, inc: IncidenceMatrix, config: RunConfig = DEFAULT_
             if any(v) and tuple(v) != u:
                 return False
     return True
-
-
-def _box_vectors(u: tuple, support: list):
-    from itertools import product
-
-    ranges = []
-    for i in support:
-        if u[i] > 0:
-            ranges.append(range(0, u[i] + 1))
-        else:
-            ranges.append(range(u[i], 1))
-    return product(*ranges)
 
 
 # ---------------------------------------------------------------------------
@@ -607,23 +618,24 @@ def saturation_equals(
     basis: BinomialBasis, inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG
 ) -> bool:
     """Does saturating the span of ``basis`` by all variables give the
-    full lattice ideal?  Mutual containment is checked by reduction to
-    zero in both directions.
+    full lattice ideal I?
+
+    Call the saturation J.  J lies in I when every element of its Groebner
+    basis is a kernel binomial, which is re-checked (CertificateError
+    otherwise).  I lies in J when the binomials of a kernel lattice basis
+    reduce to zero against that basis: I is the saturation of their
+    ideal, and J is saturated.
     """
     a = inc.matrix
     for b in basis.elements:
         if any(a.mat_vec(b.vector)):
             raise BadParameters("generator outside the kernel")
-    gens = [(b.plus, b.minus) for b in basis.elements]
-    sat = saturate_binomials(gens, a.cols, config.pair_queue_budget)
-    order = DegrevlexOrder(a.cols)
-    gb_j = buchberger(sat, order, config.pair_queue_budget)
-    gb_i = lattice_ideal_groebner(inc, config)
-    pairs_i = [(g.plus, g.minus) for g in gb_i.elements]
+    gb_j = _saturated_groebner([(b.plus, b.minus) for b in basis.elements], a.cols, config)
     for lead, tail in gb_j:
-        if _normal_form(lead, tail, pairs_i, order) is not None:
-            return False
-    for g in gb_i.elements:
-        if _normal_form(g.plus, g.minus, gb_j, order) is not None:
-            return False
-    return True
+        if any(a.mat_vec([x - y for x, y in zip(lead, tail)])):
+            raise CertificateError("saturation produced a binomial outside the kernel")
+    order = DegrevlexOrder(a.cols)
+    return all(
+        _normal_form(plus, minus, gb_j, order) is None
+        for plus, minus in _binomial_pairs(exactmath.kernel_basis(a).vectors)
+    )

@@ -38,8 +38,8 @@ def test_buchberger_budget():
     from incitoric import toric
 
     inc = build_matrix(6, 3, 2)
-    # a basis cached under the default budget must not stand in for a run
-    # under a smaller one
+    # a basis computed under the default budget must not let a later run
+    # under a smaller one pass
     toric.lattice_ideal_groebner(inc, DEFAULT_CONFIG)
     with pytest.raises(BudgetExceeded):
         toric.lattice_ideal_groebner(inc, RunConfig(pair_queue_budget=3))

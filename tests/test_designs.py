@@ -132,12 +132,6 @@ class TestSupportScan:
         scan = designs.min_support_scan(7, 3, 2)
         assert scan.min_positive_support == 4
 
-    def test_box_mode_small(self):
-        scan = designs.min_support_scan(4, 2, 1, box_bound=2)
-        assert scan.min_positive_support == 2
-        ok, _ = designs.is_null_design(scan.witness, 1)
-        assert ok
-
     def test_budget(self):
         tiny = RunConfig(box_budget=10)
         with pytest.raises(BudgetExceeded):

@@ -1,8 +1,11 @@
 """Cross-module invariants and serialization round trips."""
 
+import ast
 import json
 from math import comb
+from pathlib import Path
 
+import incitoric
 from incitoric import designs, exactmath as em, toric
 from incitoric.combinat import subset_label, subsets_colex
 from incitoric.exactmath import IntMatrix
@@ -70,3 +73,15 @@ def test_markov_basis_elements_lie_in_graver():
     gset = {frozenset((b.plus, b.minus)) for b in graver.elements}
     for b in markov.elements:
         assert frozenset((b.plus, b.minus)) in gset
+
+
+def test_no_assert_in_library():
+    # certificates are re-checked by explicit raises, which python -O keeps
+    package = Path(incitoric.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

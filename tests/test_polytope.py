@@ -1,13 +1,18 @@
 """Face tests, neighborliness, hyperplanes, triangulations, volumes."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from incitoric import designs
+import incitoric
+from incitoric import designs, exactmath
 from incitoric.combinat import colex_rank
-from incitoric.errors import BadParameters, PreconditionFailed
+from incitoric.errors import BadParameters, CertificateError, PreconditionFailed
 from incitoric.incidence import build_matrix
 from incitoric.polytope import (
     PointConfig,
@@ -216,3 +221,26 @@ class TestVolumes:
     def test_bad_lattice_name(self, cfg632):
         with pytest.raises(BadParameters):
             normalized_volume(cfg632, "hexagonal")
+
+    def test_degenerate_simplex_raises(self, monkeypatch):
+        monkeypatch.setattr(exactmath, "determinant", lambda m: 0)
+        with pytest.raises(CertificateError, match="degenerate simplex"):
+            normalized_volume(PointConfig.from_points([(0, 0), (1, 0), (0, 1)]))
+
+    def test_degenerate_simplex_raises_under_python_O(self):
+        # the check is an explicit raise, not an assert, so -O keeps it
+        code = (
+            "from incitoric import exactmath\n"
+            "from incitoric.errors import CertificateError\n"
+            "from incitoric.polytope import PointConfig, normalized_volume\n"
+            "exactmath.determinant = lambda m: 0\n"
+            "try:\n"
+            "    normalized_volume(PointConfig.from_points([(0, 0), (1, 0), (0, 1)]))\n"
+            "except CertificateError as e:\n"
+            "    print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "degenerate simplex in triangulation"

@@ -315,6 +315,23 @@ class TestTildeIdeal:
         with pytest.raises(PreconditionFailed):
             tp.tilde_ideal_generators(5)
 
+    def test_matrix_built_once_per_expansion(self, monkeypatch):
+        calls = []
+        build = tp.build_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(tp, "build_matrix", counted)
+        tp.det_as_c_expression(6)
+        # the triangle lattice, the expansion of f and the shift by g
+        assert len(calls) == 3
+        calls.clear()
+        tp.tilde_ideal_generators(6)
+        # the three above, the matrix of the Markov basis and the expansion of h
+        assert len(calls) == 5
+
     def test_failed_containment_is_reported(self, monkeypatch):
         monkeypatch.setattr(tp, "_proportional_up_to_monomial", lambda poly, det: None)
         res = tp.tilde_ideal_generators(3)

@@ -7,7 +7,7 @@ import pytest
 from incitoric import exactmath as em, toric
 from incitoric.combinat import colex_rank
 from incitoric.config import RunConfig
-from incitoric.errors import BadParameters, BudgetExceeded
+from incitoric.errors import BadParameters, BudgetExceeded, CertificateError
 from incitoric.exactmath import IntMatrix
 from incitoric.incidence import build_matrix
 
@@ -43,8 +43,8 @@ def gb632(inc632):
 
 
 @pytest.fixture(scope="module")
-def markov632(inc632):
-    return toric.minimal_markov(inc632)
+def markov632(gb632):
+    return toric.markov_from_groebner(gb632)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +143,18 @@ class TestStructure632:
         with pytest.raises(BadParameters):
             toric.BinomialBasis("markov", (junk,), inc632)
 
+    def test_minimal_markov_builds_on_groebner(self, inc632, markov632):
+        assert toric.minimal_markov(inc632).elements == markov632.elements
+
+
+def test_no_module_level_cache():
+    state = [
+        name
+        for name, value in vars(toric).items()
+        if not name.startswith("__") and isinstance(value, (dict, list, set))
+    ]
+    assert state == []
+
 
 class TestGraver:
     def test_graver_contains_displayed(self, graver632):
@@ -190,6 +202,51 @@ class TestGraver:
         for b in graver632.elements:
             assert not any(inc632.matrix.mat_vec(b.vector))
             assert b.is_homogeneous()
+
+    @pytest.mark.parametrize("nkt", [(5, 2, 1), (5, 3, 1)])
+    def test_thirty_primitive_elements(self, nkt):
+        inc = build_matrix(*nkt)
+        graver = toric.graver_basis(inc)
+        assert len(graver.elements) == 30
+        assert all(toric.is_primitive(b, inc) for b in graver.elements)
+
+    @pytest.mark.parametrize("nkt", [(4, 2, 1), (5, 2, 1), (5, 3, 1), (6, 3, 2)])
+    def test_sympy_groebner_of_graver_is_lattice_groebner(self, nkt):
+        # a third Buchberger, sympy's, ties the completion to the saturation
+        import sympy
+
+        inc = build_matrix(*nkt)
+        gens = sympy.symbols(f"x0:{inc.matrix.cols}")
+
+        def monomial(exps):
+            return sympy.Mul(*(x**e for x, e in zip(gens, exps)))
+
+        graver = toric.graver_basis(inc)
+        gb = sympy.groebner(
+            [monomial(b.plus) - monomial(b.minus) for b in graver.elements],
+            *gens,
+            order="grevlex",
+        )
+        theirs = set()
+        for poly in gb.exprs:
+            terms = sympy.Poly(poly, *gens).terms()
+            assert sorted(c for _, c in terms) == [-1, 1]
+            theirs.add(frozenset(m for m, _ in terms))
+        ours = toric.lattice_ideal_groebner(inc).elements
+        assert len(gb.exprs) == len(ours)
+        assert theirs == {frozenset((b.plus, b.minus)) for b in ours}
+
+    def test_budget(self, inc632):
+        with pytest.raises(BudgetExceeded):
+            toric.graver_basis(inc632, RunConfig(pair_queue_budget=3))
+
+    def test_no_groebner_route(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("graver_basis must not run Buchberger")
+
+        monkeypatch.setattr(toric, "buchberger", forbidden)
+        monkeypatch.setattr(toric, "saturate_binomials", forbidden)
+        assert len(toric.graver_basis(build_matrix(5, 3, 1)).elements) == 30
 
 
 class TestPrimitivity:
@@ -255,6 +312,21 @@ class TestSaturation:
         octas = toric.octahedral_generators(6, 3, 2)
         single = toric.BinomialBasis("octahedral", octas.elements[:1], inc632)
         assert not toric.saturation_equals(single, inc632)
+
+    def test_without_lattice_groebner(self, inc632, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("saturation_equals must not need the lattice basis")
+
+        monkeypatch.setattr(toric, "lattice_ideal_groebner", forbidden)
+        assert toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
+
+    def test_non_kernel_saturation_raises(self, inc632, monkeypatch):
+        junk = binom(20, [(1, 2, 3)], [(1, 2, 4)])
+        monkeypatch.setattr(
+            toric, "_saturated_groebner", lambda pairs, nvars, config: [(junk.plus, junk.minus)]
+        )
+        with pytest.raises(CertificateError):
+            toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
 
 
 class TestFibers:
