@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from functools import partial
+from functools import cached_property, partial
 
 from . import exactmath
 from .combinat import subsets_colex
@@ -57,6 +57,14 @@ class PointConfig:
     def ambient_dim(self) -> int:
         return len(self.points[0]) if self.points else 0
 
+    @cached_property
+    def dependence_rows(self) -> tuple:
+        """The rows sum_i v_i p_i = 0 (one per coordinate) and sum_i v_i = 0
+        of every face LP over this configuration, built on first use."""
+        rows = [LinearConstraint.of([p[r] for p in self.points], "=", 0) for r in range(self.ambient_dim)]
+        rows.append(LinearConstraint.of([1] * len(self.points), "=", 0))
+        return tuple(rows)
+
 
 @dataclass(frozen=True)
 class FaceCertificate:
@@ -86,15 +94,10 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
         zero = tuple(Fraction(0) for _ in range(nd))
         return FaceCertificate(True, (zero, Fraction(0)), None)
 
-    cons: List[LinearConstraint] = []
-    for r in range(nd):
-        cons.append(
-            LinearConstraint.of([cfg.points[i][r] for i in range(m)], "=", 0)
-        )
-    cons.append(LinearConstraint.of([1] * m, "=", 0))
-    cons.append(
-        LinearConstraint.of([0 if i in inside else 1 for i in range(m)], "=", 1)
-    )
+    cons = [
+        *cfg.dependence_rows,
+        LinearConstraint.of([0 if i in inside else 1 for i in range(m)], "=", 1),
+    ]
     nonneg = [i not in inside for i in range(m)]
     problem = RationalLpProblem.of([0] * m, cons, nonneg)
     res = lp_feasible(problem)

@@ -20,7 +20,7 @@ from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import exactmath
-from .combinat import Derangement, colex_rank, derangements, subsets_colex
+from .combinat import Derangement, colex_rank, derangement_from_images, derangements, subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     BadParameters,
@@ -133,9 +133,46 @@ def _derangements_within_cap(n: int, config: RunConfig) -> None:
 
 
 def fiber(v: EdgeVector, n: int, config: RunConfig = DEFAULT_CONFIG) -> List[Derangement]:
-    """All derangements with the given edge image, by exhaustive search."""
+    """All derangements with edge image v, lexicographic in the image tuple.
+
+    A backtracking search picks sigma(1), sigma(2), ... in turn and tries
+    sigma(i) = w only while the edge {i, w} has multiplicity left in v.
+    The search is complete, since the edges of every prefix of a derangement
+    in the fiber lie within v, and each leaf is re-checked against phi.
+    """
+    if v.n != n:
+        raise DimensionMismatch("edge vector over the wrong ground set")
+    if n < 2:
+        raise BadParameters("derangements need n >= 2")
     _derangements_within_cap(n, config)
-    return [d for d in derangements(n) if phi(d).exps == v.exps]
+    rank = {(i, w): colex_rank(sorted((i, w))) for i, w in permutations(range(1, n + 1), 2)}
+    left = list(v.exps)  # edge multiplicities still unused
+    used = [False] * (n + 1)
+    images: List[int] = []
+    found: List[Derangement] = []
+
+    def extend(i: int) -> None:
+        if i > n:
+            d = derangement_from_images(images)
+            if phi(d).exps == v.exps:
+                found.append(d)
+            return
+        for w in range(1, n + 1):
+            if w == i or used[w]:
+                continue
+            e = rank[i, w]
+            if left[e] <= 0:
+                continue
+            used[w] = True
+            left[e] -= 1
+            images.append(w)
+            extend(i + 1)
+            images.pop()
+            left[e] += 1
+            used[w] = False
+
+    extend(1)
+    return found
 
 
 def fiber_size_formula(d: Derangement) -> int:

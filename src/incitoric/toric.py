@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import product
+from math import prod
 from operator import le, sub
 from typing import Iterable, Optional, Sequence
 
@@ -565,34 +565,87 @@ def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> Bi
 def is_primitive(b: Binomial, inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> bool:
     """No other kernel vector fits componentwise inside (plus, minus).
 
-    Decided by exhaustive enumeration of the box 0 <= v+ <= plus,
-    0 <= v- <= minus intersected with the kernel.
+    Decided by meet-in-the-middle over the box 0 <= v+ <= plus,
+    0 <= v- <= minus: the support of u is cut in two, each half lists the
+    sums A·v over its half-box, and a left and a right half-vector whose
+    sums cancel make a kernel vector in the box.  ``box_budget`` bounds the
+    entries of the larger half-box, checked before anything is listed.  A
+    vector other than 0 and u is re-checked against A (CertificateError
+    otherwise) before it is returned as a witness.
     """
     a = inc.matrix
     u = b.vector
     if any(a.mat_vec(u)):
         raise BadParameters("binomial vector is not in the kernel")
     support = [i for i in range(len(u)) if u[i] != 0]
-    size = 1
-    for i in support:
-        size *= abs(u[i]) + 1
-        if size > config.box_budget:
-            raise BudgetExceeded("primitivity box budget exhausted")
-    zero = (0,) * a.rows
-    box = product(*(range(min(u[i], 0), max(u[i], 0) + 1) for i in support))
-    for idx_vals in box:
-        s = zero
-        for i, val in zip(support, idx_vals):
-            if val:
-                col = a.column(i)
-                s = tuple(x + val * c for x, c in zip(s, col))
-        if s == zero:
+    left, right = _halve(support, u)
+    size = max(prod(abs(u[c]) + 1 for c in half) for half in (left, right))
+    if size > config.box_budget:
+        raise BudgetExceeded(
+            f"primitivity needs a half-box of {size} entries, over the box budget "
+            f"of {config.box_budget}"
+        )
+    keys = _column_keys(a, u, support)
+    witnesses: dict = {}  # sum key -> up to two left half-box indices
+    for j, key in enumerate(_half_sums(left, u, keys)):
+        found = witnesses.setdefault(key, [])
+        if len(found) < 2:
+            found.append(j)
+    # a right half-vector rules out at most one partner (0 when it is 0,
+    # u's left half when it is u's right half), so two per key suffice
+    for j, key in enumerate(_half_sums(right, u, keys)):
+        for i in witnesses.get(-key, ()):
             v = [0] * len(u)
-            for i, val in zip(support, idx_vals):
-                v[i] = val
-            if any(v) and tuple(v) != u:
+            for half, index in ((left, i), (right, j)):
+                for c, x in zip(half, _box_point(half, u, index)):
+                    v[c] = x
+            v = tuple(v)
+            if any(v) and v != u:
+                if any(a.mat_vec(v)):
+                    raise CertificateError("primitivity witness is not a kernel vector")
                 return False
     return True
+
+
+def _halve(support: Sequence[int], u: Sequence[int]) -> tuple:
+    """Cut ``support`` where the larger of the two half-boxes is smallest."""
+    sides = [abs(u[c]) + 1 for c in support]
+    cut = min(range(len(sides) + 1), key=lambda i: max(prod(sides[:i]), prod(sides[i:])))
+    return support[:cut], support[cut:]
+
+
+def _column_keys(a, u: Sequence[int], support: Sequence[int]) -> dict:
+    """Each support column of A packed into one int, a field of W bits per
+    row.  Every sum over the box has rows within +-bound < 2^(W-1), where
+    bound = sum |u_c| * max |a|, so the packing is linear and injective on
+    those sums: a sum packs to 0 only if it is 0."""
+    columns = {c: a.column(c) for c in support}
+    bound = sum(abs(u[c]) for c in support) * max(
+        (abs(x) for col in columns.values() for x in col), default=0
+    )
+    width = (2 * bound + 1).bit_length()
+    return {c: sum(x << (r * width) for r, x in enumerate(col)) for c, col in columns.items()}
+
+
+def _half_sums(coords: Sequence[int], u: Sequence[int], keys: dict) -> list:
+    """Packed sums A·v over the half-box of ``coords``, the last coordinate
+    varying fastest."""
+    sums = [0]
+    for c in coords:
+        step = range(min(u[c], 0), max(u[c], 0) + 1)
+        col = keys[c]
+        sums = [s + x * col for s in sums for x in step]
+    return sums
+
+
+def _box_point(coords: Sequence[int], u: Sequence[int], index: int) -> list:
+    """The half-box point at position ``index`` of ``_half_sums``."""
+    point = []
+    for c in reversed(coords):
+        index, digit = divmod(index, abs(u[c]) + 1)
+        point.append(min(u[c], 0) + digit)
+    point.reverse()
+    return point
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from incitoric import complexes as cx
 from incitoric import toric
 from incitoric.combinat import colex_rank
+from incitoric.config import DEFAULT_CONFIG
 from incitoric.errors import BadParameters, NotBalanced, PreconditionFailed
 from incitoric.incidence import build_matrix
 
@@ -176,6 +177,16 @@ class TestOrientationBinomial:
         inc = build_matrix(8, 4, 3)
         assert not any(inc.matrix.mat_vec(b.vector))
         assert toric.is_primitive(b, inc)
+
+    def test_crosspolytope5_degree_sixteen(self):
+        # its box has 2^32 entries; meet-in-the-middle lists two of 2^16
+        cp = cx.crosspolytope(5)
+        rep = cx.verify(cp)
+        b = cx.orientation_binomial(cp, rep.orientation)
+        assert b.degree == 16
+        inc = build_matrix(10, 5, 4)
+        assert not any(inc.matrix.mat_vec(b.vector))
+        assert toric.is_primitive(b, inc, DEFAULT_CONFIG)
 
     def test_crossflip_exact_binomial(self):
         cf = cx.crossflip_example()

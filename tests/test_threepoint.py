@@ -8,11 +8,18 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incitoric
 from incitoric import threepoint as tp
 from incitoric.combinat import colex_rank, derangement_from_images, derangements
-from incitoric.errors import BadParameters, CertificateError, PreconditionFailed
+from incitoric.errors import (
+    BadParameters,
+    CertificateError,
+    DimensionMismatch,
+    PreconditionFailed,
+)
 
 
 def det_cofactor(n):
@@ -46,6 +53,11 @@ def det_cofactor(n):
 
     idx = tuple(range(1, n + 1))
     return det(idx, idx)
+
+
+def fiber_by_filter(v, n):
+    """Oracle for fiber: every derangement of n whose edge image is v."""
+    return [d for d in derangements(n) if tp.phi(d).exps == v.exps]
 
 
 class TestPhi:
@@ -88,6 +100,35 @@ class TestFibers:
         for n in (2, 3, 4, 5):
             for d in derangements(n):
                 assert len(tp.fiber(tp.phi(d), n)) == tp.fiber_size_formula(d)
+
+    def test_agrees_with_filter_up_to_six(self):
+        for n in range(2, 7):
+            # the filter, run once per n: derangements grouped by image
+            by_image = {}
+            for d in derangements(n):
+                by_image.setdefault(tp.phi(d).exps, []).append(d)
+            for d in derangements(n):
+                assert tp.fiber(tp.phi(d), n) == by_image[tp.phi(d).exps]
+
+    def test_outside_the_image_is_empty(self):
+        # vertex 1 meets four edges, so no derangement maps here
+        v = tp.EdgeVector.from_pairs(4, {(1, 2): 2, (1, 3): 1, (1, 4): 1})
+        assert fiber_by_filter(v, 4) == []
+        assert tp.fiber(v, 4) == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(-1, 2), min_size=comb(n, 2), max_size=comb(n, 2)))
+    ))
+    def test_agrees_with_filter_on_any_edge_vector(self, case):
+        n, exps = case
+        v = tp.EdgeVector(n, tuple(exps))
+        assert tp.fiber(v, n) == fiber_by_filter(v, n)
+
+    def test_ground_set_mismatch_raises(self):
+        d = derangement_from_images((2, 1, 4, 3))
+        with pytest.raises(DimensionMismatch):
+            tp.fiber(tp.phi(d), 5)
 
 
 class TestCosets:

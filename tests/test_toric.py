@@ -1,9 +1,17 @@
 """Binomial ideal engine: Groebner, Markov, Graver, primitivity, fibers."""
 
-from itertools import product
+import os
+import subprocess
+import sys
+from itertools import combinations, product
+from math import prod
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import incitoric
 from incitoric import exactmath as em, toric
 from incitoric.combinat import colex_rank
 from incitoric.config import RunConfig
@@ -249,7 +257,87 @@ class TestGraver:
         assert len(toric.graver_basis(build_matrix(5, 3, 1)).elements) == 30
 
 
+def box_scan_primitive(u, a):
+    """Oracle for is_primitive: scan the whole box 0 <= v+ <= u+,
+    0 <= v- <= u- for a kernel vector other than 0 and u."""
+    support = [i for i in range(len(u)) if u[i]]
+    for vals in product(*(range(min(u[i], 0), max(u[i], 0) + 1) for i in support)):
+        v = [0] * len(u)
+        for i, x in zip(support, vals):
+            v[i] = x
+        if any(v) and tuple(v) != u and not any(a.mat_vec(v)):
+            return False
+    return True
+
+
+def box_size(u):
+    return prod(abs(x) + 1 for x in u)
+
+
+@pytest.fixture(scope="module")
+def pair_combinations(inc632, markov632):
+    """Sums and differences of two (6,3,2) Markov or two (5,3,1) Graver
+    elements whose box has at most 2^12 entries, with their matrix."""
+    inc531 = build_matrix(5, 3, 1)
+    out = []
+    for inc, basis in ((inc632, markov632), (inc531, toric.graver_basis(inc531))):
+        for f, g in combinations([b.vector for b in basis.elements], 2):
+            for sign in (1, -1):
+                u = tuple(x + sign * y for x, y in zip(f, g))
+                if any(u) and box_size(u) <= 2**12:
+                    out.append((u, inc))
+    return out
+
+
 class TestPrimitivity:
+    def test_pair_combinations_mixed(self, pair_combinations):
+        verdicts = [toric.is_primitive(toric.Binomial.from_vector(u), inc) for u, inc in pair_combinations]
+        assert len(verdicts) == 1155
+        assert verdicts.count(False) == 585
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_box_scan(self, pair_combinations, data):
+        u, inc = data.draw(st.sampled_from(pair_combinations))
+        b = toric.Binomial.from_vector(u)
+        assert toric.is_primitive(b, inc) == box_scan_primitive(u, inc.matrix)
+
+    def test_budget_counts_the_larger_half_box(self, inc632):
+        q = binom(20, *QUARTIC)  # 8 support entries of 1: half-boxes of 2^4
+        assert toric.is_primitive(q, inc632, RunConfig(box_budget=16))
+        with pytest.raises(BudgetExceeded, match="half-box of 16 entries"):
+            toric.is_primitive(q, inc632, RunConfig(box_budget=15))
+
+    def test_bad_packing_raises(self, inc632, monkeypatch):
+        # with every column packed to 0 each half-sum "cancels"; the
+        # re-check against A must catch the first bogus witness
+        monkeypatch.setattr(toric, "_column_keys", lambda a, u, support: dict.fromkeys(support, 0))
+        with pytest.raises(CertificateError, match="not a kernel vector"):
+            toric.is_primitive(binom(20, *QUARTIC), inc632)
+
+    def test_bad_packing_raises_under_python_O(self):
+        # the re-check is an explicit raise, not an assert, so -O keeps it
+        code = (
+            "from incitoric import toric\n"
+            "from incitoric.errors import CertificateError\n"
+            "from incitoric.incidence import build_matrix\n"
+            "toric._column_keys = lambda a, u, support: dict.fromkeys(support, 0)\n"
+            "u = [0] * 20\n"
+            "for i in (6, 7, 11, 14):\n"
+            "    u[i] = 1\n"
+            "for i in (5, 8, 12, 13):\n"
+            "    u[i] = -1\n"
+            "try:\n"
+            "    toric.is_primitive(toric.Binomial.from_vector(u), build_matrix(6, 3, 2))\n"
+            "except CertificateError as e:\n"
+            "    print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "primitivity witness is not a kernel vector"
+
     def test_quartic_primitive(self, inc632):
         assert toric.is_primitive(binom(20, *QUARTIC), inc632)
 
