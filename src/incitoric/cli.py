@@ -3,8 +3,8 @@
 Subcommands mirror the library modules; every command prints a single
 JSON document (or CSV where noted) and exits 0 on success, 1 when a
 verification fails, 2 on usage or budget errors.  Output is reproducible:
-identical invocations give byte-identical JSON once the timestamp is
-suppressed with --no-meta.
+identical invocations give byte-identical output once the timestamp and
+the acceptance times are suppressed with --no-meta.
 """
 
 from __future__ import annotations
@@ -304,13 +304,17 @@ def _cmd_acceptance(args) -> int:
         print("no matching criteria (valid numbers are 1..14)", file=sys.stderr)
         return EXIT_USAGE
     all_ok = all(r.passed for r in results)
+    # times are metadata: --no-meta drops them so that the output is reproducible
+    timed = not getattr(args, "no_meta", False)
     if args.json:
-        _emit({"criteria": [r.as_dict() for r in results], "all_passed": all_ok}, args)
+        rows = [{k: v for k, v in r.as_dict().items() if timed or k != "elapsed_seconds"} for r in results]
+        _emit({"criteria": rows, "all_passed": all_ok}, args)
     else:
         width = max(len(r.name) for r in results)
         for r in results:
             mark = "PASS" if r.passed else "FAIL"
-            print(f"[{mark}] {r.number:2d} {r.name:<{width}}  {r.elapsed:7.1f}s  {r.detail}")
+            elapsed = f"{r.elapsed:7.1f}s  " if timed else ""
+            print(f"[{mark}] {r.number:2d} {r.name:<{width}}  {elapsed}{r.detail}")
         print(f"{'all passed' if all_ok else 'FAILURES PRESENT'}")
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
@@ -337,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="incitoric",
         description="Exact computations around subset-incidence toric ideals",
     )
-    parser.add_argument("--no-meta", action="store_true", help="suppress the timestamp field")
+    parser.add_argument("--no-meta", action="store_true", help="suppress the timestamp and the acceptance times")
     parser.add_argument("--out", help="also write the JSON payload to this file")
     parser.add_argument("--workers", type=int, help="worker pool size for parallel scans")
     parser.add_argument("--pair-budget", type=int, help="pair queue budget for basis computations")

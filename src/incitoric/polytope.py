@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from functools import cached_property, partial
@@ -64,6 +64,16 @@ class PointConfig:
         rows = [LinearConstraint.of([p[r] for p in self.points], "=", 0) for r in range(self.ambient_dim)]
         rows.append(LinearConstraint.of([1] * len(self.points), "=", 0))
         return tuple(rows)
+
+    @cached_property
+    def column_lattice_solver(self) -> exactmath.HnfSolver:
+        """Coordinates in the lattice generated by the point differences."""
+        return _lattice_solver(self, saturate=False)
+
+    @cached_property
+    def euclidean_solver(self) -> exactmath.HnfSolver:
+        """Coordinates in the integer points of the affine hull's directions."""
+        return _lattice_solver(self, saturate=True)
 
 
 @dataclass(frozen=True)
@@ -275,121 +285,130 @@ def placing_triangulation(
     affine dimension cones over the whole triangulation, and interior or
     hyperplane-degenerate positions extend nothing new (pushing rule,
     decided by exact sign).  Deterministic for a fixed order.
+
+    Facet functionals are kept by beneath-beyond pencil updates: a new
+    facet through a ridge gets the member of the pencil of the ridge's
+    two old functionals that vanishes at the new point, and a dimension
+    step pencils every old functional with one new hull normal, so only
+    the hull normals cost an integer kernel (one per dimension step).
+    Every new functional is re-checked in integers against its facet.
     """
     pts = cfg.points
     m = len(pts)
+    nd = cfg.ambient_dim
     order = list(order) if order is not None else list(range(m))
     if sorted(order) != list(range(m)):
         raise BadParameters("order must be a permutation of the point indices")
 
     cells: List[tuple] = []
-    boundary: Dict[frozenset, tuple] = {}  # facet -> (functional g, offset beta)
+    # facet -> functional (g, beta) with g.x - beta negative inside the hull
+    boundary: Dict[frozenset, tuple] = {}
     basis_rows: List[tuple] = []  # direction vectors spanning the hull
+    normals: tuple = ()  # kernel basis of basis_rows: the hull is where all vanish
     origin: Optional[int] = None
     # interior reference: the sum of the first cell's vertices, i.e. their
     # centroid scaled by ``weight``, the number of vertices
     interior: Optional[tuple] = None
     weight = 0
 
-    def in_affine_hull(idx: int) -> bool:
-        diff = tuple(a - b for a, b in zip(pts[idx], pts[origin]))
-        return exactmath.rank_q(IntMatrix.from_rows(basis_rows + [diff])) == len(basis_rows)
-
-    def facet_functional(facet: frozenset) -> tuple:
-        """Primitive integer functional vanishing on the facet, negative at
-        the interior reference."""
-        verts = sorted(facet)
-        f0 = pts[verts[0]]
-        rows = [tuple(a - b for a, b in zip(pts[v], f0)) for v in verts[1:]]
-        rows_m = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, len(f0))
-        kern = exactmath.kernel_basis(rows_m)
-        g = None
-        for cand in kern.vectors:
-            val = sum(c * (x - weight * y) for c, x, y in zip(cand, interior, f0))
-            if val != 0:
-                g = cand if val < 0 else tuple(-x for x in cand)
-                break
-        if g is None:
+    def oriented(facet: Iterable[int], functional: tuple) -> tuple:
+        """The functional, checked to vanish on the facet and signed to be
+        negative at the interior reference."""
+        g, beta = functional
+        if any(_dot(g, pts[v]) != beta for v in facet):
+            raise CertificateError("boundary functional misses a facet vertex")
+        side = _dot(g, interior) - weight * beta
+        if side == 0:
             raise CertificateError("interior reference lies on a boundary facet")
-        beta = sum(c * x for c, x in zip(g, f0))
-        return g, beta
+        return functional if side < 0 else (tuple([-x for x in g]), -beta)
 
     skipped: List[int] = []
     for idx in order:
         if len(cells) > config.volume_simplex_budget:
             raise BudgetExceeded("triangulation grew past the simplex budget")
+        p = pts[idx]
         if origin is None:
             origin = idx
             cells = [(idx,)]
-            boundary = {frozenset(): None}
+            # the empty facet of a point: the constant functional -1
+            boundary = {frozenset(): ((0,) * nd, 1)}
+            normals = IntMatrix.identity(nd).entries
             continue
-        if not in_affine_hull(idx):
-            # dimension grows: cone over everything
-            new_cells = [c + (idx,) for c in cells]
-            new_boundary: Dict[frozenset, tuple] = {}
-            for c in cells:
-                new_boundary[frozenset(c)] = None
-            for f in boundary:
-                new_boundary[f | {idx}] = None
-            cells = new_cells
+        diff = tuple([a - b for a, b in zip(p, pts[origin])])
+        normal = next((v for v in normals if _dot(v, diff)), None)
+        if normal is not None:
+            # dimension grows: cone over everything; the normal vanishes
+            # on the old hull and not at the new point
+            off_hull = (normal, _dot(normal, pts[origin]))
+            basis_rows.append(diff)
+            normals = exactmath.kernel_basis(IntMatrix.from_rows(basis_rows)).vectors
+            cells = [c + (idx,) for c in cells]
+            interior = tuple(sum(pts[v][r] for v in cells[0]) for r in range(nd))
+            weight = len(cells[0])
+            # every old cell, c[:-1] of a new one, is now a facet on the old hull
+            new_boundary = {frozenset(c[:-1]): oriented(c[:-1], off_hull) for c in cells}
+            for f, lf in boundary.items():
+                nf = f | {idx}
+                new_boundary[nf] = oriented(nf, _pencil(lf, off_hull, p))
             boundary = new_boundary
-            basis_rows.append(tuple(a - b for a, b in zip(pts[idx], pts[origin])))
-            first = cells[0]
-            interior = tuple(sum(pts[v][r] for v in first) for r in range(cfg.ambient_dim))
-            weight = len(first)
-            for f in boundary:
-                boundary[f] = facet_functional(f)
             continue
         # same dimension: find strictly visible boundary facets
-        visible = []
-        for f, (g, beta) in boundary.items():
-            val = sum(c * x for c, x in zip(g, pts[idx]))
-            if val > beta:
-                visible.append(f)
+        visible = {f: lf for f, lf in boundary.items() if _dot(lf[0], p) > lf[1]}
         if not visible:
             skipped.append(idx)
             continue
-        ridge_visible: Dict[frozenset, int] = {}
+        on_ridge: Dict[frozenset, List[frozenset]] = {}  # ridge -> visible facets on it
         for f in visible:
             cells.append(tuple(sorted(f)) + (idx,))
             for v in f:
-                r = f - {v}
-                ridge_visible[r] = ridge_visible.get(r, 0) + 1
-        ridge_total: Dict[frozenset, int] = {}
+                on_ridge.setdefault(f - {v}, []).append(f)
+        hidden: Dict[frozenset, List[frozenset]] = {}  # ridge -> non-visible facets on it
         for f in boundary:
-            for v in f:
-                r = f - {v}
-                if r in ridge_visible:
-                    ridge_total[r] = ridge_total.get(r, 0) + 1
+            if f not in visible:
+                for v in f:
+                    if f - {v} in on_ridge:
+                        hidden.setdefault(f - {v}, []).append(f)
         for f in visible:
             del boundary[f]
-        for r, vis_count in ridge_visible.items():
-            if ridge_total[r] != 2:
+        for r, faces in on_ridge.items():
+            # a closed boundary has exactly two facets on each ridge
+            if len(faces) + len(hidden.get(r, ())) != 2:
                 raise CertificateError("boundary complex is not closed")
-            if vis_count == 1:
+            if len(faces) == 1:
                 nf = r | {idx}
-                boundary[nf] = facet_functional(nf)
+                boundary[nf] = oriented(nf, _pencil(visible[faces[0]], boundary[hidden[r][0]], p))
 
     dim = len(basis_rows)
     full = tuple(sorted(c for c in cells if len(c) == dim + 1))
     return Triangulation(dim, full, tuple(skipped))
 
 
-def _direction_lattice(cfg: PointConfig, saturate: bool) -> exactmath.LatticeBasis:
+def _pencil(la: tuple, lb: tuple, p: Sequence[int]) -> tuple:
+    """lb(p) * la - la(p) * lb: the member of the pencil of la and lb that
+    vanishes at p, reduced to coprime integers."""
+    va, vb = _dot(la[0], p) - la[1], _dot(lb[0], p) - lb[1]
+    g = [vb * x - va * y for x, y in zip(la[0], lb[0])]
+    return _reduced(g, vb * la[1] - va * lb[1])
+
+
+def _reduced(g: Sequence[int], beta: int) -> tuple:
+    """(g, beta) divided by the gcd of all its entries."""
+    d = gcd(*g, beta) or 1
+    return tuple([x // d for x in g]), beta // d
+
+
+def _lattice_solver(cfg: PointConfig, saturate: bool) -> exactmath.HnfSolver:
+    """One solver with a basis of the direction lattice as its columns: the
+    lattice generated by the point differences or, saturated, (direction
+    span over Q) intersect Z^N, via two kernel passes."""
+    nd = cfg.ambient_dim
     p0 = cfg.points[0]
     diffs = [tuple(a - b for a, b in zip(p, p0)) for p in cfg.points[1:]]
-    lattice = exactmath.lattice_from_generators(cfg.ambient_dim, diffs)
-    if not saturate or not lattice.vectors:
-        return lattice
-    # saturation = (direction span over Q) intersect Z^N, via two kernel passes
-    diff_m = IntMatrix.from_rows(list(lattice.vectors))
-    normals = exactmath.kernel_basis(diff_m)
-    if not normals.vectors:
-        return exactmath.LatticeBasis(
-            cfg.ambient_dim, tuple(IntMatrix.identity(cfg.ambient_dim).entries)
-        )
-    norm_m = IntMatrix.from_rows(list(normals.vectors))
-    return exactmath.kernel_basis(norm_m)
+    basis = exactmath.lattice_from_generators(nd, diffs)
+    if saturate and basis.vectors:
+        normals = exactmath.kernel_basis(IntMatrix(basis.rank, nd, basis.vectors)).vectors
+        basis = exactmath.kernel_basis(IntMatrix(len(normals), nd, normals))
+    return exactmath.HnfSolver(IntMatrix(basis.rank, nd, basis.vectors).transpose())
 
 
 def normalized_volume(
@@ -409,12 +428,11 @@ def normalized_volume(
         raise BadParameters("lattice must be 'euclidean' or 'column_lattice'")
     if triangulation is None:
         triangulation = placing_triangulation(cfg, config=config)
-    basis = _direction_lattice(cfg, saturate=(lattice == "euclidean"))
     if triangulation.dim == 0:
         return 0
-    if basis.rank != triangulation.dim:
+    solver = cfg.euclidean_solver if lattice == "euclidean" else cfg.column_lattice_solver
+    if solver.rank != triangulation.dim:
         raise BadParameters("lattice rank does not match triangulation dimension")
-    solver = exactmath.HnfSolver(IntMatrix.from_rows(basis.vectors).transpose())
     total = 0
     for simplex in triangulation.simplices:
         p0 = cfg.points[simplex[0]]

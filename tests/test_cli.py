@@ -126,6 +126,18 @@ def test_acceptance_table_output(capsys):
     assert "all passed" in out
 
 
+def test_acceptance_no_meta_reproducible(capsys):
+    # --no-meta drops the times, so two runs give the same bytes
+    for extra in ((), ("--json",)):
+        argv = ("--no-meta", "acceptance", "--only", "2", "12", *extra)
+        _, first = run_cli(capsys, *argv)
+        _, second = run_cli(capsys, *argv)
+        assert first == second
+    assert "elapsed_seconds" not in first
+    _, timed = run_cli(capsys, "acceptance", "--only", "12", "--json")
+    assert "elapsed_seconds" in json.loads(timed)["criteria"][0]
+
+
 def test_volume_command(capsys):
     code, out = run_cli(
         capsys, "--no-meta", "polytope", "volume", "-n", "4", "-k", "3", "-t", "2",

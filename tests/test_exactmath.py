@@ -189,6 +189,50 @@ class TestRanks:
             assert em.determinant(m) == det_permanent_oracle(m)
 
 
+class TestSympyOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(small_matrices())
+    def test_invariant_factors_match_sympy(self, m):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import invariant_factors, smith_normal_form
+
+        sm = Matrix(m.rows, m.cols, [x for row in m.entries for x in row])
+        expected = tuple(int(f) for f in invariant_factors(sm, domain=ZZ) if f)
+        assert em.invariant_factors(m) == expected
+        snf = smith_normal_form(sm, domain=ZZ)
+        diagonal = [abs(int(snf[i, i])) for i in range(min(m.rows, m.cols))]
+        assert tuple(f for f in diagonal if f) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_matrices())
+    def test_hnf_lattice_matches_sympy(self, m):
+        # sympy's HNF has another staircase convention; its columns and
+        # ours must still be bases of one lattice, each integral in the other
+        from sympy import Matrix
+        from sympy.matrices.normalforms import hermite_normal_form
+
+        res = em.hnf(m)
+        rank = len(res.pivots)
+        ours = Matrix([row[:rank] for row in res.h.entries])
+        theirs = hermite_normal_form(Matrix(m.rows, m.cols, [x for row in m.entries for x in row]))
+        assert theirs.shape == (m.rows, rank)
+        if rank:
+            for a, b in ((ours, theirs), (theirs, ours)):
+                x, _ = a.gauss_jordan_solve(b)  # unique: a has full column rank
+                assert all(v.is_integer for v in x)
+
+    def test_determinant_matches_sympy(self):
+        from sympy import Matrix
+
+        rng = random.Random(88)
+        for n in range(1, 9):
+            for _ in range(6):
+                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+                if rng.random() < 0.3:  # a singular one now and then
+                    rows[-1] = [a - b for a, b in zip(rows[0], rows[n // 2])]
+                assert em.determinant(IntMatrix.from_rows(rows)) == int(Matrix(rows).det())
+
+
 class TestLatticeMember:
     def test_zero_vector(self):
         kb = em.kernel_basis(build_matrix(6, 3, 2).matrix)

@@ -8,14 +8,18 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import incitoric
-from incitoric import designs, exactmath
+from incitoric import designs, exactmath, polytope
 from incitoric.combinat import colex_rank
 from incitoric.errors import BadParameters, CertificateError, PreconditionFailed
+from incitoric.exactmath import IntMatrix
 from incitoric.incidence import build_matrix
 from incitoric.polytope import (
     PointConfig,
+    Triangulation,
     is_face,
     neighborliness,
     normalized_volume,
@@ -244,3 +248,141 @@ class TestVolumes:
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "degenerate simplex in triangulation"
+
+
+def placing_by_kernels(cfg, order):
+    """Oracle for placing_triangulation: the same placing rule, with the
+    affine hull tested by rank and every new boundary facet's functional
+    taken from an integer kernel of its own edge vectors."""
+    pts = cfg.points
+    cells, boundary, basis_rows, skipped = [], {}, [], []
+    origin = interior = None
+    weight = 0
+
+    def in_affine_hull(idx):
+        diff = tuple(a - b for a, b in zip(pts[idx], pts[origin]))
+        return exactmath.rank_q(IntMatrix.from_rows(basis_rows + [diff])) == len(basis_rows)
+
+    def facet_functional(facet):
+        verts = sorted(facet)
+        f0 = pts[verts[0]]
+        rows = [tuple(a - b for a, b in zip(pts[v], f0)) for v in verts[1:]]
+        rows_m = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, len(f0))
+        for cand in exactmath.kernel_basis(rows_m).vectors:
+            val = sum(c * (x - weight * y) for c, x, y in zip(cand, interior, f0))
+            if val != 0:
+                g = cand if val < 0 else tuple(-x for x in cand)
+                return g, sum(c * x for c, x in zip(g, f0))
+        raise AssertionError("interior reference lies on a boundary facet")
+
+    for idx in order:
+        if origin is None:
+            origin = idx
+            cells = [(idx,)]
+            boundary = {frozenset(): None}
+            continue
+        if not in_affine_hull(idx):
+            boundary = {**{frozenset(c): None for c in cells}, **{f | {idx}: None for f in boundary}}
+            cells = [c + (idx,) for c in cells]
+            basis_rows.append(tuple(a - b for a, b in zip(pts[idx], pts[origin])))
+            interior = tuple(sum(pts[v][r] for v in cells[0]) for r in range(cfg.ambient_dim))
+            weight = len(cells[0])
+            boundary = {f: facet_functional(f) for f in boundary}
+            continue
+        visible = [
+            f for f, (g, beta) in boundary.items()
+            if sum(c * x for c, x in zip(g, pts[idx])) > beta
+        ]
+        if not visible:
+            skipped.append(idx)
+            continue
+        ridge_visible = {}
+        for f in visible:
+            cells.append(tuple(sorted(f)) + (idx,))
+            for v in f:
+                ridge_visible[f - {v}] = ridge_visible.get(f - {v}, 0) + 1
+        for f in visible:
+            del boundary[f]
+        for r, count in ridge_visible.items():
+            if count == 1:
+                boundary[r | {idx}] = facet_functional(r | {idx})
+    dim = len(basis_rows)
+    full = tuple(sorted(c for c in cells if len(c) == dim + 1))
+    return Triangulation(dim, full, tuple(skipped))
+
+
+@pytest.fixture(scope="module")
+def cfg532():
+    return PointConfig.from_incidence(build_matrix(5, 3, 2))
+
+
+@st.composite
+def point_sets_with_order(draw):
+    """Up to 7 distinct even points of a small box in dimension <= 4, some
+    midpoints of their pairs (repeated directions, interior and boundary
+    points), and an insertion order."""
+    dim = draw(st.integers(1, 4))
+    coord = st.integers(-2, 2).map(lambda x: 2 * x)
+    base = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=7, unique=True))
+    index = st.integers(0, len(base) - 1)
+    pairs = draw(st.lists(st.tuples(index, index), max_size=4))
+    mids = [tuple((a + b) // 2 for a, b in zip(base[i], base[j])) for i, j in pairs]
+    pts = list(dict.fromkeys(base + mids))
+    return PointConfig.from_points(pts), draw(st.permutations(range(len(pts))))
+
+
+class TestPencilUpdates:
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_kernel_oracle(self, cfg632, cfg532, data):
+        cfg = data.draw(st.sampled_from([cfg632, cfg532]))
+        order = data.draw(st.permutations(range(len(cfg.points))))
+        assert placing_triangulation(cfg, order) == placing_by_kernels(cfg, order)
+
+    def test_agrees_with_kernel_oracle_743(self):
+        cfg = PointConfig.from_incidence(build_matrix(7, 4, 3))
+        rng = random.Random(743)
+        for _ in range(2):
+            order = rng.sample(range(35), 35)
+            assert placing_triangulation(cfg, order) == placing_by_kernels(cfg, order)
+
+    @settings(max_examples=150, deadline=None)
+    @given(point_sets_with_order())
+    def test_agrees_with_kernel_oracle_on_small_sets(self, case):
+        cfg, order = case
+        assert placing_triangulation(cfg, order) == placing_by_kernels(cfg, order)
+
+    def test_one_kernel_per_dimension_step(self, cfg632, monkeypatch):
+        calls = []
+        kernel_basis = exactmath.kernel_basis
+        monkeypatch.setattr(exactmath, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
+        assert placing_triangulation(cfg632).dim == len(calls) == 14
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda g, beta: (tuple(g), beta + 1), "misses a facet vertex"),
+            (lambda g, beta: ((0,) * len(g), 0), "interior reference lies on a boundary facet"),
+        ],
+    )
+    def test_corrupted_pencil_raises(self, monkeypatch, corrupt, message):
+        monkeypatch.setattr(polytope, "_reduced", corrupt)
+        with pytest.raises(CertificateError, match=message):
+            placing_triangulation(PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)]))
+
+    def test_corrupted_pencil_raises_under_python_O(self):
+        # the re-check is an explicit raise, not an assert, so -O keeps it
+        code = (
+            "from incitoric import polytope\n"
+            "from incitoric.errors import CertificateError\n"
+            "polytope._reduced = lambda g, beta: (tuple(g), beta + 1)\n"
+            "try:\n"
+            "    polytope.placing_triangulation(polytope.PointConfig.from_points([(0, 0), (1, 0), (0, 1)]))\n"
+            "except CertificateError as e:\n"
+            "    print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "boundary functional misses a facet vertex"

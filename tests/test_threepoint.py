@@ -276,6 +276,17 @@ class TestDeterminant:
         for n in (2, 3, 4, 5):
             assert (tp.det_leibniz(n) - det_cofactor(n)).is_zero()
 
+    def test_sympy_symbolic_determinant(self):
+        import sympy
+
+        for n in (2, 3, 4, 5):
+            gens = sympy.symbols(f"x0:{comb(n, 2)}")
+            hollow = sympy.Matrix(
+                n, n, lambda i, j: 0 if i == j else gens[colex_rank(tuple(sorted((i + 1, j + 1))))]
+            )
+            terms = sympy.Poly(hollow.det(), *gens).terms()
+            assert tp.det_leibniz(n).terms == tuple(sorted((m, int(c)) for m, c in terms))
+
     def test_n4_term_structure(self):
         det = tp.det_leibniz(4)
         coeffs = sorted(c for _, c in det.terms)
