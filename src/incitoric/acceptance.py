@@ -112,16 +112,6 @@ def _displayed_sextic():
     return plus, minus
 
 
-def _binomial_from_subsets(nvars, plus, minus):
-    p = [0] * nvars
-    m = [0] * nvars
-    for s in plus:
-        p[colex_rank(s)] += 1
-    for s in minus:
-        m[colex_rank(s)] += 1
-    return toric.Binomial(nvars, tuple(p), tuple(m))
-
-
 @criterion(1, "rational rank law")
 def criterion_01(ws: Workspace) -> Tuple[bool, str]:
     report = ws.rank_report()
@@ -158,8 +148,8 @@ def criterion_03(ws: Workspace) -> Tuple[bool, str]:
     ok = len(markov.elements) == 30 and degrees == {4: 15, 6: 15}
     qp, qm = _displayed_quartic()
     sp, sm = _displayed_sextic()
-    quartic = _binomial_from_subsets(20, qp, qm)
-    sextic = _binomial_from_subsets(20, sp, sm)
+    quartic = toric.Binomial.from_subsets(20, qp, qm)
+    sextic = toric.Binomial.from_subsets(20, sp, sm)
     ok = ok and toric.reduce_to_zero(quartic, gb) and toric.reduce_to_zero(sextic, gb)
     kr = exactmath.kernel_basis(ws.inc(6, 3, 2).matrix).rank
     ok = ok and kr == comb(6, 3) - comb(6, 2)
@@ -273,14 +263,14 @@ def criterion_11(ws: Workspace) -> Tuple[bool, str]:
     rep = complexes.verify(oct_)
     b = complexes.orientation_binomial(oct_, rep.orientation)
     qp, qm = _displayed_quartic()
-    quartic = _binomial_from_subsets(20, qp, qm)
+    quartic = toric.Binomial.from_subsets(20, qp, qm)
     ok = {b.plus, b.minus} == {quartic.plus, quartic.minus}
     cf = complexes.crossflip_example()
     repc = complexes.verify(cf)
     bc = complexes.orientation_binomial(cf, repc.orientation)
     plus = [(1, 4, 6), (2, 3, 6), (1, 3, 5), (2, 4, 5), (6, 7, 8), (1, 7, 9), (3, 8, 9)]
     minus = [(7, 8, 9), (1, 6, 7), (3, 6, 8), (1, 3, 9), (2, 4, 6), (1, 4, 5), (2, 3, 5)]
-    displayed = _binomial_from_subsets(comb(9, 3), plus, minus)
+    displayed = toric.Binomial.from_subsets(comb(9, 3), plus, minus)
     ok = ok and bc.plus == displayed.plus and bc.minus == displayed.minus
     ok = ok and toric.is_primitive(b, ws.inc(6, 3, 2), ws.config)
     ok = ok and toric.is_primitive(bc, ws.inc(9, 3, 2), ws.config)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import BadParameters, RankOutOfRange
+from .errors import BadParameters
 
 
 def colex_rank(members: Sequence[int]) -> int:
@@ -19,21 +19,6 @@ def colex_rank(members: Sequence[int]) -> int:
     if list(s) != sorted(set(s)):
         raise BadParameters("subset must be strictly increasing")
     return sum(comb(x - 1, i + 1) for i, x in enumerate(s))
-
-
-def colex_unrank(n: int, k: int, r: int) -> tuple:
-    if not 0 <= r < comb(n, k):
-        raise RankOutOfRange(f"rank {r} outside [0, C({n},{k}))")
-    out = []
-    for i in range(k, 0, -1):
-        # largest m with C(m - 1, i) <= r
-        m = i
-        while comb(m, i) <= r:
-            m += 1
-        out.append(m)
-        r -= comb(m - 1, i)
-    out.reverse()
-    return tuple(out)
 
 
 def subsets_colex(n: int, k: int, first: int = 1) -> Iterator[tuple]:
@@ -58,12 +43,6 @@ def subset_label(s: Sequence[int], n: int) -> str:
     return ",".join(str(x) for x in s)
 
 
-def parse_subset_label(label: str, n: int) -> tuple:
-    if n <= 9 and "," not in label:
-        return tuple(int(ch) for ch in label.strip())
-    return tuple(int(p) for p in label.split(","))
-
-
 @dataclass(frozen=True)
 class Derangement:
     """Fixed-point-free permutation with its canonical cycle data."""
@@ -80,12 +59,6 @@ class Derangement:
 
     def apply(self, i: int) -> int:
         return self.images[i - 1]
-
-    def inverse(self) -> "Derangement":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images, start=1):
-            inv[j - 1] = i
-        return derangement_from_images(tuple(inv))
 
 
 def _cycle_decomposition(images: Sequence[int]) -> tuple:
@@ -142,13 +115,3 @@ def derangements(n: int) -> Iterator[Derangement]:
 
     yield from backtrack(1)
 
-
-def derangement_count(n: int) -> int:
-    if n == 0:
-        return 1
-    if n == 1:
-        return 0
-    a, b = 1, 0
-    for m in range(2, n + 1):
-        a, b = b, (m - 1) * (a + b)
-    return b

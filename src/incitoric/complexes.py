@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from . import exactmath
 from .combinat import colex_rank
-from .errors import BadParameters, NotBalanced, PreconditionFailed
+from .errors import BadParameters, PreconditionFailed
 from .exactmath import IntMatrix
 from .incidence import build_matrix
 from .toric import Binomial, is_primitive
@@ -56,14 +56,6 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) == 1
 
-    def faces_of_dim(self, d: int) -> set:
-        out = set()
-        for f in self.facets:
-            if len(f) >= d + 1:
-                for c in combinations(sorted(f), d + 1):
-                    out.add(frozenset(c))
-        return out
-
     def all_faces(self) -> set:
         out = {frozenset()}
         for f in self.facets:
@@ -80,26 +72,34 @@ class SimplicialComplex:
                 out.append(f - sigma)
         return tuple(out)
 
-    def vertices_used(self) -> set:
-        out = set()
-        for f in self.facets:
-            out |= f
-        return out
 
-
-def facet_ridge_graph(delta: SimplicialComplex) -> Dict[int, set]:
-    """Adjacency between facet indices sharing a ridge."""
+def _ridge_map(delta: SimplicialComplex) -> Dict[frozenset, list]:
+    """Each ridge, a facet of a pure complex minus one vertex, with the
+    indices of the facets that hold it."""
     d = delta.dimension
-    adj: Dict[int, set] = {i: set() for i in range(len(delta.facets))}
-    ridge_map: Dict[frozenset, list] = {}
+    ridges: Dict[frozenset, list] = {}
     for i, f in enumerate(delta.facets):
         for c in combinations(sorted(f), d):
-            ridge_map.setdefault(frozenset(c), []).append(i)
-    for members in ridge_map.values():
+            ridges.setdefault(frozenset(c), []).append(i)
+    return ridges
+
+
+def facet_ridge_graph(ridges: Dict[frozenset, list], nfacets: int) -> Dict[int, set]:
+    """Adjacency between facet indices sharing a ridge."""
+    adj: Dict[int, set] = {i: set() for i in range(nfacets)}
+    for members in ridges.values():
         for i in members:
-            for j in members:
-                if i != j:
-                    adj[i].add(j)
+            adj[i].update(j for j in members if j != i)
+    return adj
+
+
+def _skeleton(facets: Iterable[frozenset]) -> Dict[int, set]:
+    """1-skeleton of the complex spanned by ``facets``: each vertex with
+    its neighbours."""
+    adj: Dict[int, set] = {}
+    for f in facets:
+        for v in f:
+            adj.setdefault(v, set()).update(f - {v})
     return adj
 
 
@@ -136,22 +136,6 @@ def _bipartition(adj: Dict) -> Optional[Dict]:
     return color
 
 
-def _complex_connected(facets: Tuple[frozenset, ...]) -> bool:
-    """1-skeleton connectivity of the complex spanned by ``facets``."""
-    verts = set()
-    for f in facets:
-        verts |= f
-    if not verts:
-        return True
-    adj: Dict[int, set] = {v: set() for v in verts}
-    for f in facets:
-        for a in f:
-            for b in f:
-                if a != b:
-                    adj[a].add(b)
-    return _connected(adj, verts)
-
-
 @dataclass(frozen=True)
 class Coloring:
     classes: tuple  # classes[v-1] = color of vertex v, colors in [1..d]
@@ -167,14 +151,8 @@ def balanced_coloring(delta: SimplicialComplex) -> Optional[Coloring]:
     cliques of size dim+1, so any proper coloring makes them rainbow.
     """
     ncolors = delta.dimension + 1
-    verts = sorted(delta.vertices_used())
-    adj: Dict[int, set] = {v: set() for v in verts}
-    for f in delta.facets:
-        for a in f:
-            for b in f:
-                if a != b:
-                    adj[a].add(b)
-    order = sorted(verts, key=lambda v: (-len(adj[v]), v))
+    adj = _skeleton(delta.facets)
+    order = sorted(adj, key=lambda v: (-len(adj[v]), v))
     assign: Dict[int, int] = {}
 
     def backtrack(idx: int) -> bool:
@@ -207,8 +185,7 @@ def boundary_matrix(delta: SimplicialComplex, vertex_key=None) -> tuple:
         raise BadParameters("boundary matrix needs a pure complex")
     if vertex_key is None:
         vertex_key = lambda v: v
-    d = delta.dimension
-    ridges = sorted(delta.faces_of_dim(d - 1), key=lambda r: colex_rank(tuple(sorted(r))))
+    ridges = sorted(_ridge_map(delta), key=lambda r: colex_rank(tuple(sorted(r))))
     row_of = {r: i for i, r in enumerate(ridges)}
     rows = [[0] * len(delta.facets) for _ in ridges]
     for col, f in enumerate(delta.facets):
@@ -258,18 +235,14 @@ def verify(delta: SimplicialComplex) -> VerifyReport:
     """Compute every predicate of the report independently."""
     pure = delta.is_pure()
     dim = delta.dimension
-    adj = facet_ridge_graph(delta)
+    ridges = _ridge_map(delta)
+    adj = facet_ridge_graph(ridges, len(delta.facets))
     strongly_connected = pure and _connected(adj, range(len(delta.facets)))
 
-    ridge_count: Dict[frozenset, int] = {}
-    if pure:
-        for f in delta.facets:
-            for c in combinations(sorted(f), dim):
-                r = frozenset(c)
-                ridge_count[r] = ridge_count.get(r, 0) + 1
-    ridges_ok = pure and all(c <= 2 for c in ridge_count.values())
+    counts = [len(members) for members in ridges.values()] if pure else []
+    ridges_ok = pure and all(c <= 2 for c in counts)
     pseudomanifold = pure and strongly_connected and ridges_ok
-    boundaryless = pure and bool(ridge_count) and all(c == 2 for c in ridge_count.values())
+    boundaryless = pure and bool(counts) and all(c == 2 for c in counts)
 
     normal: Optional[bool] = None
     if pseudomanifold:
@@ -277,7 +250,8 @@ def verify(delta: SimplicialComplex) -> VerifyReport:
         for sigma in sorted(delta.all_faces(), key=lambda s: (len(s), tuple(sorted(s)))):
             if len(sigma) - 1 > dim - 2:
                 continue
-            if not _complex_connected(delta.link(sigma)):
+            skeleton = _skeleton(delta.link(sigma))
+            if not _connected(skeleton, skeleton):
                 normal = False
                 break
 
@@ -287,7 +261,7 @@ def verify(delta: SimplicialComplex) -> VerifyReport:
     orientable: Optional[bool] = None
     orientation: Optional[Orientation] = None
     if pseudomanifold:
-        orientable, orientation = _orientation(delta, ridge_count, coloring)
+        orientable, orientation = _orientation(delta, ridges, coloring)
 
     bipartite = _bipartition(adj) is not None
     return VerifyReport(
@@ -305,7 +279,7 @@ def verify(delta: SimplicialComplex) -> VerifyReport:
     )
 
 
-def _orientation(delta: SimplicialComplex, ridge_count: Dict, coloring: Optional[Coloring]) -> tuple:
+def _orientation(delta: SimplicialComplex, ridges: Dict, coloring: Optional[Coloring]) -> tuple:
     """Integer kernel of the boundary map restricted to interior ridges.
 
     Orientable iff that kernel has rank 1; the saturated generator then
@@ -319,7 +293,7 @@ def _orientation(delta: SimplicialComplex, ridge_count: Dict, coloring: Optional
         key = lambda v: (coloring.color(v), v)
     mat, ridge_labels = boundary_matrix(delta, vertex_key=key)
     interior = [
-        i for i, r in enumerate(ridge_labels) if ridge_count[frozenset(r)] == 2
+        i for i, r in enumerate(ridge_labels) if len(ridges[frozenset(r)]) == 2
     ]
     rows = [mat.entries[i] for i in interior]
     if not rows:
@@ -334,29 +308,6 @@ def _orientation(delta: SimplicialComplex, ridge_count: Dict, coloring: Optional
     if gen[0] < 0:
         gen = tuple(-x for x in gen)
     return True, Orientation(gen)
-
-
-def signed_boundary_matrix(delta: SimplicialComplex, coloring: Coloring) -> tuple:
-    """Top boundary matrix under the color-sorted vertex order.
-
-    With vertices ordered color class by color class every ridge row is
-    sign-uniform, and flipping the negative rows leaves a 0/1 submatrix
-    of the (n, k, k-1) incidence pattern.  Returns (matrix, ridge_labels).
-    """
-    if not delta.is_pure():
-        raise NotBalanced("signed boundary matrix needs a pure complex")
-    d = delta.dimension
-    for f in delta.facets:
-        colors = [coloring.color(v) for v in f]
-        if len(set(colors)) != len(colors):
-            raise NotBalanced(f"facet {tuple(sorted(f))} is not rainbow under the coloring")
-    key = lambda v: (coloring.color(v), v)
-    mat, ridge_labels = boundary_matrix(delta, vertex_key=key)
-    for row, label in zip(mat.entries, ridge_labels):
-        signs = {x for x in row if x}
-        if len(signs) > 1:
-            raise NotBalanced(f"ridge {label} row is not sign-uniform")
-    return mat, ridge_labels
 
 
 def orientation_binomial(delta: SimplicialComplex, orientation: Orientation) -> Binomial:
@@ -389,28 +340,17 @@ def orientation_binomial(delta: SimplicialComplex, orientation: Orientation) -> 
         raise PreconditionFailed("orientation must assign +-1 to every facet")
     # cycle condition in the color-sorted convention: opposite signs across
     # every interior ridge
-    d = report.dimension
-    ridge_map: Dict[frozenset, list] = {}
-    for i, f in enumerate(delta.facets):
-        for c in combinations(sorted(f), d):
-            ridge_map.setdefault(frozenset(c), []).append(i)
-    for members in ridge_map.values():
+    for members in _ridge_map(delta).values():
         if len(members) == 2:
             i, j = members
             if orientation.epsilon[i] + orientation.epsilon[j] != 0:
                 raise PreconditionFailed("epsilon is not a cycle of the top boundary map")
 
     inc = build_matrix(delta.n, k, k - 1)
-    nvars = inc.matrix.cols
-    plus = [0] * nvars
-    minus = [0] * nvars
-    for f, eps in zip(delta.facets, orientation.epsilon):
-        r = colex_rank(tuple(sorted(f)))
-        if eps == 1:
-            plus[r] += 1
-        else:
-            minus[r] += 1
-    b = Binomial(nvars, tuple(plus), tuple(minus))
+    signed = list(zip(delta.facets, orientation.epsilon))
+    b = Binomial.from_subsets(
+        inc.matrix.cols, [f for f, e in signed if e == 1], [f for f, e in signed if e == -1]
+    )
     if any(inc.matrix.mat_vec(b.vector)):
         raise PreconditionFailed("orientation binomial left the kernel")
     if not b.is_squarefree():
@@ -485,6 +425,3 @@ def parse_complex_file(text: str) -> SimplicialComplex:
     n = max(max(f) for f in facets)
     return SimplicialComplex.from_facets(n, facets)
 
-
-def format_complex_file(delta: SimplicialComplex) -> str:
-    return "\n".join(" ".join(str(v) for v in sorted(f)) for f in delta.facets) + "\n"

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence
 
 from . import exactmath
 from .combinat import colex_rank, subset_label, subsets_colex
@@ -53,17 +53,6 @@ class NullDesign:
         )
         return cls(n, k, items)
 
-    def value(self, subset: Sequence[int]) -> int:
-        key = tuple(sorted(subset))
-        for s, v in self.values:
-            if s == key:
-                return v
-        return 0
-
-    @property
-    def support(self) -> tuple:
-        return tuple(s for s, _ in self.values)
-
     @property
     def positive_support(self) -> tuple:
         return tuple(s for s, v in self.values if v > 0)
@@ -81,23 +70,6 @@ class NullDesign:
         return {subset_label(s, self.n): v for s, v in self.values}
 
 
-def is_null_design(f: NullDesign, t: int) -> Tuple[bool, Optional[tuple]]:
-    """Check the strength-t balance condition on every t-subset.
-
-    k-uniform supports make the t-subset sums the only condition to test.
-    Returns (True, None) or (False, first violated t-subset in colex
-    order).
-    """
-    if t >= f.k:
-        raise BadParameters("strength t must be smaller than k")
-    for x in subsets_colex(f.n, t):
-        xs = set(x)
-        total = sum(v for s, v in f.values if xs <= set(s))
-        if total != 0:
-            return False, x
-    return True, None
-
-
 @dataclass(frozen=True)
 class Pod:
     """t+1 difference pairs and k-t-1 extra singleton indices, all distinct."""
@@ -111,10 +83,6 @@ class Pod:
             raise BadParameters("pod indices must be distinct")
         if not self.diff_pairs:
             raise BadParameters("a pod needs at least one difference pair")
-
-    @property
-    def t(self) -> int:
-        return len(self.diff_pairs) - 1
 
     @property
     def k(self) -> int:

@@ -17,10 +17,6 @@ class CompositeModulus(IncitoricError, ValueError):
     """A prime was required but a composite number was supplied."""
 
 
-class RankOutOfRange(IncitoricError, ValueError):
-    """Subset rank outside [0, C(n, k))."""
-
-
 class IndexOutOfRange(IncitoricError, ValueError):
     """A pod or subset index exceeds the ground set."""
 
@@ -31,18 +27,6 @@ class CertificateError(IncitoricError, RuntimeError):
 
 class BudgetExceeded(IncitoricError, RuntimeError):
     """An enumeration or pair queue outgrew its configured budget."""
-
-
-class NotPure(IncitoricError, ValueError):
-    """Operation requires a pure simplicial complex."""
-
-
-class DimensionTooSmall(IncitoricError, ValueError):
-    """Complex dimension is too small for the requested operation."""
-
-
-class NotBalanced(IncitoricError, ValueError):
-    """Coloring is not a proper balanced coloring of the complex."""
 
 
 class PreconditionFailed(IncitoricError, ValueError):

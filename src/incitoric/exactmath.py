@@ -2,20 +2,19 @@
 
 Dense matrices only; desk-scale instances never need sparsity.  The module
 provides the column-style Hermite normal form with its unimodular
-transform, Smith invariant factors, saturated integer kernels, exact ranks
-over Q and over prime fields, Bareiss determinants, one HNF solver for
-integer lattice coordinates (behind every lattice membership certificate)
-and gcds of maximal minors.  No floating point anywhere.
+transform, saturated integer kernels, exact ranks over Q and over prime
+fields, Bareiss determinants and one HNF solver for integer lattice
+coordinates (behind every lattice membership certificate).  No floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .combinat import subsets_colex
 from .errors import BadParameters, CertificateError, CompositeModulus, DimensionMismatch
 
 
@@ -50,31 +49,16 @@ class IntMatrix:
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else tuple(() for _ in range(self.cols)))
 
-    def mat_mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatch("matrix product shape mismatch")
-        ot = other.transpose().entries
-        data = tuple(
-            tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.entries
-        )
-        return IntMatrix(self.rows, other.cols, data)
-
     def mat_vec(self, v: Sequence[int]) -> tuple:
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.entries)
 
     def to_json_dict(self) -> dict:
         return {
@@ -82,18 +66,6 @@ class IntMatrix:
             "cols": self.cols,
             "entries": [str(x) for row in self.entries for x in row],
         }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "IntMatrix":
-        rows, cols = int(d["rows"]), int(d["cols"])
-        flat = [int(s) for s in d["entries"]]
-        if len(flat) != rows * cols:
-            raise DimensionMismatch("entry count does not match rows*cols")
-        data = tuple(tuple(flat[i * cols : (i + 1) * cols]) for i in range(rows))
-        return cls(rows, cols, data)
-
-    def __str__(self):
-        return "\n".join(" ".join(f"{x:4d}" for x in row) for row in self.entries)
 
 
 def clear_denominators(values: Sequence) -> Tuple[tuple, int]:
@@ -322,69 +294,6 @@ def kernel_basis(m: IntMatrix) -> LatticeBasis:
     return LatticeBasis(m.cols, vecs)
 
 
-def invariant_factors(m: IntMatrix) -> tuple:
-    """Nonzero Smith invariant factors d1 | d2 | ... of ``m``."""
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    factors = []
-    top = 0
-    left = 0
-    while top < rows and left < cols:
-        piv = None
-        for i in range(top, rows):
-            for j in range(left, cols):
-                if a[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[left], row[j0] = row[j0], row[left]
-        while True:
-            for i in range(top + 1, rows):
-                while a[i][left] != 0:
-                    q = a[top][left] // a[i][left] if a[i][left] != 0 else 0
-                    a[top], a[i] = a[i], [x - q * y for x, y in zip(a[top], a[i])]
-            if all(a[i][left] == 0 for i in range(top + 1, rows)):
-                for j in range(left + 1, cols):
-                    while a[top][j] != 0:
-                        q = a[top][left] // a[top][j]
-                        for row in a:
-                            row[left], row[j] = row[j], row[left] - q * row[j]
-                if all(a[top][j] == 0 for j in range(left + 1, cols)):
-                    break
-        factors.append(abs(a[top][left]))
-        top += 1
-        left += 1
-    # enforce divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a_, b_ = factors[i], factors[i + 1]
-            if b_ % a_ != 0:
-                g = gcd(a_, b_)
-                factors[i], factors[i + 1] = g, a_ * b_ // g
-                changed = True
-    return tuple(factors)
-
-
-def lattice_is_saturated(basis: LatticeBasis) -> bool:
-    """True iff the lattice is its own saturation inside Z^ambient.
-
-    A rank-r sublattice is saturated exactly when the Smith invariant
-    factors of its basis matrix are all 1.
-    """
-    if not basis.vectors:
-        return True
-    m = IntMatrix.from_rows(basis.vectors)
-    return all(f == 1 for f in invariant_factors(m))
-
-
 class HnfSolver:
     """Integer solutions of ``m x = v`` for many right-hand sides ``v``.
 
@@ -433,6 +342,7 @@ def _basis_solver(basis: LatticeBasis) -> HnfSolver:
     return solver
 
 
+# kept for the benchmark's tracer, which wraps it by name; no library caller
 def lattice_member(basis: LatticeBasis, v: Sequence[int]) -> Optional[tuple]:
     """Integer coefficients expressing ``v`` in the basis, or None.
 
@@ -469,46 +379,7 @@ def lattice_from_generators(ambient_dim: int, generators: Iterable[Sequence[int]
     return LatticeBasis(ambient_dim, tuple(res.h.column(j) for j in range(rank)))
 
 
-@dataclass(frozen=True)
-class MinorScan:
-    """Result of a (possibly budget-limited) maximal-minor gcd scan."""
-
-    gcd: int
-    complete: bool
-    minors_evaluated: int
-    nonzero_minors: int
-
-
-def gcd_maximal_minors(m: IntMatrix, size: int, budget: int) -> MinorScan:
-    """Gcd of all nonzero size x size minors, or of a budgeted prefix.
-
-    Row and column subsets are enumerated in colex order, so a partial
-    scan is deterministic.  Early exit once the running gcd reaches 1 (no
-    further minor can change it); the result is then still marked
-    complete.
-    """
-    if size > min(m.rows, m.cols):
-        raise BadParameters("minor size exceeds matrix dimensions")
-    total = comb(m.rows, size) * comb(m.cols, size)
-    g = 0
-    seen = 0
-    nonzero = 0
-    for rset in subsets_colex(m.rows, size, first=0):
-        sub_rows = [m.entries[i] for i in rset]
-        for cset in subsets_colex(m.cols, size, first=0):
-            if seen >= budget:
-                return MinorScan(g, False, seen, nonzero)
-            seen += 1
-            sub = IntMatrix.from_rows([[row[j] for j in cset] for row in sub_rows])
-            d = determinant(sub)
-            if d:
-                nonzero += 1
-                g = gcd(g, abs(d))
-                if g == 1:
-                    return MinorScan(1, True, seen, nonzero)
-    return MinorScan(g, seen == total or g == 1, seen, nonzero)
-
-
+# kept for the benchmark's tracer, which wraps it by name; no library caller
 def solve_rational(a_rows: Sequence[Sequence], b: Sequence) -> Optional[list]:
     """One exact solution of A x = b over Q, or None if inconsistent."""
     rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a_rows, b)]

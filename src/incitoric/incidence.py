@@ -1,4 +1,4 @@
-"""Subset-incidence matrices and incidence complexes.
+"""Subset-incidence matrices and their rank laws.
 
 The matrix for parameters (n, k, t) has one row per t-subset and one
 column per k-subset of [1..n], both in colex order, with a 1 exactly when
@@ -14,7 +14,7 @@ from typing import Optional
 
 from . import exactmath
 from .combinat import subsets_colex
-from .errors import BadParameters, DimensionTooSmall, NotPure
+from .errors import BadParameters
 from .exactmath import IntMatrix
 
 
@@ -28,16 +28,10 @@ class IncidenceMatrix:
     col_labels: tuple  # k-subsets, colex order
 
 
-def build_matrix(n: int, k: int, t: int, *, allow_identity: bool = False) -> IncidenceMatrix:
-    """Containment matrix of t-subsets inside k-subsets of [1..n].
-
-    ``t == k`` gives the identity matrix and is almost always a caller
-    error; it is rejected unless ``allow_identity`` is set.
-    """
-    if not (1 <= t <= k <= n):
+def build_matrix(n: int, k: int, t: int) -> IncidenceMatrix:
+    """Containment matrix of t-subsets inside k-subsets of [1..n]."""
+    if not (1 <= t < k <= n):
         raise BadParameters(f"need 1 <= t < k <= n, got (n,k,t)=({n},{k},{t})")
-    if t == k and not allow_identity:
-        raise BadParameters("t == k yields the identity matrix; pass allow_identity=True")
     row_labels = tuple(subsets_colex(n, t))
     col_labels = tuple(subsets_colex(n, k))
     col_sets = [frozenset(c) for c in col_labels]
@@ -47,46 +41,6 @@ def build_matrix(n: int, k: int, t: int, *, allow_identity: bool = False) -> Inc
         rows.append(tuple(1 if rset <= cs else 0 for cs in col_sets))
     m = IntMatrix(len(row_labels), len(col_labels), tuple(rows))
     return IncidenceMatrix(n, k, t, m, row_labels, col_labels)
-
-
-@dataclass(frozen=True)
-class LabeledComplex:
-    """A simplicial complex whose vertices carry subset labels."""
-
-    complex: object  # complexes.SimplicialComplex
-    vertex_labels: tuple
-
-
-def incidence_complex(delta, t: int, k: int) -> LabeledComplex:
-    """Incidence complex of a pure complex: vertices are its t-dimensional
-    faces, one facet per k-dimensional face (the set of t-faces it holds).
-    """
-    from .complexes import SimplicialComplex
-
-    dims = {len(f) - 1 for f in delta.facets}
-    if len(dims) != 1:
-        raise NotPure("incidence complex needs a pure complex")
-    dim = dims.pop()
-    if not 0 <= t < k:
-        raise BadParameters("need 0 <= t < k")
-    if dim < k:
-        raise DimensionTooSmall(f"complex dimension {dim} < k = {k}")
-
-    t_faces = sorted(delta.faces_of_dim(t), key=lambda f: tuple(reversed(sorted(f))))
-    index = {f: i + 1 for i, f in enumerate(t_faces)}
-    facets = []
-    for kf in sorted(delta.faces_of_dim(k), key=lambda f: tuple(reversed(sorted(f)))):
-        members = frozenset(index[sub] for sub in _subfaces(kf, t))
-        facets.append(members)
-    cx = SimplicialComplex.from_facets(len(t_faces), facets)
-    return LabeledComplex(cx, tuple(tuple(sorted(f)) for f in t_faces))
-
-
-def _subfaces(face: frozenset, t: int):
-    from itertools import combinations
-
-    for sub in combinations(sorted(face), t + 1):
-        yield frozenset(sub)
 
 
 @dataclass(frozen=True)

@@ -62,10 +62,6 @@ class LinearConstraint:
         values, _ = clear_denominators([*coeffs, rhs])
         return cls(values[:-1], relation, values[-1])
 
-    def satisfied_by(self, x: Sequence) -> bool:
-        """Exact check at the rational point ``x``."""
-        return self._holds(*clear_denominators(x))
-
     def _holds(self, xs: Sequence[int], d: int) -> bool:
         """Exact check at the point ``xs / d`` with ``d > 0``."""
         gap = sum(a * v for a, v in zip(self.coeffs, xs)) - self.rhs * d

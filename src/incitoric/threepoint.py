@@ -20,7 +20,7 @@ from math import comb, gcd
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import exactmath
-from .combinat import Derangement, colex_rank, derangement_from_images, derangements, subsets_colex
+from .combinat import Derangement, colex_rank, derangement_from_images, derangements
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     BadParameters,
@@ -42,10 +42,6 @@ class EdgeVector:
     def __post_init__(self):
         if len(self.exps) != comb(self.n, 2):
             raise DimensionMismatch("edge vector has wrong length")
-
-    @classmethod
-    def zero(cls, n: int) -> "EdgeVector":
-        return cls(n, (0,) * comb(n, 2))
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Dict[tuple, int]) -> "EdgeVector":
@@ -73,13 +69,6 @@ class EdgeVector:
     @property
     def degree(self) -> int:
         return sum(self.exps)
-
-    def to_dict(self) -> Dict[tuple, int]:
-        out = {}
-        for pair, e in zip(subsets_colex(self.n, 2), self.exps):
-            if e:
-                out[pair] = e
-        return out
 
 
 def edge(n: int, a: int, b: int) -> EdgeVector:
@@ -227,10 +216,6 @@ class SymbolicPoly:
             if len(k) != arity:
                 raise DimensionMismatch("term arity mismatch")
         return cls(arity, items)
-
-    @classmethod
-    def zero(cls, arity: int) -> "SymbolicPoly":
-        return cls(arity, ())
 
     @classmethod
     def monomial(cls, arity: int, exps: Sequence[int], coeff: int = 1) -> "SymbolicPoly":

@@ -22,6 +22,7 @@ from operator import le, sub
 from typing import Iterable, Optional, Sequence
 
 from . import exactmath
+from .combinat import colex_rank
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadParameters, BudgetExceeded, CertificateError
 from .incidence import IncidenceMatrix
@@ -109,6 +110,20 @@ class Binomial:
 
     def is_squarefree(self) -> bool:
         return all(x <= 1 for x in self.plus) and all(x <= 1 for x in self.minus)
+
+    @classmethod
+    def from_subsets(
+        cls, nvars: int, plus: Iterable[Iterable[int]], minus: Iterable[Iterable[int]]
+    ) -> "Binomial":
+        """One variable per k-subset in colex order; each subset listed in
+        ``plus`` or ``minus`` adds 1 to the exponent of its variable there."""
+        exps = []
+        for subsets in (plus, minus):
+            e = [0] * nvars
+            for s in subsets:
+                e[colex_rank(tuple(sorted(s)))] += 1
+            exps.append(tuple(e))
+        return cls(nvars, *exps)
 
     @classmethod
     def from_vector(cls, u: Sequence[int]) -> "Binomial":
@@ -364,77 +379,7 @@ def reduce_to_zero(b: Binomial, basis: BinomialBasis) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# fibers and Markov bases
-
-
-@dataclass(frozen=True)
-class Fiber:
-    matrix: IncidenceMatrix
-    target: tuple
-    points: tuple
-
-
-def fiber_enumerate(
-    inc: IncidenceMatrix, target: Sequence[int], config: RunConfig = DEFAULT_CONFIG
-) -> Fiber:
-    """All non-negative integer points u with A u = target (A is 0/1)."""
-    a = inc.matrix
-    b = tuple(int(x) for x in target)
-    if len(b) != a.rows:
-        raise BadParameters("target length does not match row count")
-    cols = [a.column(j) for j in range(a.cols)]
-    last_touch = [-1] * a.rows
-    for j, col in enumerate(cols):
-        for i, x in enumerate(col):
-            if x:
-                last_touch[i] = j
-    points = []
-    visited = 0
-
-    def dfs(j, residual, acc):
-        nonlocal visited
-        visited += 1
-        if visited > config.fiber_budget:
-            raise BudgetExceeded("fiber enumeration budget exhausted")
-        if all(x == 0 for x in residual):
-            points.append(tuple(acc + [0] * (a.cols - j)))
-            return
-        if j == a.cols:
-            return
-        for i, r in enumerate(residual):
-            if r > 0 and last_touch[i] < j:
-                return
-        col = cols[j]
-        cap = min((r for r, x in zip(residual, col) if x), default=None)
-        if cap is None:
-            dfs(j + 1, residual, acc + [0])
-            return
-        for mult in range(0, cap + 1):
-            new_res = [r - mult * x for r, x in zip(residual, col)]
-            dfs(j + 1, new_res, acc + [mult])
-
-    dfs(0, list(b), [])
-    return Fiber(inc, b, tuple(sorted(set(points))))
-
-
-def is_markov_on_fiber(basis: BinomialBasis, fiber: Fiber) -> bool:
-    """Connectivity of the fiber graph under the basis moves."""
-    points = list(fiber.points)
-    if len(points) <= 1:
-        return True
-    index = {p: i for i, p in enumerate(points)}
-    moves = [b.vector for b in basis.elements]
-    seen = {points[0]}
-    stack = [points[0]]
-    while stack:
-        u = stack.pop()
-        for mv in moves:
-            for sgn in (1, -1):
-                w = tuple(x + sgn * d for x, d in zip(u, mv))
-                if all(x >= 0 for x in w) and w in index and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return len(seen) == len(points)
+# Markov bases
 
 
 def _component(start: tuple, moves: list, budget: int) -> set:

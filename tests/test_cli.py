@@ -28,11 +28,16 @@ def test_markov_command(capsys):
     assert payload["degrees"] == {"4": 15, "6": 15}
 
 
-def test_complex_verify(tmp_path, capsys):
+def octahedron_file(tmp_path):
     from incitoric import complexes as cx
 
     path = tmp_path / "octahedron.cplx"
-    path.write_text(cx.format_complex_file(cx.octahedron()))
+    path.write_text("".join(" ".join(map(str, sorted(f))) + "\n" for f in cx.octahedron().facets))
+    return path
+
+
+def test_complex_verify(tmp_path, capsys):
+    path = octahedron_file(tmp_path)
     code, out = run_cli(capsys, "--no-meta", "complex", "verify", str(path))
     assert code == EXIT_OK
     payload = json.loads(out)
@@ -42,10 +47,7 @@ def test_complex_verify(tmp_path, capsys):
 
 
 def test_complex_binomial(tmp_path, capsys):
-    from incitoric import complexes as cx
-
-    path = tmp_path / "octahedron.cplx"
-    path.write_text(cx.format_complex_file(cx.octahedron()))
+    path = octahedron_file(tmp_path)
     code, out = run_cli(capsys, "--no-meta", "complex", "binomial", str(path))
     assert code == EXIT_OK
     payload = json.loads(out)

@@ -1,18 +1,12 @@
-"""Incidence matrices, incidence complexes, rank laws."""
+"""Incidence matrices and rank laws."""
 
 from math import comb
 
 import pytest
 
 from incitoric import exactmath as em
-from incitoric.complexes import SimplicialComplex, octahedron
-from incitoric.errors import BadParameters, DimensionTooSmall, NotPure
-from incitoric.incidence import (
-    build_matrix,
-    check_rank_laws,
-    full_rank_prime_threshold,
-    incidence_complex,
-)
+from incitoric.errors import BadParameters
+from incitoric.incidence import build_matrix, check_rank_laws, full_rank_prime_threshold
 
 
 class TestBuildMatrix:
@@ -40,15 +34,13 @@ class TestBuildMatrix:
         for j in range(20):
             assert sum(inc.matrix.column(j)) == comb(3, 2)
         for i in range(15):
-            assert sum(inc.matrix.row(i)) == comb(6 - 2, 3 - 2)
+            assert sum(inc.matrix.entries[i]) == comb(6 - 2, 3 - 2)
 
     def test_rejects_t_at_least_k(self):
         with pytest.raises(BadParameters):
             build_matrix(5, 3, 3)
         with pytest.raises(BadParameters):
             build_matrix(5, 3, 4)
-        inc = build_matrix(5, 3, 3, allow_identity=True)
-        assert inc.matrix == em.IntMatrix.identity(comb(5, 3))
 
     def test_nontrivial_kernel_iff_fewer_rows(self):
         for n in range(2, 9):
@@ -57,74 +49,6 @@ class TestBuildMatrix:
                     inc = build_matrix(n, k, t)
                     nontrivial = comb(n, t) < comb(n, k)
                     assert (em.kernel_basis(inc.matrix).rank > 0) == nontrivial
-
-
-class TestIncidenceComplex:
-    def test_octahedron_edge_triangle(self):
-        lab = incidence_complex(octahedron(), 1, 2)
-        assert lab.complex.n == 12
-        assert len(lab.complex.facets) == 8
-        assert all(len(f) == 3 for f in lab.complex.facets)
-        assert len(lab.vertex_labels) == 12
-
-    def test_zero_dim_full_is_same_complex(self):
-        delta = octahedron()
-        lab = incidence_complex(delta, 0, 2)
-        relabeled = {
-            frozenset(lab.vertex_labels[v - 1][0] for v in f)
-            for f in lab.complex.facets
-        }
-        assert relabeled == set(delta.facets)
-
-    def test_zero_one_is_one_skeleton(self):
-        delta = octahedron()
-        lab = incidence_complex(delta, 0, 1)
-        edges = {
-            frozenset(lab.vertex_labels[v - 1][0] for v in f)
-            for f in lab.complex.facets
-        }
-        assert edges == delta.faces_of_dim(1)
-
-    def test_dimension_formula(self):
-        simplex4 = SimplicialComplex.from_facets(5, [tuple(range(1, 6))])
-        for t in range(0, 3):
-            for k in range(t + 1, 4):
-                lab = incidence_complex(simplex4, t, k)
-                assert lab.complex.dimension == comb(k + 1, t + 1) - 1
-
-    def test_transpose_matches_incidence_complex(self):
-        n, k, t = 5, 3, 2
-        inc = build_matrix(n, k, t)
-        simplex = SimplicialComplex.from_facets(n, [tuple(range(1, n + 1))])
-        lab = incidence_complex(simplex, t - 1, k - 1)
-        # facet membership pattern of the complex equals the transpose
-        trans = inc.matrix.transpose()
-        facets = sorted(
-            lab.complex.facets,
-            key=lambda f: tuple(
-                reversed(sorted(min(lab.vertex_labels[v - 1] for v in f)))
-            ),
-        )
-        got = set()
-        for f in lab.complex.facets:
-            got.add(frozenset(lab.vertex_labels[v - 1] for v in f))
-        expected = set()
-        for j, kset in enumerate(inc.col_labels):
-            expected.add(
-                frozenset(
-                    inc.row_labels[i]
-                    for i in range(inc.matrix.rows)
-                    if inc.matrix.entries[i][j]
-                )
-            )
-        assert got == expected
-
-    def test_guards(self):
-        impure = SimplicialComplex.from_facets(4, [(1, 2, 3), (3, 4)])
-        with pytest.raises(NotPure):
-            incidence_complex(impure, 0, 1)
-        with pytest.raises(DimensionTooSmall):
-            incidence_complex(octahedron(), 1, 3)
 
 
 class TestRankLaws:

@@ -91,6 +91,12 @@ def test_primal_face_system_for_a_vertex_is_feasible():
     )
 
 
+def satisfies(constraint, x):
+    """Exact check of a constraint at the rational point ``x``."""
+    gap = sum(a * v for a, v in zip(constraint.coeffs, x)) - constraint.rhs
+    return {"<=": gap <= 0, "=": gap == 0, ">=": gap >= 0}[constraint.relation]
+
+
 def _optimum_by_basic_enumeration(problem):
     """Independent oracle: evaluate every basic solution of the equality
     system obtained by making constraints tight; sound for bounded LPs
@@ -113,7 +119,7 @@ def _optimum_by_basic_enumeration(problem):
         x = em.solve_rational(a, b)
         if x is None:
             continue
-        if all(c.satisfied_by(x) for c in cons) and all(
+        if all(satisfies(c, x) for c in cons) and all(
             not problem.is_nonneg(j) or x[j] >= 0 for j in range(n)
         ):
             val = sum(c * v for c, v in zip(problem.objective, x))
@@ -199,7 +205,7 @@ def test_positive_row_multiples_give_the_same_lp(pair):
         if r.status == "infeasible":
             assert verify_farkas(p, r.farkas)
         if r.status == "optimal":
-            assert all(c.satisfied_by(r.point) for c in p.constraints)
+            assert all(satisfies(c, r.point) for c in p.constraints)
 
 
 def test_rejected_farkas_certificate_raises(monkeypatch):

@@ -4,7 +4,6 @@ import os
 import random
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -164,20 +163,21 @@ class TestPlacing:
     def test_interior_point_covered_once(self, cfg632, tri632):
         rng = random.Random(31)
         pts = cfg632.points
+        # integer coordinates of p - p_0 in a basis of the affine hull's
+        # lattice, behind a leading 1 so that barycentric weights are linear
+        solver = cfg632.euclidean_solver
+        coords = [(1,) + solver.solve([a - b for a, b in zip(p, pts[0])]) for p in pts]
         interior_hits = 0
         attempts = 0
         while interior_hits < 4 and attempts < 40:
             attempts += 1
-            weights = [Fraction(rng.randint(1, 97)) for _ in pts]
-            total = sum(weights)
-            target = [
-                sum(w * p[r] for w, p in zip(weights, pts)) / total
-                for r in range(cfg632.ambient_dim)
-            ]
+            weights = [rng.randint(1, 97) for _ in pts]
+            # the weighted mean scaled by the total weight, in integers
+            target = [sum(w * c[r] for w, c in zip(weights, coords)) for r in range(len(coords[0]))]
             strict = 0
             on_boundary = False
             for simplex in tri632.simplices:
-                where = _locate_in_simplex(pts, simplex, target)
+                where = _locate_in_simplex([coords[i] for i in simplex], target)
                 if where == "interior":
                     strict += 1
                 elif where == "boundary":
@@ -189,19 +189,20 @@ class TestPlacing:
         assert interior_hits == 4
 
 
-def _locate_in_simplex(pts, simplex, target):
-    from incitoric import exactmath as em
-
-    verts = [pts[i] for i in simplex]
-    rows = [[Fraction(v[r]) for v in verts] for r in range(len(target))]
-    rows.append([Fraction(1)] * len(verts))
-    rhs = list(target) + [Fraction(1)]
-    sol = em.solve_rational(rows, rhs)
-    if sol is None or any(x < 0 for x in sol):
-        return "outside"
-    if all(x > 0 for x in sol):
-        return "interior"
-    return "boundary"
+def _locate_in_simplex(verts, target):
+    """Where ``target`` lies against the simplex on the homogeneous integer
+    points ``verts``.  By Cramer's rule its j-th barycentric coordinate is
+    det(V_j) / det(V), V having the vertices as rows and V_j the target in
+    row j, so the signs come from Bareiss determinants."""
+    orientation = exactmath.determinant(IntMatrix.from_rows(verts))
+    on_face = False
+    for j in range(len(verts)):
+        replaced = IntMatrix.from_rows(verts[:j] + [target] + verts[j + 1 :])
+        side = exactmath.determinant(replaced) * orientation
+        if side < 0:
+            return "outside"
+        on_face = on_face or side == 0
+    return "boundary" if on_face else "interior"
 
 
 class TestVolumes:

@@ -29,7 +29,7 @@ def det_cofactor(n):
 
     def entry(i, j):
         if i == j:
-            return tp.SymbolicPoly.zero(arity)
+            return tp.SymbolicPoly(arity, ())
         exps = [0] * arity
         exps[colex_rank(tuple(sorted((i, j))))] = 1
         return tp.SymbolicPoly.monomial(arity, exps)
@@ -37,7 +37,7 @@ def det_cofactor(n):
     def det(rows, cols):
         if not rows:
             return tp.SymbolicPoly.monomial(arity, (0,) * arity)
-        total = tp.SymbolicPoly.zero(arity)
+        total = tp.SymbolicPoly(arity, ())
         i = rows[0]
         rest = rows[1:]
         for pos, j in enumerate(cols):
@@ -64,7 +64,7 @@ class TestPhi:
     def test_transposition_squares(self):
         d = derangement_from_images((2, 1))
         v = tp.phi(d)
-        assert v.to_dict() == {(1, 2): 2}
+        assert v.exps == (2,)  # the one edge {1, 2}, squared
 
     def test_three_cycle_is_triangle(self):
         d = derangement_from_images((2, 3, 1))
@@ -73,7 +73,8 @@ class TestPhi:
     def test_cycle_and_inverse_agree(self):
         for n in (4, 5, 6):
             cycle = derangement_from_images(tuple(list(range(2, n + 1)) + [1]))
-            assert tp.phi(cycle).exps == tp.phi(cycle.inverse()).exps
+            inverse = derangement_from_images((n,) + tuple(range(1, n)))
+            assert tp.phi(cycle).exps == tp.phi(inverse).exps
 
     def test_degree_is_n(self):
         for d in derangements(5):

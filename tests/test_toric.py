@@ -13,21 +13,13 @@ from hypothesis import strategies as st
 
 import incitoric
 from incitoric import exactmath as em, toric
-from incitoric.combinat import colex_rank
 from incitoric.config import RunConfig
 from incitoric.errors import BadParameters, BudgetExceeded, CertificateError
 from incitoric.exactmath import IntMatrix
 from incitoric.incidence import build_matrix
 
 
-def binom(nvars, plus, minus):
-    p = [0] * nvars
-    m = [0] * nvars
-    for s in plus:
-        p[colex_rank(s)] += 1
-    for s in minus:
-        m[colex_rank(s)] += 1
-    return toric.Binomial(nvars, tuple(p), tuple(m))
+binom = toric.Binomial.from_subsets
 
 
 QUARTIC = (
@@ -417,22 +409,81 @@ class TestSaturation:
             toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
 
 
+def fiber_enumerate(inc, target):
+    """Oracle: all non-negative integer points u with A u = target (A is
+    0/1), sorted, by a depth-first search over the columns."""
+    a = inc.matrix
+    cols = [a.column(j) for j in range(a.cols)]
+    last_touch = [-1] * a.rows
+    for j, col in enumerate(cols):
+        for i, x in enumerate(col):
+            if x:
+                last_touch[i] = j
+    points = []
+
+    def dfs(j, residual, acc):
+        if all(x == 0 for x in residual):
+            points.append(tuple(acc + [0] * (a.cols - j)))
+            return
+        if j == a.cols:
+            return
+        for i, r in enumerate(residual):
+            if r > 0 and last_touch[i] < j:
+                return
+        col = cols[j]
+        cap = min((r for r, x in zip(residual, col) if x), default=None)
+        if cap is None:
+            dfs(j + 1, residual, acc + [0])
+            return
+        for mult in range(0, cap + 1):
+            dfs(j + 1, [r - mult * x for r, x in zip(residual, col)], acc + [mult])
+
+    dfs(0, list(target), [])
+    return tuple(sorted(set(points)))
+
+
+def is_markov_on_fiber(basis, points):
+    """Oracle: the moves of ``basis`` connect the fiber ``points``."""
+    if len(points) <= 1:
+        return True
+    members = set(points)
+    moves = [b.vector for b in basis.elements]
+    seen = {points[0]}
+    stack = [points[0]]
+    while stack:
+        u = stack.pop()
+        for mv in moves:
+            for sgn in (1, -1):
+                w = tuple(x + sgn * d for x, d in zip(u, mv))
+                if w in members and w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return len(seen) == len(points)
+
+
 class TestFibers:
     def test_column_fiber_is_unit(self, inc632):
         b = inc632.matrix.column(0)
-        fiber = toric.fiber_enumerate(inc632, b)
+        fiber = fiber_enumerate(inc632, b)
         unit = tuple(1 if j == 0 else 0 for j in range(20))
-        assert fiber.points == (unit,)
-        assert toric.is_markov_on_fiber(
-            toric.minimal_markov(inc632), fiber
-        )
+        assert fiber == (unit,)
+        assert is_markov_on_fiber(toric.minimal_markov(inc632), fiber)
 
     def test_quartic_fiber_connected(self, inc632, markov632):
         q = binom(20, *QUARTIC)
         b = inc632.matrix.mat_vec(q.plus)
-        fiber = toric.fiber_enumerate(inc632, b)
-        assert q.plus in fiber.points and q.minus in fiber.points
-        assert toric.is_markov_on_fiber(markov632, fiber)
+        fiber = fiber_enumerate(inc632, b)
+        assert q.plus in fiber and q.minus in fiber
+        assert is_markov_on_fiber(markov632, fiber)
+
+    def test_sextic_fiber_needs_a_sextic(self, inc632, markov632):
+        s = binom(20, *SEXTIC)
+        fiber = fiber_enumerate(inc632, inc632.matrix.mat_vec(s.plus))
+        quartics = toric.BinomialBasis(
+            "markov", tuple(b for b in markov632.elements if b.degree == 4), inc632
+        )
+        assert not is_markov_on_fiber(quartics, fiber)
+        assert is_markov_on_fiber(markov632, fiber)
 
     def test_all_degree_four_fibers_connected(self, inc632, markov632):
         from itertools import combinations_with_replacement
@@ -446,12 +497,12 @@ class TestFibers:
             if b in seen:
                 continue
             seen.add(b)
-            fiber = toric.fiber_enumerate(inc632, b)
-            assert toric.is_markov_on_fiber(markov632, fiber)
+            fiber = fiber_enumerate(inc632, b)
+            assert is_markov_on_fiber(markov632, fiber)
 
-    def test_budget_guard(self, inc632):
-        tiny = RunConfig(fiber_budget=3)
-        q = binom(20, *QUARTIC)
-        b = inc632.matrix.mat_vec([4 * x for x in q.plus])
-        with pytest.raises(BudgetExceeded):
-            toric.fiber_enumerate(inc632, b, tiny)
+    def test_budget_guard(self):
+        # (5,2,1) has Groebner elements whose fiber components exceed 3
+        gb = toric.lattice_ideal_groebner(build_matrix(5, 2, 1))
+        assert len(toric.markov_from_groebner(gb).elements) > 0
+        with pytest.raises(BudgetExceeded, match="fiber component budget"):
+            toric.markov_from_groebner(gb, RunConfig(fiber_budget=3))
