@@ -6,17 +6,25 @@ needed.  The saturated lattice ideal is computed by the standard loop:
 start from the binomials of an integer kernel basis and saturate one
 variable at a time, each round re-running Buchberger in a degree-reverse-
 lexicographic order that makes the active variable cheapest and then
-stripping its common power from every basis element.
+stripping its common power from every basis element.  Buchberger queues
+S-pairs by the Gebauer-Moeller update, so no pair is remembered once it
+is popped.  Graver bases come from a completion on kernel vectors,
+Markov bases from fiber connectivity and primitivity from a
+meet-in-the-middle search of a box.
 
 Monomials are exponent tuples indexed by colex subset rank.  In the
 default order the colex-first variable is the most expensive and ties are
-broken reverse-lexicographically from the cheapest end.
+broken reverse-lexicographically from the cheapest end.  A monomial's
+support mask, the int with bit v set where its exponent of x_v is
+positive, is tested before any divisibility check: a monomial divides
+another only if its mask lies inside the other's.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from math import prod
 from operator import le, sub
 from typing import Iterable, Optional, Sequence
@@ -151,6 +159,13 @@ class BinomialBasis:
             if any(a.mat_vec(b.vector)):
                 raise BadParameters("basis element outside the kernel")
 
+    @cached_property
+    def reducers(self) -> tuple:
+        """The (plus, minus) pairs of the elements and the support masks of
+        their plus parts, for normal forms against this basis."""
+        pairs = [(b.plus, b.minus) for b in self.elements]
+        return pairs, [_support(plus) for plus, _ in pairs]
+
     def degree_multiset(self) -> dict:
         out: dict = {}
         for b in self.elements:
@@ -184,39 +199,52 @@ def _divides(d: tuple, m: tuple) -> bool:
     return all(map(le, d, m))
 
 
+def _support(m: tuple) -> int:
+    """Bit v set exactly where m[v] > 0.  A monomial divides another only
+    if its support mask lies inside the other's, so one integer operation
+    rules out most divisibility tests."""
+    mask = 0
+    for v, x in enumerate(m):
+        if x:
+            mask |= 1 << v
+    return mask
+
+
 def _sub_add(m: tuple, sub: tuple, add: tuple) -> tuple:
     return tuple(x - y + z for x, y, z in zip(m, sub, add))
 
 
-def _normal_form(a: tuple, b: tuple, basis: list, order: DegrevlexOrder):
-    """Full normal form of x^a - x^b against leads of ``basis``; None if 0."""
+def _first_divisor(m: tuple, basis: list, masks: list) -> Optional[tuple]:
+    """The first (lead, tail) of ``basis`` whose lead divides m; ``masks``
+    holds the support masks of the leads."""
+    support = _support(m)
+    for mask, g in zip(masks, basis):
+        if mask & support == mask and _divides(g[0], m):
+            return g
+    return None
+
+
+def _normal_form(
+    a: tuple, b: tuple, basis: list, order: DegrevlexOrder, masks: Optional[list] = None
+):
+    """Full normal form of x^a - x^b against leads of ``basis``; None if 0.
+    ``masks`` are the support masks of those leads, computed when not given."""
+    if masks is None:
+        masks = [_support(lead) for lead, _ in basis]
     pair = _orient(a, b, order)
     if pair is None:
         return None
     lead, tail = pair
-    changed = True
-    while changed:
-        changed = False
-        for glead, gtail in basis:
-            if _divides(glead, lead):
-                lead = _sub_add(lead, glead, gtail)
-                pair = _orient(lead, tail, order)
-                if pair is None:
-                    return None
-                lead, tail = pair
-                changed = True
-                break
+    while (g := _first_divisor(lead, basis, masks)) is not None:
+        pair = _orient(_sub_add(lead, *g), tail, order)
+        if pair is None:
+            return None
+        lead, tail = pair
     # tail reduction for canonical output
-    changed = True
-    while changed:
-        changed = False
-        for glead, gtail in basis:
-            if _divides(glead, tail):
-                tail = _sub_add(tail, glead, gtail)
-                if tail == lead:
-                    return None
-                changed = True
-                break
+    while (g := _first_divisor(tail, basis, masks)) is not None:
+        tail = _sub_add(tail, *g)
+        if tail == lead:
+            return None
     return lead, tail
 
 
@@ -232,82 +260,114 @@ def buchberger(
     """Reduced Groebner basis of the binomial ideal the generators span.
 
     Generators and result are (lead, tail) monomial pairs; zero input
-    binomials are dropped.  Pairs are processed by increasing lcm degree
-    (deterministic tie-break), with the coprime-lead and chain criteria.
-    Raises BudgetExceeded when more than ``pair_budget`` pairs are popped.
+    binomials are dropped.  Pairs are popped by increasing lcm in the
+    order, ties in the order the pairs were made.  Which pairs are queued is decided by the
+    update of Gebauer and Moeller ("On an installation of Buchberger's
+    algorithm", 1988) each time an element h joins the basis:
+
+    - criterion B drops each queued pair whose lcm the lead of h divides,
+      unless the lcm of h with one member of the pair is that same lcm;
+    - criteria M and F keep, of the new pairs of h, one per lcm that no
+      other new lcm strictly divides, and none of those whose lcm some new
+      pair with coprime leads has;
+    - basis elements whose lead the lead of h divides stop being reducers
+      and pair partners.
+
+    Every lead and lcm carries a support mask, tested before any
+    divisibility check.  Raises BudgetExceeded, naming the pairs popped and
+    the basis size, when more than ``pair_budget`` pairs are popped.
     """
-    basis: list = []
+    elements: list = []  # every element so far, by index: (lead, tail)
+    live: list = []  # indices of the elements no later lead divides
+    basis: list = []  # elements[k] for k in live: the reducers
+    masks: list = []  # support masks of their leads
+    heap: list = []  # (order key of the lcm, newer member, older member, lcm, lcm mask)
+
+    def add(h: tuple) -> None:
+        nonlocal live, basis, masks
+        lead, hmask = h[0], _support(h[0])
+        t = len(elements)
+        elements.append(h)
+        # criterion B, once the masks allow the lead of h to divide the lcm
+        kept = [e for e in heap if hmask & e[4] != hmask or not _criterion_b(e, lead, elements)]
+        if len(kept) < len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
+        # criteria M and F: per lcm, its first partner and whether any is coprime
+        new: dict = {}
+        for k, gmask in zip(live, masks):
+            lcm = _lcm(elements[k][0], lead)
+            if lcm in new:
+                new[lcm][2] |= not gmask & hmask
+            else:
+                new[lcm] = [gmask | hmask, k, not gmask & hmask]
+        # a strict divisor has a lower degree, and distinct lcms of one
+        # degree never divide each other: by increasing degree, each lcm
+        # need only be tested against the minimal ones found before it
+        minimal: list = []
+        for lcm, (lmask, k, coprime) in sorted(new.items(), key=lambda item: sum(item[0])):
+            if any(m & lmask == m and _divides(low, lcm) for m, low in minimal):
+                continue
+            minimal.append((lmask, lcm))
+            if not coprime:
+                heapq.heappush(heap, (order.sort_key(lcm), t, k, lcm, lmask))
+        stay = [
+            n for n, gmask in enumerate(masks)
+            if hmask & gmask != hmask or not _divides(lead, basis[n][0])
+        ]
+        if len(stay) < len(live):
+            live = [live[n] for n in stay]
+            basis = [basis[n] for n in stay]
+            masks = [masks[n] for n in stay]
+        live.append(t)
+        basis.append(h)
+        masks.append(hmask)
+
     for a, b in generators:
         pair = _orient(tuple(a), tuple(b), order)
-        if pair is not None and pair not in basis:
-            basis.append(pair)
-
-    heap: list = []
-    counter = 0
-    processed = set()
-
-    def push_pair(i, j):
-        nonlocal counter
-        li, lj = basis[i][0], basis[j][0]
-        l = _lcm(li, lj)
-        if l == tuple(x + y for x, y in zip(li, lj)):
-            processed.add((i, j))  # coprime leads: S-pair reduces to zero
-            return
-        heapq.heappush(heap, (sum(l), order.sort_key(l), counter, i, j))
-        counter += 1
-
-    for i in range(len(basis)):
-        for j in range(i):
-            push_pair(j, i)
+        if pair is not None and pair not in elements:
+            add(pair)
 
     popped = 0
     while heap:
-        _, _, _, i, j = heapq.heappop(heap)
-        if (i, j) in processed:
-            continue
-        processed.add((i, j))
+        _, i, j, lcm, _ = heapq.heappop(heap)
         popped += 1
         if popped > pair_budget:
-            raise BudgetExceeded("pair queue budget exhausted")
-        li, lj = basis[i][0], basis[j][0]
-        l = _lcm(li, lj)
-        # chain criterion
-        skip = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if _divides(basis[k][0], l):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in processed and pjk in processed:
-                    skip = True
-                    break
-        if skip:
-            continue
-        (ai, bi), (aj, bj) = basis[i], basis[j]
-        s1 = _sub_add(l, ai, bi)
-        s2 = _sub_add(l, aj, bj)
-        nf = _normal_form(s1, s2, basis, order)
-        if nf is None:
-            continue
-        basis.append(nf)
-        t = len(basis) - 1
-        for idx in range(t):
-            push_pair(idx, t)
+            raise BudgetExceeded(
+                f"pair queue budget of {pair_budget} exhausted: {popped} pairs "
+                f"popped, basis of {len(basis)} elements"
+            )
+        (ai, bi), (aj, bj) = elements[i], elements[j]
+        nf = _normal_form(_sub_add(lcm, ai, bi), _sub_add(lcm, aj, bj), basis, order, masks)
+        if nf is not None:
+            add(nf)
 
     return _interreduce(basis, order)
+
+
+def _criterion_b(entry: tuple, lead: tuple, elements: list) -> bool:
+    """Gebauer and Moeller's criterion B: the queued pair ``entry`` is
+    redundant once an element with this lead joins the basis."""
+    _, i, j, lcm, _ = entry
+    return (
+        _divides(lead, lcm)
+        and _lcm(elements[i][0], lead) != lcm
+        and _lcm(elements[j][0], lead) != lcm
+    )
 
 
 def _interreduce(basis: list, order: DegrevlexOrder) -> list:
     by_lead = sorted(basis, key=lambda g: order.sort_key(g[0]))
     kept: list = []
+    masks: list = []
     for g in by_lead:
-        if not any(_divides(h[0], g[0]) for h in kept):
+        if _first_divisor(g[0], kept, masks) is None:
             kept.append(g)
+            masks.append(_support(g[0]))
     reduced = []
     for idx, g in enumerate(kept):
         others = kept[:idx] + kept[idx + 1 :]
-        nf = _normal_form(g[0], g[1], others, order)
+        nf = _normal_form(g[0], g[1], others, order, masks[:idx] + masks[idx + 1 :])
         if nf is not None:
             reduced.append(nf)
     reduced.sort(key=lambda g: (order.sort_key(g[0]), order.sort_key(g[1])))
@@ -333,12 +393,16 @@ def saturate_binomials(
 
     One round per variable in ascending colex order: Groebner basis in the
     order making that variable cheapest, then strip its common power from
-    every element.  Sound for homogeneous binomial ideals.
+    every element.  Sound for homogeneous binomial ideals.  A
+    BudgetExceeded also names the round it stopped in.
     """
     gens = [(tuple(a), tuple(b)) for a, b in generators]
     for v in range(nvars):
         order = DegrevlexOrder(nvars, cheapest=v)
-        gb = buchberger(gens, order, pair_budget)
+        try:
+            gb = buchberger(gens, order, pair_budget)
+        except BudgetExceeded as e:
+            raise BudgetExceeded(f"saturation round for variable {v} of {nvars}: {e}") from e
         gens = [strip_variable(g, v) for g in gb]
     return gens
 
@@ -373,9 +437,8 @@ def lattice_ideal_groebner(
 
 def reduce_to_zero(b: Binomial, basis: BinomialBasis) -> bool:
     """Ideal membership by normal-form reduction against a Groebner basis."""
-    order = DegrevlexOrder(b.var_count)
-    pairs = [(g.plus, g.minus) for g in basis.elements]
-    return _normal_form(b.plus, b.minus, pairs, order) is None
+    pairs, masks = basis.reducers
+    return _normal_form(b.plus, b.minus, pairs, DegrevlexOrder(b.var_count), masks) is None
 
 
 # ---------------------------------------------------------------------------
@@ -437,34 +500,39 @@ def _sum_pair(f: tuple, g: tuple) -> tuple:
     return tuple(x if x > 0 else 0 for x in u), tuple(-x if x < 0 else 0 for x in u)
 
 
-def _signs_conflict(f: tuple, g: tuple) -> bool:
-    """Some coordinate is positive in one move and negative in the other."""
-    return any(
-        (fp and gm) or (fm and gp) for fp, fm, gp, gm in zip(f[0], f[1], g[0], g[1])
-    )
+def _move_masks(g: tuple) -> tuple:
+    """Support masks of the plus and minus halves of a move."""
+    return _support(g[0]), _support(g[1])
 
 
-def _conformal_sign(g: tuple, s: tuple) -> Optional[tuple]:
+def _conformal_sign(g: tuple, gmasks: tuple, s: tuple, smasks: tuple) -> Optional[tuple]:
     """The move g or its negative, whichever fits conformally inside s
-    (both halves divide); None if neither does."""
-    gp, gm = g
-    if _divides(gp, s[0]) and _divides(gm, s[1]):
+    (both halves divide); None if neither does.  ``gmasks`` and ``smasks``
+    are the support masks of the halves of g and s."""
+    (gp, gm), (p, m), (s0, s1) = g, gmasks, smasks
+    if p & s0 == p and m & s1 == m and _divides(gp, s[0]) and _divides(gm, s[1]):
         return g
-    if _divides(gm, s[0]) and _divides(gp, s[1]):
+    if m & s0 == m and p & s1 == p and _divides(gm, s[0]) and _divides(gp, s[1]):
         return gm, gp
     return None
 
 
-def _conformal_remainder(s: tuple, moves: list) -> Optional[tuple]:
+def _conformal_remainder(s: tuple, moves: list, masks: list) -> Optional[tuple]:
     """Subtract moves that fit conformally inside ``s`` until none fits;
-    None if nothing is left."""
+    None if nothing is left.  ``masks`` are the moves' support masks."""
     changed = True
     while changed:
         changed = False
-        for g in moves:
-            h = _conformal_sign(g, s)
+        smasks = s0, s1 = _move_masks(s)
+        for g, gmasks in zip(moves, masks):
+            p, m = gmasks
+            # most moves fail on their masks alone: test those inline, before a call
+            if (p & s0 != p or m & s1 != m) and (m & s0 != m or p & s1 != p):
+                continue
+            h = _conformal_sign(g, gmasks, s, smasks)
             if h is not None:
                 s = tuple(map(sub, s[0], h[0])), tuple(map(sub, s[1], h[1]))
+                smasks = s0, s1 = _move_masks(s)
                 changed = True
     if any(s[0]) or any(s[1]):
         return s
@@ -480,28 +548,39 @@ def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> Bi
     a nonzero remainder becomes a new move (Hemmecke, "On the positive sum
     property and the computation of Graver test sets", 2003).  The moves
     then have the positive sum property, so the conformally minimal ones
-    are the primitive vectors.  Each pair reduced counts against
-    ``pair_queue_budget``.
+    are the primitive vectors.  Signs conflict exactly where the support
+    masks of opposite halves meet, and the masks rule out most conformal
+    fits before any exponent is compared.  Each pair reduced counts
+    against ``pair_queue_budget``.
     """
     a = inc.matrix
     moves = _binomial_pairs(exactmath.kernel_basis(a).vectors)
+    masks = [_move_masks(g) for g in moves]
     pairs = 0
     for i, f in enumerate(moves):  # grows while iterated
-        for g in moves[:i]:
-            for h in (g, g[::-1]):
-                if not _signs_conflict(f, h):
+        fp, fm = masks[i]
+        for g, (gp, gm) in zip(moves[:i], masks[:i]):
+            for h, (hp, hm) in ((g, (gp, gm)), (g[::-1], (gm, gp))):
+                if not (fp & hm or fm & hp):
                     continue
                 pairs += 1
                 if pairs > config.pair_queue_budget:
-                    raise BudgetExceeded("pair queue budget exhausted")
-                r = _conformal_remainder(_sum_pair(f, h), moves)
+                    raise BudgetExceeded(
+                        f"pair queue budget of {config.pair_queue_budget} exhausted: "
+                        f"{pairs} sums reduced, {len(moves)} moves"
+                    )
+                r = _conformal_remainder(_sum_pair(f, h), moves, masks)
                 if r is not None:
                     moves.append(r)
+                    masks.append(_move_masks(r))
     order = DegrevlexOrder(a.cols)
     minimal = [
         Binomial(a.cols, *g).oriented(order)
-        for g in moves
-        if not any(h is not g and _conformal_sign(h, g) for h in moves)
+        for g, gmasks in zip(moves, masks)
+        if not any(
+            h is not g and _conformal_sign(h, hmasks, g, gmasks)
+            for h, hmasks in zip(moves, masks)
+        )
     ]
     minimal.sort(key=order.binomial_key)
     return BinomialBasis("graver", tuple(minimal), inc, order.name)

@@ -45,6 +45,21 @@ def test_buchberger_budget():
         toric.lattice_ideal_groebner(inc, RunConfig(pair_queue_budget=3))
 
 
+def test_budget_message_says_how_far_the_run_got():
+    from incitoric import toric
+
+    inc = build_matrix(6, 3, 2)
+    with pytest.raises(BudgetExceeded) as saturation:
+        toric.lattice_ideal_groebner(inc, RunConfig(pair_queue_budget=3))
+    assert str(saturation.value) == (
+        "saturation round for variable 0 of 20: pair queue budget of 3 exhausted: "
+        "4 pairs popped, basis of 8 elements"
+    )
+    with pytest.raises(BudgetExceeded) as completion:
+        toric.graver_basis(inc, RunConfig(pair_queue_budget=3))
+    assert str(completion.value) == "pair queue budget of 3 exhausted: 4 sums reduced, 8 moves"
+
+
 def test_primitivity_box_budget():
     from incitoric import toric
     from incitoric.combinat import colex_rank

@@ -6,6 +6,7 @@ import sys
 from itertools import combinations, product
 from math import prod
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +88,92 @@ class TestEngineSmall:
         gb = toric.lattice_ideal_groebner(inc)
         assert gb.elements == ()
         assert toric.minimal_markov(inc).elements == ()
+
+
+def plain_normal_form(a, b, basis, order):
+    """Oracle for _normal_form: the same reduction, always by the first
+    element whose lead divides, with divisibility decided on the exponents
+    alone."""
+
+    def first_divisor(m):
+        return next((g for g in basis if all(x <= y for x, y in zip(g[0], m))), None)
+
+    if order.compare(a, b) == 0:
+        return None
+    lead, tail = (a, b) if order.compare(a, b) > 0 else (b, a)
+    while (g := first_divisor(lead)) is not None:
+        lead = tuple(x - y + z for x, y, z in zip(lead, *g))
+        if order.compare(lead, tail) == 0:
+            return None
+        if order.compare(lead, tail) < 0:
+            lead, tail = tail, lead
+    while (g := first_divisor(tail)) is not None:
+        tail = tuple(x - y + z for x, y, z in zip(tail, *g))
+        if tail == lead:
+            return None
+    return lead, tail
+
+
+@st.composite
+def binomial_generators(draw):
+    """Pure-difference binomials in 3-6 variables and a cheapest variable."""
+    nvars = draw(st.integers(3, 6))
+    monomial = st.tuples(*[st.integers(0, 2)] * nvars)
+    gens = draw(st.lists(st.tuples(monomial, monomial), min_size=1, max_size=5))
+    return nvars, gens, draw(st.integers(0, nvars - 1))
+
+
+class TestEngineOracles:
+    @settings(max_examples=40, deadline=None)
+    @given(binomial_generators())
+    def test_buchberger_matches_sympy(self, case):
+        import sympy
+
+        nvars, gens, cheapest = case
+        ours = toric.buchberger(gens, toric.DegrevlexOrder(nvars, cheapest))
+        # sympy's grevlex breaks degree ties at its last generator first
+        perm = [v for v in range(nvars) if v != cheapest] + [cheapest]
+        xs = sympy.symbols(f"x0:{nvars}")
+        syms = [xs[v] for v in perm]
+
+        def monomial(exps):
+            return sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+
+        polys = [monomial(a) - monomial(b) for a, b in gens if a != b]
+        theirs = set()
+        if polys:
+            for poly in sympy.groebner(polys, *syms, order="grevlex").exprs:
+                terms = sympy.Poly(poly, *syms).terms()
+                assert sorted(c for _, c in terms) == [-1, 1]
+                theirs.add(frozenset(
+                    tuple(m[perm.index(v)] for v in range(nvars)) for m, _ in terms
+                ))
+        assert len(ours) == len(theirs)
+        assert {frozenset(g) for g in ours} == theirs
+
+    def test_reduce_to_zero_matches_plain_reduction(self, inc632, gb632, markov632):
+        rng = Random(632)
+        a = inc632.matrix
+        order = toric.DegrevlexOrder(20)
+        pairs = [(g.plus, g.minus) for g in gb632.elements]
+        moves = [b.vector for b in markov632.elements]
+        queries = []
+        while len(queries) < 60:
+            u = [0] * 20
+            for _ in range(rng.randint(1, 12)):
+                c = rng.choice((-3, -2, -1, 1, 2, 3))
+                u = [x + c * y for x, y in zip(u, rng.choice(moves))]
+            if any(u):
+                queries.append((u, True))
+        while len(queries) < 120:
+            u = [rng.randint(-4, 4) for _ in range(20)]
+            if any(a.mat_vec(u)):
+                queries.append((u, False))
+        for u, member in queries:
+            b = toric.Binomial.from_vector(u)
+            nf = plain_normal_form(b.plus, b.minus, pairs, order)
+            assert toric._normal_form(b.plus, b.minus, pairs, order) == nf
+            assert toric.reduce_to_zero(b, gb632) is (nf is None) is member
 
 
 class TestStructure632:
@@ -247,6 +334,50 @@ class TestGraver:
         monkeypatch.setattr(toric, "buchberger", forbidden)
         monkeypatch.setattr(toric, "saturate_binomials", forbidden)
         assert len(toric.graver_basis(build_matrix(5, 3, 1)).elements) == 30
+
+
+def plain_conformal_remainder(s, moves):
+    """Oracle for _conformal_remainder: the same subtractions, each fit
+    decided on the exponents alone."""
+
+    def inside(d, m):
+        return all(x <= y for x, y in zip(d, m))
+
+    changed = True
+    while changed:
+        changed = False
+        for gp, gm in moves:
+            if inside(gp, s[0]) and inside(gm, s[1]):
+                h = gp, gm
+            elif inside(gm, s[0]) and inside(gp, s[1]):
+                h = gm, gp
+            else:
+                continue
+            s = tuple(x - y for x, y in zip(s[0], h[0])), tuple(x - y for x, y in zip(s[1], h[1]))
+            changed = True
+    return s if any(s[0]) or any(s[1]) else None
+
+
+def halves(u):
+    return tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u)
+
+
+@st.composite
+def remainder_cases(draw):
+    """A vector and a list of nonzero moves in 2-8 coordinates, as halves."""
+    n = draw(st.integers(2, 8))
+    moves = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any),
+                          min_size=1, max_size=10))
+    s = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    return halves(s), [halves(m) for m in moves]
+
+
+@settings(max_examples=200, deadline=None)
+@given(remainder_cases())
+def test_conformal_remainder_matches_plain(case):
+    s, moves = case
+    masks = [toric._move_masks(g) for g in moves]
+    assert toric._conformal_remainder(s, moves, masks) == plain_conformal_remainder(s, moves)
 
 
 def box_scan_primitive(u, a):
