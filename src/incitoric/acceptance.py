@@ -261,13 +261,13 @@ def criterion_10(ws: Workspace) -> Tuple[bool, str]:
 def criterion_11(ws: Workspace) -> Tuple[bool, str]:
     oct_ = complexes.octahedron()
     rep = complexes.verify(oct_)
-    b = complexes.orientation_binomial(oct_, rep.orientation)
+    b = complexes.orientation_binomial(oct_, rep)
     qp, qm = _displayed_quartic()
     quartic = toric.Binomial.from_subsets(20, qp, qm)
     ok = {b.plus, b.minus} == {quartic.plus, quartic.minus}
     cf = complexes.crossflip_example()
     repc = complexes.verify(cf)
-    bc = complexes.orientation_binomial(cf, repc.orientation)
+    bc = complexes.orientation_binomial(cf, repc)
     plus = [(1, 4, 6), (2, 3, 6), (1, 3, 5), (2, 4, 5), (6, 7, 8), (1, 7, 9), (3, 8, 9)]
     minus = [(7, 8, 9), (1, 6, 7), (3, 6, 8), (1, 3, 9), (2, 4, 6), (1, 4, 5), (2, 3, 5)]
     displayed = toric.Binomial.from_subsets(comb(9, 3), plus, minus)

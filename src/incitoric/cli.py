@@ -203,7 +203,7 @@ def _cmd_complex(args) -> int:
         _emit({"file": args.file, "report": report.as_dict()}, args)
         return EXIT_OK
     try:
-        binom = complexes.orientation_binomial(delta, report.orientation)
+        binom = complexes.orientation_binomial(delta, report)
     except IncitoricError as e:
         print(f"cannot build orientation binomial: {e}", file=sys.stderr)
         return EXIT_VERIFICATION

@@ -310,14 +310,14 @@ def _orientation(delta: SimplicialComplex, ridges: Dict, coloring: Optional[Colo
     return True, Orientation(gen)
 
 
-def orientation_binomial(delta: SimplicialComplex, orientation: Orientation) -> Binomial:
-    """Binomial of the (n, k, k-1) lattice ideal induced by an orientation.
+def orientation_binomial(delta: SimplicialComplex, report: VerifyReport) -> Binomial:
+    """Binomial of the (n, k, k-1) lattice ideal induced by the orientation
+    of ``report``, which is ``verify(delta)``.
 
     Requires a balanced orientable normal pseudomanifold without boundary
-    of dimension k-1 >= 2; kernel membership and primitivity are asserted
-    on the result.
+    of dimension k-1 >= 2; the signs, the cycle condition, kernel
+    membership and primitivity are re-checked on the result.
     """
-    report = verify(delta)
     failures = []
     if not report.pseudomanifold:
         failures.append("pseudomanifold")
@@ -334,6 +334,7 @@ def orientation_binomial(delta: SimplicialComplex, orientation: Orientation) -> 
         failures.append("dimension >= 2")
     if failures:
         raise PreconditionFailed("hypotheses not satisfied: " + ", ".join(failures))
+    orientation = report.orientation
     if len(orientation.epsilon) != len(delta.facets) or any(
         abs(e) != 1 for e in orientation.epsilon
     ):

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
-from typing import Iterable, Optional, Sequence, Tuple
+from math import isqrt
+from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameters, CertificateError, CompositeModulus, DimensionMismatch
 
@@ -68,17 +68,6 @@ class IntMatrix:
         }
 
 
-def clear_denominators(values: Sequence) -> Tuple[tuple, int]:
-    """Integers ``ns`` and the least ``d > 0`` with ``values[i] == ns[i] / d``.
-
-    Reads only ``numerator`` and ``denominator``, which ints have too, so
-    integer input comes back unchanged with ``d == 1``.
-    """
-    # lists, not generators: see the note on tuples in the lp module
-    d = lcm(*[v.denominator for v in values])
-    return tuple([v.numerator * (d // v.denominator) for v in values]), d
-
-
 @dataclass(frozen=True)
 class HnfResult:
     """Column Hermite normal form ``h`` with unimodular ``u``, ``m @ u == h``."""
@@ -103,16 +92,6 @@ class LatticeBasis:
     @property
     def rank(self) -> int:
         return len(self.vectors)
-
-    def combination(self, coeffs: Sequence[int]) -> tuple:
-        if len(coeffs) != len(self.vectors):
-            raise DimensionMismatch("coefficient count does not match rank")
-        out = [0] * self.ambient_dim
-        for c, v in zip(coeffs, self.vectors):
-            if c:
-                for i, x in enumerate(v):
-                    out[i] += c * x
-        return tuple(out)
 
 
 def hnf(m: IntMatrix) -> HnfResult:
@@ -346,8 +325,8 @@ def _basis_solver(basis: LatticeBasis) -> HnfSolver:
 def lattice_member(basis: LatticeBasis, v: Sequence[int]) -> Optional[tuple]:
     """Integer coefficients expressing ``v`` in the basis, or None.
 
-    The certificate recomputes to ``v`` exactly; callers may re-verify via
-    ``basis.combination``.
+    The certificate recomputes to ``v`` exactly: the sum of ``c_i`` times
+    the i-th basis vector is ``v``.
     """
     if len(v) != basis.ambient_dim:
         raise DimensionMismatch("vector length does not match ambient dimension")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from functools import cached_property, partial
 
@@ -22,7 +22,7 @@ from . import exactmath
 from .combinat import subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig, parallel_map
 from .errors import BadParameters, BudgetExceeded, CertificateError, PreconditionFailed
-from .exactmath import IntMatrix, clear_denominators
+from .exactmath import IntMatrix
 from .incidence import IncidenceMatrix
 from .lp import LinearConstraint, RationalLpProblem, lp_feasible
 
@@ -48,11 +48,6 @@ class PointConfig:
                 raise BadParameters("incidence columns left the degree hyperplane")
         return cls(pts, inc.col_labels, inc)
 
-    @classmethod
-    def from_points(cls, pts: Iterable[Sequence[int]]) -> "PointConfig":
-        pts = tuple(tuple(int(x) for x in p) for p in pts)
-        return cls(pts, tuple(range(len(pts))))
-
     @property
     def ambient_dim(self) -> int:
         return len(self.points[0]) if self.points else 0
@@ -61,8 +56,8 @@ class PointConfig:
     def dependence_rows(self) -> tuple:
         """The rows sum_i v_i p_i = 0 (one per coordinate) and sum_i v_i = 0
         of every face LP over this configuration, built on first use."""
-        rows = [LinearConstraint.of([p[r] for p in self.points], "=", 0) for r in range(self.ambient_dim)]
-        rows.append(LinearConstraint.of([1] * len(self.points), "=", 0))
+        rows = [LinearConstraint.of([p[r] for p in self.points], 0) for r in range(self.ambient_dim)]
+        rows.append(LinearConstraint.of([1] * len(self.points), 0))
         return tuple(rows)
 
     @cached_property
@@ -104,17 +99,15 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
         zero = tuple(Fraction(0) for _ in range(nd))
         return FaceCertificate(True, (zero, Fraction(0)), None)
 
-    cons = [
-        *cfg.dependence_rows,
-        LinearConstraint.of([0 if i in inside else 1 for i in range(m)], "=", 1),
-    ]
-    nonneg = [i not in inside for i in range(m)]
-    problem = RationalLpProblem.of([0] * m, cons, nonneg)
+    cons = [*cfg.dependence_rows, LinearConstraint.of([0 if i in inside else 1 for i in range(m)], 1)]
+    problem = RationalLpProblem.of(cons, [i not in inside for i in range(m)])
     res = lp_feasible(problem)
 
     # tuples from lists, not generators: see the note in the lp module
     if res.status == "optimal":
-        witness = tuple([-x for x in clear_denominators(res.point)[0]])
+        # the point is values / den; the witness is its negative, primitive
+        g = gcd(res.den, *res.values)
+        witness = tuple([-x // g for x in res.values])
         if not _is_affine_dependence(cfg, witness):
             raise CertificateError("face witness is not an affine dependence")
         if any(witness[j] > 0 for j in outside) or not any(witness[j] < 0 for j in outside):
@@ -123,18 +116,18 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
 
     if res.status != "infeasible":
         raise CertificateError(f"face LP came back {res.status}")
-    lam = res.farkas
+    # den times the multipliers w, w_aff, then the outside weight's
+    lam = res.values
     if lam[nd + 1] >= 0:
         raise CertificateError("Farkas multiplier of the outside weight is not negative")
-    # c = -w and beta = w_aff, where w, w_aff are the first nd + 1
-    # multipliers; checked as integers (times the common denominator)
-    ws, _ = clear_denominators(lam[: nd + 1])
-    c_int, beta_int = [-x for x in ws[:nd]], ws[nd]
+    # c = -w and beta = w_aff, checked as integers (times den)
+    c_int, beta_int = [-x for x in lam[:nd]], lam[nd]
     if any(_dot(c_int, cfg.points[i]) != beta_int for i in inside):
         raise CertificateError("supporting functional misses a subset point")
     if any(_dot(c_int, cfg.points[j]) >= beta_int for j in outside):
         raise CertificateError("supporting functional does not separate an outside point")
-    return FaceCertificate(True, (tuple([-x for x in lam[:nd]]), lam[nd]), None)
+    functional = tuple([Fraction(x, res.den) for x in c_int])
+    return FaceCertificate(True, (functional, Fraction(beta_int, res.den)), None)
 
 
 def _dot(c, p):
@@ -161,34 +154,19 @@ class NeighborlinessReport:
 
 
 def neighborliness(
-    cfg: PointConfig,
-    s_max: int,
-    config: RunConfig = DEFAULT_CONFIG,
-    witness_hints: Optional[Iterable[Tuple[int, ...]]] = None,
+    cfg: PointConfig, s_max: int, config: RunConfig = DEFAULT_CONFIG
 ) -> NeighborlinessReport:
     """Largest s <= s_max with every <= s-subset a face.
 
     Sizes are tested exhaustively in colex order; at the first failing
-    size the witness is reported.  ``witness_hints`` are candidate
-    subsets tried before the exhaustive scan of their size (pod supports
-    make good hints).
+    size the witness is reported.
     """
     m = len(cfg.points)
-    hints: Dict[int, List[tuple]] = {}
-    for h in witness_hints or ():
-        hints.setdefault(len(h), []).append(tuple(sorted(h)))
     tested = 0
     for s in range(1, s_max + 1):
         if comb(m, s) > config.box_budget:
             raise BudgetExceeded(f"C({m},{s}) face tests exceed the budget")
-        seen = set()
-        for subset in hints.get(s, []):
-            seen.add(subset)
-            tested += 1
-            cert = is_face(cfg, subset)
-            if not cert.is_face:
-                return NeighborlinessReport(s - 1, s_max, tested, (subset, cert.witness))
-        subsets = [c for c in subsets_colex(m, s, first=0) if c not in seen]
+        subsets = list(subsets_colex(m, s, first=0))
         if config.workers > 1:
             flags = parallel_map(partial(_face_flag, cfg), subsets, config.workers)
             tested += len(subsets)
@@ -219,9 +197,6 @@ class SupportingHyperplane:
     bound: int  # C(k, t)
     on_hyperplane: tuple  # queried point indices
     strictly_below: int  # witness point index off the hyperplane
-
-    def value(self, point: Sequence[int], row_index: Dict[tuple, int]) -> int:
-        return sum(point[row_index[t]] for t in self.tsets)
 
 
 def supporting_hyperplane(

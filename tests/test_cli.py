@@ -90,8 +90,9 @@ def test_face_command(capsys):
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["is_face"] is False
-    assert set(payload["witness"]) <= {
-        "136", "246", "145", "235", "146", "236", "245", "135"
+    # the pod's quartic, +1 on the queried support and -1 on the other half
+    assert payload["witness"] == {
+        "136": 1, "246": 1, "145": 1, "235": 1, "146": -1, "236": -1, "245": -1, "135": -1,
     }
 
     code, out = run_cli(

@@ -1,5 +1,7 @@
 """Pseudomanifold certificates, boundary matrices, orientation binomials."""
 
+from dataclasses import replace
+
 import pytest
 
 from incitoric import complexes as cx
@@ -156,7 +158,7 @@ class TestOrientationBinomial:
     def test_octahedron_quartic(self):
         oc = cx.octahedron()
         rep = cx.verify(oc)
-        b = cx.orientation_binomial(oc, rep.orientation)
+        b = cx.orientation_binomial(oc, rep)
         plus, minus = subsets_to_binomial_parts(b, 6, 3)
         displayed_plus = {(1, 3, 6), (2, 4, 6), (1, 4, 5), (2, 3, 5)}
         displayed_minus = {(1, 4, 6), (2, 3, 6), (2, 4, 5), (1, 3, 5)}
@@ -168,7 +170,7 @@ class TestOrientationBinomial:
     def test_crosspolytope4_degree_eight(self):
         cp = cx.crosspolytope(4)
         rep = cx.verify(cp)
-        b = cx.orientation_binomial(cp, rep.orientation)
+        b = cx.orientation_binomial(cp, rep)
         assert b.degree == 8
         inc = build_matrix(8, 4, 3)
         assert not any(inc.matrix.mat_vec(b.vector))
@@ -178,7 +180,7 @@ class TestOrientationBinomial:
         # its box has 2^32 entries; meet-in-the-middle lists two of 2^16
         cp = cx.crosspolytope(5)
         rep = cx.verify(cp)
-        b = cx.orientation_binomial(cp, rep.orientation)
+        b = cx.orientation_binomial(cp, rep)
         assert b.degree == 16
         inc = build_matrix(10, 5, 4)
         assert not any(inc.matrix.mat_vec(b.vector))
@@ -189,7 +191,7 @@ class TestOrientationBinomial:
         assert len(cf.facets) == 14
         rep = cx.verify(cf)
         assert rep.balanced and rep.orientable and rep.normal and rep.boundaryless
-        b = cx.orientation_binomial(cf, rep.orientation)
+        b = cx.orientation_binomial(cf, rep)
         plus, minus = subsets_to_binomial_parts(b, 9, 3)
         assert plus == {(1, 4, 6), (2, 3, 6), (1, 3, 5), (2, 4, 5), (6, 7, 8), (1, 7, 9), (3, 8, 9)}
         assert minus == {(7, 8, 9), (1, 6, 7), (3, 6, 8), (1, 3, 9), (2, 4, 6), (1, 4, 5), (2, 3, 5)}
@@ -199,13 +201,14 @@ class TestOrientationBinomial:
         tri = cx.SimplicialComplex.from_facets(3, [(1, 2, 3)])
         rep = cx.verify(tri)
         with pytest.raises(PreconditionFailed) as err:
-            cx.orientation_binomial(tri, cx.Orientation((1,)))
+            cx.orientation_binomial(tri, rep)
         assert "without boundary" in str(err.value)
 
     def test_bad_epsilon_rejected(self):
         oc = cx.octahedron()
-        with pytest.raises(PreconditionFailed):
-            cx.orientation_binomial(oc, cx.Orientation((1,) * 8))
+        rep = replace(cx.verify(oc), orientation=cx.Orientation((1,) * 8))
+        with pytest.raises(PreconditionFailed, match="not a cycle"):
+            cx.orientation_binomial(oc, rep)
 
 
 class TestFileFormat:

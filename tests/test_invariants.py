@@ -87,8 +87,8 @@ def test_no_assert_in_library():
     assert found == []
 
 
-# the only module-level names of the package that no code of the package
-# loads, each with the reason it stays
+# the only names of the package (module-level, or methods) that no code of
+# the package loads, each with the reason it stays
 UNCALLED_ON_PURPOSE = {
     "solve_rational": "the benchmark's tracer wraps it by name",
     "lattice_member": "the benchmark's tracer wraps it by name",
@@ -96,25 +96,44 @@ UNCALLED_ON_PURPOSE = {
 }
 
 
-def _loads(root):
+BY_NAME = (ast.Name, ast.Attribute)
+BY_ATTRIBUTE = (ast.Attribute,)
+
+
+def _loads(root, kinds=BY_NAME):
     return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for node in ast.walk(root)
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        if isinstance(node, kinds) and isinstance(node.ctx, ast.Load)
     )
 
 
+def _definitions(tree):
+    """Module-level functions and classes, loaded by name or attribute,
+    and the methods of those classes, loaded by attribute; dunders
+    (``__post_init__`` and the other hooks Python calls) are skipped."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, BY_NAME
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item, BY_ATTRIBUTE
+
+
 def test_every_library_name_has_a_library_caller():
-    # a module-level function or class is used when code of the package
-    # outside its own body loads it by name; imports do not count
+    # a name is used when code of the package outside its own body loads
+    # it (a method as an attribute of any object); imports do not count
     package = Path(incitoric.__file__).parent
     trees = [ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))]
-    loads = sum(map(_loads, trees), Counter())
+    loads = {
+        kinds: sum((_loads(tree, kinds) for tree in trees), Counter())
+        for kinds in (BY_NAME, BY_ATTRIBUTE)
+    }
     uncalled = {
         node.name
         for tree in trees
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and loads[node.name] == _loads(node)[node.name]
+        for node, kinds in _definitions(tree)
+        if loads[kinds][node.name] == _loads(node, kinds)[node.name]
     }
     assert uncalled == set(UNCALLED_ON_PURPOSE)

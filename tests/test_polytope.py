@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incitoric
-from incitoric import designs, exactmath, polytope
+from incitoric import exactmath, polytope
 from incitoric.combinat import colex_rank
 from incitoric.errors import BadParameters, CertificateError, PreconditionFailed
 from incitoric.exactmath import IntMatrix
@@ -25,6 +25,12 @@ from incitoric.polytope import (
     placing_triangulation,
     supporting_hyperplane,
 )
+
+
+def points_config(pts):
+    """A configuration of integer points labelled by their indices."""
+    pts = tuple(tuple(p) for p in pts)
+    return PointConfig(pts, tuple(range(len(pts))))
 
 
 @pytest.fixture(scope="module")
@@ -77,19 +83,17 @@ class TestNeighborliness:
         assert rep.neighborliness == 3
         assert rep.subsets_tested == 20 + 190 + 1140
 
-    def test_632_size_four_witness_found(self, cfg632):
-        pod_supports = [
-            tuple(sorted(colex_rank(s) for s in designs.pod_expand(p, 6).positive_support))
-            for p in designs.pods(6, 3, 2)
-        ]
-        rep = neighborliness(cfg632, 4, witness_hints=pod_supports)
-        assert rep.neighborliness == 3
-        assert rep.non_face_witness is not None
-        subset, witness = rep.non_face_witness
-        assert len(subset) == 4 and any(witness)
+    def test_square_diagonal_witness_found(self):
+        # every vertex is a face; the first pair in colex order that is
+        # not is the diagonal (1,0), (0,1), refuted by p1 + p2 = p0 + p3
+        cfg = points_config([(0, 0), (1, 0), (0, 1), (1, 1)])
+        rep = neighborliness(cfg, 3)
+        assert rep.neighborliness == 1
+        assert rep.subsets_tested == 4 + 3
+        assert rep.non_face_witness == ((1, 2), (-1, 1, 1, -1))
 
     def test_simplex_everything_is_a_face(self):
-        cfg = PointConfig.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        cfg = points_config([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
         rep = neighborliness(cfg, 4)
         assert rep.neighborliness == 4
         assert rep.non_face_witness is None
@@ -104,7 +108,7 @@ class TestSupportingHyperplane:
         assert sh.bound == 3
         row_index = {t: i for i, t in enumerate(inc.row_labels)}
         v456 = cfg.points[colex_rank((4, 5, 6))]
-        assert sh.value(v456, row_index) == 0
+        assert sum(v456[row_index[t]] for t in sh.tsets) == 0
 
     def test_three_vertices(self):
         inc = build_matrix(7, 3, 2)
@@ -127,23 +131,23 @@ class TestSupportingHyperplane:
 
 class TestPlacing:
     def test_three_independent_points(self):
-        cfg = PointConfig.from_points([(0, 0), (1, 0), (0, 1)])
+        cfg = points_config([(0, 0), (1, 0), (0, 1)])
         tri = placing_triangulation(cfg)
         assert tri.simplices == ((0, 1, 2),)
 
     def test_unit_square(self):
-        cfg = PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)])
+        cfg = points_config([(0, 0), (1, 0), (0, 1), (1, 1)])
         tri = placing_triangulation(cfg)
         assert len(tri.simplices) == 2
         assert normalized_volume(cfg, "euclidean", tri) == 2
 
     def test_segment_volume(self):
-        cfg = PointConfig.from_points([(0, 0), (2, 0)])
+        cfg = points_config([(0, 0), (2, 0)])
         assert normalized_volume(cfg, "euclidean") == 2
         assert normalized_volume(cfg, "column_lattice") == 1
 
     def test_point_inside_current_hull_is_skipped(self):
-        cfg = PointConfig.from_points([(0, 0), (2, 0), (1, 0), (0, 1)])
+        cfg = points_config([(0, 0), (2, 0), (1, 0), (0, 1)])
         tri = placing_triangulation(cfg)
         assert tri.skipped == (2,)
         assert tri.simplices == ((0, 1, 3),)
@@ -230,7 +234,7 @@ class TestVolumes:
     def test_degenerate_simplex_raises(self, monkeypatch):
         monkeypatch.setattr(exactmath, "determinant", lambda m: 0)
         with pytest.raises(CertificateError, match="degenerate simplex"):
-            normalized_volume(PointConfig.from_points([(0, 0), (1, 0), (0, 1)]))
+            normalized_volume(points_config([(0, 0), (1, 0), (0, 1)]))
 
     def test_degenerate_simplex_raises_under_python_O(self):
         # the check is an explicit raise, not an assert, so -O keeps it
@@ -240,7 +244,7 @@ class TestVolumes:
             "from incitoric.polytope import PointConfig, normalized_volume\n"
             "exactmath.determinant = lambda m: 0\n"
             "try:\n"
-            "    normalized_volume(PointConfig.from_points([(0, 0), (1, 0), (0, 1)]))\n"
+            "    normalized_volume(PointConfig(((0, 0), (1, 0), (0, 1)), (0, 1, 2)))\n"
             "except CertificateError as e:\n"
             "    print(e)\n"
         )
@@ -329,7 +333,7 @@ def point_sets_with_order(draw):
     pairs = draw(st.lists(st.tuples(index, index), max_size=4))
     mids = [tuple((a + b) // 2 for a, b in zip(base[i], base[j])) for i, j in pairs]
     pts = list(dict.fromkeys(base + mids))
-    return PointConfig.from_points(pts), draw(st.permutations(range(len(pts))))
+    return points_config(pts), draw(st.permutations(range(len(pts))))
 
 
 class TestPencilUpdates:
@@ -369,7 +373,7 @@ class TestPencilUpdates:
     def test_corrupted_pencil_raises(self, monkeypatch, corrupt, message):
         monkeypatch.setattr(polytope, "_reduced", corrupt)
         with pytest.raises(CertificateError, match=message):
-            placing_triangulation(PointConfig.from_points([(0, 0), (1, 0), (0, 1), (1, 1)]))
+            placing_triangulation(points_config([(0, 0), (1, 0), (0, 1), (1, 1)]))
 
     def test_corrupted_pencil_raises_under_python_O(self):
         # the re-check is an explicit raise, not an assert, so -O keeps it
@@ -378,7 +382,7 @@ class TestPencilUpdates:
             "from incitoric.errors import CertificateError\n"
             "polytope._reduced = lambda g, beta: (tuple(g), beta + 1)\n"
             "try:\n"
-            "    polytope.placing_triangulation(polytope.PointConfig.from_points([(0, 0), (1, 0), (0, 1)]))\n"
+            "    polytope.placing_triangulation(polytope.PointConfig(((0, 0), (1, 0), (0, 1)), (0, 1, 2)))\n"
             "except CertificateError as e:\n"
             "    print(e)\n"
         )
