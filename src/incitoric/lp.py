@@ -1,12 +1,13 @@
 """Exact feasibility of ``A x = b`` with integer data and some ``x_j >= 0``.
 
-This is the one LP the face test poses: integer equality rows, variables
-flagged non-negative (one column) or free (split into a difference of
-non-negatives), and no objective.  Phase one of a dense-tableau simplex
-decides it in integers from input to certificate: every row gets an
-artificial, each tableau row is an integer vector with one positive
-denominator, so a pivot is integer cross multiplication followed by a gcd
-reduction and the ratio test never leaves the integers.
+Integer equality rows, variables flagged non-negative (one column) or
+free (split into a difference of non-negatives), and no objective.  The
+face test poses it with one row per Gale coordinate and every variable
+non-negative.  Phase one of a dense-tableau simplex decides it in
+integers from input to certificate: every row gets an artificial, each
+tableau row is an integer vector with one positive denominator, so a
+pivot is integer cross multiplication followed by a gcd reduction and
+the ratio test never leaves the integers.
 
 Pivoting is deterministic: steepest Dantzig descent with smallest-index
 tie-breaks, falling back to Bland's rule after a fixed pivot count so

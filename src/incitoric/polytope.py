@@ -2,17 +2,19 @@
 exact face tests with certificates, neighborliness, placing
 triangulations and normalized volumes.
 
-A subset of points is a face exactly when no affine dependence has its
-negative part outside the subset; the face test solves that dependence
-system as a single LP, so a yes comes with a supporting functional (from
-the Farkas certificate) and a no with an integer kernel witness whose
-positive support lies inside the queried subset.
+A subset S of points is a face exactly when the Gale vectors of the
+points outside S have a strictly positive linear dependence (Ziegler,
+*Lectures on Polytopes*, Lecture 6; De Loera, Rambau and Santos,
+*Triangulations*, ch. 4).  The face test decides that as one LP in the
+r = m - rank[P; 1] Gale coordinates, so a yes comes with a supporting
+functional (the dependence is the functional's slack vector) and a no
+with an integer affine dependence, from the Farkas certificate, whose
+positive support lies inside S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, gcd
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -53,12 +55,12 @@ class PointConfig:
         return len(self.points[0]) if self.points else 0
 
     @cached_property
-    def dependence_rows(self) -> tuple:
-        """The rows sum_i v_i p_i = 0 (one per coordinate) and sum_i v_i = 0
-        of every face LP over this configuration, built on first use."""
-        rows = [LinearConstraint.of([p[r] for p in self.points], 0) for r in range(self.ambient_dim)]
-        rows.append(LinearConstraint.of([1] * len(self.points), 0))
-        return tuple(rows)
+    def gale(self) -> "GaleDual":
+        """The Gale dual, from one column HNF of ``[P; 1]``, computed on the
+        first face test of the configuration."""
+        res = exactmath.hnf(IntMatrix.from_rows([*zip(*self.points), (1,) * len(self.points)]))
+        rank = len(res.pivots)
+        return GaleDual(tuple([row[rank:] for row in res.u.entries]), res)
 
     @cached_property
     def column_lattice_solver(self) -> exactmath.HnfSolver:
@@ -74,18 +76,58 @@ class PointConfig:
 @dataclass(frozen=True)
 class FaceCertificate:
     is_face: bool
-    functional: Optional[tuple]  # (c, beta): c.p = beta on the face, c.p < beta off it
+    functional: Optional[tuple]  # integer (c, beta): c.p = beta on the face, c.p < beta off it
     witness: Optional[tuple]  # integer affine dependence, positive support inside subset
+
+
+@dataclass(frozen=True)
+class GaleDual:
+    """``[P; 1] U = H`` with ``U`` unimodular: the columns of ``U`` past
+    the rank of ``H`` are a basis of the integer affine dependences, so
+    row j of ``U`` past the rank is the Gale vector of point j, and the
+    staircase of ``H`` turns the slack vector of a functional back into
+    the functional."""
+
+    vectors: tuple  # one Gale vector of length r per point
+    hnf: exactmath.HnfResult
+
+    def functional_with_slacks(self, slacks: Sequence[int]) -> tuple:
+        """Integers (c, beta, den), den > 0, with ``c . p_j - beta ==
+        den * slacks[j]`` at every point when ``slacks`` is orthogonal to
+        every Gale vector, by integer back-substitution through the
+        staircase.  Otherwise no functional has these slacks and the
+        equation fails somewhere; the caller re-checks it."""
+        h, u = self.hnf.h.entries, self.hnf.u.entries
+        nz = [(i, z) for i, z in enumerate(slacks) if z]
+        # y . H = slacks . U on the pivot columns, y zero off the pivot
+        # rows; column k of H is zero above its pivot row, so solve from
+        # the last pivot up, scaling y by ``den`` to stay in the integers
+        y = [0] * len(h)
+        den = 1
+        for pi, pk in reversed(self.hnf.pivots):
+            rest = sum([y[i] * h[i][pk] for i in range(pi + 1, len(h)) if y[i]])
+            num = den * sum([z * u[i][pk] for i, z in nz]) - rest
+            piv = h[pi][pk]
+            scale = piv // gcd(num, piv)
+            if scale > 1:
+                den *= scale
+                num *= scale
+                y = [x * scale for x in y]
+            y[pi] = num // piv
+        return y[:-1], -y[-1], den
 
 
 def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
     """Exact face test with a certificate either way.
 
-    Solves for an affine dependence v with v >= 0 outside the subset and
-    total outside weight 1: existence refutes the face (witness -v has
-    positive support inside the subset), and the Farkas multipliers of
-    the insoluble system assemble the supporting functional.  Both are
-    re-checked in integers; a failed check raises CertificateError.
+    Solves for nu >= 0 with sum_{j not in S} (1 + nu_j) G_j = 0 over the
+    Gale vectors G_j: a solution is a strictly positive dependence mu of
+    the outside Gale vectors, hence the slack vector of a functional that
+    is zero on the subset and -mu off it; the Farkas multipliers y of an
+    insoluble system give the affine dependence v_j = y . G_j, which is
+    non-negative outside and positive somewhere there, so -v refutes the
+    face.  Both are re-checked in integers; a failed check raises
+    CertificateError.
     """
     subset = sorted(set(subset))
     m = len(cfg.points)
@@ -93,41 +135,46 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
         raise BadParameters("subset must name existing points")
     inside = set(subset)
     outside = [j for j in range(m) if j not in inside]
-    nd = cfg.ambient_dim
 
     if not outside:
-        zero = tuple(Fraction(0) for _ in range(nd))
-        return FaceCertificate(True, (zero, Fraction(0)), None)
+        return FaceCertificate(True, ((0,) * cfg.ambient_dim, 0), None)
 
-    cons = [*cfg.dependence_rows, LinearConstraint.of([0 if i in inside else 1 for i in range(m)], 1)]
-    problem = RationalLpProblem.of(cons, [i not in inside for i in range(m)])
-    res = lp_feasible(problem)
-
+    gale = cfg.gale.vectors
     # tuples from lists, not generators: see the note in the lp module
+    cons = [
+        LinearConstraint.of([gale[j][i] for j in outside], -sum([gale[j][i] for j in outside]))
+        for i in range(len(gale[0]))
+    ]
+    res = lp_feasible(RationalLpProblem.of(cons, [True] * len(outside)))
+
     if res.status == "optimal":
-        # the point is values / den; the witness is its negative, primitive
-        g = gcd(res.den, *res.values)
-        witness = tuple([-x // g for x in res.values])
-        if not _is_affine_dependence(cfg, witness):
-            raise CertificateError("face witness is not an affine dependence")
-        if any(witness[j] > 0 for j in outside) or not any(witness[j] < 0 for j in outside):
-            raise CertificateError("face witness has positive support outside the subset")
-        return FaceCertificate(False, None, witness)
+        # den * mu = den + values off the subset; the slack vector is -mu
+        slacks = [0] * m
+        for j, x in zip(outside, res.values):
+            slacks[j] = -(res.den + x)
+        c, beta, den = cfg.gale.functional_with_slacks(slacks)
+        values = [_dot(c, p) - beta for p in cfg.points]
+        if values != [den * z for z in slacks]:
+            raise CertificateError("supporting functional does not recombine to its slack vector")
+        if any(values[i] for i in inside):
+            raise CertificateError("supporting functional misses a subset point")
+        if any(values[j] >= 0 for j in outside):
+            raise CertificateError("supporting functional does not separate an outside point")
+        return FaceCertificate(True, _reduced(c, beta), None)
 
     if res.status != "infeasible":
         raise CertificateError(f"face LP came back {res.status}")
-    # den times the multipliers w, w_aff, then the outside weight's
-    lam = res.values
-    if lam[nd + 1] >= 0:
-        raise CertificateError("Farkas multiplier of the outside weight is not negative")
-    # c = -w and beta = w_aff, checked as integers (times den)
-    c_int, beta_int = [-x for x in lam[:nd]], lam[nd]
-    if any(_dot(c_int, cfg.points[i]) != beta_int for i in inside):
-        raise CertificateError("supporting functional misses a subset point")
-    if any(_dot(c_int, cfg.points[j]) >= beta_int for j in outside):
-        raise CertificateError("supporting functional does not separate an outside point")
-    functional = tuple([Fraction(x, res.den) for x in c_int])
-    return FaceCertificate(True, (functional, Fraction(beta_int, res.den)), None)
+    # den times the Farkas multipliers y; the dependence is v_j = y . G_j
+    v = [_dot(res.values, g) for g in gale]
+    g = gcd(*v)
+    if not g:
+        raise CertificateError("Farkas multipliers combine to the zero dependence")
+    witness = tuple([-x // g for x in v])
+    if not _is_affine_dependence(cfg, witness):
+        raise CertificateError("face witness is not an affine dependence")
+    if any(witness[j] > 0 for j in outside) or not any(witness[j] < 0 for j in outside):
+        raise CertificateError("face witness has positive support outside the subset")
+    return FaceCertificate(False, None, witness)
 
 
 def _dot(c, p):

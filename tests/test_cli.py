@@ -3,6 +3,7 @@
 import json
 
 from incitoric.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
+from incitoric.incidence import build_matrix
 
 
 def run_cli(capsys, *argv):
@@ -95,17 +96,26 @@ def test_face_command(capsys):
         "136": 1, "246": 1, "145": 1, "235": 1, "146": -1, "236": -1, "245": -1, "135": -1,
     }
 
-    code, out = run_cli(
-        capsys, "--no-meta", "polytope", "faces", "-n", "6", "-k", "3", "-t", "2",
-        "--subset", "123,456",
-    )
+    argv = ("--no-meta", "polytope", "faces", "-n", "6", "-k", "3", "-t", "2", "--subset", "123,456")
+    code, out = run_cli(capsys, *argv)
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["is_face"] is True
+    # any functional that separates is valid: check that first, in integers
+    inc = build_matrix(6, 3, 2)
+    coeffs = [int(x) for x in payload["functional"]["coeffs"]]
+    rhs = int(payload["functional"]["rhs"])
+    for j, label in enumerate(inc.col_labels):
+        value = sum(c * x for c, x in zip(coeffs, inc.matrix.column(j)))
+        if label in ((1, 2, 3), (4, 5, 6)):
+            assert value == rhs
+        else:
+            assert value < rhs
     assert payload["functional"] == {
-        "coeffs": ["1", "1", "-3", "0", "-3", "-4", "0", "-3", "-4", "-3", "-4", "0", "1", "1", "1"],
-        "rhs": "-1",
+        "coeffs": ["0", "0", "0", "-1", "-1", "-1", "-1", "-1", "-1", "0", "-1", "-1", "-1", "0", "0"],
+        "rhs": "0",
     }
+    assert run_cli(capsys, *argv) == (EXIT_OK, out)
 
 
 def test_threepoint_check_exit_code(capsys):

@@ -188,13 +188,24 @@ def test_rejected_farkas_certificate_raises_under_python_O():
 
 
 @pytest.mark.parametrize("bogus", [
-    # a point that is no affine dependence
-    LpResult("optimal", (1,) * 20, 1),
-    # multipliers whose functional (zero) does not separate the outside points
-    LpResult("infeasible", (0,) * 16 + (-1,), 1),
+    # a point whose slack vector is orthogonal to no Gale vector, so no
+    # functional recombines to it
+    LpResult("optimal", (1,) * 18, 1),
+    # multipliers whose dependence has positive support outside the face
+    LpResult("infeasible", (0,) * 4 + (-1,), 1),
+    # multipliers that combine to the zero dependence
+    LpResult("infeasible", (0,) * 5, 1),
 ])
 def test_bogus_face_lp_result_raises(monkeypatch, bogus):
+    # the face LP of {0, 1} in (6,3,2): 5 Gale rows, 18 outside variables
     cfg = polytope.PointConfig.from_incidence(build_matrix(6, 3, 2))
-    monkeypatch.setattr(polytope, "lp_feasible", lambda problem: bogus)
+    shapes = []
+
+    def fake_lp(problem):
+        shapes.append((len(problem.constraints), len(problem.nonneg)))
+        return bogus
+
+    monkeypatch.setattr(polytope, "lp_feasible", fake_lp)
     with pytest.raises(CertificateError):
         polytope.is_face(cfg, (0, 1))
+    assert shapes == [(5, 18)]

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incitoric
-from incitoric import exactmath, polytope
-from incitoric.combinat import colex_rank
+from incitoric import designs, exactmath, polytope
+from incitoric.combinat import colex_rank, subsets_colex
 from incitoric.errors import BadParameters, CertificateError, PreconditionFailed
 from incitoric.exactmath import IntMatrix
 from incitoric.incidence import build_matrix
+from incitoric.lp import LinearConstraint, RationalLpProblem, lp_feasible
 from incitoric.polytope import (
+    FaceCertificate,
     PointConfig,
     Triangulation,
     is_face,
@@ -75,6 +78,122 @@ class TestIsFace:
         a = is_face(cfg632, [3, 7])
         b = is_face(cfg632, [3, 7])
         assert a == b
+
+
+def primal_face_oracle(cfg, subset):
+    """Oracle for is_face: the face test in primal coordinates.  One LP
+    over the d + 2 rows sum_i v_i p_i = 0, sum_i v_i = 0 and total outside
+    weight 1, with v >= 0 outside the subset: a solution refutes the face
+    (its negative is the witness), and the Farkas multipliers of an
+    insoluble system give the supporting functional."""
+    m, nd = len(cfg.points), cfg.ambient_dim
+    inside = set(subset)
+    rows = [LinearConstraint.of([p[r] for p in cfg.points], 0) for r in range(nd)]
+    rows.append(LinearConstraint.of([1] * m, 0))
+    rows.append(LinearConstraint.of([0 if i in inside else 1 for i in range(m)], 1))
+    res = lp_feasible(RationalLpProblem.of(rows, [i not in inside for i in range(m)]))
+    if res.status == "optimal":
+        g = gcd(res.den, *res.values)
+        return FaceCertificate(False, None, tuple(-x // g for x in res.values))
+    # den times the multipliers w, w_aff and the outside weight's
+    c, beta = [-x for x in res.values[:nd]], res.values[nd]
+    return FaceCertificate(True, (tuple(c), beta), None)
+
+
+def certificate_holds(cfg, subset, cert):
+    """Plain integer re-check of a face certificate of either path."""
+    inside = set(subset)
+    outside = [j for j in range(len(cfg.points)) if j not in inside]
+    if cert.is_face:
+        c, beta = cert.functional
+        dots = [sum(a * b for a, b in zip(c, p)) for p in cfg.points]
+        return all(dots[i] == beta for i in inside) and all(dots[j] < beta for j in outside)
+    w = cert.witness
+    return (
+        any(w) and sum(w) == 0
+        and all(sum(w[i] * p[r] for i, p in enumerate(cfg.points)) == 0 for r in range(cfg.ambient_dim))
+        and all(w[j] <= 0 for j in outside) and any(w[j] < 0 for j in outside)
+    )
+
+
+def pod_supports(n):
+    return [
+        [colex_rank(s) for s in designs.pod_expand(pod, n).positive_support]
+        for pod in designs.pods(n, 3, 2)
+    ]
+
+
+@pytest.fixture(scope="module")
+def cfg732():
+    return PointConfig.from_incidence(build_matrix(7, 3, 2))
+
+
+class TestGaleFaceTestAgainstPrimalOracle:
+    def assert_same_verdicts(self, cfg, subsets):
+        verdicts = []
+        for subset in subsets:
+            gale, primal = is_face(cfg, subset), primal_face_oracle(cfg, subset)
+            assert gale.is_face == primal.is_face, subset
+            assert certificate_holds(cfg, subset, gale), subset
+            assert certificate_holds(cfg, subset, primal), subset
+            verdicts.append(gale.is_face)
+        return verdicts
+
+    def test_every_small_subset_of_632(self, cfg632):
+        subsets = [s for size in (1, 2, 3) for s in subsets_colex(20, size, first=0)]
+        assert len(subsets) == 1350
+        assert all(self.assert_same_verdicts(cfg632, subsets))
+
+    def test_pod_supports(self, cfg632, cfg732):
+        supports632, supports732 = pod_supports(6), pod_supports(7)
+        assert (len(supports632), len(supports732)) == (15, 105)
+        assert not any(self.assert_same_verdicts(cfg632, supports632))
+        assert not any(self.assert_same_verdicts(cfg732, supports732))
+
+    def test_random_subsets_of_732(self, cfg732):
+        rng = random.Random(11)
+        subsets = [sorted(rng.sample(range(35), rng.randint(4, 8))) for _ in range(50)]
+        verdicts = self.assert_same_verdicts(cfg732, subsets)
+        assert 0 < sum(verdicts) < 50
+
+
+class TestGaleDual:
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_basis_spans_the_nullspace_by_sympy(self, n):
+        import sympy  # test-only oracle
+
+        cfg = PointConfig.from_incidence(build_matrix(n, 3, 2))
+        m = len(cfg.points)
+        a = sympy.Matrix([*map(list, zip(*cfg.points)), [1] * m])
+        basis = sympy.Matrix([list(g) for g in cfg.gale.vectors])  # m x r
+        r = m - a.rank()
+        assert basis.shape == (m, r) and basis.rank() == r
+        assert a * basis == sympy.zeros(a.rows, r)
+        assert r == {6: 5, 7: 14}[n]
+
+    def test_simplex_has_rank_zero_and_every_subset_is_a_face(self, monkeypatch):
+        cfg = PointConfig.from_incidence(build_matrix(7, 4, 3))
+        assert cfg.gale.vectors == ((),) * 35
+        rows = []
+
+        def counting_lp(problem):
+            rows.append(len(problem.constraints))
+            return lp_feasible(problem)
+
+        monkeypatch.setattr(polytope, "lp_feasible", counting_lp)
+        rng = random.Random(7)
+        subsets = [[j] for j in range(35)] + [rng.sample(range(35), rng.randint(2, 34)) for _ in range(30)]
+        for subset in subsets:
+            cert = is_face(cfg, subset)
+            assert cert.is_face and certificate_holds(cfg, subset, cert)
+        assert rows == [0] * len(subsets)
+
+    def test_square_has_rank_one_and_the_diagonal_witness(self):
+        cfg = points_config([(0, 0), (1, 0), (0, 1), (1, 1)])
+        assert [len(g) for g in cfg.gale.vectors] == [1] * 4
+        assert is_face(cfg, (1, 2)).witness == (-1, 1, 1, -1)
+        assert is_face(cfg, (0, 3)).witness == (1, -1, -1, 1)
+        assert all(is_face(cfg, edge).is_face for edge in ((0, 1), (0, 2), (1, 3), (2, 3)))
 
 
 class TestNeighborliness:
