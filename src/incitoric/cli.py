@@ -387,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.set_defaults(func=_cmd_threepoint)
 
     acc = sub.add_parser("acceptance", help="run the acceptance suite")
-    acc.add_argument("--all", action="store_true", help="run every criterion (default)")
     acc.add_argument("--only", type=int, nargs="+", help="criterion numbers to run")
     acc.add_argument("--json", action="store_true", help="JSON output instead of a table")
     acc.set_defaults(func=_cmd_acceptance)

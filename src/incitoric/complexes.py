@@ -1,16 +1,16 @@
 """Simplicial complexes: pseudomanifold certificates, balanced colorings,
 orientations, and the binomials they induce.
 
-A complex is stored by its facets.  The verifier computes each predicate
-independently: strong connectivity from the facet-ridge graph, normality
-from link connectivity, balancedness by exact backtracking coloring of
-the 1-skeleton, orientability from the integer kernel of the top boundary
-map restricted to interior ridges, and bipartiteness of the facet-ridge
-graph by 2-coloring.  For a balanced orientable normal pseudomanifold
-without boundary the +-1 orientation turns the facet list into a
-squarefree binomial of the matching incidence toric ideal; the octahedral
-quartics arise this way from the facet-ridge bipartition of the
-crosspolytope boundary.
+A complex is stored by its facets.  The verifier reads every predicate
+off one ridge-to-facets map.  Strong connectivity and bipartiteness of
+the facet-ridge graph, normality (connected links) and orientability
+(+-1 cycles of the top boundary map on interior ridges) each come from
+one propagation of signs along a graph; balancedness is an exact
+backtracking coloring of the 1-skeleton.  For a balanced orientable
+normal pseudomanifold without boundary the +-1 orientation turns the
+facet list into a squarefree binomial of the matching incidence toric
+ideal; the octahedral quartics arise this way from the facet-ridge
+bipartition of the crosspolytope boundary.
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, Optional
 
-from . import exactmath
-from .combinat import colex_rank
 from .errors import BadParameters, PreconditionFailed
-from .exactmath import IntMatrix
 from .incidence import build_matrix
 from .toric import Binomial, is_primitive
 
@@ -84,15 +81,6 @@ def _ridge_map(delta: SimplicialComplex) -> Dict[frozenset, list]:
     return ridges
 
 
-def facet_ridge_graph(ridges: Dict[frozenset, list], nfacets: int) -> Dict[int, set]:
-    """Adjacency between facet indices sharing a ridge."""
-    adj: Dict[int, set] = {i: set() for i in range(nfacets)}
-    for members in ridges.values():
-        for i in members:
-            adj[i].update(j for j in members if j != i)
-    return adj
-
-
 def _skeleton(facets: Iterable[frozenset]) -> Dict[int, set]:
     """1-skeleton of the complex spanned by ``facets``: each vertex with
     its neighbours."""
@@ -103,37 +91,35 @@ def _skeleton(facets: Iterable[frozenset]) -> Dict[int, set]:
     return adj
 
 
-def _connected(adj: Dict, nodes: Iterable) -> bool:
-    nodes = list(nodes)
-    if not nodes:
-        return True
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(nodes)
+def _propagate(nodes: Iterable, edges: Iterable[tuple]) -> tuple:
+    """Signs along the edges ``(u, w, flip)``: +1 on the first node of each
+    component, then ``sign[w] = flip * sign[u]`` across every edge.
 
-
-def _bipartition(adj: Dict) -> Optional[Dict]:
-    color: Dict = {}
+    Returns the signs by node, or None if some edge conflicts with them,
+    and the number of components.
+    """
+    adj: Dict = {u: [] for u in nodes}
+    for u, w, flip in edges:
+        adj[u].append((w, flip))
+        adj[w].append((u, flip))
+    sign: Dict = {}
+    consistent = True
+    components = 0
     for start in adj:
-        if start in color:
+        if start in sign:
             continue
-        color[start] = 0
+        components += 1
+        sign[start] = 1
         stack = [start]
         while stack:
             u = stack.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
+            for w, flip in adj[u]:
+                if w not in sign:
+                    sign[w] = flip * sign[u]
                     stack.append(w)
-                elif color[w] == color[u]:
-                    return None
-    return color
+                elif sign[w] != flip * sign[u]:
+                    consistent = False
+    return (sign if consistent else None), components
 
 
 @dataclass(frozen=True)
@@ -173,29 +159,6 @@ def balanced_coloring(delta: SimplicialComplex) -> Optional[Coloring]:
     return Coloring(classes)
 
 
-def boundary_matrix(delta: SimplicialComplex, vertex_key=None) -> tuple:
-    """Top signed boundary matrix with rows labeled by ridges.
-
-    Facet columns follow the stored facet order; within a facet the
-    vertices are sorted by ``vertex_key`` (default: numeric) and removing
-    the j-th gives sign (-1)^j.  Ridge rows are sorted by colex rank.
-    Returns (matrix, ridge_labels).
-    """
-    if not delta.is_pure():
-        raise BadParameters("boundary matrix needs a pure complex")
-    if vertex_key is None:
-        vertex_key = lambda v: v
-    ridges = sorted(_ridge_map(delta), key=lambda r: colex_rank(tuple(sorted(r))))
-    row_of = {r: i for i, r in enumerate(ridges)}
-    rows = [[0] * len(delta.facets) for _ in ridges]
-    for col, f in enumerate(delta.facets):
-        ordered = sorted(f, key=vertex_key)
-        for j, v in enumerate(ordered):
-            r = frozenset(ordered) - {v}
-            rows[row_of[r]][col] = (-1) ** j
-    return IntMatrix.from_rows(rows), tuple(tuple(sorted(r)) for r in ridges)
-
-
 @dataclass(frozen=True)
 class Orientation:
     epsilon: tuple  # +-1 per facet, in stored facet order
@@ -232,12 +195,24 @@ class VerifyReport:
 
 
 def verify(delta: SimplicialComplex) -> VerifyReport:
-    """Compute every predicate of the report independently."""
+    """Compute every predicate of the report from one ridge-to-facets map.
+
+    Three kinds of sign propagation (``_propagate``) answer the graph
+    questions: over facets sharing a ridge with every flip -1, one
+    component means strongly connected and no conflict means bipartite;
+    over the vertices and edges of each link with flips +1, one component
+    means the link is connected; over the interior ridges of a
+    pseudomanifold the signs are the orientation (``_orientation``).
+    Balancedness is an exact coloring search of the 1-skeleton.
+    """
     pure = delta.is_pure()
     dim = delta.dimension
     ridges = _ridge_map(delta)
-    adj = facet_ridge_graph(ridges, len(delta.facets))
-    strongly_connected = pure and _connected(adj, range(len(delta.facets)))
+    sides, components = _propagate(
+        range(len(delta.facets)),
+        [(i, j, -1) for members in ridges.values() for i, j in combinations(members, 2)],
+    )
+    strongly_connected = pure and components == 1
 
     counts = [len(members) for members in ridges.values()] if pure else []
     ridges_ok = pure and all(c <= 2 for c in counts)
@@ -250,8 +225,9 @@ def verify(delta: SimplicialComplex) -> VerifyReport:
         for sigma in sorted(delta.all_faces(), key=lambda s: (len(s), tuple(sorted(s)))):
             if len(sigma) - 1 > dim - 2:
                 continue
-            skeleton = _skeleton(delta.link(sigma))
-            if not _connected(skeleton, skeleton):
+            link = delta.link(sigma)
+            edges = [(u, w, 1) for f in link for u, w in combinations(f, 2)]
+            if _propagate({v for f in link for v in f}, edges)[1] > 1:
                 normal = False
                 break
 
@@ -261,9 +237,9 @@ def verify(delta: SimplicialComplex) -> VerifyReport:
     orientable: Optional[bool] = None
     orientation: Optional[Orientation] = None
     if pseudomanifold:
-        orientable, orientation = _orientation(delta, ridges, coloring)
+        orientation = _orientation(delta, ridges, coloring)
+        orientable = orientation is not None
 
-    bipartite = _bipartition(adj) is not None
     return VerifyReport(
         pure,
         dim,
@@ -275,39 +251,39 @@ def verify(delta: SimplicialComplex) -> VerifyReport:
         coloring,
         orientable,
         orientation,
-        bipartite,
+        sides is not None,
     )
 
 
-def _orientation(delta: SimplicialComplex, ridges: Dict, coloring: Optional[Coloring]) -> tuple:
-    """Integer kernel of the boundary map restricted to interior ridges.
+def _orientation(
+    delta: SimplicialComplex, ridges: Dict, coloring: Optional[Coloring]
+) -> Optional[Orientation]:
+    """Signs on the facets of a pseudomanifold that cancel across every
+    interior ridge, +1 on the first facet, or None if there are none.
 
-    Orientable iff that kernel has rank 1; the saturated generator then
-    has all entries +-1 and is normalized to +1 on the first facet.  For
-    balanced complexes the boundary map is taken in the color-sorted
-    vertex order, so the returned signs are also the facet-ridge
-    bipartition, which is what the orientation binomial needs.
+    The top boundary map gives facet f the sign s_f(r) = (-1)^j on the
+    ridge r that drops its j-th vertex, the vertices sorted by color for
+    balanced complexes and numerically otherwise; a cycle e has
+    e_j = -s_i(r) s_j(r) e_i across the interior ridge r of facets i, j.
+    The facets of a pseudomanifold are strongly connected through interior
+    ridges, so the cycles are the multiples of the propagated signs, when
+    these do not conflict.  In the color-sorted order the signs are also
+    the facet-ridge bipartition, which is what the orientation binomial
+    needs.
     """
-    key = None
-    if coloring is not None:
-        key = lambda v: (coloring.color(v), v)
-    mat, ridge_labels = boundary_matrix(delta, vertex_key=key)
-    interior = [
-        i for i, r in enumerate(ridge_labels) if len(ridges[frozenset(r)]) == 2
-    ]
-    rows = [mat.entries[i] for i in interior]
-    if not rows:
-        rows = [(0,) * len(delta.facets)]
-    sub = IntMatrix.from_rows(rows)
-    kernel = exactmath.kernel_basis(sub)
-    if kernel.rank != 1:
-        return False, None
-    gen = kernel.vectors[0]
-    if not all(abs(x) == 1 for x in gen):
-        return False, None
-    if gen[0] < 0:
-        gen = tuple(-x for x in gen)
-    return True, Orientation(gen)
+    key = (lambda v: (coloring.color(v), v)) if coloring else None
+    ordered = [sorted(f, key=key) for f in delta.facets]
+
+    def s(i: int, ridge: frozenset) -> int:
+        (v,) = delta.facets[i] - ridge
+        return (-1) ** ordered[i].index(v)
+
+    interior = [(r, members) for r, members in ridges.items() if len(members) == 2]
+    edges = [(i, j, -s(i, r) * s(j, r)) for r, (i, j) in interior]
+    signs, _ = _propagate(range(len(delta.facets)), edges)
+    if signs is None:
+        return None
+    return Orientation(tuple(signs[i] for i in range(len(delta.facets))))
 
 
 def orientation_binomial(delta: SimplicialComplex, report: VerifyReport) -> Binomial:

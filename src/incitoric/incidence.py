@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 from . import exactmath
 from .combinat import subsets_colex
@@ -66,7 +65,11 @@ def full_rank_prime_threshold(n: int, k: int, t: int) -> int:
     return min(k, n - t)
 
 
-def check_rank_laws(n_max: int = 8, primes: Optional[tuple] = None) -> RankLawReport:
+# the primes each rank law is checked over
+RANK_LAW_PRIMES = (2, 3, 5, 7, 11, 13)
+
+
+def check_rank_laws(n_max: int = 8) -> RankLawReport:
     """Verify the rank laws for all 1 <= t < k <= n <= n_max.
 
     Over Q the matrix rank must equal min(C(n,t), C(n,k)).  Over a prime
@@ -77,8 +80,6 @@ def check_rank_laws(n_max: int = 8, primes: Optional[tuple] = None) -> RankLawRe
     the bare 0/1 matrix keeps full rank mod p (e.g. (n,k,t)=(4,3,1),
     p=2), so both ranks are reported.
     """
-    if primes is None:
-        primes = (2, 3, 5, 7, 11, 13)
     entries = []
     ok_all = True
     for n in range(2, n_max + 1):
@@ -89,7 +90,7 @@ def check_rank_laws(n_max: int = 8, primes: Optional[tuple] = None) -> RankLawRe
                 rq = exactmath.rank_q(inc.matrix)
                 law_q = rq == full
                 per_p = []
-                for p in primes:
+                for p in RANK_LAW_PRIMES:
                     rp = exactmath.rank_mod_p(inc.matrix, p)
                     factorial_vanishes = p <= k - t
                     map_full = (not factorial_vanishes) and rp == full
@@ -101,4 +102,4 @@ def check_rank_laws(n_max: int = 8, primes: Optional[tuple] = None) -> RankLawRe
                 entries.append(
                     RankLawEntry(n, k, t, rq, full, law_q, tuple(per_p))
                 )
-    return RankLawReport(tuple(entries), ok_all, tuple(primes))
+    return RankLawReport(tuple(entries), ok_all, RANK_LAW_PRIMES)

@@ -1,23 +1,21 @@
-"""Exact feasibility of ``A x = b`` with integer data and some ``x_j >= 0``.
+"""Exact feasibility of ``A x = b, x >= 0`` with integer data.
 
-Integer equality rows, variables flagged non-negative (one column) or
-free (split into a difference of non-negatives), and no objective.  The
-face test poses it with one row per Gale coordinate and every variable
-non-negative.  Phase one of a dense-tableau simplex decides it in
-integers from input to certificate: every row gets an artificial, each
-tableau row is an integer vector with one positive denominator, so a
-pivot is integer cross multiplication followed by a gcd reduction and
+Integer equality rows, non-negative variables and no objective.  The
+face test poses it with one row per Gale coordinate and one variable per
+point outside the face.  Phase one of a dense-tableau simplex decides it
+in integers from input to certificate: every row gets an artificial,
+each tableau row is an integer vector with one positive denominator, so
+a pivot is integer cross multiplication followed by a gcd reduction and
 the ratio test never leaves the integers.
 
 Pivoting is deterministic: steepest Dantzig descent with smallest-index
 tie-breaks, falling back to Bland's rule after a fixed pivot count so
 termination is still guaranteed on (never observed) cycling instances.
 The answer comes back as integers over one positive denominator: a
-feasible point, or a Farkas certificate with one free multiplier per
-row whose combination annihilates every free variable column, is
-non-negative on every non-negative column, and makes the right-hand side
-negative.  Both are re-verified in integers before being returned; a
-failed check raises CertificateError.
+feasible point, or a Farkas certificate with one multiplier of any sign
+per row whose combination is non-negative on every column and makes the
+right-hand side negative.  Both are re-verified in integers before being
+returned; a failed check raises CertificateError.
 
 Tuples on the face-test path are built from lists, not generators.
 ``tuple()`` of a generator grows its result by resizing, and CPython
@@ -57,21 +55,22 @@ class LinearConstraint:
 # looks the class up by it
 @dataclass(frozen=True)
 class RationalLpProblem:
-    """Is there an x with every constraint holding and x_j >= 0 wherever
-    ``nonneg[j]``?  One flag per variable."""
+    """Is there an x >= 0 of ``nvars`` variables with every constraint
+    holding?  The count is a field of its own: a face test in Gale rank 0
+    has no constraint to read it from."""
 
     constraints: tuple
-    nonneg: tuple
+    nvars: int
 
     def __post_init__(self):
         for c in self.constraints:
-            if len(c.coeffs) != len(self.nonneg):
-                raise DimensionMismatch("one nonneg flag per variable required")
+            if len(c.coeffs) != self.nvars:
+                raise DimensionMismatch("one coefficient per variable required")
 
     # kept beside the constructor: the benchmark's tracer wraps ``of`` by name
     @classmethod
-    def of(cls, constraints: Sequence[LinearConstraint], nonneg: Sequence) -> "RationalLpProblem":
-        return cls(tuple(constraints), tuple([bool(b) for b in nonneg]))
+    def of(cls, constraints: Sequence[LinearConstraint], nvars: int) -> "RationalLpProblem":
+        return cls(tuple(constraints), nvars)
 
 
 @dataclass(frozen=True)
@@ -188,15 +187,7 @@ def lp_feasible(problem: RationalLpProblem) -> LpResult:
     """Decide the problem exactly: a feasible point, or an infeasibility
     certificate, each re-checked in integers."""
     cons = problem.constraints
-    m = len(cons)
-
-    # one column per non-negative variable, a (+,-) pair per free one
-    cols = []
-    for j, nonneg in enumerate(problem.nonneg):
-        cols.append((j, 1))
-        if not nonneg:
-            cols.append((j, -1))
-    art_base = len(cols)
+    m, art_base = len(cons), problem.nvars
 
     # row i is sigma[i] * constraint i, so that its rhs is non-negative,
     # plus its artificial
@@ -204,7 +195,7 @@ def lp_feasible(problem: RationalLpProblem) -> LpResult:
     sigma = []
     for i, c in enumerate(cons):
         s = -1 if c.rhs < 0 else 1
-        row = [s * sign * c.coeffs[j] for j, sign in cols] + [0] * m + [s * c.rhs]
+        row = [s * a for a in c.coeffs] + [0] * m + [s * c.rhs]
         row[art_base + i] = 1
         sigma.append(s)
         rows.append(row)
@@ -221,11 +212,11 @@ def lp_feasible(problem: RationalLpProblem) -> LpResult:
 
     # the point is xs / d, d the common denominator of the rows
     d = lcm(*tab.den)
-    values = {tab.basis[i]: tab.num[i][ncols] * (d // tab.den[i]) for i in range(m)}
-    xs = [0] * len(problem.nonneg)
-    for col, (j, sign) in enumerate(cols):
-        xs[j] += sign * values.get(col, 0)
-    if any(x < 0 for x, nonneg in zip(xs, problem.nonneg) if nonneg) or any(
+    xs = [0] * art_base
+    for i in range(m):
+        if tab.basis[i] < art_base:
+            xs[tab.basis[i]] = tab.num[i][ncols] * (d // tab.den[i])
+    if any(x < 0 for x in xs) or any(
         sum([a * x for a, x in zip(c.coeffs, xs)]) != c.rhs * d for c in cons
     ):
         raise CertificateError("simplex returned an infeasible point")
@@ -240,8 +231,7 @@ def verify_farkas(problem: RationalLpProblem, lam: Sequence[int]) -> bool:
     cons = problem.constraints
     if len(lam) != len(cons):
         raise DimensionMismatch("one Farkas multiplier per constraint required")
-    for j, nonneg in enumerate(problem.nonneg):
-        combined = sum([l * c.coeffs[j] for l, c in zip(lam, cons)])
-        if combined < 0 or (combined and not nonneg):
+    for j in range(problem.nvars):
+        if sum([l * c.coeffs[j] for l, c in zip(lam, cons)]) < 0:
             return False
     return sum([l * c.rhs for l, c in zip(lam, cons)]) < 0

@@ -145,7 +145,7 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
         LinearConstraint.of([gale[j][i] for j in outside], -sum([gale[j][i] for j in outside]))
         for i in range(len(gale[0]))
     ]
-    res = lp_feasible(RationalLpProblem.of(cons, [True] * len(outside)))
+    res = lp_feasible(RationalLpProblem.of(cons, len(outside)))
 
     if res.status == "optimal":
         # den * mu = den + values off the subset; the slack vector is -mu

@@ -107,7 +107,6 @@ class TriangleLattice:
         self.n = n
         self.inc = build_matrix(n, 3, 2)
         self._solver = exactmath.HnfSolver(self.inc.matrix)
-        self.rank = self._solver.rank
 
     def member(self, v: EdgeVector) -> Optional[tuple]:
         """Integer coefficients on triangle generators summing to v."""

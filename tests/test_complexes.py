@@ -3,20 +3,85 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incitoric import complexes as cx
-from incitoric import toric
+from incitoric import exactmath, toric
 from incitoric.combinat import colex_rank
 from incitoric.config import DEFAULT_CONFIG
 from incitoric.errors import BadParameters, PreconditionFailed
+from incitoric.exactmath import IntMatrix
 from incitoric.incidence import build_matrix
+
+# the 6-vertex real projective plane (hemi-icosahedron): 10 triangles,
+# Euler characteristic 1
+RP2_6 = [
+    (1, 2, 3), (1, 2, 6), (1, 3, 4), (1, 4, 5), (1, 5, 6),
+    (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6),
+]
+# a 3x3 grid of squares, each cut along its diagonal, with the top row
+# glued to the bottom one reversed: a 9-vertex Klein bottle
+KLEIN_9 = [
+    (1, 2, 5), (1, 2, 9), (1, 3, 4), (1, 3, 7), (1, 4, 5), (1, 7, 9),
+    (2, 3, 6), (2, 3, 8), (2, 5, 6), (2, 8, 9), (3, 4, 6), (3, 7, 8),
+    (4, 5, 8), (4, 6, 7), (4, 7, 8), (5, 6, 9), (5, 8, 9), (6, 7, 9),
+]
+# the same grid glued straight: a 9-vertex torus, balanced by the colors
+# i + j mod 3 of the grid point (i, j)
+TORUS_9 = [
+    (1, 2, 5), (1, 2, 7), (1, 3, 4), (1, 3, 9), (1, 4, 5), (1, 7, 9),
+    (2, 3, 6), (2, 3, 8), (2, 5, 6), (2, 7, 8), (3, 4, 6), (3, 8, 9),
+    (4, 5, 8), (4, 6, 7), (4, 7, 8), (5, 6, 9), (5, 8, 9), (6, 7, 9),
+]
+
+
+def surface(facets):
+    return cx.SimplicialComplex.from_facets(max(map(max, facets)), facets)
+
+
+def boundary_matrix(delta, vertex_key=None):
+    """Oracle: the top signed boundary matrix with rows labeled by ridges.
+
+    Facet columns follow the stored facet order; within a facet the
+    vertices are sorted by ``vertex_key`` (default: numeric) and removing
+    the j-th gives sign (-1)^j.  Ridge rows are sorted by colex rank.
+    Returns (matrix, ridge_labels).
+    """
+    ridges = sorted(
+        {f - {v} for f in delta.facets for v in f},
+        key=lambda r: colex_rank(tuple(sorted(r))),
+    )
+    row_of = {r: i for i, r in enumerate(ridges)}
+    rows = [[0] * len(delta.facets) for _ in ridges]
+    for col, f in enumerate(delta.facets):
+        ordered = sorted(f, key=vertex_key)
+        for j, v in enumerate(ordered):
+            rows[row_of[f - {v}]][col] = (-1) ** j
+    return IntMatrix.from_rows(rows), tuple(tuple(sorted(r)) for r in ridges)
+
+
+def kernel_orientation(delta, coloring):
+    """Oracle for the orientation of a pure complex: the saturated integer
+    kernel (by HNF) of its boundary matrix restricted to the ridges of
+    two facets, in the color-sorted vertex order when ``coloring`` is
+    given.  Orientable when that kernel is spanned by one +-1 vector,
+    returned with +1 on the first facet."""
+    key = (lambda v: (coloring.color(v), v)) if coloring else None
+    mat, _ = boundary_matrix(delta, vertex_key=key)
+    rows = [row for row in mat.entries if sum(map(abs, row)) == 2]
+    kernel = exactmath.kernel_basis(IntMatrix.from_rows(rows or [(0,) * len(delta.facets)]))
+    if kernel.rank != 1 or any(abs(x) != 1 for x in kernel.vectors[0]):
+        return False, None
+    gen = kernel.vectors[0]
+    return True, tuple(-x for x in gen) if gen[0] < 0 else gen
 
 
 def color_sorted_boundary(delta):
     """The top boundary matrix with each facet's vertices sorted by the
     verifier's balanced coloring, the order the orientation is read in."""
     coloring = cx.verify(delta).coloring
-    return cx.boundary_matrix(delta, vertex_key=lambda v: (coloring.color(v), v))
+    return boundary_matrix(delta, vertex_key=lambda v: (coloring.color(v), v))
 
 
 def subsets_to_binomial_parts(b, n, k):
@@ -115,6 +180,76 @@ class TestVerify:
         rep = cx.verify(cx.pinched_torus())
         assert rep.orientable and not rep.facet_ridge_bipartite
         assert rep.normal is False
+
+
+class TestClosedSurfaces:
+    def test_projective_plane(self):
+        rp2 = surface(RP2_6)
+        assert (rp2.n, len(rp2.facets)) == (6, 10)
+        rep = cx.verify(rp2)
+        assert rep.pseudomanifold and rep.boundaryless and rep.normal
+        # the 1-skeleton is K6, so no 3-coloring; the dual graph is the
+        # Petersen graph, which is not bipartite
+        assert not rep.balanced and not rep.facet_ridge_bipartite
+        assert rep.orientable is False and rep.orientation is None
+        with pytest.raises(PreconditionFailed, match="orientable"):
+            cx.orientation_binomial(rp2, rep)
+
+    def test_klein_bottle(self):
+        klein = surface(KLEIN_9)
+        edges = {e for f in KLEIN_9 for e in ((f[0], f[1]), (f[0], f[2]), (f[1], f[2]))}
+        assert 9 - len(edges) + len(KLEIN_9) == 0
+        rep = cx.verify(klein)
+        assert rep.pseudomanifold and rep.boundaryless and rep.normal
+        # bipartite but not orientable: without balancedness the two differ
+        assert not rep.balanced and rep.facet_ridge_bipartite
+        assert rep.orientable is False and rep.orientation is None
+        with pytest.raises(PreconditionFailed, match="orientable"):
+            cx.orientation_binomial(klein, rep)
+
+    def test_torus_binomial(self):
+        torus = surface(TORUS_9)
+        rep = cx.verify(torus)
+        assert rep.pseudomanifold and rep.boundaryless and rep.normal
+        assert rep.balanced and rep.orientable and rep.facet_ridge_bipartite
+        assert sorted(rep.orientation.epsilon) == [-1] * 9 + [1] * 9
+        b = cx.orientation_binomial(torus, rep)
+        assert b.degree == 9 and b.is_squarefree()
+        inc = build_matrix(9, 3, 2)
+        assert not any(inc.matrix.mat_vec(b.vector))
+        assert toric.is_primitive(b, inc)
+
+
+ORACLE_COMPLEXES = [
+    cx.octahedron(),
+    cx.crosspolytope(4),
+    cx.crossflip_example(),
+    cx.pinched_torus(),
+    surface(RP2_6),
+    surface(KLEIN_9),
+    surface(TORUS_9),
+]
+
+
+@st.composite
+def relabelled_complexes(draw):
+    """A complex of ``ORACLE_COMPLEXES`` with its vertices relabelled and
+    its facets shuffled, and the original."""
+    delta = draw(st.sampled_from(ORACLE_COMPLEXES))
+    labels = draw(st.permutations(range(1, delta.n + 1)))
+    order = draw(st.permutations(range(len(delta.facets))))
+    facets = [[labels[v - 1] for v in delta.facets[i]] for i in order]
+    return cx.SimplicialComplex.from_facets(delta.n, facets), delta
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabelled_complexes())
+def test_orientation_matches_the_kernel_oracle(pair):
+    delta, original = pair
+    rep = cx.verify(delta)
+    orientable, epsilon = kernel_orientation(delta, rep.coloring)
+    assert rep.orientable is orientable is cx.verify(original).orientable
+    assert (rep.orientation.epsilon if rep.orientation else None) == epsilon
 
 
 class TestSignedBoundary:

@@ -22,14 +22,28 @@ from incitoric.lp import LinearConstraint, LpResult, RationalLpProblem, lp_feasi
 
 
 def problem(rows, nonneg):
-    """The problem with the rows ``coeffs . x = rhs``, given as pairs."""
-    return RationalLpProblem.of([LinearConstraint.of(c, b) for c, b in rows], nonneg)
+    """The problem with the rows ``coeffs . x = rhs``, given as pairs, and
+    x_j >= 0 where ``nonneg[j]``.  The LP takes non-negative variables
+    only, so each free x_j becomes two adjacent columns x_j+ - x_j-."""
+
+    def split(coeffs):
+        return [s * a for a, flag in zip(coeffs, nonneg) for s in ((1,) if flag else (1, -1))]
+
+    return RationalLpProblem.of(
+        [LinearConstraint.of(split(c), b) for c, b in rows], sum(1 if f else 2 for f in nonneg)
+    )
+
+
+def unsplit(nonneg, values):
+    """The original variables of ``problem(rows, nonneg)`` from its columns."""
+    columns = iter(values)
+    return [next(columns) if flag else next(columns) - next(columns) for flag in nonneg]
 
 
 def holds_at(p, result):
     """Exact substitution of the point ``values / den`` into ``p``."""
     xs, d = result.values, result.den
-    return d > 0 and all(x >= 0 for x, flag in zip(xs, p.nonneg) if flag) and all(
+    return d > 0 and len(xs) == p.nvars and all(x >= 0 for x in xs) and all(
         sum(a * x for a, x in zip(c.coeffs, xs)) == c.rhs * d for c in p.constraints
     )
 
@@ -50,14 +64,15 @@ def test_fractional_optimum():
     p = problem([([1, 1], 1), ([3, -3], 1)], [False, False])
     r = lp_feasible(p)
     assert r.status == "optimal"
-    assert [Fraction(x, r.den) for x in r.values] == [Fraction(2, 3), Fraction(1, 3)]
+    xs = unsplit([False, False], r.values)
+    assert [Fraction(x, r.den) for x in xs] == [Fraction(2, 3), Fraction(1, 3)]
     assert holds_at(p, r)
 
 
 def test_nonneg_flags_respected():
     free = lp_feasible(problem([([1], -1)], [False]))
     assert free.status == "optimal"
-    assert Fraction(free.values[0], free.den) == -1
+    assert Fraction(*unsplit([False], free.values), free.den) == -1
     flagged = problem([([1], -1)], [True])
     r = lp_feasible(flagged)
     assert r.status == "infeasible"
@@ -89,25 +104,22 @@ def test_primal_face_system_for_a_vertex_is_feasible():
         slack = [0] * 19
         slack[j - 1] = 1
         rows.append((list(points[j]) + [-1] + slack, -1))
-    p = problem(rows, [False] * (nd + 1) + [True] * 19)
+    nonneg = [False] * (nd + 1) + [True] * 19
+    p = problem(rows, nonneg)
     result = lp_feasible(p)
     assert result.status == "optimal"
     assert holds_at(p, result)
-    c, beta, d = result.values[:nd], result.values[nd], result.den
+    xs, d = unsplit(nonneg, result.values), result.den
+    c, beta = xs[:nd], xs[nd]
     assert sum(a * b for a, b in zip(c, points[0])) == beta
     assert all(sum(a * b for a, b in zip(c, points[j])) <= beta - d for j in range(1, 20))
 
 
 def _feasible_by_basic_enumeration(p):
-    """Independent oracle: A x = b with x_j >= 0 on the flagged variables
-    is feasible exactly when some linearly independent columns of the split
-    matrix [A_N | A_F | -A_F] carry a non-negative solution, so try every
-    column subset of size at most the row count."""
-    columns = []
-    for j, flag in enumerate(p.nonneg):
-        columns.append([c.coeffs[j] for c in p.constraints])
-        if not flag:
-            columns.append([-c.coeffs[j] for c in p.constraints])
+    """Independent oracle: A x = b with x >= 0 is feasible exactly when
+    some linearly independent columns of A carry a non-negative solution,
+    so try every column subset of size at most the row count."""
+    columns = [[c.coeffs[j] for c in p.constraints] for j in range(p.nvars)]
     rhs = [c.rhs for c in p.constraints]
     for size in range(len(rhs) + 1):
         for subset in combinations(columns, size):
@@ -176,7 +188,7 @@ def test_rejected_farkas_certificate_raises_under_python_O():
         "from incitoric.errors import CertificateError\n"
         "lp.verify_farkas = lambda problem, lam: False\n"
         "try:\n"
-        "    lp.lp_feasible(lp.RationalLpProblem.of([lp.LinearConstraint.of([1], -1)], [True]))\n"
+        "    lp.lp_feasible(lp.RationalLpProblem.of([lp.LinearConstraint.of([1], -1)], 1))\n"
         "except CertificateError:\n"
         "    print('raised')\n"
     )
@@ -202,7 +214,7 @@ def test_bogus_face_lp_result_raises(monkeypatch, bogus):
     shapes = []
 
     def fake_lp(problem):
-        shapes.append((len(problem.constraints), len(problem.nonneg)))
+        shapes.append((len(problem.constraints), problem.nvars))
         return bogus
 
     monkeypatch.setattr(polytope, "lp_feasible", fake_lp)

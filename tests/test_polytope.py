@@ -91,10 +91,16 @@ def primal_face_oracle(cfg, subset):
     rows = [LinearConstraint.of([p[r] for p in cfg.points], 0) for r in range(nd)]
     rows.append(LinearConstraint.of([1] * m, 0))
     rows.append(LinearConstraint.of([0 if i in inside else 1 for i in range(m)], 1))
-    res = lp_feasible(RationalLpProblem.of(rows, [i not in inside for i in range(m)]))
+    # the LP takes non-negative variables only: v_i = v_i+ - v_i- inside
+    cols = [(i, s) for i in range(m) for s in ((1, -1) if i in inside else (1,))]
+    split = [LinearConstraint.of([s * r.coeffs[i] for i, s in cols], r.rhs) for r in rows]
+    res = lp_feasible(RationalLpProblem.of(split, len(cols)))
     if res.status == "optimal":
-        g = gcd(res.den, *res.values)
-        return FaceCertificate(False, None, tuple(-x // g for x in res.values))
+        v = [0] * m
+        for (i, s), x in zip(cols, res.values):
+            v[i] += s * x
+        g = gcd(res.den, *v)
+        return FaceCertificate(False, None, tuple(-x // g for x in v))
     # den times the multipliers w, w_aff and the outside weight's
     c, beta = [-x for x in res.values[:nd]], res.values[nd]
     return FaceCertificate(True, (tuple(c), beta), None)
