@@ -153,6 +153,9 @@ def _cmd_polytope(args) -> int:
         )
         return EXIT_OK
     if args.what == "faces":
+        if args.subset is None:
+            print("polytope faces needs --subset", file=sys.stderr)
+            return EXIT_USAGE
         labels = _labels(args.n, args.k)
         idx = {lbl: i for i, lbl in enumerate(labels)}
         try:
@@ -320,14 +323,9 @@ def _cmd_acceptance(args) -> int:
 
 
 def _config(args) -> RunConfig:
-    kwargs = {}
-    if getattr(args, "workers", None):
-        kwargs["workers"] = args.workers
     if getattr(args, "pair_budget", None):
-        kwargs["pair_queue_budget"] = args.pair_budget
-    if not kwargs:
-        return DEFAULT_CONFIG
-    return RunConfig(**kwargs)
+        return RunConfig(pair_queue_budget=args.pair_budget)
+    return DEFAULT_CONFIG
 
 
 def _add_nkt(p, t_required=True):
@@ -343,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--no-meta", action="store_true", help="suppress the timestamp and the acceptance times")
     parser.add_argument("--out", help="also write the JSON payload to this file")
-    parser.add_argument("--workers", type=int, help="worker pool size for parallel scans")
     parser.add_argument("--pair-budget", type=int, help="pair queue budget for basis computations")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -390,13 +390,20 @@ def crossflip_example() -> SimplicialComplex:
 
 
 def parse_complex_file(text: str) -> SimplicialComplex:
-    """One facet per line, whitespace-separated vertex labels."""
+    """One facet per line, whitespace-separated integer vertex labels,
+    none twice on a line; ``#`` starts a comment."""
     facets = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        facets.append([int(tok) for tok in line.split()])
+        try:
+            facet = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise BadParameters(f"line {number}: vertex labels must be integers") from None
+        if len(set(facet)) != len(facet):
+            raise BadParameters(f"line {number}: repeated vertex in a facet")
+        facets.append(facet)
     if not facets:
         raise BadParameters("no facets in complex file")
     n = max(max(f) for f in facets)

@@ -1,5 +1,5 @@
 """Run configuration: explicit budgets for every potentially explosive
-enumeration, plus a deterministic fork-join helper.
+enumeration.
 
 Budgets are hard limits; exceeding one raises BudgetExceeded rather than
 silently truncating.  The defaults reproduce every acceptance criterion on
@@ -8,7 +8,6 @@ a laptop.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 
@@ -20,6 +19,8 @@ class RunConfig:
     volume_simplex_budget: int = 200_000
     derangement_max_n: int = 8
     rank_report_max_n: int = 8
+    # the benchmark worker builds RunConfig(workers=1); every run is
+    # sequential, so 1 is the only value accepted
     workers: int = 1
 
     def __post_init__(self):
@@ -30,35 +31,12 @@ class RunConfig:
             "volume_simplex_budget",
             "derangement_max_n",
             "rank_report_max_n",
-            "workers",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.workers != 1:
+            raise ValueError("workers must be 1: every run is sequential")
 
 
 DEFAULT_CONFIG = RunConfig()
 
-
-def parallel_map(fn, items, workers: int = 1, chunk: int = 64):
-    """Map ``fn`` over ``items`` with results merged in input order.
-
-    With ``workers <= 1`` this is a plain sequential map.  Otherwise the
-    items are split into fixed chunks handed to a process pool; chunk
-    results are concatenated in chunk order, so output is independent of
-    scheduling.  ``fn`` must be a picklable pure function.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) <= chunk:
-        return [fn(x) for x in items]
-    chunks = [items[i : i + chunk] for i in range(0, len(items), chunk)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_apply_chunk, [(fn, c) for c in chunks]))
-    out = []
-    for part in parts:
-        out.extend(part)
-    return out
-
-
-def _apply_chunk(arg):
-    fn, chunk = arg
-    return [fn(x) for x in chunk]

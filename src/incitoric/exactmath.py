@@ -2,10 +2,10 @@
 
 Dense matrices only; desk-scale instances never need sparsity.  The module
 provides the column-style Hermite normal form with its unimodular
-transform, saturated integer kernels, exact ranks over Q and over prime
-fields, Bareiss determinants and one HNF solver for integer lattice
-coordinates (behind every lattice membership certificate).  No floating
-point anywhere.
+transform, saturated integer kernels, one fraction-free echelon kernel
+behind the ranks over Q and over prime fields and the determinants, and
+one HNF solver for integer lattice coordinates (behind every lattice
+membership certificate).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -162,60 +162,57 @@ def hnf(m: IntMatrix) -> HnfResult:
     )
 
 
+def _echelon(m: IntMatrix, p: int = 0) -> tuple:
+    """Fraction-free row echelon form of ``m`` over Z, or over the field
+    with ``p`` elements when ``p`` is nonzero.
+
+    Over Z this is Bareiss elimination: every entry stays a minor of ``m``,
+    so each division by the previous pivot is exact.  Mod ``p`` nothing is
+    divided: scaling a row by the pivot, a unit, keeps the rank, so a row
+    with nothing to eliminate is skipped.  Returns the rank and the last
+    pivot signed by the row swaps, which over Z is the determinant of a
+    nonsingular square ``m``.
+    """
+    a = [[x % p for x in row] for row in m.entries] if p else [list(row) for row in m.entries]
+    rows, cols = m.rows, m.cols
+    rank, sign, prev = 0, 1, 1
+    for col in range(cols):
+        if rank == rows:
+            break
+        piv = next((i for i in range(rank, rows) if a[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        top = a[rank]
+        pivot = top[col]
+        for i in range(rank + 1, rows):
+            row = a[i]
+            f = row[col]
+            if p:
+                if f:
+                    for j in range(col + 1, cols):
+                        row[j] = (pivot * row[j] - f * top[j]) % p
+            else:
+                for j in range(col + 1, cols):
+                    row[j] = (pivot * row[j] - f * top[j]) // prev
+        prev = pivot
+        rank += 1
+    return rank, sign * prev
+
+
 def determinant(m: IntMatrix) -> int:
     """Exact determinant via fraction-free Bareiss elimination."""
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (pivot * a[i][j] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    rank, last = _echelon(m)
+    return last if rank == m.rows else 0
 
 
 def rank_q(m: IntMatrix) -> int:
     """Rank over the rationals (fraction-free elimination)."""
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pivot = a[rank][col]
-        for i in range(rank + 1, rows):
-            if any(a[i][j] for j in range(col, cols)):
-                for j in range(col + 1, cols):
-                    a[i][j] = (pivot * a[i][j] - a[i][col] * a[rank][j]) // prev
-                a[i][col] = 0
-        prev = pivot
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return _echelon(m)[0]
 
 
 def is_prime(p: int) -> bool:
@@ -235,28 +232,7 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     """Rank over the field with ``p`` elements."""
     if not is_prime(p):
         raise CompositeModulus(f"{p} is not prime")
-    a = [[x % p for x in row] for row in m.entries]
-    rows, cols = m.rows, m.cols
-    rank = 0
-    for col in range(cols):
-        piv = None
-        for i in range(rank, rows):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = pow(a[rank][col], p - 2, p)
-        a[rank] = [(x * inv) % p for x in a[rank]]
-        for i in range(rows):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return _echelon(m, p)[0]
 
 
 def kernel_basis(m: IntMatrix) -> LatticeBasis:

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from math import comb, gcd
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from functools import cached_property, partial
+from functools import cached_property
 
 from . import exactmath
 from .combinat import subsets_colex
-from .config import DEFAULT_CONFIG, RunConfig, parallel_map
+from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadParameters, BudgetExceeded, CertificateError, PreconditionFailed
 from .exactmath import IntMatrix
 from .incidence import IncidenceMatrix
@@ -213,29 +213,12 @@ def neighborliness(
     for s in range(1, s_max + 1):
         if comb(m, s) > config.box_budget:
             raise BudgetExceeded(f"C({m},{s}) face tests exceed the budget")
-        subsets = list(subsets_colex(m, s, first=0))
-        if config.workers > 1:
-            flags = parallel_map(partial(_face_flag, cfg), subsets, config.workers)
-            tested += len(subsets)
-            for subset, flag in zip(subsets, flags):
-                if not flag:
-                    cert = is_face(cfg, subset)
-                    return NeighborlinessReport(
-                        s - 1, s_max, tested, (subset, cert.witness)
-                    )
-        else:
-            for subset in subsets:
-                tested += 1
-                cert = is_face(cfg, subset)
-                if not cert.is_face:
-                    return NeighborlinessReport(
-                        s - 1, s_max, tested, (subset, cert.witness)
-                    )
+        for subset in subsets_colex(m, s, first=0):
+            tested += 1
+            cert = is_face(cfg, subset)
+            if not cert.is_face:
+                return NeighborlinessReport(s - 1, s_max, tested, (subset, cert.witness))
     return NeighborlinessReport(s_max, s_max, tested, None)
-
-
-def _face_flag(cfg: PointConfig, subset: tuple) -> bool:
-    return is_face(cfg, subset).is_face
 
 
 @dataclass(frozen=True)

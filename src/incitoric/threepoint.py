@@ -220,26 +220,6 @@ class SymbolicPoly:
     def monomial(cls, arity: int, exps: Sequence[int], coeff: int = 1) -> "SymbolicPoly":
         return cls.from_dict(arity, {tuple(exps): coeff})
 
-    def __add__(self, other: "SymbolicPoly") -> "SymbolicPoly":
-        data = dict(self.terms)
-        for k, v in other.terms:
-            data[k] = data.get(k, 0) + v
-        return SymbolicPoly.from_dict(self.arity, data)
-
-    def __sub__(self, other: "SymbolicPoly") -> "SymbolicPoly":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "SymbolicPoly":
-        return SymbolicPoly.from_dict(self.arity, {k: c * v for k, v in self.terms})
-
-    def __mul__(self, other: "SymbolicPoly") -> "SymbolicPoly":
-        data: Dict[tuple, int] = {}
-        for k1, v1 in self.terms:
-            for k2, v2 in other.terms:
-                k = tuple(a + b for a, b in zip(k1, k2))
-                data[k] = data.get(k, 0) + v1 * v2
-        return SymbolicPoly.from_dict(self.arity, data)
-
     def shift(self, exps: Sequence[int]) -> "SymbolicPoly":
         return SymbolicPoly.from_dict(
             self.arity,

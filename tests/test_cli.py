@@ -78,6 +78,25 @@ def test_unknown_vertex_label_is_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+def test_faces_without_subset_is_usage_error(capsys):
+    code = main(["--no-meta", "polytope", "faces", "-n", "6", "-k", "3", "-t", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "needs --subset" in captured.err
+
+
+def test_malformed_complex_file_is_usage_error(tmp_path, capsys):
+    for name, text in (("labels.cplx", "1 2 x\n"), ("repeated.cplx", "1 2 3\n1 1 2\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["--no-meta", "complex", "verify", str(path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("error: line ")
+
+
 def test_bad_parameters_usage_error(capsys):
     code, _ = run_cli(capsys, "--no-meta", "incidence", "matrix", "-n", "4", "-k", "3", "-t", "3")
     assert code == EXIT_USAGE

@@ -358,6 +358,14 @@ class TestFileFormat:
         delta = cx.parse_complex_file("# cap\n1 2 3\n\n2 3 4  # other\n")
         assert set(delta.facets) == {frozenset({1, 2, 3}), frozenset({2, 3, 4})}
 
+    def test_non_integer_label_rejected(self):
+        with pytest.raises(BadParameters, match="line 3"):
+            cx.parse_complex_file("1 2 3\n# note\n2 3 four\n")
+
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(BadParameters, match="line 2"):
+            cx.parse_complex_file("1 2 3\n1 1 2\n")
+
     def test_facet_containment_rejected(self):
         with pytest.raises(BadParameters):
             cx.SimplicialComplex.from_facets(3, [(1, 2, 3), (1, 2)])

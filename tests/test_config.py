@@ -1,21 +1,10 @@
-"""Budgets and the deterministic fork-join helper."""
+"""Budgets of the run configuration."""
 
 import pytest
 
-from incitoric.config import DEFAULT_CONFIG, RunConfig, parallel_map
+from incitoric.config import DEFAULT_CONFIG, RunConfig
 from incitoric.errors import BudgetExceeded
 from incitoric.incidence import build_matrix
-from incitoric.polytope import PointConfig, neighborliness
-
-
-def _square(x):
-    return x * x
-
-
-def test_parallel_map_preserves_order():
-    items = list(range(500))
-    assert parallel_map(_square, items, workers=1) == [x * x for x in items]
-    assert parallel_map(_square, items, workers=2, chunk=37) == [x * x for x in items]
 
 
 def test_budgets_must_be_positive():
@@ -23,15 +12,10 @@ def test_budgets_must_be_positive():
         RunConfig(fiber_budget=0)
 
 
-def test_neighborliness_same_result_parallel():
-    cfg = PointConfig.from_incidence(build_matrix(6, 3, 2))
-    seq = neighborliness(cfg, 2, RunConfig(workers=1))
-    par = neighborliness(cfg, 2, RunConfig(workers=2))
-    assert (seq.neighborliness, seq.subsets_tested) == (
-        par.neighborliness,
-        par.subsets_tested,
-    )
-    assert seq.non_face_witness == par.non_face_witness
+def test_only_one_worker_accepted():
+    assert RunConfig(workers=1).workers == 1
+    with pytest.raises(ValueError):
+        RunConfig(workers=2)
 
 
 def test_buchberger_budget():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from incitoric import exactmath as em
 from incitoric.errors import CertificateError, CompositeModulus, DimensionMismatch
 from incitoric.exactmath import IntMatrix
-from incitoric.incidence import build_matrix
+from incitoric.incidence import RANK_LAW_PRIMES, build_matrix
 
 
 def small_matrices():
@@ -225,16 +225,36 @@ class TestSympyOracles:
                 x, _ = a.gauss_jordan_solve(b)  # unique: a has full column rank
                 assert all(v.is_integer for v in x)
 
+    @settings(max_examples=120, deadline=None)
+    @given(small_matrices())
+    def test_ranks_match_sympy(self, m):
+        from sympy import GF, ZZ
+        from sympy.polys.matrices import DomainMatrix
+
+        dm = DomainMatrix([[ZZ(x) for x in row] for row in m.entries], (m.rows, m.cols), ZZ)
+        assert em.rank_q(m) == dm.rank()
+        for p in RANK_LAW_PRIMES:
+            assert em.rank_mod_p(m, p) == dm.convert_to(GF(p)).rank()
+
     def test_determinant_matches_sympy(self):
+        # up to 14 x 14, the simplex size of (6,3,2)
         from sympy import Matrix
 
         rng = random.Random(88)
-        for n in range(1, 9):
+        singular = 0
+        for n in range(1, 15):
             for _ in range(6):
                 rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
                 if rng.random() < 0.3:  # a singular one now and then
                     rows[-1] = [a - b for a, b in zip(rows[0], rows[n // 2])]
-                assert em.determinant(IntMatrix.from_rows(rows)) == int(Matrix(rows).det())
+                elif n > 2 and rng.random() < 0.2:  # rank n - 2, no zero row
+                    left = [[rng.randint(-3, 3) for _ in range(n - 2)] for _ in range(n)]
+                    right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n - 2)]
+                    rows = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+                expected = int(Matrix(rows).det())
+                singular += expected == 0
+                assert em.determinant(IntMatrix.from_rows(rows)) == expected
+        assert singular >= 10
 
 
 def combination(basis, coeffs):
