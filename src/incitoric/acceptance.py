@@ -16,7 +16,7 @@ from math import comb
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import complexes, designs, exactmath, threepoint, toric
-from .combinat import colex_rank, derangements
+from .combinat import derangements
 from .config import DEFAULT_CONFIG, RunConfig
 from .incidence import IncidenceMatrix, build_matrix, check_rank_laws
 from .polytope import (
@@ -63,7 +63,7 @@ class Workspace:
         return self._get(("inc", n, k, t), lambda: build_matrix(n, k, t))
 
     def rank_report(self):
-        return self._get("rank_report", lambda: check_rank_laws(self.config.rank_report_max_n))
+        return self._get("rank_report", check_rank_laws)
 
     def markov632(self):
         return self._get("markov632", lambda: toric.markov_from_groebner(self.gb632(), self.config))
@@ -183,11 +183,8 @@ def criterion_06(ws: Workspace) -> Tuple[bool, str]:
     details = []
     for n in (6, 7):
         scan = designs.min_support_scan(n, 3, 2, config=ws.config)
-        pods_norm = {
-            designs.pod_expand(p, n).sign_normalized().values
-            for p in designs.pods(n, 3, 2)
-        }
-        is_pod = scan.witness is not None and scan.witness.sign_normalized().values in pods_norm
+        pods_norm = {designs.sign_normalized(designs.pod_expand(p, n)) for p in designs.pods(n, 3, 2)}
+        is_pod = scan.witness in pods_norm
         ok = ok and scan.min_positive_support == 4 and is_pod
         details.append(f"(n={n}): min positive support {scan.min_positive_support}, pod witness {is_pod}")
     return ok, "; ".join(details)
@@ -201,8 +198,7 @@ def criterion_07(ws: Workspace) -> Tuple[bool, str]:
         cfg = ws.cfg(n, 3, 2)
         rep = neighborliness(cfg, 3, ws.config)
         pod = next(iter(designs.pods(n, 3, 2)))
-        design = designs.pod_expand(pod, n)
-        support4 = [colex_rank(s) for s in design.positive_support]
+        support4 = [i for i, x in enumerate(designs.pod_expand(pod, n)) if x > 0]
         cert = is_face(cfg, support4)
         ok = ok and rep.neighborliness == 3 and not cert.is_face
         details.append(

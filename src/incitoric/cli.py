@@ -41,6 +41,11 @@ def _labels(n: int, k: int) -> list:
     return [subset_label(s, n) for s in subsets_colex(n, k)]
 
 
+def _labelled(vec, labels: list) -> dict:
+    """The nonzero entries of a vector over the colex subsets, by label."""
+    return {labels[i]: x for i, x in enumerate(vec) if x}
+
+
 def _cmd_incidence_matrix(args) -> int:
     inc = build_matrix(args.n, args.k, args.t)
     if args.format == "csv":
@@ -121,7 +126,7 @@ def _cmd_toric(args) -> int:
             "k": args.k,
             "t": args.t,
             "kind": basis.kind,
-            "order": basis.order_name,
+            "order": "degrevlex",
             "count": len(basis.elements),
             "degrees": {str(d): c for d, c in sorted(degrees.items())},
             "elements": basis.to_json_list(labels),
@@ -163,6 +168,10 @@ def _cmd_polytope(args) -> int:
         except KeyError as e:
             print(f"unknown vertex label {e}", file=sys.stderr)
             return EXIT_USAGE
+        repeated = [labels[i] for j, i in enumerate(subset) if i in subset[:j]]
+        if repeated:
+            print(f"repeated vertex label '{repeated[0]}'", file=sys.stderr)
+            return EXIT_USAGE
         cert = is_face(cfg, subset)
         payload = {
             "n": args.n,
@@ -175,9 +184,7 @@ def _cmd_polytope(args) -> int:
             c, beta = cert.functional
             payload["functional"] = {"coeffs": [str(x) for x in c], "rhs": str(beta)}
         else:
-            payload["witness"] = {
-                labels[i]: v for i, v in enumerate(cert.witness) if v
-            }
+            payload["witness"] = _labelled(cert.witness, labels)
         _emit(payload, args)
         return EXIT_OK
     # neighborly
@@ -218,8 +225,8 @@ def _cmd_complex(args) -> int:
             "n": delta.n,
             "k": k,
             "degree": binom.degree,
-            "plus": {labels[i]: e for i, e in enumerate(binom.plus) if e},
-            "minus": {labels[i]: e for i, e in enumerate(binom.minus) if e},
+            "plus": _labelled(binom.plus, labels),
+            "minus": _labelled(binom.minus, labels),
         },
         args,
     )
@@ -228,6 +235,7 @@ def _cmd_complex(args) -> int:
 
 def _cmd_designs(args) -> int:
     config = _config(args)
+    labels = _labels(args.n, args.k)
     if args.what == "pods":
         pods = list(designs.pods(args.n, args.k, args.t))
         span_ok = designs.pods_span_kernel(args.n, args.k, args.t)
@@ -238,7 +246,7 @@ def _cmd_designs(args) -> int:
                 "t": args.t,
                 "count": len(pods),
                 "span_equals_kernel": span_ok,
-                "designs": [designs.pod_expand(p, args.n).to_json_dict() for p in pods],
+                "designs": [_labelled(designs.pod_expand(p, args.n), labels) for p in pods],
             },
             args,
         )
@@ -252,7 +260,7 @@ def _cmd_designs(args) -> int:
         "subsets_enumerated": scan.subsets_enumerated,
     }
     if scan.witness is not None:
-        payload["witness"] = scan.witness.to_json_dict()
+        payload["witness"] = _labelled(scan.witness, labels)
     _emit(payload, args)
     return EXIT_OK
 
@@ -288,11 +296,11 @@ def _cmd_threepoint(args) -> int:
     payload = {
         "n": args.n,
         "numerator_terms": expr.f.term_count(),
-        "denominator": {tri_labels[i]: e for i, e in enumerate(expr.g_exps) if e},
+        "denominator": _labelled(expr.g_exps, tri_labels),
     }
     if args.emit:
         payload["numerator"] = [
-            {"coeff": c, "monomial": {tri_labels[i]: e for i, e in enumerate(k) if e}}
+            {"coeff": c, "monomial": _labelled(k, tri_labels)}
             for k, c in expr.f.terms
         ]
     _emit(payload, args)

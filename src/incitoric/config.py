@@ -18,7 +18,6 @@ class RunConfig:
     box_budget: int = 4_000_000
     volume_simplex_budget: int = 200_000
     derangement_max_n: int = 8
-    rank_report_max_n: int = 8
     # the benchmark worker builds RunConfig(workers=1); every run is
     # sequential, so 1 is the only value accepted
     workers: int = 1
@@ -30,7 +29,6 @@ class RunConfig:
             "box_budget",
             "volume_simplex_budget",
             "derangement_max_n",
-            "rank_report_max_n",
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")

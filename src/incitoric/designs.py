@@ -1,11 +1,12 @@
-"""Null designs on k-subsets, pods, and the kernel isomorphism.
+"""Null designs on k-subsets and pods.
 
 A k-uniform null design of strength t is an integer weighting of the
 k-subsets of [1..n] whose sums over all supersets of every t-subset
-vanish; under the colex coordinate order these are exactly the integer
-kernel vectors of the (n, k, t) incidence matrix.  Pods are the products
-of t+1 variable differences and k-t-1 extra variables; their expansions
-are the minimal-support generators of that kernel.
+vanish.  Indexed by the colex order of the k-subsets, a design is an
+integer kernel vector of the (n, k, t) incidence matrix, and that vector
+is the only representation kept here.  Pods are the products of t+1
+variable differences and k-t-1 extra variables; their expansions are the
+minimal-support generators of that kernel.
 """
 
 from __future__ import annotations
@@ -16,58 +17,16 @@ from math import comb
 from typing import Dict, Iterator, Optional, Sequence
 
 from . import exactmath
-from .combinat import colex_rank, subset_label, subsets_colex
+from .combinat import colex_rank, subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import (
-    BadParameters,
-    BudgetExceeded,
-    CertificateError,
-    DimensionMismatch,
-    IndexOutOfRange,
-)
+from .errors import BadParameters, BudgetExceeded, CertificateError, IndexOutOfRange
 from .incidence import build_matrix
 
 
-@dataclass(frozen=True)
-class NullDesign:
-    """Sparse integer map on k-subsets of [1..n]; zero values are absent."""
-
-    n: int
-    k: int
-    values: tuple  # sorted ((subset tuple, value), ...) in colex order
-
-    def __post_init__(self):
-        for subset, value in self.values:
-            if len(subset) != self.k or not all(1 <= x <= self.n for x in subset):
-                raise BadParameters(f"bad subset {subset} for (n,k)=({self.n},{self.k})")
-            if value == 0:
-                raise BadParameters("zero value stored in a sparse design")
-
-    @classmethod
-    def from_dict(cls, n: int, k: int, data: Dict[tuple, int]) -> "NullDesign":
-        items = tuple(
-            sorted(
-                ((tuple(sorted(s)), v) for s, v in data.items() if v != 0),
-                key=lambda kv: colex_rank(kv[0]),
-            )
-        )
-        return cls(n, k, items)
-
-    @property
-    def positive_support(self) -> tuple:
-        return tuple(s for s, v in self.values if v > 0)
-
-    def negate(self) -> "NullDesign":
-        return NullDesign(self.n, self.k, tuple((s, -v) for s, v in self.values))
-
-    def sign_normalized(self) -> "NullDesign":
-        """Flip the global sign so the colex-first nonzero value is positive."""
-        if self.values and self.values[0][1] < 0:
-            return self.negate()
-        return self
-
-    def to_json_dict(self) -> dict:
-        return {subset_label(s, self.n): v for s, v in self.values}
+def sign_normalized(v: Sequence[int]) -> tuple:
+    """Flip the global sign so the first nonzero entry is positive."""
+    first = next((x for x in v if x), 0)
+    return tuple(-x for x in v) if first < 0 else tuple(v)
 
 
 @dataclass(frozen=True)
@@ -93,33 +52,23 @@ class Pod:
         return tuple(x for p in self.diff_pairs for x in p) + self.singletons
 
 
-def pod_expand(pod: Pod, n: int) -> NullDesign:
-    """Expand the pod product into a +-1 design on k-subsets.
+def pod_expand(pod: Pod, n: int) -> tuple:
+    """Expand the pod product into a +-1 vector over the colex k-subsets.
 
-    The result has exactly 2^(t+1) nonzero values and positive support of
-    size 2^t (before any sign normalization the first entry of each pair
-    carries +).
+    The result has exactly 2^(t+1) nonzero entries and 2^t of them are +1
+    (before any sign normalization the first entry of each pair carries +).
     """
     if any(x < 1 or x > n for x in pod.indices):
         raise IndexOutOfRange("pod index outside [1..n]")
-    k = pod.k
-    terms: Dict[tuple, int] = {}
+    vec = [0] * comb(n, pod.k)
     npairs = len(pod.diff_pairs)
     for mask in range(1 << npairs):
-        chosen = []
-        sign = 1
-        for idx, (a, b) in enumerate(pod.diff_pairs):
-            if mask & (1 << idx):
-                chosen.append(b)
-                sign = -sign
-            else:
-                chosen.append(a)
-        subset = tuple(sorted(chosen + list(pod.singletons)))
-        terms[subset] = terms.get(subset, 0) + sign
-    design = NullDesign.from_dict(n, k, terms)
-    if len(design.values) != 1 << npairs:
+        chosen = [pair[mask >> i & 1] for i, pair in enumerate(pod.diff_pairs)]
+        sign = -1 if mask.bit_count() % 2 else 1
+        vec[colex_rank(sorted(chosen + list(pod.singletons)))] += sign
+    if sum(x != 0 for x in vec) != 1 << npairs:
         raise CertificateError("pod expansion does not have 2^(t+1) distinct terms")
-    return design
+    return tuple(vec)
 
 
 def pods(n: int, k: int, t: int) -> Iterator[Pod]:
@@ -153,27 +102,9 @@ def _perfect_matchings(items: Sequence[int]) -> Iterator[tuple]:
             yield ((first, items[j]),) + sub
 
 
-def design_kernel_iso(d: NullDesign) -> tuple:
-    """Design -> integer vector over k-subsets in colex order."""
-    vec = [0] * comb(d.n, d.k)
-    for s, v in d.values:
-        vec[colex_rank(s)] = v
-    return tuple(vec)
-
-
-def vector_to_design(v: Sequence[int], n: int, k: int) -> NullDesign:
-    if len(v) != comb(n, k):
-        raise DimensionMismatch("vector length is not C(n, k)")
-    data = {}
-    for subset, value in zip(subsets_colex(n, k), v):
-        if value:
-            data[subset] = int(value)
-    return NullDesign.from_dict(n, k, data)
-
-
 def pod_lattice(n: int, k: int, t: int) -> exactmath.LatticeBasis:
     """HNF basis of the Z-span of all pod vectors."""
-    vecs = [design_kernel_iso(pod_expand(p, n)) for p in pods(n, k, t)]
+    vecs = [pod_expand(p, n) for p in pods(n, k, t)]
     return exactmath.lattice_from_generators(comb(n, k), vecs)
 
 
@@ -188,7 +119,7 @@ def pods_span_kernel(n: int, k: int, t: int) -> bool:
 @dataclass(frozen=True)
 class SupportScan:
     min_positive_support: Optional[int]
-    witness: Optional[NullDesign]
+    witness: Optional[tuple]  # sign-normalized kernel vector
     subsets_enumerated: int
 
 
@@ -203,6 +134,7 @@ def min_support_scan(
     column-subset sums per size and reports the first collision.
     """
     a = build_matrix(n, k, t).matrix
+    columns = list(zip(*a.entries))
     enumerated = 0
     for s in range(1, (1 << t) + 1):
         sums: Dict[tuple, tuple] = {}
@@ -210,11 +142,7 @@ def min_support_scan(
             enumerated += 1
             if enumerated > config.box_budget:
                 raise BudgetExceeded("support scan budget exhausted")
-            total = [0] * a.rows
-            for j in cset:
-                for i, x in enumerate(a.column(j)):
-                    total[i] += x
-            key = tuple(total)
+            key = tuple(map(sum, zip(*(columns[j] for j in cset))))
             if key in sums:
                 vec = [0] * a.cols
                 for j in cset:
@@ -223,7 +151,7 @@ def min_support_scan(
                     vec[j] -= 1
                 if any(a.mat_vec(vec)):
                     raise CertificateError("support-scan witness outside the kernel")
-                witness = vector_to_design(vec, n, k).sign_normalized()
-                return SupportScan(len(witness.positive_support), witness, enumerated)
+                witness = sign_normalized(vec)
+                return SupportScan(sum(x > 0 for x in witness), witness, enumerated)
             sums[key] = cset
     return SupportScan(None, None, enumerated)

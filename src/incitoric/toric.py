@@ -49,8 +49,6 @@ class DegrevlexOrder:
     """
 
     def __init__(self, nvars: int, cheapest: Optional[int] = None):
-        self.nvars = nvars
-        self.cheapest = cheapest
         if cheapest is None:
             self.scan = tuple(range(nvars - 1, -1, -1))
         else:
@@ -75,12 +73,6 @@ class DegrevlexOrder:
 
     def binomial_key(self, b: "Binomial") -> tuple:
         return (b.degree, self.sort_key(b.plus), self.sort_key(b.minus))
-
-    @property
-    def name(self) -> str:
-        if self.cheapest is None:
-            return "degrevlex"
-        return f"degrevlex(cheapest=x{self.cheapest})"
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +143,6 @@ class BinomialBasis:
     kind: str  # markov | graver | groebner | octahedral
     elements: tuple
     matrix: IncidenceMatrix
-    order_name: str = "degrevlex"
 
     def __post_init__(self):
         a = self.matrix.matrix
@@ -432,7 +423,7 @@ def lattice_ideal_groebner(
     for b in elements:
         if not b.is_homogeneous():
             raise BadParameters("inhomogeneous element in a lattice ideal basis")
-    return BinomialBasis("groebner", elements, inc, DegrevlexOrder(a.cols).name)
+    return BinomialBasis("groebner", elements, inc)
 
 
 def reduce_to_zero(b: Binomial, basis: BinomialBasis) -> bool:
@@ -482,7 +473,7 @@ def markov_from_groebner(gb: BinomialBasis, config: RunConfig = DEFAULT_CONFIG) 
         if cand.minus not in comp:
             accepted.append(cand)
             moves.append((cand.plus, cand.minus))
-    return BinomialBasis("markov", tuple(accepted), gb.matrix, gb.order_name)
+    return BinomialBasis("markov", tuple(accepted), gb.matrix)
 
 
 def minimal_markov(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> BinomialBasis:
@@ -583,7 +574,7 @@ def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> Bi
         )
     ]
     minimal.sort(key=order.binomial_key)
-    return BinomialBasis("graver", tuple(minimal), inc, order.name)
+    return BinomialBasis("graver", tuple(minimal), inc)
 
 
 def is_primitive(b: Binomial, inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> bool:
@@ -685,10 +676,8 @@ def octahedral_generators(n: int, k: int, t: int) -> BinomialBasis:
     order = DegrevlexOrder(inc.matrix.cols)
     elements = []
     for pod in designs.pods(n, k, t):
-        design = designs.pod_expand(pod, n)
-        u = designs.design_kernel_iso(design)
-        elements.append(Binomial.from_vector(u).oriented(order))
-    return BinomialBasis("octahedral", tuple(elements), inc, order.name)
+        elements.append(Binomial.from_vector(designs.pod_expand(pod, n)).oriented(order))
+    return BinomialBasis("octahedral", tuple(elements), inc)
 
 
 def saturation_equals(

@@ -1,6 +1,9 @@
 """Command-line interface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
+
+import pytest
 
 from incitoric.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from incitoric.incidence import build_matrix
@@ -64,6 +67,22 @@ def test_determinism_byte_identical(capsys):
     assert first == second
 
 
+# sha256 of the --no-meta stdout of commands whose JSON is built from
+# kernel vectors, pinned so that a change of representation keeps it
+PINNED_NO_META_SHA256 = (
+    ("designs pods -n 6 -k 3 -t 2", "436348473989d4ba9ad92df8fff39b40480f9c85a0635bf7b5d97fd7552feed2"),
+    ("designs scan -n 7 -k 3 -t 2", "220096b2c5eade8ad37a909aeb462459c402847b2c753bfd8396dca3a83ec707"),
+    ("toric octahedral -n 6 -k 3 -t 2", "1078f850a7e150a31d608b01a5275d4af50ae0ec8b7e4714aa88daf438423dcf"),
+)
+
+
+@pytest.mark.parametrize("command, digest", PINNED_NO_META_SHA256)
+def test_no_meta_output_is_pinned(capsys, command, digest):
+    code, out = run_cli(capsys, "--no-meta", *command.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_meta_timestamp_present_by_default(capsys):
     code, out = run_cli(capsys, "threepoint", "check", "-n", "5")
     assert code == EXIT_OK
@@ -76,6 +95,16 @@ def test_unknown_vertex_label_is_usage_error(capsys):
         "--subset", "999",
     )
     assert code == EXIT_USAGE
+
+
+def test_repeated_vertex_label_is_usage_error(capsys):
+    code = main(
+        ["--no-meta", "polytope", "faces", "-n", "6", "-k", "3", "-t", "2", "--subset", "123,456, 123"]
+    )
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "repeated vertex label '123'" in captured.err
 
 
 def test_faces_without_subset_is_usage_error(capsys):

@@ -1,4 +1,4 @@
-"""Null designs, pods, support bounds."""
+"""Null designs as kernel vectors, pods, support bounds."""
 
 from math import comb
 
@@ -11,20 +11,34 @@ from incitoric.errors import BadParameters, BudgetExceeded, IndexOutOfRange
 from incitoric.incidence import build_matrix
 
 
-def is_null_design(f, t):
+def is_null_design(vec, n, k, t):
     """Oracle: the strength-t balance condition on every t-subset, read
-    off the design itself rather than the incidence matrix.
+    off the colex k-subsets the vector is indexed by rather than the
+    incidence matrix.
 
     Returns (True, None) or (False, the first violated t-subset in colex
     order).
     """
-    if t >= f.k:
+    if t >= k:
         raise BadParameters("strength t must be smaller than k")
-    for x in subsets_colex(f.n, t):
-        total = sum(v for s, v in f.values if set(x) <= set(s))
+    if len(vec) != comb(n, k):
+        raise BadParameters("one entry per k-subset required")
+    weights = list(zip(subsets_colex(n, k), vec))
+    for x in subsets_colex(n, t):
+        total = sum(v for s, v in weights if set(x) <= set(s))
         if total != 0:
             return False, x
     return True, None
+
+
+def vector(n, k, values):
+    """The vector over the colex k-subsets with the given subset values."""
+    return tuple(values.get(s, 0) for s in subsets_colex(n, k))
+
+
+def nonzero(vec, n, k):
+    """The nonzero entries of a vector, keyed by their k-subsets."""
+    return {s: v for s, v in zip(subsets_colex(n, k), vec) if v}
 
 
 def octa_pod():
@@ -33,25 +47,26 @@ def octa_pod():
 
 class TestPodExpand:
     def test_octahedral_quartic_support(self):
-        d = designs.pod_expand(octa_pod(), 6)
-        assert len(d.values) == 8
-        assert all(abs(v) == 1 for _, v in d.values)
-        assert set(d.positive_support) == {
+        d = nonzero(designs.pod_expand(octa_pod(), 6), 6, 3)
+        assert len(d) == 8
+        assert all(abs(v) == 1 for v in d.values())
+        positive = {s for s, v in d.items() if v > 0}
+        assert positive == {
             (1, 3, 5),
             (2, 4, 5),
             (2, 3, 6),
             (1, 4, 6),
         }
-        assert len(d.positive_support) == 4 == 2**2
+        assert len(positive) == 4 == 2**2
 
     def test_degree_one_pod(self):
         d = designs.pod_expand(designs.Pod(((1, 2),), (3,)), 4)
-        assert dict(d.values) == {(1, 3): 1, (2, 3): -1}
+        assert nonzero(d, 4, 2) == {(1, 3): 1, (2, 3): -1}
 
     def test_pair_swap_negates(self):
         d1 = designs.pod_expand(designs.Pod(((1, 2), (3, 4), (5, 6)), ()), 6)
         d2 = designs.pod_expand(designs.Pod(((2, 1), (3, 4), (5, 6)), ()), 6)
-        assert d2.values == d1.negate().values
+        assert d2 == tuple(-x for x in d1)
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
@@ -64,54 +79,54 @@ class TestPodExpand:
 
 class TestIsNullDesign:
     def test_zero_design(self):
-        zero = designs.NullDesign.from_dict(6, 3, {})
+        zero = vector(6, 3, {})
         for t in (1, 2):
-            ok, witness = is_null_design(zero, t)
+            ok, witness = is_null_design(zero, 6, 3, t)
             assert ok and witness is None
 
     def test_pod_balanced_at_its_strength(self):
         d = designs.pod_expand(octa_pod(), 6)
-        ok, _ = is_null_design(d, 2)
+        ok, _ = is_null_design(d, 6, 3, 2)
         assert ok
-        ok1, _ = is_null_design(d, 1)
+        ok1, _ = is_null_design(d, 6, 3, 1)
         assert ok1
 
     def test_pod_fails_higher_strength(self):
         d = designs.pod_expand(octa_pod(), 6)
         # k = 3 forbids t = 3; check strength semantics on the direct sums
         with pytest.raises(BadParameters):
-            is_null_design(d, 3)
+            is_null_design(d, 6, 3, 3)
         # the corresponding t = 3 sum over a contained triple is nonzero
-        assert dict(d.values)[(1, 3, 5)] != 0
+        assert nonzero(d, 6, 3)[(1, 3, 5)] != 0
 
     def test_first_violation_reported(self):
-        skew = designs.NullDesign.from_dict(6, 3, {(1, 3, 5): 1})
-        ok, witness = is_null_design(skew, 2)
+        skew = vector(6, 3, {(1, 3, 5): 1})
+        ok, witness = is_null_design(skew, 6, 3, 2)
         assert not ok
         assert witness == (1, 3)  # colex-first pair inside the support
 
 
 class TestKernelIso:
     def test_round_trip_zero(self):
-        zero = designs.NullDesign.from_dict(6, 3, {})
-        v = designs.design_kernel_iso(zero)
-        assert v == (0,) * comb(6, 3)
-        assert designs.vector_to_design(v, 6, 3).values == ()
+        zero = vector(6, 3, {})
+        assert zero == (0,) * comb(6, 3)
+        assert nonzero(zero, 6, 3) == {}
+        assert not any(build_matrix(6, 3, 2).matrix.mat_vec(zero))
 
     def test_quartic_in_kernel(self):
         inc = build_matrix(6, 3, 2)
-        d = designs.pod_expand(octa_pod(), 6)
-        v = designs.design_kernel_iso(d)
+        v = designs.pod_expand(octa_pod(), 6)
         assert not any(inc.matrix.mat_vec(v))
-        assert designs.vector_to_design(v, 6, 3).values == d.values
+        assert vector(6, 3, nonzero(v, 6, 3)) == v
 
     def test_design_iff_kernel(self):
         inc = build_matrix(6, 3, 2)
         good = designs.pod_expand(octa_pod(), 6)
-        assert not any(inc.matrix.mat_vec(designs.design_kernel_iso(good)))
-        bad = designs.NullDesign.from_dict(6, 3, {(1, 2, 3): 1})
-        assert any(inc.matrix.mat_vec(designs.design_kernel_iso(bad)))
-        ok, _ = is_null_design(bad, 2)
+        assert not any(inc.matrix.mat_vec(good))
+        assert is_null_design(good, 6, 3, 2)[0]
+        bad = vector(6, 3, {(1, 2, 3): 1})
+        assert any(inc.matrix.mat_vec(bad))
+        ok, _ = is_null_design(bad, 6, 3, 2)
         assert not ok
 
 
@@ -131,14 +146,20 @@ class TestPodSpan:
 
 
 class TestSupportScan:
+    def test_sign_normalized(self):
+        assert designs.sign_normalized((0, -1, 2)) == (0, 1, -2)
+        assert designs.sign_normalized((0, 1, -2)) == (0, 1, -2)
+        assert designs.sign_normalized([0, 0]) == (0, 0)
+
     def test_632_minimum_four_with_pod_witness(self):
         scan = designs.min_support_scan(6, 3, 2)
         assert scan.min_positive_support == 4
+        assert scan.witness == designs.sign_normalized(scan.witness)
         pods_norm = {
-            designs.pod_expand(p, 6).sign_normalized().values
+            designs.sign_normalized(designs.pod_expand(p, 6))
             for p in designs.pods(6, 3, 2)
         }
-        assert scan.witness.sign_normalized().values in pods_norm
+        assert scan.witness in pods_norm
 
     def test_trivial_kernel_is_empty(self):
         scan = designs.min_support_scan(5, 3, 2)
@@ -148,6 +169,7 @@ class TestSupportScan:
     def test_732_minimum_four(self):
         scan = designs.min_support_scan(7, 3, 2)
         assert scan.min_positive_support == 4
+        assert is_null_design(scan.witness, 7, 3, 2)[0]
 
     def test_budget(self):
         tiny = RunConfig(box_budget=10)

@@ -124,7 +124,7 @@ def certificate_holds(cfg, subset, cert):
 
 def pod_supports(n):
     return [
-        [colex_rank(s) for s in designs.pod_expand(pod, n).positive_support]
+        [i for i, x in enumerate(designs.pod_expand(pod, n)) if x > 0]
         for pod in designs.pods(n, 3, 2)
     ]
 
