@@ -315,11 +315,8 @@ def criterion_13(ws: Workspace) -> Tuple[bool, str]:
 def criterion_14(ws: Workspace) -> Tuple[bool, str]:
     e3 = threepoint.det_as_c_expression(3, ws.config)
     ok = e3.f.terms == (((1,), 2),) and e3.g_exps == (0,)
+    # raises CertificateError unless f / g expands to the 265-term determinant
     e6 = threepoint.det_as_c_expression(6, ws.config)
-    expanded = threepoint.expand_triangle_poly(6, e6.f)
-    det6 = threepoint.det_leibniz(6, ws.config)
-    shift = threepoint._triangle_image_exps(6, e6.g_exps)
-    ok = ok and expanded.terms == det6.shift(shift).terms
     t3 = threepoint.tilde_ideal_generators(3, ws.config)
     ok = ok and t3.markov_count == 0 and t3.extra_generator.terms == (((1,), 1),)
     ok = ok and t3.containment_verified

@@ -129,7 +129,10 @@ def _cmd_toric(args) -> int:
             "order": "degrevlex",
             "count": len(basis.elements),
             "degrees": {str(d): c for d, c in sorted(degrees.items())},
-            "elements": basis.to_json_list(labels),
+            "elements": [
+                {"plus": _labelled(b.plus, labels), "minus": _labelled(b.minus, labels)}
+                for b in basis.elements
+            ],
         },
         args,
     )
@@ -308,12 +311,13 @@ def _cmd_threepoint(args) -> int:
 
 
 def _cmd_acceptance(args) -> int:
-    only = set(args.only) if args.only else None
-    ws = acceptance.Workspace(_config(args))
-    results = acceptance.run_acceptance(ws, only)
-    if not results:
-        print("no matching criteria (valid numbers are 1..14)", file=sys.stderr)
+    count = len(acceptance.ALL_CRITERIA)
+    unknown = [i for i in args.only or () if not 1 <= i <= count]
+    if unknown:
+        print(f"unknown criterion number {unknown[0]} (valid numbers are 1..{count})", file=sys.stderr)
         return EXIT_USAGE
+    ws = acceptance.Workspace(_config(args))
+    results = acceptance.run_acceptance(ws, args.only)
     all_ok = all(r.passed for r in results)
     # times are metadata: --no-meta drops them so that the output is reproducible
     timed = not getattr(args, "no_meta", False)
@@ -331,7 +335,8 @@ def _cmd_acceptance(args) -> int:
 
 
 def _config(args) -> RunConfig:
-    if getattr(args, "pair_budget", None):
+    # RunConfig refuses a budget below 1, which main reports as a usage error
+    if getattr(args, "pair_budget", None) is not None:
         return RunConfig(pair_queue_budget=args.pair_budget)
     return DEFAULT_CONFIG
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import BadParameters
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -31,7 +33,7 @@ class RunConfig:
             "derangement_max_n",
         ):
             if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+                raise BadParameters(f"{name} must be positive, not {getattr(self, name)}")
         if self.workers != 1:
             raise ValueError("workers must be 1: every run is sequential")
 

@@ -208,6 +208,8 @@ def neighborliness(
     Sizes are tested exhaustively in colex order; at the first failing
     size the witness is reported.
     """
+    if s_max < 1:
+        raise BadParameters(f"s_max must be at least 1, not {s_max}")
     m = len(cfg.points)
     tested = 0
     for s in range(1, s_max + 1):

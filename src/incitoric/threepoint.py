@@ -1,10 +1,12 @@
 """Derangement and coset calculus for simplified three-point functions.
 
 The free abelian group on the edge variables of the complete graph is
-written additively as integer vectors over colex-ordered 2-subsets.  The
-triangle subgroup is generated by the vectors e_ij + e_jk + e_ik, which
-are exactly the columns of the (n, 3, 2) incidence matrix, so coset
-membership is lattice membership with certificates in terms of triangle
+written additively: an element is a plain tuple of integer exponents over
+the colex-ordered 2-subsets, built by ``edge_vector`` from signed edges
+and triangles.  The triangle subgroup is generated by the vectors
+e_ij + e_jk + e_ik, which are exactly the columns of the (n, 3, 2)
+incidence matrix, so coset membership is one ``exactmath.HnfSolver``
+solve against that matrix, with certificates in terms of triangle
 generators.  A derangement maps to the sum of the edges {m, sigma(m)};
 the Leibniz expansion of the determinant of the hollow symmetric matrix
 of edge variables runs over exactly these monomials.
@@ -15,9 +17,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, gcd
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from . import exactmath
 from .combinat import Derangement, colex_rank, derangement_from_images, derangements
@@ -32,87 +34,29 @@ from .errors import (
 from .incidence import build_matrix
 
 
-@dataclass(frozen=True)
-class EdgeVector:
-    """Integer exponent vector over the 2-subsets of [1..n], colex order."""
+def edge_vector(n: int, terms: Iterable[tuple]) -> tuple:
+    """Exponent vector over the 2-subsets of [1..n], colex order, of a
+    signed sum of edges and triangles.
 
-    n: int
-    exps: tuple
-
-    def __post_init__(self):
-        if len(self.exps) != comb(self.n, 2):
-            raise DimensionMismatch("edge vector has wrong length")
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Dict[tuple, int]) -> "EdgeVector":
-        exps = [0] * comb(n, 2)
-        for (a, b), e in pairs.items():
-            if a == b or not (1 <= a <= n and 1 <= b <= n):
-                raise BadParameters(f"bad edge ({a},{b})")
-            exps[colex_rank(tuple(sorted((a, b))))] += e
-        return cls(n, tuple(exps))
-
-    def __add__(self, other: "EdgeVector") -> "EdgeVector":
-        if self.n != other.n:
-            raise DimensionMismatch("edge vectors over different ground sets")
-        return EdgeVector(self.n, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def __sub__(self, other: "EdgeVector") -> "EdgeVector":
-        return self + (-other)
-
-    def __neg__(self) -> "EdgeVector":
-        return EdgeVector(self.n, tuple(-a for a in self.exps))
-
-    def scale(self, c: int) -> "EdgeVector":
-        return EdgeVector(self.n, tuple(c * a for a in self.exps))
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
+    Each term is ``(coeff, vertices)``: two vertices add ``coeff`` to their
+    edge, three add ``coeff`` to each edge of their triangle.
+    """
+    exps = [0] * comb(n, 2)
+    for c, vertices in terms:
+        s = sorted(vertices)
+        if len(s) not in (2, 3) or len(set(s)) != len(s) or not 1 <= s[0] <= s[-1] <= n:
+            raise BadParameters(f"bad edge or triangle {tuple(vertices)} over [1..{n}]")
+        for pair in combinations(s, 2):
+            exps[colex_rank(pair)] += c
+    return tuple(exps)
 
 
-def edge(n: int, a: int, b: int) -> EdgeVector:
-    return EdgeVector.from_pairs(n, {(a, b): 1})
-
-
-def triangle(n: int, i: int, j: int, k: int) -> EdgeVector:
-    if len({i, j, k}) != 3:
-        raise BadParameters("triangle needs three distinct indices")
-    return EdgeVector.from_pairs(n, {(i, j): 1, (j, k): 1, (i, k): 1})
-
-
-def all_edges(n: int) -> EdgeVector:
-    return EdgeVector(n, (1,) * comb(n, 2))
-
-
-def phi(d: Derangement) -> EdgeVector:
+def phi(d: Derangement) -> tuple:
     """Product of the edges {m, sigma(m)}, written additively; degree n."""
-    pairs: Dict[tuple, int] = {}
-    for i in range(1, d.n + 1):
-        key = tuple(sorted((i, d.apply(i))))
-        pairs[key] = pairs.get(key, 0) + 1
-    v = EdgeVector.from_pairs(d.n, pairs)
-    if v.degree != d.n:
-        raise CertificateError(f"derangement image has degree {v.degree}, not {d.n}")
+    v = edge_vector(d.n, ((1, (i, d.apply(i))) for i in range(1, d.n + 1)))
+    if sum(v) != d.n:
+        raise CertificateError(f"derangement image has degree {sum(v)}, not {d.n}")
     return v
-
-
-class TriangleLattice:
-    """Subgroup generated by the triangle vectors, with certificates in
-    terms of the C(n,3) triangle generators."""
-
-    def __init__(self, n: int):
-        if n < 3:
-            raise BadParameters("triangle lattice needs n >= 3")
-        self.n = n
-        self.inc = build_matrix(n, 3, 2)
-        self._solver = exactmath.HnfSolver(self.inc.matrix)
-
-    def member(self, v: EdgeVector) -> Optional[tuple]:
-        """Integer coefficients on triangle generators summing to v."""
-        if v.n != self.n:
-            raise DimensionMismatch("edge vector over the wrong ground set")
-        return self._solver.solve(v.exps)
 
 
 def _derangements_within_cap(n: int, config: RunConfig) -> None:
@@ -120,7 +64,7 @@ def _derangements_within_cap(n: int, config: RunConfig) -> None:
         raise BudgetExceeded(f"derangement enumeration capped at n = {config.derangement_max_n}")
 
 
-def fiber(v: EdgeVector, n: int, config: RunConfig = DEFAULT_CONFIG) -> List[Derangement]:
+def fiber(v: tuple, n: int, config: RunConfig = DEFAULT_CONFIG) -> List[Derangement]:
     """All derangements with edge image v, lexicographic in the image tuple.
 
     A backtracking search picks sigma(1), sigma(2), ... in turn and tries
@@ -128,13 +72,13 @@ def fiber(v: EdgeVector, n: int, config: RunConfig = DEFAULT_CONFIG) -> List[Der
     The search is complete, since the edges of every prefix of a derangement
     in the fiber lie within v, and each leaf is re-checked against phi.
     """
-    if v.n != n:
-        raise DimensionMismatch("edge vector over the wrong ground set")
     if n < 2:
         raise BadParameters("derangements need n >= 2")
+    if len(v) != comb(n, 2):
+        raise DimensionMismatch("edge vector over the wrong ground set")
     _derangements_within_cap(n, config)
     rank = {(i, w): colex_rank(sorted((i, w))) for i, w in permutations(range(1, n + 1), 2)}
-    left = list(v.exps)  # edge multiplicities still unused
+    left = list(v)  # edge multiplicities still unused
     used = [False] * (n + 1)
     images: List[int] = []
     found: List[Derangement] = []
@@ -142,7 +86,7 @@ def fiber(v: EdgeVector, n: int, config: RunConfig = DEFAULT_CONFIG) -> List[Der
     def extend(i: int) -> None:
         if i > n:
             d = derangement_from_images(images)
-            if phi(d).exps == v.exps:
+            if phi(d) == v:
                 found.append(d)
             return
         for w in range(1, n + 1):
@@ -169,30 +113,18 @@ def fiber_size_formula(d: Derangement) -> int:
 
 def transposition_relations_check(n: int) -> bool:
     """Both exchange identities as exact edge-vector equalities, for every
-    ordered choice of five distinct indices."""
+    ordered choice of five distinct indices: each identity, written as
+    left side minus right side, must have the zero edge vector."""
     if n < 5:
         raise BadParameters("need n >= 5 for five distinct indices")
     for (k, i, j, s, t) in permutations(range(1, n + 1), 5):
-        lhs = edge(n, k, i) + edge(n, j, s)
-        rhs = (
-            edge(n, k, j)
-            + edge(n, i, s)
-            + triangle(n, k, i, t)
-            + triangle(n, j, s, t)
-            - triangle(n, k, j, t)
-            - triangle(n, i, s, t)
-        )
-        if lhs.exps != rhs.exps:
-            return False
-        lhs2 = edge(n, i, j).scale(2)
-        rhs2 = (
-            edge(n, k, s).scale(2)
-            + triangle(n, i, j, k)
-            + triangle(n, i, j, s)
-            - triangle(n, i, k, s)
-            - triangle(n, j, k, s)
-        )
-        if lhs2.exps != rhs2.exps:
+        # p_ki p_js = p_kj p_is c_kit c_jst / (c_kjt c_ist)
+        first = ((1, (k, i)), (1, (j, s)), (-1, (k, j)), (-1, (i, s)),
+                 (-1, (k, i, t)), (-1, (j, s, t)), (1, (k, j, t)), (1, (i, s, t)))
+        # p_ij^2 = p_ks^2 c_ijk c_ijs / (c_iks c_jks)
+        second = ((2, (i, j)), (-2, (k, s)),
+                  (-1, (i, j, k)), (-1, (i, j, s)), (1, (i, k, s)), (1, (j, k, s)))
+        if any(edge_vector(n, first)) or any(edge_vector(n, second)):
             return False
     return True
 
@@ -240,7 +172,7 @@ def det_leibniz(n: int, config: RunConfig = DEFAULT_CONFIG) -> SymbolicPoly:
     arity = comb(n, 2)
     data: Dict[tuple, int] = {}
     for d in derangements(n):
-        key = phi(d).exps
+        key = phi(d)
         data[key] = data.get(key, 0) + d.sign
     return SymbolicPoly.from_dict(arity, data)
 
@@ -295,22 +227,22 @@ def check_section5(n: int, config: RunConfig = DEFAULT_CONFIG) -> Section5Report
     if n < 2:
         raise BadParameters("need n >= 2")
     _derangements_within_cap(n, config)
-    lattice = TriangleLattice(n) if n >= 3 else None  # no claim applies at n = 2
+    # the triangle group is the column lattice of (n, 3, 2); no claim applies at n = 2
+    solver = exactmath.HnfSolver(build_matrix(n, 3, 2).matrix) if n >= 3 else None
     images = [phi(d) for d in derangements(n)]
-    first, full, count = images[0], all_edges(n), len(images)
+    first, count = images[0], len(images)
 
     def members(vectors) -> bool:
-        return all(lattice.member(v) is not None for v in vectors)
+        return all(solver.solve(v) is not None for v in vectors)
 
     checks: Dict[str, Callable[[], bool]] = {
-        "transitive": lambda: members(img - first for img in images[1:]),
+        "transitive": lambda: members(tuple(a - b for a, b in zip(img, first)) for img in images[1:]),
         "images": lambda: members(images),
-        "images_full": lambda: members(img + full for img in images),
-        "first_cubed": lambda: passed("transitive") and members([first.scale(3)]),
-        "cubes": lambda: members(img.scale(3) for img in images),
-        "four_cycle": lambda: members(
-            [full - (edge(n, 1, 3) + edge(n, 2, 3) + edge(n, 2, 4) + edge(n, 1, 4))]
-        ),
+        "images_full": lambda: members(tuple(a + 1 for a in img) for img in images),
+        "first_cubed": lambda: passed("transitive") and members([tuple(3 * a for a in first)]),
+        "cubes": lambda: members(tuple(3 * a for a in img) for img in images),
+        "four_cycle": lambda: members([tuple(1 + a for a in edge_vector(
+            n, ((-1, (1, 3)), (-1, (2, 3)), (-1, (2, 4)), (-1, (1, 4)))))]),
         "exchange": lambda: transposition_relations_check(n),
     }
 
@@ -367,12 +299,12 @@ def det_as_c_expression(n: int, config: RunConfig = DEFAULT_CONFIG) -> DetExpres
     symbolically against the Leibniz expansion."""
     if n % 3 != 0:
         raise PreconditionFailed("determinant lies in the triangle group only for 3 | n")
-    lattice = TriangleLattice(n)
+    solver = exactmath.HnfSolver(build_matrix(n, 3, 2).matrix)
     det = det_leibniz(n, config)
     certs = []
     gammas = []
     for exps, coeff in det.terms:
-        gamma = lattice.member(EdgeVector(n, exps))
+        gamma = solver.solve(exps)
         if gamma is None:
             raise PreconditionFailed(f"Leibniz monomial {exps} outside the triangle group")
         certs.append((exps, coeff, gamma))
@@ -392,27 +324,20 @@ def det_as_c_expression(n: int, config: RunConfig = DEFAULT_CONFIG) -> DetExpres
             raise CertificateError(f"numerator and denominator share triangle variable {i}")
     # full symbolic verification: expanding f through the triangle map
     # equals det times the expansion of g
-    expanded = expand_triangle_poly(n, f)
-    shift = _triangle_image_exps(n, g_exps)
-    if expanded.terms != det.shift(shift).terms:
+    expanded = expand_triangle_poly(solver.m, f)
+    if expanded.terms != det.shift(solver.m.mat_vec(g_exps)).terms:
         raise CertificateError("determinant identity failed")
     return DetExpression(n, f, g_exps, tuple(certs))
 
 
-def _triangle_image_exps(n: int, c_exps: Sequence[int]) -> tuple:
-    inc = build_matrix(n, 3, 2)
-    return inc.matrix.mat_vec(tuple(c_exps))
-
-
-def expand_triangle_poly(n: int, f: SymbolicPoly) -> SymbolicPoly:
-    """Substitute each triangle variable by its edge monomial."""
-    arity = comb(n, 2)
-    a = build_matrix(n, 3, 2).matrix
+def expand_triangle_poly(a: exactmath.IntMatrix, f: SymbolicPoly) -> SymbolicPoly:
+    """Substitute each triangle variable by its edge monomial, read off the
+    (n, 3, 2) incidence matrix ``a``."""
     data: Dict[tuple, int] = {}
     for c_exps, coeff in f.terms:
-        key = a.mat_vec(tuple(c_exps))
+        key = a.mat_vec(c_exps)
         data[key] = data.get(key, 0) + coeff
-    return SymbolicPoly.from_dict(arity, data)
+    return SymbolicPoly.from_dict(a.rows, data)
 
 
 @dataclass(frozen=True)
@@ -468,7 +393,7 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
             h = SymbolicPoly.from_dict(ntris, {k: v // coeff_gcd for k, v in h.terms})
 
     det = det_leibniz(n, config)
-    image = expand_triangle_poly(n, h)
+    image = expand_triangle_poly(inc.matrix, h)
     prop = _proportional_up_to_monomial(image, det)
     q, scalar = prop if prop is not None else (None, None)
     return TildeIdealResult(n, len(markov.elements), markov_zero, h, prop is not None, q, scalar)

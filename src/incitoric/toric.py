@@ -163,17 +163,6 @@ class BinomialBasis:
             out[b.degree] = out.get(b.degree, 0) + 1
         return out
 
-    def to_json_list(self, labels: Sequence[str]) -> list:
-        out = []
-        for b in self.elements:
-            out.append(
-                {
-                    "plus": {labels[i]: e for i, e in enumerate(b.plus) if e},
-                    "minus": {labels[i]: e for i, e in enumerate(b.minus) if e},
-                }
-            )
-        return out
-
 
 # ---------------------------------------------------------------------------
 # raw engine on monomial pairs

@@ -68,11 +68,17 @@ def test_determinism_byte_identical(capsys):
 
 
 # sha256 of the --no-meta stdout of commands whose JSON is built from
-# kernel vectors, pinned so that a change of representation keeps it
+# kernel vectors or edge vectors, pinned so that a change of
+# representation keeps it
 PINNED_NO_META_SHA256 = (
     ("designs pods -n 6 -k 3 -t 2", "436348473989d4ba9ad92df8fff39b40480f9c85a0635bf7b5d97fd7552feed2"),
     ("designs scan -n 7 -k 3 -t 2", "220096b2c5eade8ad37a909aeb462459c402847b2c753bfd8396dca3a83ec707"),
     ("toric octahedral -n 6 -k 3 -t 2", "1078f850a7e150a31d608b01a5275d4af50ae0ec8b7e4714aa88daf438423dcf"),
+    ("toric markov -n 6 -k 3 -t 2", "f3a051b554d7f65b751fce325ff94dccef36624a6a611b9109101b9c63a85af6"),
+    ("threepoint check -n 5", "757878c608ea9814b8b5e9efe15adc11f3a3c5db2d3e8cee0b35084ac7cd153c"),
+    ("threepoint check -n 7", "144461232351d588b1560dcb676502845e05f6d8dca89c3ec66e98f93fda3f86"),
+    ("threepoint det -n 6 --emit", "e9682f95a8615f11d8e015c713ceed565852df659afd37419cd04828c8e479d2"),
+    ("threepoint fibers -n 5", "42d3d2e5a5dd2719db9800ec55ed00e3e87299883d50db14c879a668ab10c8c9"),
 )
 
 
@@ -124,6 +130,36 @@ def test_malformed_complex_file_is_usage_error(tmp_path, capsys):
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err.startswith("error: line ")
+
+
+def usage_error(capsys, *argv):
+    """Run the CLI, require exit 2 with nothing on stdout; return stderr."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_pair_budget_below_one_is_usage_error(capsys, budget):
+    err = usage_error(capsys, "--no-meta", "--pair-budget", budget, "threepoint", "check", "-n", "3")
+    assert f"pair_queue_budget must be positive, not {budget}" in err
+
+
+@pytest.mark.parametrize("s_max", ["0", "-3"])
+def test_neighborly_s_max_below_one_is_usage_error(capsys, s_max):
+    err = usage_error(
+        capsys, "--no-meta", "polytope", "neighborly", "-n", "4", "-k", "2", "-t", "1", "--s-max", s_max
+    )
+    assert f"s_max must be at least 1, not {s_max}" in err
+
+
+@pytest.mark.parametrize("only", [["2", "99"], ["0"], ["15", "3"]])
+def test_unknown_acceptance_number_is_usage_error(capsys, only):
+    err = usage_error(capsys, "--no-meta", "acceptance", "--only", *only)
+    bad = next(x for x in only if not 1 <= int(x) <= 14)
+    assert f"unknown criterion number {bad} (valid numbers are 1..14)" in err
 
 
 def test_bad_parameters_usage_error(capsys):

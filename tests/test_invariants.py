@@ -2,13 +2,15 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from math import comb
 from pathlib import Path
 
 import incitoric
 from incitoric import cli, designs, exactmath as em, toric
-from incitoric.combinat import subset_label, subsets_colex
 from incitoric.exactmath import IntMatrix
 from incitoric.incidence import build_matrix
 from test_designs import is_null_design
@@ -28,15 +30,22 @@ def test_design_json_uses_digit_labels():
     assert all(len(key) == 3 for key in payload)
 
 
-def test_binomial_basis_json():
-    inc = build_matrix(6, 3, 2)
+def test_binomial_basis_json(capsys):
     basis = toric.octahedral_generators(6, 3, 2)
-    labels = [subset_label(s, 6) for s in subsets_colex(6, 3)]
-    payload = basis.to_json_list(labels)
+    labels = cli._labels(6, 3)
+    payload = [
+        {"plus": cli._labelled(b.plus, labels), "minus": cli._labelled(b.minus, labels)}
+        for b in basis.elements
+    ]
     assert len(payload) == 15
     for entry in payload:
-        assert set(entry) == {"plus", "minus"}
         assert sum(entry["plus"].values()) == 4
+        assert sum(entry["minus"].values()) == 4
+        assert set(entry["plus"]).isdisjoint(entry["minus"])
+        assert all(len(key) == 3 for key in (*entry["plus"], *entry["minus"]))
+    # the toric command prints the same mapping
+    assert cli.main(["--no-meta", "toric", "octahedral", "-n", "6", "-k", "3", "-t", "2"]) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["elements"] == payload
 
 
 def test_rank_nullity_both_sides():
@@ -120,6 +129,19 @@ def _definitions(tree):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
                     yield item, BY_ATTRIBUTE
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracing.py wraps library functions by name: a renamed or
+    # deleted one makes install raise; a fresh interpreter keeps the
+    # wrappers out of this test session
+    root = Path(__file__).resolve().parent.parent
+    code = "import incitoric, tracing\ntracing.Tracer().install(incitoric)\n"
+    path = os.pathsep.join([str(root / "perfbench"), str(Path(incitoric.__file__).parent.parent)])
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
 
 
 def test_every_library_name_has_a_library_caller():

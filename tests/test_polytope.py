@@ -223,6 +223,11 @@ class TestNeighborliness:
         assert rep.neighborliness == 4
         assert rep.non_face_witness is None
 
+    @pytest.mark.parametrize("s_max", [0, -3])
+    def test_s_max_below_one_rejected(self, cfg632, s_max):
+        with pytest.raises(BadParameters):
+            neighborliness(cfg632, s_max)
+
 
 class TestSupportingHyperplane:
     def test_single_vertex_123(self):

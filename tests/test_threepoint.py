@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import incitoric
-from incitoric import threepoint as tp
+from incitoric import exactmath, threepoint as tp
 from incitoric.combinat import colex_rank, derangement_from_images, derangements
 from incitoric.errors import (
     BadParameters,
@@ -20,6 +20,7 @@ from incitoric.errors import (
     DimensionMismatch,
     PreconditionFailed,
 )
+from incitoric.incidence import build_matrix
 
 
 def det_cofactor(n):
@@ -52,28 +53,59 @@ def det_cofactor(n):
 
 def fiber_by_filter(v, n):
     """Oracle for fiber: every derangement of n whose edge image is v."""
-    return [d for d in derangements(n) if tp.phi(d).exps == v.exps]
+    return [d for d in derangements(n) if tp.phi(d) == v]
+
+
+def triangle_solver(n):
+    """Membership in the triangle group: solves against the (n, 3, 2) matrix."""
+    return exactmath.HnfSolver(build_matrix(n, 3, 2).matrix)
+
+
+class TestEdgeVector:
+    def test_triangles_are_incidence_columns(self):
+        for n in range(3, 8):
+            inc = build_matrix(n, 3, 2)
+            for j, tri in enumerate(inc.col_labels):
+                assert tp.edge_vector(n, [(1, tri)]) == inc.matrix.column(j)
+
+    def test_edges_are_unit_vectors(self):
+        for n in range(2, 8):
+            for b in range(2, n + 1):
+                for a in range(1, b):
+                    v = tp.edge_vector(n, [(1, (b, a))])
+                    assert v == tuple(int(i == colex_rank((a, b))) for i in range(comb(n, 2)))
+
+    def test_signed_terms_add(self):
+        # p12^2 c123 / c124: the edge 12 twice, the triangles' edges once each
+        v = tp.edge_vector(4, [(2, (1, 2)), (1, (1, 2, 3)), (-1, (1, 2, 4))])
+        assert v == (2, 1, 1, -1, -1, 0)
+        assert tp.edge_vector(4, []) == (0,) * 6
+
+    @pytest.mark.parametrize("vertices", [(1, 1), (2, 3, 2), (0, 1), (1, 5), (1, 2, 5), (1,), (1, 2, 3, 4)])
+    def test_bad_vertices_rejected(self, vertices):
+        with pytest.raises(BadParameters):
+            tp.edge_vector(4, [(1, (1, 2)), (1, vertices)])
 
 
 class TestPhi:
     def test_transposition_squares(self):
         d = derangement_from_images((2, 1))
         v = tp.phi(d)
-        assert v.exps == (2,)  # the one edge {1, 2}, squared
+        assert v == (2,)  # the one edge {1, 2}, squared
 
     def test_three_cycle_is_triangle(self):
         d = derangement_from_images((2, 3, 1))
-        assert tp.phi(d).exps == tp.triangle(3, 1, 2, 3).exps
+        assert tp.phi(d) == tp.edge_vector(3, [(1, (1, 2, 3))])
 
     def test_cycle_and_inverse_agree(self):
         for n in (4, 5, 6):
             cycle = derangement_from_images(tuple(list(range(2, n + 1)) + [1]))
             inverse = derangement_from_images((n,) + tuple(range(1, n)))
-            assert tp.phi(cycle).exps == tp.phi(inverse).exps
+            assert tp.phi(cycle) == tp.phi(inverse)
 
     def test_degree_is_n(self):
         for d in derangements(5):
-            assert tp.phi(d).degree == 5
+            assert sum(tp.phi(d)) == 5
 
 
 class TestFibers:
@@ -102,13 +134,13 @@ class TestFibers:
             # the filter, run once per n: derangements grouped by image
             by_image = {}
             for d in derangements(n):
-                by_image.setdefault(tp.phi(d).exps, []).append(d)
+                by_image.setdefault(tp.phi(d), []).append(d)
             for d in derangements(n):
-                assert tp.fiber(tp.phi(d), n) == by_image[tp.phi(d).exps]
+                assert tp.fiber(tp.phi(d), n) == by_image[tp.phi(d)]
 
     def test_outside_the_image_is_empty(self):
         # vertex 1 meets four edges, so no derangement maps here
-        v = tp.EdgeVector.from_pairs(4, {(1, 2): 2, (1, 3): 1, (1, 4): 1})
+        v = tp.edge_vector(4, [(2, (1, 2)), (1, (1, 3)), (1, (1, 4))])
         assert fiber_by_filter(v, 4) == []
         assert tp.fiber(v, 4) == []
 
@@ -118,7 +150,7 @@ class TestFibers:
     ))
     def test_agrees_with_filter_on_any_edge_vector(self, case):
         n, exps = case
-        v = tp.EdgeVector(n, tuple(exps))
+        v = tuple(exps)
         assert tp.fiber(v, n) == fiber_by_filter(v, n)
 
     def test_ground_set_mismatch_raises(self):
@@ -129,25 +161,25 @@ class TestFibers:
 
 class TestCosets:
     def test_triangle_generator_present(self):
-        cert = tp.TriangleLattice(5).member(tp.triangle(5, 1, 2, 3))
+        cert = triangle_solver(5).solve(tp.edge_vector(5, [(1, (1, 2, 3))]))
         assert cert is not None
 
     def test_single_edge_absent(self):
-        assert tp.TriangleLattice(5).member(tp.edge(5, 1, 2)) is None
+        assert triangle_solver(5).solve(tp.edge_vector(5, [(1, (1, 2))])) is None
 
     def test_all_derangement_images_for_six(self):
-        lattice = tp.TriangleLattice(6)
+        solver = triangle_solver(6)
         count = 0
         for d in derangements(6):
-            assert lattice.member(tp.phi(d)) is not None
+            assert solver.solve(tp.phi(d)) is not None
             count += 1
         assert count == 265
 
     def test_certificate_recomputes(self):
-        lattice = tp.TriangleLattice(6)
+        solver = triangle_solver(6)
         v = tp.phi(next(iter(derangements(6))))
-        coeffs = lattice.member(v)
-        assert lattice.inc.matrix.mat_vec(coeffs) == v.exps
+        coeffs = solver.solve(v)
+        assert solver.m.mat_vec(coeffs) == v
 
 
 class TestTranspositionRelations:
@@ -204,8 +236,8 @@ class TestSection5:
     @pytest.mark.parametrize("n, solves", [(5, 89), (6, 794), (7, 1854)])
     def test_each_membership_set_solved_once(self, monkeypatch, n, solves):
         calls = []
-        member = tp.TriangleLattice.member
-        monkeypatch.setattr(tp.TriangleLattice, "member", lambda self, v: calls.append(v) or member(self, v))
+        solve = exactmath.HnfSolver.solve
+        monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: calls.append(v) or solve(self, v))
         tp.check_section5(n)
         # one solve per vector of each membership set, however many claims state it
         assert len(calls) == solves
@@ -315,8 +347,8 @@ class TestDetExpression:
             "from incitoric import threepoint as tp\n"
             "from incitoric.errors import CertificateError\n"
             "expand = tp.expand_triangle_poly\n"
-            "def perturbed(n, f):\n"
-            "    p = expand(n, f)\n"
+            "def perturbed(a, f):\n"
+            "    p = expand(a, f)\n"
             "    k, c = p.terms[0]\n"
             "    return tp.SymbolicPoly.from_dict(p.arity, {**dict(p.terms), k: 2 * c})\n"
             "tp.expand_triangle_poly = perturbed\n"
@@ -334,10 +366,10 @@ class TestDetExpression:
     def test_n6_identity(self):
         expr = tp.det_as_c_expression(6)
         assert expr.f.term_count() == 130
-        expanded = tp.expand_triangle_poly(6, expr.f)
+        a = build_matrix(6, 3, 2).matrix
+        expanded = tp.expand_triangle_poly(a, expr.f)
         det = tp.det_leibniz(6)
-        shift = tp._triangle_image_exps(6, expr.g_exps)
-        assert expanded.terms == det.shift(shift).terms
+        assert expanded.terms == det.shift(a.mat_vec(expr.g_exps)).terms
         # coprimality: every denominator variable is missed by some term
         for i, e in enumerate(expr.g_exps):
             if e:
@@ -374,12 +406,12 @@ class TestTildeIdeal:
 
         monkeypatch.setattr(tp, "build_matrix", counted)
         tp.det_as_c_expression(6)
-        # the triangle lattice, the expansion of f and the shift by g
-        assert len(calls) == 3
+        # one matrix for the solves, the expansion of f and the shift by g
+        assert len(calls) == 1
         calls.clear()
         tp.tilde_ideal_generators(6)
-        # the three above, the matrix of the Markov basis and the expansion of h
-        assert len(calls) == 5
+        # the one above, and one for the Markov basis and the expansion of h
+        assert len(calls) == 2
 
     def test_failed_containment_is_reported(self, monkeypatch):
         monkeypatch.setattr(tp, "_proportional_up_to_monomial", lambda poly, det: None)
@@ -392,8 +424,8 @@ class TestTildeIdeal:
 def _perturbed(expand):
     """expand_triangle_poly with the coefficient of its first term doubled."""
 
-    def perturbed(n, f):
-        p = expand(n, f)
+    def perturbed(a, f):
+        p = expand(a, f)
         k, c = p.terms[0]
         return tp.SymbolicPoly.from_dict(p.arity, {**dict(p.terms), k: 2 * c})
 
