@@ -142,11 +142,10 @@ def _cmd_toric(args) -> int:
 def _cmd_polytope(args) -> int:
     inc = build_matrix(args.n, args.k, args.t)
     cfg = PointConfig.from_incidence(inc)
-    config = _config(args)
     if args.what == "volume":
         lattice = "euclidean" if args.lattice == "euclidean" else "column_lattice"
-        tri = placing_triangulation(cfg, config=config)
-        vol = normalized_volume(cfg, lattice, tri, config)
+        tri = placing_triangulation(cfg)
+        vol = normalized_volume(cfg, lattice, tri)
         _emit(
             {
                 "n": args.n,
@@ -191,7 +190,7 @@ def _cmd_polytope(args) -> int:
         _emit(payload, args)
         return EXIT_OK
     # neighborly
-    rep = neighborliness(cfg, args.s_max, config)
+    rep = neighborliness(cfg, args.s_max)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -237,7 +236,6 @@ def _cmd_complex(args) -> int:
 
 
 def _cmd_designs(args) -> int:
-    config = _config(args)
     labels = _labels(args.n, args.k)
     if args.what == "pods":
         pods = list(designs.pods(args.n, args.k, args.t))
@@ -254,7 +252,7 @@ def _cmd_designs(args) -> int:
             args,
         )
         return EXIT_OK if span_ok else EXIT_VERIFICATION
-    scan = designs.min_support_scan(args.n, args.k, args.t, config=config)
+    scan = designs.min_support_scan(args.n, args.k, args.t)
     payload = {
         "n": args.n,
         "k": args.k,
@@ -269,9 +267,8 @@ def _cmd_designs(args) -> int:
 
 
 def _cmd_threepoint(args) -> int:
-    config = _config(args)
     if args.what == "check":
-        report = threepoint.check_section5(args.n, config)
+        report = threepoint.check_section5(args.n)
         _emit(report.as_dict(), args)
         return EXIT_OK if report.all_passed else EXIT_VERIFICATION
     if args.what == "fibers":
@@ -280,7 +277,7 @@ def _cmd_threepoint(args) -> int:
         rows = []
         ok = True
         for d in derangements(args.n):
-            size = len(threepoint.fiber(threepoint.phi(d), args.n, config))
+            size = len(threepoint.fiber(threepoint.phi(d), args.n))
             expected = threepoint.fiber_size_formula(d)
             ok = ok and size == expected
             rows.append(
@@ -294,7 +291,7 @@ def _cmd_threepoint(args) -> int:
         _emit({"n": args.n, "all_match": ok, "derangements": rows}, args)
         return EXIT_OK if ok else EXIT_VERIFICATION
     # det
-    expr = threepoint.det_as_c_expression(args.n, config)
+    expr = threepoint.det_as_c_expression(args.n)
     tri_labels = _labels(args.n, 3)
     payload = {
         "n": args.n,
@@ -336,7 +333,7 @@ def _cmd_acceptance(args) -> int:
 
 def _config(args) -> RunConfig:
     # RunConfig refuses a budget below 1, which main reports as a usage error
-    if getattr(args, "pair_budget", None) is not None:
+    if args.pair_budget is not None:
         return RunConfig(pair_queue_budget=args.pair_budget)
     return DEFAULT_CONFIG
 
@@ -354,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--no-meta", action="store_true", help="suppress the timestamp and the acceptance times")
     parser.add_argument("--out", help="also write the JSON payload to this file")
-    parser.add_argument("--pair-budget", type=int, help="pair queue budget for basis computations")
+    parser.add_argument("--pair-budget", type=int, help="pair queue budget of toric and acceptance")
     sub = parser.add_subparsers(dest="command", required=True)
 
     inc = sub.add_parser("incidence", help="incidence matrices and rank laws")
@@ -410,6 +407,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    if args.pair_budget is not None and args.func not in (_cmd_toric, _cmd_acceptance):
+        print(f"--pair-budget does not apply to the {args.command} command", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except BudgetExceeded as e:

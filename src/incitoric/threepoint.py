@@ -291,6 +291,7 @@ class DetExpression:
     f: SymbolicPoly  # polynomial in the C(n,3) triangle variables
     g_exps: tuple  # denominator monomial exponents over triangle variables
     certificates: tuple  # (leibniz monomial exps, coefficient, gamma) per term
+    det: SymbolicPoly  # the Leibniz expansion the identity was verified against
 
 
 def det_as_c_expression(n: int, config: RunConfig = DEFAULT_CONFIG) -> DetExpression:
@@ -327,7 +328,7 @@ def det_as_c_expression(n: int, config: RunConfig = DEFAULT_CONFIG) -> DetExpres
     expanded = expand_triangle_poly(solver.m, f)
     if expanded.terms != det.shift(solver.m.mat_vec(g_exps)).terms:
         raise CertificateError("determinant identity failed")
-    return DetExpression(n, f, g_exps, tuple(certs))
+    return DetExpression(n, f, g_exps, tuple(certs), det)
 
 
 def expand_triangle_poly(a: exactmath.IntMatrix, f: SymbolicPoly) -> SymbolicPoly:
@@ -392,9 +393,8 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
         if coeff_gcd > 1:
             h = SymbolicPoly.from_dict(ntris, {k: v // coeff_gcd for k, v in h.terms})
 
-    det = det_leibniz(n, config)
     image = expand_triangle_poly(inc.matrix, h)
-    prop = _proportional_up_to_monomial(image, det)
+    prop = _proportional_up_to_monomial(image, expr.det)
     q, scalar = prop if prop is not None else (None, None)
     return TildeIdealResult(n, len(markov.elements), markov_zero, h, prop is not None, q, scalar)
 

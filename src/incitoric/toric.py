@@ -7,10 +7,10 @@ start from the binomials of an integer kernel basis and saturate one
 variable at a time, each round re-running Buchberger in a degree-reverse-
 lexicographic order that makes the active variable cheapest and then
 stripping its common power from every basis element.  Buchberger queues
-S-pairs by the Gebauer-Moeller update, so no pair is remembered once it
-is popped.  Graver bases come from a completion on kernel vectors,
-Markov bases from fiber connectivity and primitivity from a
-meet-in-the-middle search of a box.
+S-pairs by criteria M and F of the Gebauer-Moeller update, so no pair is
+remembered once it is popped.  Graver bases come from a completion on
+kernel vectors, Markov bases from fiber connectivity and primitivity from
+a meet-in-the-middle search of a box.
 
 Monomials are exponent tuples indexed by colex subset rank.  In the
 default order the colex-first variable is the most expensive and ties are
@@ -204,13 +204,9 @@ def _first_divisor(m: tuple, basis: list, masks: list) -> Optional[tuple]:
     return None
 
 
-def _normal_form(
-    a: tuple, b: tuple, basis: list, order: DegrevlexOrder, masks: Optional[list] = None
-):
+def _normal_form(a: tuple, b: tuple, basis: list, order: DegrevlexOrder, masks: list):
     """Full normal form of x^a - x^b against leads of ``basis``; None if 0.
-    ``masks`` are the support masks of those leads, computed when not given."""
-    if masks is None:
-        masks = [_support(lead) for lead, _ in basis]
+    ``masks`` are the support masks of those leads."""
     pair = _orient(a, b, order)
     if pair is None:
         return None
@@ -241,42 +237,29 @@ def buchberger(
 
     Generators and result are (lead, tail) monomial pairs; zero input
     binomials are dropped.  Pairs are popped by increasing lcm in the
-    order, ties in the order the pairs were made.  Which pairs are queued is decided by the
-    update of Gebauer and Moeller ("On an installation of Buchberger's
-    algorithm", 1988) each time an element h joins the basis:
-
-    - criterion B drops each queued pair whose lcm the lead of h divides,
-      unless the lcm of h with one member of the pair is that same lcm;
-    - criteria M and F keep, of the new pairs of h, one per lcm that no
-      other new lcm strictly divides, and none of those whose lcm some new
-      pair with coprime leads has;
-    - basis elements whose lead the lead of h divides stop being reducers
-      and pair partners.
+    order, ties in the order the pairs were made.  Each time an element h
+    joins the basis, criteria M and F of Gebauer and Moeller ("On an
+    installation of Buchberger's algorithm", 1988) keep, of the new pairs
+    of h, one per lcm that no other new lcm strictly divides, and none of
+    those whose lcm some new pair with coprime leads has.  Every element
+    stays a reducer and a pair partner; the final interreduction leaves
+    the reduced basis.
 
     Every lead and lcm carries a support mask, tested before any
     divisibility check.  Raises BudgetExceeded, naming the pairs popped and
-    the basis size, when more than ``pair_budget`` pairs are popped.
+    the elements kept, when more than ``pair_budget`` pairs are popped.
     """
     elements: list = []  # every element so far, by index: (lead, tail)
-    live: list = []  # indices of the elements no later lead divides
-    basis: list = []  # elements[k] for k in live: the reducers
     masks: list = []  # support masks of their leads
-    heap: list = []  # (order key of the lcm, newer member, older member, lcm, lcm mask)
+    heap: list = []  # (order key of the lcm, newer member, older member, lcm)
 
     def add(h: tuple) -> None:
-        nonlocal live, basis, masks
         lead, hmask = h[0], _support(h[0])
         t = len(elements)
-        elements.append(h)
-        # criterion B, once the masks allow the lead of h to divide the lcm
-        kept = [e for e in heap if hmask & e[4] != hmask or not _criterion_b(e, lead, elements)]
-        if len(kept) < len(heap):
-            heap[:] = kept
-            heapq.heapify(heap)
         # criteria M and F: per lcm, its first partner and whether any is coprime
         new: dict = {}
-        for k, gmask in zip(live, masks):
-            lcm = _lcm(elements[k][0], lead)
+        for k, (g, gmask) in enumerate(zip(elements, masks)):
+            lcm = _lcm(g[0], lead)
             if lcm in new:
                 new[lcm][2] |= not gmask & hmask
             else:
@@ -290,17 +273,8 @@ def buchberger(
                 continue
             minimal.append((lmask, lcm))
             if not coprime:
-                heapq.heappush(heap, (order.sort_key(lcm), t, k, lcm, lmask))
-        stay = [
-            n for n, gmask in enumerate(masks)
-            if hmask & gmask != hmask or not _divides(lead, basis[n][0])
-        ]
-        if len(stay) < len(live):
-            live = [live[n] for n in stay]
-            basis = [basis[n] for n in stay]
-            masks = [masks[n] for n in stay]
-        live.append(t)
-        basis.append(h)
+                heapq.heappush(heap, (order.sort_key(lcm), t, k, lcm))
+        elements.append(h)
         masks.append(hmask)
 
     for a, b in generators:
@@ -310,30 +284,19 @@ def buchberger(
 
     popped = 0
     while heap:
-        _, i, j, lcm, _ = heapq.heappop(heap)
+        _, i, j, lcm = heapq.heappop(heap)
         popped += 1
         if popped > pair_budget:
             raise BudgetExceeded(
                 f"pair queue budget of {pair_budget} exhausted: {popped} pairs "
-                f"popped, basis of {len(basis)} elements"
+                f"popped, basis of {len(elements)} elements"
             )
         (ai, bi), (aj, bj) = elements[i], elements[j]
-        nf = _normal_form(_sub_add(lcm, ai, bi), _sub_add(lcm, aj, bj), basis, order, masks)
+        nf = _normal_form(_sub_add(lcm, ai, bi), _sub_add(lcm, aj, bj), elements, order, masks)
         if nf is not None:
             add(nf)
 
-    return _interreduce(basis, order)
-
-
-def _criterion_b(entry: tuple, lead: tuple, elements: list) -> bool:
-    """Gebauer and Moeller's criterion B: the queued pair ``entry`` is
-    redundant once an element with this lead joins the basis."""
-    _, i, j, lcm, _ = entry
-    return (
-        _divides(lead, lcm)
-        and _lcm(elements[i][0], lead) != lcm
-        and _lcm(elements[j][0], lead) != lcm
-    )
+    return _interreduce(elements, order)
 
 
 def _interreduce(basis: list, order: DegrevlexOrder) -> list:
@@ -396,9 +359,17 @@ def _binomial_pairs(vectors: Iterable[Sequence[int]]) -> list:
 
 def _saturated_groebner(pairs: list, nvars: int, config: RunConfig) -> list:
     """Reduced degrevlex Groebner basis of the saturation of the ideal the
-    binomial pairs span; empty for no pairs."""
+    binomial pairs span; empty for no pairs.
+
+    The last saturation round runs in the default order, whose cheapest
+    variable is x_(nvars-1).  For a homogeneous ideal, stripping that
+    variable from a reduced degrevlex basis leaves a Groebner basis of the
+    saturation (Sturmfels, *Groebner bases and convex polytopes*, 1996,
+    ch. 12), so interreducing it finishes the job without another
+    Buchberger run.
+    """
     sat = saturate_binomials(pairs, nvars, config.pair_queue_budget)
-    return buchberger(sat, DegrevlexOrder(nvars), config.pair_queue_budget)
+    return _interreduce(sat, DegrevlexOrder(nvars))
 
 
 def lattice_ideal_groebner(
@@ -690,7 +661,8 @@ def saturation_equals(
         if any(a.mat_vec([x - y for x, y in zip(lead, tail)])):
             raise CertificateError("saturation produced a binomial outside the kernel")
     order = DegrevlexOrder(a.cols)
+    masks = [_support(lead) for lead, _ in gb_j]
     return all(
-        _normal_form(plus, minus, gb_j, order) is None
+        _normal_form(plus, minus, gb_j, order, masks) is None
         for plus, minus in _binomial_pairs(exactmath.kernel_basis(a).vectors)
     )

@@ -143,8 +143,24 @@ def usage_error(capsys, *argv):
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_pair_budget_below_one_is_usage_error(capsys, budget):
-    err = usage_error(capsys, "--no-meta", "--pair-budget", budget, "threepoint", "check", "-n", "3")
+    err = usage_error(
+        capsys, "--no-meta", "--pair-budget", budget, "toric", "markov", "-n", "6", "-k", "3", "-t", "2"
+    )
     assert f"pair_queue_budget must be positive, not {budget}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["incidence", "ranks", "--n-max", "3"],
+    ["incidence", "matrix", "-n", "4", "-k", "3", "-t", "2"],
+    ["complex", "verify", "octahedron.cplx"],
+    ["polytope", "neighborly", "-n", "4", "-k", "2", "-t", "1"],
+    ["designs", "pods", "-n", "6", "-k", "3", "-t", "2"],
+    ["threepoint", "check", "-n", "3"],
+])
+def test_pair_budget_on_a_command_without_budget_is_usage_error(capsys, argv):
+    # only toric and acceptance compute bases; elsewhere the option would be ignored
+    err = usage_error(capsys, "--no-meta", "--pair-budget", "5", *argv)
+    assert f"--pair-budget does not apply to the {argv[0]} command" in err
 
 
 @pytest.mark.parametrize("s_max", ["0", "-3"])

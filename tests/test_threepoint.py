@@ -413,6 +413,21 @@ class TestTildeIdeal:
         # the one above, and one for the Markov basis and the expansion of h
         assert len(calls) == 2
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_leibniz_expanded_once(self, monkeypatch, n):
+        # the proportionality check reuses the expansion det_as_c_expression verified
+        calls = []
+        leibniz = tp.det_leibniz
+
+        def counted(*args):
+            calls.append(args)
+            return leibniz(*args)
+
+        monkeypatch.setattr(tp, "det_leibniz", counted)
+        res = tp.tilde_ideal_generators(n)
+        assert len(calls) == 1
+        assert res.containment_verified
+
     def test_failed_containment_is_reported(self, monkeypatch):
         monkeypatch.setattr(tp, "_proportional_up_to_monomial", lambda poly, det: None)
         res = tp.tilde_ideal_generators(3)

@@ -81,7 +81,8 @@ class TestEngineSmall:
         a = IntMatrix.from_rows([[1, 1], [2, 2]])
         pairs = [((1, 0), (0, 1))]
         gb = toric.buchberger(pairs, toric.DegrevlexOrder(2))
-        assert toric._normal_form((1, 0), (0, 1), gb, toric.DegrevlexOrder(2)) is None
+        masks = [toric._support(lead) for lead, _ in gb]
+        assert toric._normal_form((1, 0), (0, 1), gb, toric.DegrevlexOrder(2), masks) is None
 
     def test_trivial_kernel_empty_basis(self):
         inc = build_matrix(4, 3, 2)
@@ -123,6 +124,21 @@ def binomial_generators(draw):
     return nvars, gens, draw(st.integers(0, nvars - 1))
 
 
+@st.composite
+def homogeneous_generators(draw):
+    """Homogeneous pure-difference binomials in 3-6 variables."""
+    nvars = draw(st.integers(3, 6))
+
+    def monomial(degree):
+        e = [0] * nvars
+        for v in draw(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree)):
+            e[v] += 1
+        return tuple(e)
+
+    degrees = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    return nvars, [(monomial(d), monomial(d)) for d in degrees]
+
+
 class TestEngineOracles:
     @settings(max_examples=40, deadline=None)
     @given(binomial_generators())
@@ -151,11 +167,21 @@ class TestEngineOracles:
         assert len(ours) == len(theirs)
         assert {frozenset(g) for g in ours} == theirs
 
+    @settings(max_examples=60, deadline=None)
+    @given(homogeneous_generators())
+    def test_saturation_finished_by_interreduction(self, case):
+        # the last saturation round already runs in the default order, so
+        # interreducing its stripped basis must equal one more Buchberger run
+        nvars, gens = case
+        sat = toric.saturate_binomials(gens, nvars)
+        expected = toric.buchberger(sat, toric.DegrevlexOrder(nvars))
+        assert toric._saturated_groebner(gens, nvars, RunConfig()) == expected
+
     def test_reduce_to_zero_matches_plain_reduction(self, inc632, gb632, markov632):
         rng = Random(632)
         a = inc632.matrix
         order = toric.DegrevlexOrder(20)
-        pairs = [(g.plus, g.minus) for g in gb632.elements]
+        pairs, masks = gb632.reducers
         moves = [b.vector for b in markov632.elements]
         queries = []
         while len(queries) < 60:
@@ -172,7 +198,7 @@ class TestEngineOracles:
         for u, member in queries:
             b = toric.Binomial.from_vector(u)
             nf = plain_normal_form(b.plus, b.minus, pairs, order)
-            assert toric._normal_form(b.plus, b.minus, pairs, order) == nf
+            assert toric._normal_form(b.plus, b.minus, pairs, order, masks) == nf
             assert toric.reduce_to_zero(b, gb632) is (nf is None) is member
 
 
@@ -210,14 +236,14 @@ class TestStructure632:
     def test_groebner_property_by_definition(self, gb632):
         # every S-pair reduces to zero, checked without any pair criteria
         order = toric.DegrevlexOrder(20)
-        basis = [(g.plus, g.minus) for g in gb632.elements]
+        basis, masks = gb632.reducers
         for i in range(len(basis)):
             for j in range(i):
                 (ai, bi), (aj, bj) = basis[i], basis[j]
                 lcm = toric._lcm(ai, aj)
                 s1 = toric._sub_add(lcm, ai, bi)
                 s2 = toric._sub_add(lcm, aj, bj)
-                assert toric._normal_form(s1, s2, basis, order) is None
+                assert toric._normal_form(s1, s2, basis, order, masks) is None
 
     def test_homogeneous_and_sound(self, gb632, markov632, inc632):
         for basis in (gb632, markov632):
@@ -530,6 +556,23 @@ class TestSaturation:
 
         monkeypatch.setattr(toric, "lattice_ideal_groebner", forbidden)
         assert toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
+
+    def test_twenty_groebner_runs(self, inc632, monkeypatch):
+        # one Buchberger run per saturation round of the 20 variables; the
+        # default-order basis is then finished by interreduction alone
+        calls = []
+        buchberger = toric.buchberger
+
+        def counted(*args):
+            calls.append(args)
+            return buchberger(*args)
+
+        monkeypatch.setattr(toric, "buchberger", counted)
+        assert len(toric.lattice_ideal_groebner(inc632).elements) == 30
+        assert len(calls) == 20
+        calls.clear()
+        assert toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
+        assert len(calls) == 20
 
     def test_non_kernel_saturation_raises(self, inc632, monkeypatch):
         junk = binom(20, [(1, 2, 3)], [(1, 2, 4)])
