@@ -12,7 +12,7 @@ calculus behind determinant identities for three-point functions.
 
 from .combinat import Derangement, colex_rank, derangements
 from .config import DEFAULT_CONFIG, RunConfig
-from .exactmath import HnfResult, IntMatrix, LatticeBasis, hnf, kernel_basis, rank_mod_p, rank_q
+from .exactmath import HnfResult, IntMatrix, hnf, kernel_basis, rank_mod_p, rank_q
 from .incidence import IncidenceMatrix, build_matrix, check_rank_laws
 from .lp import LinearConstraint, LpResult, RationalLpProblem, lp_feasible
 
@@ -24,7 +24,6 @@ __all__ = [
     "HnfResult",
     "IncidenceMatrix",
     "IntMatrix",
-    "LatticeBasis",
     "LinearConstraint",
     "LpResult",
     "RationalLpProblem",

@@ -151,7 +151,7 @@ def criterion_03(ws: Workspace) -> Tuple[bool, str]:
     quartic = toric.Binomial.from_subsets(20, qp, qm)
     sextic = toric.Binomial.from_subsets(20, sp, sm)
     ok = ok and toric.reduce_to_zero(quartic, gb) and toric.reduce_to_zero(sextic, gb)
-    kr = exactmath.kernel_basis(ws.inc(6, 3, 2).matrix).rank
+    kr = len(exactmath.kernel_basis(ws.inc(6, 3, 2).matrix))
     ok = ok and kr == comb(6, 3) - comb(6, 2)
     detail = f"markov size {len(markov.elements)}, degrees {degrees}, kernel rank {kr}"
     return ok, detail
@@ -215,7 +215,11 @@ def criterion_08(ws: Workspace) -> Tuple[bool, str]:
             for t in range(1, k):
                 if comb(n, t) < comb(n, k):
                     triples.append((n, k, t))
-    bad = [nkt for nkt in triples if not designs.pods_span_kernel(*nkt)]
+    bad = []
+    for n, k, t in triples:
+        vectors = [designs.pod_expand(p, n) for p in designs.pods(n, k, t)]
+        if not designs.pods_span_kernel(n, k, t, vectors):
+            bad.append((n, k, t))
     detail = f"{len(triples)} nontrivial parameter triples with n <= 7"
     return not bad, detail + (f"; failures {bad}" if bad else "")
 

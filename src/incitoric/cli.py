@@ -238,16 +238,16 @@ def _cmd_complex(args) -> int:
 def _cmd_designs(args) -> int:
     labels = _labels(args.n, args.k)
     if args.what == "pods":
-        pods = list(designs.pods(args.n, args.k, args.t))
-        span_ok = designs.pods_span_kernel(args.n, args.k, args.t)
+        vectors = [designs.pod_expand(p, args.n) for p in designs.pods(args.n, args.k, args.t)]
+        span_ok = designs.pods_span_kernel(args.n, args.k, args.t, vectors)
         _emit(
             {
                 "n": args.n,
                 "k": args.k,
                 "t": args.t,
-                "count": len(pods),
+                "count": len(vectors),
                 "span_equals_kernel": span_ok,
-                "designs": [_labelled(designs.pod_expand(p, args.n), labels) for p in pods],
+                "designs": [_labelled(v, labels) for v in vectors],
             },
             args,
         )

@@ -102,18 +102,17 @@ def _perfect_matchings(items: Sequence[int]) -> Iterator[tuple]:
             yield ((first, items[j]),) + sub
 
 
-def pod_lattice(n: int, k: int, t: int) -> exactmath.LatticeBasis:
-    """HNF basis of the Z-span of all pod vectors."""
-    vecs = [pod_expand(p, n) for p in pods(n, k, t)]
-    return exactmath.lattice_from_generators(comb(n, k), vecs)
-
-
-def pods_span_kernel(n: int, k: int, t: int) -> bool:
-    """Mutual HNF inclusion of the pod span and the incidence kernel."""
-    inc = build_matrix(n, k, t)
-    kernel = exactmath.kernel_basis(inc.matrix)
-    span = pod_lattice(n, k, t)
-    return exactmath.lattices_equal(kernel, span)
+def pods_span_kernel(n: int, k: int, t: int, vectors: Sequence[tuple]) -> bool:
+    """Whether the pod expansions ``vectors`` span the integer kernel of
+    the (n, k, t) incidence matrix.  Span inside kernel: the matrix
+    annihilates every vector, which suffices as the kernel is saturated.
+    Kernel inside span: every kernel basis vector solves against the HNF
+    basis of the span."""
+    a = build_matrix(n, k, t).matrix
+    if any(any(a.mat_vec(v)) for v in vectors):
+        return False
+    solver = exactmath.basis_solver(a.cols, exactmath.lattice_from_generators(a.cols, vectors))
+    return all(solver.solve(v) is not None for v in exactmath.kernel_basis(a))
 
 
 @dataclass(frozen=True)

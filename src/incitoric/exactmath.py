@@ -4,8 +4,9 @@ Dense matrices only; desk-scale instances never need sparsity.  The module
 provides the column-style Hermite normal form with its unimodular
 transform, saturated integer kernels, one fraction-free echelon kernel
 behind the ranks over Q and over prime fields and the determinants, and
-one HNF solver for integer lattice coordinates (behind every lattice
-membership certificate).  No floating point anywhere.
+one HNF solver for integer lattice coordinates.  A lattice is a plain
+tuple of basis vectors; every membership certificate is one solve
+against the ``basis_solver`` of that tuple.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -75,23 +76,6 @@ class HnfResult:
     h: IntMatrix
     u: IntMatrix
     pivots: tuple  # (row, col) staircase positions
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Z-linearly independent integer vectors spanning a lattice."""
-
-    ambient_dim: int
-    vectors: tuple
-
-    def __post_init__(self):
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
-                raise DimensionMismatch("basis vector of wrong length")
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
 
 
 def hnf(m: IntMatrix) -> HnfResult:
@@ -235,8 +219,8 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     return _echelon(m, p)[0]
 
 
-def kernel_basis(m: IntMatrix) -> LatticeBasis:
-    """Basis of the full integer kernel ker_Z(m).
+def kernel_basis(m: IntMatrix) -> tuple:
+    """Basis vectors of the full integer kernel ker_Z(m).
 
     Computed from the column HNF: the transform columns matching zero HNF
     columns span the kernel, and because the transform is unimodular the
@@ -244,9 +228,7 @@ def kernel_basis(m: IntMatrix) -> LatticeBasis:
     integer combination of the basis).
     """
     res = hnf(m)
-    rank = len(res.pivots)
-    vecs = tuple(res.u.column(j) for j in range(rank, m.cols))
-    return LatticeBasis(m.cols, vecs)
+    return tuple(res.u.column(j) for j in range(len(res.pivots), m.cols))
 
 
 class HnfSolver:
@@ -288,50 +270,35 @@ class HnfSolver:
         return x
 
 
-def _basis_solver(basis: LatticeBasis) -> HnfSolver:
-    """One ``HnfSolver`` with the basis vectors as columns."""
-    columns = IntMatrix(basis.rank, basis.ambient_dim, tuple(map(tuple, basis.vectors))).transpose()
-    solver = HnfSolver(columns)
-    if solver.rank != basis.rank:
+def basis_solver(ambient_dim: int, basis: Sequence[Sequence[int]]) -> HnfSolver:
+    """One ``HnfSolver`` with the basis vectors, of length ``ambient_dim``,
+    as its columns: its solutions are coordinates in the basis."""
+    solver = HnfSolver(IntMatrix(len(basis), ambient_dim, tuple(basis)).transpose())
+    if solver.rank != len(basis):
         raise BadParameters("basis vectors are not Z-linearly independent")
     return solver
 
 
 # kept for the benchmark's tracer, which wraps it by name; no library caller
-def lattice_member(basis: LatticeBasis, v: Sequence[int]) -> Optional[tuple]:
+def lattice_member(basis: Sequence[Sequence[int]], v: Sequence[int]) -> Optional[tuple]:
     """Integer coefficients expressing ``v`` in the basis, or None.
 
     The certificate recomputes to ``v`` exactly: the sum of ``c_i`` times
     the i-th basis vector is ``v``.
     """
-    if len(v) != basis.ambient_dim:
-        raise DimensionMismatch("vector length does not match ambient dimension")
-    return _basis_solver(basis).solve(v)
+    return basis_solver(len(v), basis).solve(v)
 
 
-def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
-    """Mutual-inclusion test: every generator of each lies in the other.
-    Each side is factored once."""
-    if a.ambient_dim != b.ambient_dim:
-        raise DimensionMismatch("ambient dimensions differ")
-    return all(
-        all(solver.solve(v) is not None for v in others)
-        for solver, others in ((_basis_solver(b), a.vectors), (_basis_solver(a), b.vectors))
-    )
-
-
-def lattice_from_generators(ambient_dim: int, generators: Iterable[Sequence[int]]) -> LatticeBasis:
-    """HNF-reduce a (possibly dependent) generating set to a basis."""
+def lattice_from_generators(ambient_dim: int, generators: Iterable[Sequence[int]]) -> tuple:
+    """HNF-reduce a (possibly dependent) generating set to basis vectors."""
     gens = [tuple(int(x) for x in g) for g in generators]
     for g in gens:
         if len(g) != ambient_dim:
             raise DimensionMismatch("generator of wrong length")
     if not gens:
-        return LatticeBasis(ambient_dim, ())
-    cols = IntMatrix.from_rows(gens).transpose()
-    res = hnf(cols)
-    rank = len(res.pivots)
-    return LatticeBasis(ambient_dim, tuple(res.h.column(j) for j in range(rank)))
+        return ()
+    res = hnf(IntMatrix.from_rows(gens).transpose())
+    return tuple(res.h.column(j) for j in range(len(res.pivots)))
 
 
 # kept for the benchmark's tracer, which wraps it by name; no library caller

@@ -63,14 +63,16 @@ class PointConfig:
         return GaleDual(tuple([row[rank:] for row in res.u.entries]), res)
 
     @cached_property
-    def column_lattice_solver(self) -> exactmath.HnfSolver:
-        """Coordinates in the lattice generated by the point differences."""
-        return _lattice_solver(self, saturate=False)
+    def column_lattice_coordinates(self) -> tuple:
+        """Coordinates of each ``p_j - p_0`` in a basis of the lattice
+        generated by the point differences."""
+        return _lattice_coordinates(self, saturate=False)
 
     @cached_property
-    def euclidean_solver(self) -> exactmath.HnfSolver:
-        """Coordinates in the integer points of the affine hull's directions."""
-        return _lattice_solver(self, saturate=True)
+    def euclidean_coordinates(self) -> tuple:
+        """Coordinates of each ``p_j - p_0`` in a basis of the integer
+        points of the affine hull's directions."""
+        return _lattice_coordinates(self, saturate=True)
 
 
 @dataclass(frozen=True)
@@ -293,12 +295,14 @@ def placing_triangulation(
     hyperplane-degenerate positions extend nothing new (pushing rule,
     decided by exact sign).  Deterministic for a fixed order.
 
-    Facet functionals are kept by beneath-beyond pencil updates: a new
-    facet through a ridge gets the member of the pencil of the ridge's
-    two old functionals that vanishes at the new point, and a dimension
-    step pencils every old functional with one new hull normal, so only
-    the hull normals cost an integer kernel (one per dimension step).
-    Every new functional is re-checked in integers against its facet.
+    Functionals are kept by beneath-beyond pencil updates: a new facet
+    through a ridge gets the member of the pencil of the ridge's two old
+    functionals that vanishes at the new point, and a dimension step
+    pencils every old functional, and every other hull normal, with the
+    one hull normal that does not vanish on the new direction.  Visibility
+    depends only on each functional restricted to the hull, so no integer
+    kernel is needed.  Every new facet functional is re-checked in
+    integers against its facet.
     """
     pts = cfg.points
     m = len(pts)
@@ -310,8 +314,7 @@ def placing_triangulation(
     cells: List[tuple] = []
     # facet -> functional (g, beta) with g.x - beta negative inside the hull
     boundary: Dict[frozenset, tuple] = {}
-    basis_rows: List[tuple] = []  # direction vectors spanning the hull
-    normals: tuple = ()  # kernel basis of basis_rows: the hull is where all vanish
+    normals: tuple = ()  # independent functionals whose common zeros are the hull's directions
     origin: Optional[int] = None
     # interior reference: the sum of the first cell's vertices, i.e. their
     # centroid scaled by ``weight``, the number of vertices
@@ -347,8 +350,7 @@ def placing_triangulation(
             # dimension grows: cone over everything; the normal vanishes
             # on the old hull and not at the new point
             off_hull = (normal, _dot(normal, pts[origin]))
-            basis_rows.append(diff)
-            normals = exactmath.kernel_basis(IntMatrix.from_rows(basis_rows)).vectors
+            normals = tuple(_pencil((v, 0), (normal, 0), diff)[0] for v in normals if v != normal)
             cells = [c + (idx,) for c in cells]
             interior = tuple(sum(pts[v][r] for v in cells[0]) for r in range(nd))
             weight = len(cells[0])
@@ -385,7 +387,7 @@ def placing_triangulation(
                 nf = r | {idx}
                 boundary[nf] = oriented(nf, _pencil(visible[faces[0]], boundary[hidden[r][0]], p))
 
-    dim = len(basis_rows)
+    dim = nd - len(normals)
     full = tuple(sorted(c for c in cells if len(c) == dim + 1))
     return Triangulation(dim, full, tuple(skipped))
 
@@ -404,18 +406,24 @@ def _reduced(g: Sequence[int], beta: int) -> tuple:
     return tuple([x // d for x in g]), beta // d
 
 
-def _lattice_solver(cfg: PointConfig, saturate: bool) -> exactmath.HnfSolver:
-    """One solver with a basis of the direction lattice as its columns: the
-    lattice generated by the point differences or, saturated, (direction
-    span over Q) intersect Z^N, via two kernel passes."""
+def _lattice_coordinates(cfg: PointConfig, saturate: bool) -> tuple:
+    """Integer coordinates of every ``p_j - p_0`` in a basis of the
+    direction lattice: the lattice generated by the point differences or,
+    saturated, (direction span over Q) intersect Z^N, via two kernel
+    passes.  One HNF per lattice and one solve per point; by linearity an
+    edge ``p_v - p_u`` has coordinates ``coords[v] - coords[u]``."""
     nd = cfg.ambient_dim
     p0 = cfg.points[0]
-    diffs = [tuple(a - b for a, b in zip(p, p0)) for p in cfg.points[1:]]
-    basis = exactmath.lattice_from_generators(nd, diffs)
-    if saturate and basis.vectors:
-        normals = exactmath.kernel_basis(IntMatrix(basis.rank, nd, basis.vectors)).vectors
+    diffs = [tuple([a - b for a, b in zip(p, p0)]) for p in cfg.points]
+    basis = exactmath.lattice_from_generators(nd, diffs[1:])
+    if saturate:
+        normals = exactmath.kernel_basis(IntMatrix(len(basis), nd, basis))
         basis = exactmath.kernel_basis(IntMatrix(len(normals), nd, normals))
-    return exactmath.HnfSolver(IntMatrix(basis.rank, nd, basis.vectors).transpose())
+    solver = exactmath.basis_solver(nd, basis)
+    coords = tuple(map(solver.solve, diffs))
+    if None in coords:
+        raise CertificateError("point difference outside its direction lattice")
+    return coords
 
 
 def normalized_volume(
@@ -429,27 +437,22 @@ def normalized_volume(
     'euclidean' normalizes w.r.t. the full integer lattice of the affine
     hull (direction space intersected with Z^N); 'column_lattice' uses
     the lattice generated by the point differences, which makes the
-    volume the projective degree of the associated toric variety.
+    volume the projective degree of the associated toric variety.  Each
+    simplex costs one determinant of coordinate differences; a 0-simplex,
+    a 0 x 0 determinant, has volume 1.
     """
     if lattice not in ("euclidean", "column_lattice"):
         raise BadParameters("lattice must be 'euclidean' or 'column_lattice'")
     if triangulation is None:
         triangulation = placing_triangulation(cfg, config=config)
-    if triangulation.dim == 0:
-        return 0
-    solver = cfg.euclidean_solver if lattice == "euclidean" else cfg.column_lattice_solver
-    if solver.rank != triangulation.dim:
+    coords = cfg.euclidean_coordinates if lattice == "euclidean" else cfg.column_lattice_coordinates
+    if len(coords[0]) != triangulation.dim:
         raise BadParameters("lattice rank does not match triangulation dimension")
     total = 0
     for simplex in triangulation.simplices:
-        p0 = cfg.points[simplex[0]]
-        coeff_rows = []
-        for v in simplex[1:]:
-            coeffs = solver.solve([a - b for a, b in zip(cfg.points[v], p0)])
-            if coeffs is None:
-                raise BadParameters("simplex edge outside the lattice")
-            coeff_rows.append(coeffs)
-        det = exactmath.determinant(IntMatrix.from_rows(coeff_rows))
+        c0 = coords[simplex[0]]
+        rows = [[a - b for a, b in zip(coords[v], c0)] for v in simplex[1:]]
+        det = exactmath.determinant(IntMatrix.from_rows(rows))
         if det == 0:
             raise CertificateError("degenerate simplex in triangulation")
         total += abs(det)

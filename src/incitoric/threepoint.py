@@ -31,7 +31,7 @@ from .errors import (
     DimensionMismatch,
     PreconditionFailed,
 )
-from .incidence import build_matrix
+from .incidence import IncidenceMatrix, build_matrix
 
 
 def edge_vector(n: int, terms: Iterable[tuple]) -> tuple:
@@ -292,6 +292,7 @@ class DetExpression:
     g_exps: tuple  # denominator monomial exponents over triangle variables
     certificates: tuple  # (leibniz monomial exps, coefficient, gamma) per term
     det: SymbolicPoly  # the Leibniz expansion the identity was verified against
+    inc: IncidenceMatrix  # the (n, 3, 2) incidence matrix it was solved against
 
 
 def det_as_c_expression(n: int, config: RunConfig = DEFAULT_CONFIG) -> DetExpression:
@@ -300,7 +301,8 @@ def det_as_c_expression(n: int, config: RunConfig = DEFAULT_CONFIG) -> DetExpres
     symbolically against the Leibniz expansion."""
     if n % 3 != 0:
         raise PreconditionFailed("determinant lies in the triangle group only for 3 | n")
-    solver = exactmath.HnfSolver(build_matrix(n, 3, 2).matrix)
+    inc = build_matrix(n, 3, 2)
+    solver = exactmath.HnfSolver(inc.matrix)
     det = det_leibniz(n, config)
     certs = []
     gammas = []
@@ -328,7 +330,7 @@ def det_as_c_expression(n: int, config: RunConfig = DEFAULT_CONFIG) -> DetExpres
     expanded = expand_triangle_poly(solver.m, f)
     if expanded.terms != det.shift(solver.m.mat_vec(g_exps)).terms:
         raise CertificateError("determinant identity failed")
-    return DetExpression(n, f, g_exps, tuple(certs), det)
+    return DetExpression(n, f, g_exps, tuple(certs), det, inc)
 
 
 def expand_triangle_poly(a: exactmath.IntMatrix, f: SymbolicPoly) -> SymbolicPoly:
@@ -367,7 +369,7 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
     if n % 3 != 0:
         raise PreconditionFailed("implemented for 3 | n")
     expr = det_as_c_expression(n, config)
-    inc = build_matrix(n, 3, 2)
+    inc = expr.inc
     markov = toric.minimal_markov(inc, config)
     markov_zero = all(not any(inc.matrix.mat_vec(b.vector)) for b in markov.elements)
 

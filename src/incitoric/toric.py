@@ -377,7 +377,7 @@ def lattice_ideal_groebner(
 ) -> BinomialBasis:
     """Reduced degrevlex Groebner basis of the saturated lattice ideal."""
     a = inc.matrix
-    pairs = _binomial_pairs(exactmath.kernel_basis(a).vectors)
+    pairs = _binomial_pairs(exactmath.kernel_basis(a))
     gb = _saturated_groebner(pairs, a.cols, config)
     elements = tuple(Binomial(a.cols, lead, tail) for lead, tail in gb)
     for b in elements:
@@ -505,7 +505,7 @@ def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> Bi
     against ``pair_queue_budget``.
     """
     a = inc.matrix
-    moves = _binomial_pairs(exactmath.kernel_basis(a).vectors)
+    moves = _binomial_pairs(exactmath.kernel_basis(a))
     masks = [_move_masks(g) for g in moves]
     pairs = 0
     for i, f in enumerate(moves):  # grows while iterated
@@ -664,5 +664,5 @@ def saturation_equals(
     masks = [_support(lead) for lead, _ in gb_j]
     return all(
         _normal_form(plus, minus, gb_j, order, masks) is None
-        for plus, minus in _binomial_pairs(exactmath.kernel_basis(a).vectors)
+        for plus, minus in _binomial_pairs(exactmath.kernel_basis(a))
     )

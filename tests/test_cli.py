@@ -73,6 +73,9 @@ def test_determinism_byte_identical(capsys):
 PINNED_NO_META_SHA256 = (
     ("designs pods -n 6 -k 3 -t 2", "436348473989d4ba9ad92df8fff39b40480f9c85a0635bf7b5d97fd7552feed2"),
     ("designs scan -n 7 -k 3 -t 2", "220096b2c5eade8ad37a909aeb462459c402847b2c753bfd8396dca3a83ec707"),
+    ("polytope volume -n 6 -k 3 -t 2 --lattice column", "3622b88345b89b851edb950e5d9cef805cfe484c4692011e7e4dec2b016a6088"),
+    ("polytope volume -n 6 -k 3 -t 2 --lattice euclidean", "d02a682710085cc633dcf0c9ff6274cb0d68cbdd64ef2063939c1b577f48929c"),
+    ("polytope volume -n 7 -k 4 -t 3", "5a73574372cb6ff0dad17880b8800b8dfc37bf594b2e3aca76c02f4961d14ae3"),
     ("toric octahedral -n 6 -k 3 -t 2", "1078f850a7e150a31d608b01a5275d4af50ae0ec8b7e4714aa88daf438423dcf"),
     ("toric markov -n 6 -k 3 -t 2", "f3a051b554d7f65b751fce325ff94dccef36624a6a611b9109101b9c63a85af6"),
     ("threepoint check -n 5", "757878c608ea9814b8b5e9efe15adc11f3a3c5db2d3e8cee0b35084ac7cd153c"),

@@ -71,9 +71,9 @@ def kernel_orientation(delta, coloring):
     mat, _ = boundary_matrix(delta, vertex_key=key)
     rows = [row for row in mat.entries if sum(map(abs, row)) == 2]
     kernel = exactmath.kernel_basis(IntMatrix.from_rows(rows or [(0,) * len(delta.facets)]))
-    if kernel.rank != 1 or any(abs(x) != 1 for x in kernel.vectors[0]):
+    if len(kernel) != 1 or any(abs(x) != 1 for x in kernel[0]):
         return False, None
-    gen = kernel.vectors[0]
+    gen = kernel[0]
     return True, tuple(-x for x in gen) if gen[0] < 0 else gen
 
 

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from incitoric import designs
+from incitoric import designs, exactmath
 from incitoric.combinat import subsets_colex
 from incitoric.config import RunConfig
 from incitoric.errors import BadParameters, BudgetExceeded, IndexOutOfRange
@@ -43,6 +43,10 @@ def nonzero(vec, n, k):
 
 def octa_pod():
     return designs.Pod(((1, 2), (3, 4), (5, 6)), ())
+
+
+def pod_vectors(n, k, t):
+    return [designs.pod_expand(p, n) for p in designs.pods(n, k, t)]
 
 
 class TestPodExpand:
@@ -138,11 +142,19 @@ class TestPodSpan:
 
     def test_span_equals_kernel_samples(self):
         for (n, k, t) in ((4, 2, 1), (5, 2, 1), (5, 3, 1), (6, 3, 2), (7, 3, 2)):
-            assert designs.pods_span_kernel(n, k, t)
+            assert designs.pods_span_kernel(n, k, t, pod_vectors(n, k, t))
 
     def test_632_rank_five(self):
-        lattice = designs.pod_lattice(6, 3, 2)
-        assert lattice.rank == 5
+        lattice = exactmath.lattice_from_generators(20, pod_vectors(6, 3, 2))
+        assert len(lattice) == 5
+
+    def test_vector_outside_kernel_refuted(self):
+        off = vector(6, 3, {(1, 2, 3): 1})
+        assert not designs.pods_span_kernel(6, 3, 2, pod_vectors(6, 3, 2) + [off])
+
+    def test_proper_sublattice_refuted(self):
+        doubled = [tuple(2 * x for x in v) for v in pod_vectors(6, 3, 2)]
+        assert not designs.pods_span_kernel(6, 3, 2, doubled)
 
 
 class TestSupportScan:

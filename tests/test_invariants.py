@@ -52,8 +52,8 @@ def test_rank_nullity_both_sides():
     for (n, k, t) in ((4, 3, 2), (5, 3, 2), (6, 3, 2), (6, 4, 1)):
         m = build_matrix(n, k, t).matrix
         rank = em.rank_q(m)
-        assert rank == m.cols - em.kernel_basis(m).rank
-        assert rank == m.rows - em.kernel_basis(m.transpose()).rank
+        assert rank == m.cols - len(em.kernel_basis(m))
+        assert rank == m.rows - len(em.kernel_basis(m.transpose()))
 
 
 def test_height_equals_kernel_rank():
@@ -62,7 +62,7 @@ def test_height_equals_kernel_rank():
             for t in range(1, k):
                 if comb(n, t) < comb(n, k):
                     m = build_matrix(n, k, t).matrix
-                    assert em.kernel_basis(m).rank == comb(n, k) - comb(n, t)
+                    assert len(em.kernel_basis(m)) == comb(n, k) - comb(n, t)
 
 
 def test_pod_designs_have_exact_support_sizes():

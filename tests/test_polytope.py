@@ -299,8 +299,7 @@ class TestPlacing:
         pts = cfg632.points
         # integer coordinates of p - p_0 in a basis of the affine hull's
         # lattice, behind a leading 1 so that barycentric weights are linear
-        solver = cfg632.euclidean_solver
-        coords = [(1,) + solver.solve([a - b for a, b in zip(p, pts[0])]) for p in pts]
+        coords = [(1,) + c for c in cfg632.euclidean_coordinates]
         interior_hits = 0
         attempts = 0
         while interior_hits < 4 and attempts < 40:
@@ -357,6 +356,33 @@ class TestVolumes:
         assert v % 2 == 0 and v % 3 == 0
         assert normalized_volume(cfg, "column_lattice", tri) == 1
 
+    def test_one_point_has_volume_one(self):
+        # the degree of a point; the 0-simplex is a 0 x 0 determinant
+        for cfg in (points_config([(1, 2)]), PointConfig.from_incidence(build_matrix(3, 3, 2))):
+            tri = placing_triangulation(cfg)
+            assert (tri.dim, tri.simplices) == (0, ((0,),))
+            assert normalized_volume(cfg, "euclidean", tri) == 1
+            assert normalized_volume(cfg, "column_lattice", tri) == 1
+
+    def test_one_solve_per_point_per_lattice(self, tri632, monkeypatch):
+        calls = []
+        solve = exactmath.HnfSolver.solve
+        monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: calls.append(v) or solve(self, v))
+        cfg = PointConfig.from_incidence(build_matrix(6, 3, 2))
+        one = Triangulation(tri632.dim, tri632.simplices[:1], ())
+        for lattice, volume in (("column_lattice", 162), ("euclidean", 5184)):
+            assert normalized_volume(cfg, lattice, tri632) == volume
+            assert len(calls) == 20
+            calls.clear()
+            assert normalized_volume(cfg, lattice, tri632) == volume
+            assert normalized_volume(cfg, lattice, one) >= 1
+            assert calls == []
+
+    def test_point_outside_its_lattice_raises(self, monkeypatch):
+        monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: None)
+        with pytest.raises(CertificateError, match="outside its direction lattice"):
+            normalized_volume(points_config([(0, 0), (1, 0), (0, 1)]))
+
     def test_bad_lattice_name(self, cfg632):
         with pytest.raises(BadParameters):
             normalized_volume(cfg632, "hexagonal")
@@ -403,7 +429,7 @@ def placing_by_kernels(cfg, order):
         f0 = pts[verts[0]]
         rows = [tuple(a - b for a, b in zip(pts[v], f0)) for v in verts[1:]]
         rows_m = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, len(f0))
-        for cand in exactmath.kernel_basis(rows_m).vectors:
+        for cand in exactmath.kernel_basis(rows_m):
             val = sum(c * (x - weight * y) for c, x, y in zip(cand, interior, f0))
             if val != 0:
                 g = cand if val < 0 else tuple(-x for x in cand)
@@ -487,11 +513,13 @@ class TestPencilUpdates:
         cfg, order = case
         assert placing_triangulation(cfg, order) == placing_by_kernels(cfg, order)
 
-    def test_one_kernel_per_dimension_step(self, cfg632, monkeypatch):
+    def test_no_hnf_call(self, cfg632, monkeypatch):
+        # hull normals are kept by pencils, so no kernel is computed
         calls = []
-        kernel_basis = exactmath.kernel_basis
-        monkeypatch.setattr(exactmath, "kernel_basis", lambda m: calls.append(m) or kernel_basis(m))
-        assert placing_triangulation(cfg632).dim == len(calls) == 14
+        hnf = exactmath.hnf
+        monkeypatch.setattr(exactmath, "hnf", lambda m: calls.append(m) or hnf(m))
+        assert placing_triangulation(cfg632).dim == 14
+        assert calls == []
 
     @pytest.mark.parametrize(
         "corrupt, message",
