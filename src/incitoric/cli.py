@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 
 from . import acceptance, complexes, designs, threepoint, toric
 from .combinat import subset_label, subsets_colex
@@ -94,26 +95,28 @@ def _cmd_incidence_ranks(args) -> int:
 
 
 def _cmd_toric(args) -> int:
-    inc = build_matrix(args.n, args.k, args.t)
     config = _config(args)
     labels = _labels(args.n, args.k)
+    if args.kind in ("octahedral", "saturate"):
+        # the octahedral basis carries the matrix it was built against
+        basis = toric.octahedral_generators(args.n, args.k, args.t)
+        inc = basis.matrix
+    else:
+        inc = build_matrix(args.n, args.k, args.t)
     if args.kind == "markov":
         basis = toric.minimal_markov(inc, config)
     elif args.kind == "graver":
         basis = toric.graver_basis(inc, config)
-    elif args.kind == "octahedral":
-        basis = toric.octahedral_generators(args.n, args.k, args.t)
     elif args.kind == "groebner":
         basis = toric.lattice_ideal_groebner(inc, config)
-    else:  # saturate
-        oct_basis = toric.octahedral_generators(args.n, args.k, args.t)
-        ok = toric.saturation_equals(oct_basis, inc, config)
+    elif args.kind == "saturate":
+        ok = toric.saturation_equals(basis, inc, config)
         _emit(
             {
                 "n": args.n,
                 "k": args.k,
                 "t": args.t,
-                "octahedral_generators": len(oct_basis.elements),
+                "octahedral_generators": len(basis.elements),
                 "saturation_equals_lattice_ideal": ok,
             },
             args,
@@ -212,7 +215,7 @@ def _cmd_complex(args) -> int:
         delta = complexes.parse_complex_file(fh.read())
     report = complexes.verify(delta)
     if args.what == "verify":
-        _emit({"file": args.file, "report": report.as_dict()}, args)
+        _emit({"file": args.file, "report": asdict(report)}, args)
         return EXIT_OK
     try:
         binom = complexes.orientation_binomial(delta, report)
@@ -238,7 +241,7 @@ def _cmd_complex(args) -> int:
 def _cmd_designs(args) -> int:
     labels = _labels(args.n, args.k)
     if args.what == "pods":
-        vectors = [designs.pod_expand(p, args.n) for p in designs.pods(args.n, args.k, args.t)]
+        vectors = list(designs.pods(args.n, args.k, args.t))
         span_ok = designs.pods_span_kernel(args.n, args.k, args.t, vectors)
         _emit(
             {
@@ -269,7 +272,7 @@ def _cmd_designs(args) -> int:
 def _cmd_threepoint(args) -> int:
     if args.what == "check":
         report = threepoint.check_section5(args.n)
-        _emit(report.as_dict(), args)
+        _emit({**asdict(report), "all_passed": report.all_passed}, args)
         return EXIT_OK if report.all_passed else EXIT_VERIFICATION
     if args.what == "fibers":
         from .combinat import derangements
@@ -295,13 +298,13 @@ def _cmd_threepoint(args) -> int:
     tri_labels = _labels(args.n, 3)
     payload = {
         "n": args.n,
-        "numerator_terms": expr.f.term_count(),
+        "numerator_terms": len(expr.f),
         "denominator": _labelled(expr.g_exps, tri_labels),
     }
     if args.emit:
         payload["numerator"] = [
             {"coeff": c, "monomial": _labelled(k, tri_labels)}
-            for k, c in expr.f.terms
+            for k, c in sorted(expr.f.items())
         ]
     _emit(payload, args)
     return EXIT_OK

@@ -53,22 +53,6 @@ class SimplicialComplex:
     def is_pure(self) -> bool:
         return len({len(f) for f in self.facets}) == 1
 
-    def all_faces(self) -> set:
-        out = {frozenset()}
-        for f in self.facets:
-            for size in range(1, len(f) + 1):
-                for c in combinations(sorted(f), size):
-                    out.add(frozenset(c))
-        return out
-
-    def link(self, sigma: frozenset) -> tuple:
-        """Facets of the link of sigma."""
-        out = []
-        for f in self.facets:
-            if sigma <= f:
-                out.append(f - sigma)
-        return tuple(out)
-
 
 def _ridge_map(delta: SimplicialComplex) -> Dict[frozenset, list]:
     """Each ridge, a facet of a pure complex minus one vertex, with the
@@ -122,16 +106,9 @@ def _propagate(nodes: Iterable, edges: Iterable[tuple]) -> tuple:
     return (sign if consistent else None), components
 
 
-@dataclass(frozen=True)
-class Coloring:
-    classes: tuple  # classes[v-1] = color of vertex v, colors in [1..d]
-
-    def color(self, v: int) -> int:
-        return self.classes[v - 1]
-
-
-def balanced_coloring(delta: SimplicialComplex) -> Optional[Coloring]:
-    """Proper (dim+1)-coloring of the 1-skeleton, or None.
+def balanced_coloring(delta: SimplicialComplex) -> Optional[tuple]:
+    """Proper (dim+1)-coloring of the 1-skeleton, the color of vertex v at
+    index v-1, or None.
 
     Exact backtracking, vertices in decreasing-degree order; facets are
     cliques of size dim+1, so any proper coloring makes them rainbow.
@@ -155,13 +132,7 @@ def balanced_coloring(delta: SimplicialComplex) -> Optional[Coloring]:
 
     if not backtrack(0):
         return None
-    classes = tuple(assign.get(v, 1) for v in range(1, delta.n + 1))
-    return Coloring(classes)
-
-
-@dataclass(frozen=True)
-class Orientation:
-    epsilon: tuple  # +-1 per facet, in stored facet order
+    return tuple(assign.get(v, 1) for v in range(1, delta.n + 1))
 
 
 @dataclass(frozen=True)
@@ -173,25 +144,10 @@ class VerifyReport:
     boundaryless: bool
     normal: Optional[bool]
     balanced: bool
-    coloring: Optional[Coloring]
+    coloring: Optional[tuple]  # color of vertex v at index v-1
     orientable: Optional[bool]
-    orientation: Optional[Orientation]
+    orientation: Optional[tuple]  # +-1 per facet, in stored facet order
     facet_ridge_bipartite: bool
-
-    def as_dict(self) -> dict:
-        return {
-            "pure": self.pure,
-            "dimension": self.dimension,
-            "strongly_connected": self.strongly_connected,
-            "pseudomanifold": self.pseudomanifold,
-            "boundaryless": self.boundaryless,
-            "normal": self.normal,
-            "balanced": self.balanced,
-            "coloring": list(self.coloring.classes) if self.coloring else None,
-            "orientable": self.orientable,
-            "orientation": list(self.orientation.epsilon) if self.orientation else None,
-            "facet_ridge_bipartite": self.facet_ridge_bipartite,
-        }
 
 
 def verify(delta: SimplicialComplex) -> VerifyReport:
@@ -221,21 +177,23 @@ def verify(delta: SimplicialComplex) -> VerifyReport:
 
     normal: Optional[bool] = None
     if pseudomanifold:
-        normal = True
-        for sigma in sorted(delta.all_faces(), key=lambda s: (len(s), tuple(sorted(s)))):
-            if len(sigma) - 1 > dim - 2:
-                continue
-            link = delta.link(sigma)
-            edges = [(u, w, 1) for f in link for u, w in combinations(f, 2)]
-            if _propagate({v for f in link for v in f}, edges)[1] > 1:
-                normal = False
-                break
+        # the facets of the link of every face of dimension at most dim-2
+        links: Dict[frozenset, list] = {}
+        for f in delta.facets:
+            for size in range(dim):
+                for sigma in combinations(sorted(f), size):
+                    links.setdefault(frozenset(sigma), []).append(f.difference(sigma))
+        normal = all(
+            _propagate({v for f in link for v in f},
+                       [(u, w, 1) for f in link for u, w in combinations(f, 2)])[1] == 1
+            for link in links.values()
+        )
 
     coloring = balanced_coloring(delta) if pure else None
     balanced = coloring is not None
 
     orientable: Optional[bool] = None
-    orientation: Optional[Orientation] = None
+    orientation: Optional[tuple] = None
     if pseudomanifold:
         orientation = _orientation(delta, ridges, coloring)
         orientable = orientation is not None
@@ -256,8 +214,8 @@ def verify(delta: SimplicialComplex) -> VerifyReport:
 
 
 def _orientation(
-    delta: SimplicialComplex, ridges: Dict, coloring: Optional[Coloring]
-) -> Optional[Orientation]:
+    delta: SimplicialComplex, ridges: Dict, coloring: Optional[tuple]
+) -> Optional[tuple]:
     """Signs on the facets of a pseudomanifold that cancel across every
     interior ridge, +1 on the first facet, or None if there are none.
 
@@ -271,7 +229,7 @@ def _orientation(
     the facet-ridge bipartition, which is what the orientation binomial
     needs.
     """
-    key = (lambda v: (coloring.color(v), v)) if coloring else None
+    key = (lambda v: (coloring[v - 1], v)) if coloring else None
     ordered = [sorted(f, key=key) for f in delta.facets]
 
     def s(i: int, ridge: frozenset) -> int:
@@ -283,7 +241,7 @@ def _orientation(
     signs, _ = _propagate(range(len(delta.facets)), edges)
     if signs is None:
         return None
-    return Orientation(tuple(signs[i] for i in range(len(delta.facets))))
+    return tuple(signs[i] for i in range(len(delta.facets)))
 
 
 def orientation_binomial(delta: SimplicialComplex, report: VerifyReport) -> Binomial:
@@ -311,20 +269,18 @@ def orientation_binomial(delta: SimplicialComplex, report: VerifyReport) -> Bino
     if failures:
         raise PreconditionFailed("hypotheses not satisfied: " + ", ".join(failures))
     orientation = report.orientation
-    if len(orientation.epsilon) != len(delta.facets) or any(
-        abs(e) != 1 for e in orientation.epsilon
-    ):
+    if len(orientation) != len(delta.facets) or any(abs(e) != 1 for e in orientation):
         raise PreconditionFailed("orientation must assign +-1 to every facet")
     # cycle condition in the color-sorted convention: opposite signs across
     # every interior ridge
     for members in _ridge_map(delta).values():
         if len(members) == 2:
             i, j = members
-            if orientation.epsilon[i] + orientation.epsilon[j] != 0:
+            if orientation[i] + orientation[j] != 0:
                 raise PreconditionFailed("epsilon is not a cycle of the top boundary map")
 
     inc = build_matrix(delta.n, k, k - 1)
-    signed = list(zip(delta.facets, orientation.epsilon))
+    signed = list(zip(delta.facets, orientation))
     b = Binomial.from_subsets(
         inc.matrix.cols, [f for f, e in signed if e == 1], [f for f, e in signed if e == -1]
     )

@@ -19,7 +19,7 @@ from typing import Dict, Iterator, Optional, Sequence
 from . import exactmath
 from .combinat import colex_rank, subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import BadParameters, BudgetExceeded, CertificateError, IndexOutOfRange
+from .errors import BadParameters, BudgetExceeded, CertificateError
 from .incidence import build_matrix
 
 
@@ -29,54 +29,15 @@ def sign_normalized(v: Sequence[int]) -> tuple:
     return tuple(-x for x in v) if first < 0 else tuple(v)
 
 
-@dataclass(frozen=True)
-class Pod:
-    """t+1 difference pairs and k-t-1 extra singleton indices, all distinct."""
+def pods(n: int, k: int, t: int) -> Iterator[tuple]:
+    """The pods of the (n, k, t) kernel, each expanded into its +-1 vector
+    over the colex k-subsets, canonically enumerated.
 
-    diff_pairs: tuple
-    singletons: tuple
-
-    def __post_init__(self):
-        flat = [x for p in self.diff_pairs for x in p] + list(self.singletons)
-        if len(set(flat)) != len(flat):
-            raise BadParameters("pod indices must be distinct")
-        if not self.diff_pairs:
-            raise BadParameters("a pod needs at least one difference pair")
-
-    @property
-    def k(self) -> int:
-        return len(self.diff_pairs) + len(self.singletons)
-
-    @property
-    def indices(self) -> tuple:
-        return tuple(x for p in self.diff_pairs for x in p) + self.singletons
-
-
-def pod_expand(pod: Pod, n: int) -> tuple:
-    """Expand the pod product into a +-1 vector over the colex k-subsets.
-
-    The result has exactly 2^(t+1) nonzero entries and 2^t of them are +1
-    (before any sign normalization the first entry of each pair carries +).
-    """
-    if any(x < 1 or x > n for x in pod.indices):
-        raise IndexOutOfRange("pod index outside [1..n]")
-    vec = [0] * comb(n, pod.k)
-    npairs = len(pod.diff_pairs)
-    for mask in range(1 << npairs):
-        chosen = [pair[mask >> i & 1] for i, pair in enumerate(pod.diff_pairs)]
-        sign = -1 if mask.bit_count() % 2 else 1
-        vec[colex_rank(sorted(chosen + list(pod.singletons)))] += sign
-    if sum(x != 0 for x in vec) != 1 << npairs:
-        raise CertificateError("pod expansion does not have 2^(t+1) distinct terms")
-    return tuple(vec)
-
-
-def pods(n: int, k: int, t: int) -> Iterator[Pod]:
-    """All pods for the (n, k, t) kernel, canonically enumerated.
-
-    Index set in colex order, then the 2(t+1) paired indices, then the
-    perfect matching; pairs are written (smaller, larger) and sorted, so
-    each pod appears once with a deterministic sign.
+    A pod is the product of t+1 variable differences and k-t-1 extra
+    variables.  Index set in colex order, then the 2(t+1) paired indices,
+    then the perfect matching; pairs are written (smaller, larger) and
+    sorted, so each pod appears once, the first index of every pair
+    carrying +.  Each vector has exactly 2^(t+1) nonzero entries.
     """
     if not (1 <= t < k):
         raise BadParameters("need 1 <= t < k")
@@ -85,9 +46,15 @@ def pods(n: int, k: int, t: int) -> Iterator[Pod]:
         return
     for index_set in subsets_colex(n, size):
         for paired in combinations(index_set, 2 * (t + 1)):
-            singles = tuple(x for x in index_set if x not in paired)
+            singles = [x for x in index_set if x not in paired]
             for matching in _perfect_matchings(paired):
-                yield Pod(matching, singles)
+                vec = [0] * comb(n, k)
+                for mask in range(1 << (t + 1)):
+                    chosen = [pair[mask >> i & 1] for i, pair in enumerate(matching)]
+                    vec[colex_rank(sorted(chosen + singles))] += -1 if mask.bit_count() % 2 else 1
+                if sum(x != 0 for x in vec) != 2 << t:
+                    raise CertificateError("pod expansion does not have 2^(t+1) distinct terms")
+                yield tuple(vec)
 
 
 def _perfect_matchings(items: Sequence[int]) -> Iterator[tuple]:

@@ -17,10 +17,6 @@ class CompositeModulus(IncitoricError, ValueError):
     """A prime was required but a composite number was supplied."""
 
 
-class IndexOutOfRange(IncitoricError, ValueError):
-    """A pod or subset index exceeds the ground set."""
-
-
 class CertificateError(IncitoricError, RuntimeError):
     """A computed certificate failed its exact re-check."""
 

@@ -197,7 +197,6 @@ def _is_affine_dependence(cfg: PointConfig, v: Sequence[int]) -> bool:
 @dataclass(frozen=True)
 class NeighborlinessReport:
     neighborliness: int
-    checked_up_to: int
     subsets_tested: int
     non_face_witness: Optional[tuple]  # (subset indices, kernel witness)
 
@@ -221,8 +220,8 @@ def neighborliness(
             tested += 1
             cert = is_face(cfg, subset)
             if not cert.is_face:
-                return NeighborlinessReport(s - 1, s_max, tested, (subset, cert.witness))
-    return NeighborlinessReport(s_max, s_max, tested, None)
+                return NeighborlinessReport(s - 1, tested, (subset, cert.witness))
+    return NeighborlinessReport(s_max, tested, None)
 
 
 @dataclass(frozen=True)

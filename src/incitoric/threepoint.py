@@ -130,51 +130,28 @@ def transposition_relations_check(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# symbolic polynomials over edge / triangle monomials
+# polynomials over edge / triangle monomials: {exponent tuple: coefficient},
+# no zero coefficients
 
 
-@dataclass(frozen=True)
-class SymbolicPoly:
-    """Integer-coefficient polynomial with dense exponent-tuple keys."""
-
-    arity: int
-    terms: tuple  # sorted ((exponent tuple, coeff), ...), no zero coeffs
-
-    @classmethod
-    def from_dict(cls, arity: int, data: Dict[tuple, int]) -> "SymbolicPoly":
-        items = tuple(sorted((k, v) for k, v in data.items() if v != 0))
-        for k, _ in items:
-            if len(k) != arity:
-                raise DimensionMismatch("term arity mismatch")
-        return cls(arity, items)
-
-    @classmethod
-    def monomial(cls, arity: int, exps: Sequence[int], coeff: int = 1) -> "SymbolicPoly":
-        return cls.from_dict(arity, {tuple(exps): coeff})
-
-    def shift(self, exps: Sequence[int]) -> "SymbolicPoly":
-        return SymbolicPoly.from_dict(
-            self.arity,
-            {tuple(a + b for a, b in zip(k, exps)): v for k, v in self.terms},
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def term_count(self) -> int:
-        return len(self.terms)
+def _nonzero(poly: Dict[tuple, int]) -> Dict[tuple, int]:
+    return {k: v for k, v in poly.items() if v}
 
 
-def det_leibniz(n: int, config: RunConfig = DEFAULT_CONFIG) -> SymbolicPoly:
+def _shifted(poly: Dict[tuple, int], exps: Sequence[int]) -> Dict[tuple, int]:
+    """The polynomial times the monomial with exponents ``exps``."""
+    return {tuple(a + b for a, b in zip(k, exps)): v for k, v in poly.items()}
+
+
+def det_leibniz(n: int, config: RunConfig = DEFAULT_CONFIG) -> Dict[tuple, int]:
     """Determinant of the hollow symmetric edge matrix, summed over
     derangements with their signs."""
     _derangements_within_cap(n, config)
-    arity = comb(n, 2)
     data: Dict[tuple, int] = {}
     for d in derangements(n):
         key = phi(d)
         data[key] = data.get(key, 0) + d.sign
-    return SymbolicPoly.from_dict(arity, data)
+    return _nonzero(data)
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +174,6 @@ class Section5Report:
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.claims if c.applicable)
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "claims": [
-                {
-                    "name": c.name,
-                    "applicable": c.applicable,
-                    "passed": c.passed,
-                    "detail": c.detail,
-                }
-                for c in self.claims
-            ],
-            "all_passed": self.all_passed,
-        }
 
 
 def check_section5(n: int, config: RunConfig = DEFAULT_CONFIG) -> Section5Report:
@@ -288,10 +250,9 @@ def check_section5(n: int, config: RunConfig = DEFAULT_CONFIG) -> Section5Report
 @dataclass(frozen=True)
 class DetExpression:
     n: int
-    f: SymbolicPoly  # polynomial in the C(n,3) triangle variables
+    f: Dict[tuple, int]  # polynomial in the C(n,3) triangle variables
     g_exps: tuple  # denominator monomial exponents over triangle variables
-    certificates: tuple  # (leibniz monomial exps, coefficient, gamma) per term
-    det: SymbolicPoly  # the Leibniz expansion the identity was verified against
+    det: Dict[tuple, int]  # the Leibniz expansion the identity was verified against
     inc: IncidenceMatrix  # the (n, 3, 2) incidence matrix it was solved against
 
 
@@ -304,51 +265,46 @@ def det_as_c_expression(n: int, config: RunConfig = DEFAULT_CONFIG) -> DetExpres
     inc = build_matrix(n, 3, 2)
     solver = exactmath.HnfSolver(inc.matrix)
     det = det_leibniz(n, config)
-    certs = []
     gammas = []
-    for exps, coeff in det.terms:
+    for exps in det:
         gamma = solver.solve(exps)
         if gamma is None:
             raise PreconditionFailed(f"Leibniz monomial {exps} outside the triangle group")
-        certs.append((exps, coeff, gamma))
         gammas.append(gamma)
-    ntris = comb(n, 3)
-    g_exps = tuple(max(0, max(-g[i] for g in gammas)) for i in range(ntris))
+    g_exps = tuple(max(0, max(-g[i] for g in gammas)) for i in range(comb(n, 3)))
     f_terms: Dict[tuple, int] = {}
-    for (_, coeff, gamma) in certs:
+    for coeff, gamma in zip(det.values(), gammas):
         key = tuple(a + b for a, b in zip(gamma, g_exps))
         if any(x < 0 for x in key):
             raise CertificateError("numerator term with a negative triangle exponent")
         f_terms[key] = f_terms.get(key, 0) + coeff
-    f = SymbolicPoly.from_dict(ntris, f_terms)
+    f = _nonzero(f_terms)
     # f and g must be coprime: each denominator variable hits exponent 0
     for i, e in enumerate(g_exps):
-        if e > 0 and all(k[i] for k, _ in f.terms):
+        if e > 0 and all(k[i] for k in f):
             raise CertificateError(f"numerator and denominator share triangle variable {i}")
     # full symbolic verification: expanding f through the triangle map
     # equals det times the expansion of g
-    expanded = expand_triangle_poly(solver.m, f)
-    if expanded.terms != det.shift(solver.m.mat_vec(g_exps)).terms:
+    if expand_triangle_poly(solver.m, f) != _shifted(det, solver.m.mat_vec(g_exps)):
         raise CertificateError("determinant identity failed")
-    return DetExpression(n, f, g_exps, tuple(certs), det, inc)
+    return DetExpression(n, f, g_exps, det, inc)
 
 
-def expand_triangle_poly(a: exactmath.IntMatrix, f: SymbolicPoly) -> SymbolicPoly:
+def expand_triangle_poly(a: exactmath.IntMatrix, f: Dict[tuple, int]) -> Dict[tuple, int]:
     """Substitute each triangle variable by its edge monomial, read off the
     (n, 3, 2) incidence matrix ``a``."""
     data: Dict[tuple, int] = {}
-    for c_exps, coeff in f.terms:
+    for c_exps, coeff in f.items():
         key = a.mat_vec(c_exps)
         data[key] = data.get(key, 0) + coeff
-    return SymbolicPoly.from_dict(a.rows, data)
+    return _nonzero(data)
 
 
 @dataclass(frozen=True)
 class TildeIdealResult:
     n: int
     markov_count: int
-    markov_map_to_zero: bool
-    extra_generator: SymbolicPoly  # saturated principal generator in triangle vars
+    extra_generator: Dict[tuple, int]  # saturated principal generator in triangle vars
     containment_verified: bool
     quotient_monomial: Optional[tuple]  # edge exponents q with phi(extra) = scalar * det * p^q
     scalar: Optional[Fraction]
@@ -371,55 +327,39 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
     expr = det_as_c_expression(n, config)
     inc = expr.inc
     markov = toric.minimal_markov(inc, config)
-    markov_zero = all(not any(inc.matrix.mat_vec(b.vector)) for b in markov.elements)
 
     f = expr.f
-    ntris = comb(n, 3)
-    content = tuple(min(k[i] for k, _ in f.terms) for i in range(ntris))
-    if len(f.terms) == 1:
+    if len(f) == 1:
         # a monomial saturates to a unit; keep the primitive monomial itself,
         # which is the honest generator of the relation ideal here
-        exps = f.terms[0][0]
-        h = SymbolicPoly.monomial(ntris, exps)
+        h = {next(iter(f)): 1}
     else:
-        h = SymbolicPoly.from_dict(
-            ntris,
-            {
-                tuple(a - b for a, b in zip(k, content)): v
-                for k, v in f.terms
-            },
-        )
-        coeff_gcd = 0
-        for _, v in h.terms:
-            coeff_gcd = gcd(coeff_gcd, v)
-        if coeff_gcd > 1:
-            h = SymbolicPoly.from_dict(ntris, {k: v // coeff_gcd for k, v in h.terms})
+        content = [min(k[i] for k in f) for i in range(comb(n, 3))]
+        coeff_gcd = gcd(*f.values())
+        h = {k: v // coeff_gcd for k, v in _shifted(f, [-c for c in content]).items()}
 
     image = expand_triangle_poly(inc.matrix, h)
     prop = _proportional_up_to_monomial(image, expr.det)
     q, scalar = prop if prop is not None else (None, None)
-    return TildeIdealResult(n, len(markov.elements), markov_zero, h, prop is not None, q, scalar)
+    return TildeIdealResult(n, len(markov.elements), h, prop is not None, q, scalar)
 
 
-def _proportional_up_to_monomial(poly: SymbolicPoly, det: SymbolicPoly):
+def _proportional_up_to_monomial(poly: Dict[tuple, int], det: Dict[tuple, int]):
     """Find (q, scalar) with poly == scalar * det * p^q, else None."""
-    if poly.is_zero() or det.is_zero():
+    if not poly or not det or len(poly) != len(det):
         return None
-    if poly.term_count() != det.term_count():
-        return None
-    arity = poly.arity
-    pmin = [min(k[i] for k, _ in poly.terms) for i in range(arity)]
-    dmin = [min(k[i] for k, _ in det.terms) for i in range(arity)]
+    arity = len(next(iter(poly)))
+    pmin = [min(k[i] for k in poly) for i in range(arity)]
+    dmin = [min(k[i] for k in det) for i in range(arity)]
     q = tuple(a - b for a, b in zip(pmin, dmin))
     if any(x < 0 for x in q):
         return None
-    shifted = det.shift(q)
+    shifted = _shifted(det, q)
     scalar = None
-    dterms = dict(shifted.terms)
-    for k, v in poly.terms:
-        if k not in dterms:
+    for k, v in poly.items():
+        if k not in shifted:
             return None
-        s = Fraction(v, dterms[k])
+        s = Fraction(v, shifted[k])
         if scalar is None:
             scalar = s
         elif scalar != s:

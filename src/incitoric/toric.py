@@ -634,10 +634,8 @@ def octahedral_generators(n: int, k: int, t: int) -> BinomialBasis:
 
     inc = build_matrix(n, k, t)
     order = DegrevlexOrder(inc.matrix.cols)
-    elements = []
-    for pod in designs.pods(n, k, t):
-        elements.append(Binomial.from_vector(designs.pod_expand(pod, n)).oriented(order))
-    return BinomialBasis("octahedral", tuple(elements), inc)
+    elements = tuple(Binomial.from_vector(pod).oriented(order) for pod in designs.pods(n, k, t))
+    return BinomialBasis("octahedral", elements, inc)
 
 
 def saturation_equals(

@@ -68,8 +68,8 @@ def test_determinism_byte_identical(capsys):
 
 
 # sha256 of the --no-meta stdout of commands whose JSON is built from
-# kernel vectors or edge vectors, pinned so that a change of
-# representation keeps it
+# kernel vectors, edge vectors, polynomials or complex reports, pinned so
+# that a change of representation keeps it
 PINNED_NO_META_SHA256 = (
     ("designs pods -n 6 -k 3 -t 2", "436348473989d4ba9ad92df8fff39b40480f9c85a0635bf7b5d97fd7552feed2"),
     ("designs scan -n 7 -k 3 -t 2", "220096b2c5eade8ad37a909aeb462459c402847b2c753bfd8396dca3a83ec707"),
@@ -82,11 +82,31 @@ PINNED_NO_META_SHA256 = (
     ("threepoint check -n 7", "144461232351d588b1560dcb676502845e05f6d8dca89c3ec66e98f93fda3f86"),
     ("threepoint det -n 6 --emit", "e9682f95a8615f11d8e015c713ceed565852df659afd37419cd04828c8e479d2"),
     ("threepoint fibers -n 5", "42d3d2e5a5dd2719db9800ec55ed00e3e87299883d50db14c879a668ab10c8c9"),
+    ("threepoint det -n 3 --emit", "690d2695de54cf365e9e1876884f92bf3b2d294b0d8a22857308076eba7e53ca"),
+    ("threepoint check -n 6", "9ebf519a33acd639ad5631773553713035508f1657b730042d7b14d42ccd88d8"),
+    ("designs pods -n 7 -k 3 -t 2", "c7718ac588319f04d48162391e47d5d75c7ea0babaea22d5b21bfb35ec1da18a"),
+    ("complex verify octahedron.cplx", "640452a0bb9f3c28ceb82dd1ae986828e5933b406c327358b1fbef320f7722d8"),
+    ("complex verify crossflip.cplx", "b19de4dd8d81b4a203b4f9cd107f8121a7bf3d7b577b9bd97c56d71b186ec0ba"),
+    ("complex verify pinched_torus.cplx", "5c7578a0e7e6d83893d8374b852728e1edc02def05a4303f9826b7590a489349"),
+    ("complex binomial octahedron.cplx", "356aeabbc4711f59326c4594253a2b092a09f536d39c2cd25f9b4b169812f7c7"),
+    ("complex binomial crossflip.cplx", "b9e6c1decf2c6dcddf92a9190002e26cb0d6625d32dd967e86f792b1dfe3769a"),
 )
 
 
 @pytest.mark.parametrize("command, digest", PINNED_NO_META_SHA256)
-def test_no_meta_output_is_pinned(capsys, command, digest):
+def test_no_meta_output_is_pinned(tmp_path, monkeypatch, capsys, command, digest):
+    from incitoric import complexes as cx
+
+    # the complex payloads echo the file name, so the files get relative names
+    monkeypatch.chdir(tmp_path)
+    for name, delta in (
+        ("octahedron", cx.octahedron()),
+        ("crossflip", cx.crossflip_example()),
+        ("pinched_torus", cx.pinched_torus()),
+    ):
+        (tmp_path / f"{name}.cplx").write_text(
+            "".join(" ".join(map(str, sorted(f))) + "\n" for f in delta.facets)
+        )
     code, out = run_cli(capsys, "--no-meta", *command.split())
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -323,3 +343,22 @@ def test_certificate_error_is_verification_failure(monkeypatch, capsys):
     code = main(["--no-meta", "incidence", "ranks", "--n-max", "3"])
     assert code == EXIT_VERIFICATION
     assert "verification failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["octahedral", "saturate"])
+def test_toric_octahedral_builds_matrix_once(monkeypatch, capsys, kind):
+    from incitoric import cli, incidence
+
+    calls = []
+    build = incidence.build_matrix
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(cli, "build_matrix", counted)
+    monkeypatch.setattr(incidence, "build_matrix", counted)
+    code, _ = run_cli(capsys, "--no-meta", "toric", kind, "-n", "6", "-k", "3", "-t", "2")
+    assert code == EXIT_OK
+    # the octahedral basis carries the matrix its pods were checked against
+    assert calls == [(6, 3, 2)]

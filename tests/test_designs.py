@@ -7,7 +7,7 @@ import pytest
 from incitoric import designs, exactmath
 from incitoric.combinat import subsets_colex
 from incitoric.config import RunConfig
-from incitoric.errors import BadParameters, BudgetExceeded, IndexOutOfRange
+from incitoric.errors import BadParameters, BudgetExceeded
 from incitoric.incidence import build_matrix
 
 
@@ -42,16 +42,17 @@ def nonzero(vec, n, k):
 
 
 def octa_pod():
-    return designs.Pod(((1, 2), (3, 4), (5, 6)), ())
+    """The expansion of (x1 - x2)(x3 - x4)(x5 - x6), the first pod of (6, 3, 2)."""
+    return next(designs.pods(6, 3, 2))
 
 
 def pod_vectors(n, k, t):
-    return [designs.pod_expand(p, n) for p in designs.pods(n, k, t)]
+    return list(designs.pods(n, k, t))
 
 
 class TestPodExpand:
     def test_octahedral_quartic_support(self):
-        d = nonzero(designs.pod_expand(octa_pod(), 6), 6, 3)
+        d = nonzero(octa_pod(), 6, 3)
         assert len(d) == 8
         assert all(abs(v) == 1 for v in d.values())
         positive = {s for s, v in d.items() if v > 0}
@@ -63,23 +64,6 @@ class TestPodExpand:
         }
         assert len(positive) == 4 == 2**2
 
-    def test_degree_one_pod(self):
-        d = designs.pod_expand(designs.Pod(((1, 2),), (3,)), 4)
-        assert nonzero(d, 4, 2) == {(1, 3): 1, (2, 3): -1}
-
-    def test_pair_swap_negates(self):
-        d1 = designs.pod_expand(designs.Pod(((1, 2), (3, 4), (5, 6)), ()), 6)
-        d2 = designs.pod_expand(designs.Pod(((2, 1), (3, 4), (5, 6)), ()), 6)
-        assert d2 == tuple(-x for x in d1)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            designs.pod_expand(octa_pod(), 5)
-
-    def test_duplicate_indices_rejected(self):
-        with pytest.raises(BadParameters):
-            designs.Pod(((1, 2), (2, 3)), ())
-
 
 class TestIsNullDesign:
     def test_zero_design(self):
@@ -89,14 +73,14 @@ class TestIsNullDesign:
             assert ok and witness is None
 
     def test_pod_balanced_at_its_strength(self):
-        d = designs.pod_expand(octa_pod(), 6)
+        d = octa_pod()
         ok, _ = is_null_design(d, 6, 3, 2)
         assert ok
         ok1, _ = is_null_design(d, 6, 3, 1)
         assert ok1
 
     def test_pod_fails_higher_strength(self):
-        d = designs.pod_expand(octa_pod(), 6)
+        d = octa_pod()
         # k = 3 forbids t = 3; check strength semantics on the direct sums
         with pytest.raises(BadParameters):
             is_null_design(d, 6, 3, 3)
@@ -119,13 +103,13 @@ class TestKernelIso:
 
     def test_quartic_in_kernel(self):
         inc = build_matrix(6, 3, 2)
-        v = designs.pod_expand(octa_pod(), 6)
+        v = octa_pod()
         assert not any(inc.matrix.mat_vec(v))
         assert vector(6, 3, nonzero(v, 6, 3)) == v
 
     def test_design_iff_kernel(self):
         inc = build_matrix(6, 3, 2)
-        good = designs.pod_expand(octa_pod(), 6)
+        good = octa_pod()
         assert not any(inc.matrix.mat_vec(good))
         assert is_null_design(good, 6, 3, 2)[0]
         bad = vector(6, 3, {(1, 2, 3): 1})
@@ -167,10 +151,7 @@ class TestSupportScan:
         scan = designs.min_support_scan(6, 3, 2)
         assert scan.min_positive_support == 4
         assert scan.witness == designs.sign_normalized(scan.witness)
-        pods_norm = {
-            designs.sign_normalized(designs.pod_expand(p, 6))
-            for p in designs.pods(6, 3, 2)
-        }
+        pods_norm = {designs.sign_normalized(p) for p in designs.pods(6, 3, 2)}
         assert scan.witness in pods_norm
 
     def test_trivial_kernel_is_empty(self):

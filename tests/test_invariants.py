@@ -23,7 +23,7 @@ def test_matrix_json_round_trip():
 
 
 def test_design_json_uses_digit_labels():
-    d = designs.pod_expand(designs.Pod(((1, 2), (3, 4), (5, 6)), ()), 6)
+    d = next(designs.pods(6, 3, 2))
     payload = json.loads(json.dumps(cli._labelled(d, cli._labels(6, 3))))
     assert payload["135"] == 1
     assert payload["246"] == -1
@@ -67,8 +67,7 @@ def test_height_equals_kernel_rank():
 
 def test_pod_designs_have_exact_support_sizes():
     for (n, k, t) in ((4, 2, 1), (6, 3, 2), (7, 3, 2), (7, 4, 2)):
-        for pod in designs.pods(n, k, t):
-            d = designs.pod_expand(pod, n)
+        for d in designs.pods(n, k, t):
             assert len(d) == comb(n, k)
             assert sum(x != 0 for x in d) == 1 << (t + 1)
             assert sum(x > 0 for x in d) == 1 << t

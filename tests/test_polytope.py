@@ -123,10 +123,7 @@ def certificate_holds(cfg, subset, cert):
 
 
 def pod_supports(n):
-    return [
-        [i for i, x in enumerate(designs.pod_expand(pod, n)) if x > 0]
-        for pod in designs.pods(n, 3, 2)
-    ]
+    return [[i for i, x in enumerate(pod) if x > 0] for pod in designs.pods(n, 3, 2)]
 
 
 @pytest.fixture(scope="module")
