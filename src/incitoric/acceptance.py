@@ -125,13 +125,8 @@ def criterion_01(ws: Workspace) -> Tuple[bool, str]:
 @criterion(2, "prime-field rank law")
 def criterion_02(ws: Workspace) -> Tuple[bool, str]:
     report = ws.rank_report()
-    bad = []
-    checked = 0
-    for e in report.entries:
-        for (p, rp, map_full, predicted, ok) in e.mod_p:
-            checked += 1
-            if not ok:
-                bad.append((e.n, e.k, e.t, p))
+    bad = [(e.n, e.k, e.t, r.p) for e in report.entries for r in e.mod_p if not r.ok]
+    checked = sum(len(e.mod_p) for e in report.entries)
     detail = (
         f"{checked} (triple, prime) pairs: multiplication map full rank iff p > min(k, n-t)"
     )
@@ -230,21 +225,17 @@ def criterion_09(ws: Workspace) -> Tuple[bool, str]:
 
 @criterion(10, "pseudomanifold certificates")
 def criterion_10(ws: Workspace) -> Tuple[bool, str]:
-    oct_rep = complexes.verify(complexes.octahedron())
-    cp4_rep = complexes.verify(complexes.crosspolytope(4))
+    # the bundled spheres, each verified once (the octahedron is crosspolytope(3))
+    oct_rep, cp4_rep, cf_rep = (
+        complexes.verify(delta)
+        for delta in (complexes.octahedron(), complexes.crosspolytope(4), complexes.crossflip_example())
+    )
     all_true = lambda r: (
         r.pure and r.pseudomanifold and r.boundaryless and r.normal
         and r.balanced and r.orientable and r.facet_ridge_bipartite
     )
     ok = all_true(oct_rep) and all_true(cp4_rep)
-    bundled = [
-        complexes.octahedron(),
-        complexes.crosspolytope(3),
-        complexes.crosspolytope(4),
-        complexes.crossflip_example(),
-    ]
-    for delta in bundled:
-        r = complexes.verify(delta)
+    for r in (oct_rep, cp4_rep, cf_rep):
         if r.balanced and r.normal and r.boundaryless and r.dimension >= 2:
             ok = ok and (r.orientable == r.facet_ridge_bipartite)
     pt = complexes.verify(complexes.pinched_torus())
@@ -347,11 +338,9 @@ ALL_CRITERIA: tuple = (
 
 
 def run_acceptance(
-    ws: Optional[Workspace] = None,
+    ws: Workspace,
     only: Optional[Sequence[int]] = None,
 ) -> List[CriterionResult]:
-    if ws is None:
-        ws = Workspace()
     results = []
     for i, crit in enumerate(ALL_CRITERIA, start=1):
         if only and i not in only:

@@ -70,27 +70,7 @@ def _cmd_incidence_matrix(args) -> int:
 
 def _cmd_incidence_ranks(args) -> int:
     report = check_rank_laws(args.n_max)
-    payload = {
-        "n_max": args.n_max,
-        "primes": list(report.primes),
-        "all_ok": report.all_ok,
-        "entries": [
-            {
-                "n": e.n,
-                "k": e.k,
-                "t": e.t,
-                "rank_q": e.rank_over_q,
-                "expected": e.expected_rank,
-                "rank_law_ok": e.rank_law_ok,
-                "mod_p": [
-                    {"p": p, "matrix_rank": rp, "map_full": mf, "predicted_full": pf, "ok": ok}
-                    for (p, rp, mf, pf, ok) in e.mod_p
-                ],
-            }
-            for e in report.entries
-        ],
-    }
-    _emit(payload, args)
+    _emit({"n_max": args.n_max, **asdict(report)}, args)
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
 
@@ -341,10 +321,10 @@ def _config(args) -> RunConfig:
     return DEFAULT_CONFIG
 
 
-def _add_nkt(p, t_required=True):
+def _add_nkt(p):
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("-t", type=int, required=t_required)
+    p.add_argument("-t", type=int, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:

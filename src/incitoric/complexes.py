@@ -249,8 +249,12 @@ def orientation_binomial(delta: SimplicialComplex, report: VerifyReport) -> Bino
     of ``report``, which is ``verify(delta)``.
 
     Requires a balanced orientable normal pseudomanifold without boundary
-    of dimension k-1 >= 2; the signs, the cycle condition, kernel
-    membership and primitivity are re-checked on the result.
+    of dimension k-1 >= 2; the signs, the cycle condition and primitivity
+    are re-checked on the result.  The rows of the (n, k, k-1) matrix are
+    the ridges, and entry r of A·u sums the signs of the facets on ridge
+    r.  With two facets on every ridge, as the report claims, u lies in
+    the kernel exactly when the signs cancel across every ridge, which is
+    the cycle condition; a ridge on one or three facets fails the check.
     """
     failures = []
     if not report.pseudomanifold:
@@ -271,21 +275,13 @@ def orientation_binomial(delta: SimplicialComplex, report: VerifyReport) -> Bino
     orientation = report.orientation
     if len(orientation) != len(delta.facets) or any(abs(e) != 1 for e in orientation):
         raise PreconditionFailed("orientation must assign +-1 to every facet")
-    # cycle condition in the color-sorted convention: opposite signs across
-    # every interior ridge
-    for members in _ridge_map(delta).values():
-        if len(members) == 2:
-            i, j = members
-            if orientation[i] + orientation[j] != 0:
-                raise PreconditionFailed("epsilon is not a cycle of the top boundary map")
-
     inc = build_matrix(delta.n, k, k - 1)
     signed = list(zip(delta.facets, orientation))
     b = Binomial.from_subsets(
         inc.matrix.cols, [f for f, e in signed if e == 1], [f for f, e in signed if e == -1]
     )
     if any(inc.matrix.mat_vec(b.vector)):
-        raise PreconditionFailed("orientation binomial left the kernel")
+        raise PreconditionFailed("epsilon is not a cycle of the top boundary map")
     if not b.is_squarefree():
         raise PreconditionFailed("orientation binomial is not squarefree")
     if not is_primitive(b, inc):

@@ -42,15 +42,25 @@ def build_matrix(n: int, k: int, t: int) -> IncidenceMatrix:
     return IncidenceMatrix(n, k, t, m, row_labels, col_labels)
 
 
+# slotted: a report holds one per (triple, prime), 504 of them for n <= 8
+@dataclass(frozen=True, slots=True)
+class PrimeRank:
+    p: int
+    matrix_rank: int
+    map_full: bool
+    predicted_full: bool
+    ok: bool
+
+
 @dataclass(frozen=True)
 class RankLawEntry:
     n: int
     k: int
     t: int
-    rank_over_q: int
-    expected_rank: int
+    rank_q: int
+    expected: int
     rank_law_ok: bool
-    mod_p: tuple  # (p, matrix_rank, map_full_rank, predicted_full, ok) per prime
+    mod_p: tuple  # one PrimeRank per prime
 
 
 @dataclass(frozen=True)
@@ -96,7 +106,7 @@ def check_rank_laws(n_max: int = 8) -> RankLawReport:
                     map_full = (not factorial_vanishes) and rp == full
                     predicted = p > full_rank_prime_threshold(n, k, t)
                     ok = map_full == predicted
-                    per_p.append((p, rp, map_full, predicted, ok))
+                    per_p.append(PrimeRank(p, rp, map_full, predicted, ok))
                     ok_all = ok_all and ok
                 ok_all = ok_all and law_q
                 entries.append(

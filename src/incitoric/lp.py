@@ -110,6 +110,10 @@ def _eliminate(num: list, den: int, prow: list, col: int) -> tuple:
     return _reduce_row(new, d)
 
 
+# pivots by steepest descent before Bland's rule takes over
+_BLAND_AFTER = 10_000
+
+
 class _Tableau:
     """Phase one over the rows ``[A | I | b]`` with the artificials
     ``I`` basic.  Rows store (integer vector including the rhs column,
@@ -171,9 +175,9 @@ class _Tableau:
                         best = (b, a, self.basis[i], i)
         return None if best is None else best[3]
 
-    def solve(self, bland_after: int = 10_000) -> None:
+    def solve(self) -> None:
         while True:
-            col = self._entering(self.pivots_done > bland_after)
+            col = self._entering(self.pivots_done > _BLAND_AFTER)
             if col is None:
                 return
             row = self._leaving(col)

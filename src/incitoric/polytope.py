@@ -32,14 +32,11 @@ from .lp import LinearConstraint, RationalLpProblem, lp_feasible
 @dataclass(frozen=True)
 class PointConfig:
     points: tuple  # integer coordinate tuples
-    labels: tuple
     source: Optional[IncidenceMatrix] = None
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
             raise BadParameters("configuration points must be distinct")
-        if len(self.labels) != len(self.points):
-            raise BadParameters("one label per point required")
 
     @classmethod
     def from_incidence(cls, inc: IncidenceMatrix) -> "PointConfig":
@@ -48,7 +45,7 @@ class PointConfig:
         for p in pts:
             if sum(p) != target:
                 raise BadParameters("incidence columns left the degree hyperplane")
-        return cls(pts, inc.col_labels, inc)
+        return cls(pts, inc)
 
     @property
     def ambient_dim(self) -> int:

@@ -152,10 +152,9 @@ class BinomialBasis:
 
     @cached_property
     def reducers(self) -> tuple:
-        """The (plus, minus) pairs of the elements and the support masks of
-        their plus parts, for normal forms against this basis."""
-        pairs = [(b.plus, b.minus) for b in self.elements]
-        return pairs, [_support(plus) for plus, _ in pairs]
+        """The elements as reducer records, for normal forms against this
+        basis."""
+        return tuple(_reducer(b.plus, b.minus) for b in self.elements)
 
     def degree_multiset(self) -> dict:
         out: dict = {}
@@ -194,31 +193,35 @@ def _sub_add(m: tuple, sub: tuple, add: tuple) -> tuple:
     return tuple(x - y + z for x, y, z in zip(m, sub, add))
 
 
-def _first_divisor(m: tuple, basis: list, masks: list) -> Optional[tuple]:
-    """The first (lead, tail) of ``basis`` whose lead divides m; ``masks``
-    holds the support masks of the leads."""
+def _reducer(lead: tuple, tail: tuple) -> tuple:
+    """The reducer record (lead mask, lead, tail) of x^lead - x^tail."""
+    return _support(lead), lead, tail
+
+
+def _first_divisor(m: tuple, reducers: Sequence[tuple]) -> Optional[tuple]:
+    """The first reducer record whose lead divides m."""
     support = _support(m)
-    for mask, g in zip(masks, basis):
-        if mask & support == mask and _divides(g[0], m):
-            return g
+    for r in reducers:
+        mask = r[0]
+        if mask & support == mask and _divides(r[1], m):
+            return r
     return None
 
 
-def _normal_form(a: tuple, b: tuple, basis: list, order: DegrevlexOrder, masks: list):
-    """Full normal form of x^a - x^b against leads of ``basis``; None if 0.
-    ``masks`` are the support masks of those leads."""
+def _normal_form(a: tuple, b: tuple, reducers: Sequence[tuple], order: DegrevlexOrder):
+    """Full normal form of x^a - x^b against the reducer records; None if 0."""
     pair = _orient(a, b, order)
     if pair is None:
         return None
     lead, tail = pair
-    while (g := _first_divisor(lead, basis, masks)) is not None:
-        pair = _orient(_sub_add(lead, *g), tail, order)
+    while (r := _first_divisor(lead, reducers)) is not None:
+        pair = _orient(_sub_add(lead, r[1], r[2]), tail, order)
         if pair is None:
             return None
         lead, tail = pair
     # tail reduction for canonical output
-    while (g := _first_divisor(tail, basis, masks)) is not None:
-        tail = _sub_add(tail, *g)
+    while (r := _first_divisor(tail, reducers)) is not None:
+        tail = _sub_add(tail, r[1], r[2])
         if tail == lead:
             return None
     return lead, tail
@@ -245,21 +248,21 @@ def buchberger(
     stays a reducer and a pair partner; the final interreduction leaves
     the reduced basis.
 
-    Every lead and lcm carries a support mask, tested before any
-    divisibility check.  Raises BudgetExceeded, naming the pairs popped and
-    the elements kept, when more than ``pair_budget`` pairs are popped.
+    Every element is a reducer record and every lcm carries a support
+    mask, tested before any divisibility check.  Raises BudgetExceeded,
+    naming the pairs popped and the elements kept, when more than
+    ``pair_budget`` pairs are popped.
     """
-    elements: list = []  # every element so far, by index: (lead, tail)
-    masks: list = []  # support masks of their leads
+    elements: list = []  # every element so far, by index, as a reducer record
     heap: list = []  # (order key of the lcm, newer member, older member, lcm)
 
     def add(h: tuple) -> None:
-        lead, hmask = h[0], _support(h[0])
+        hmask, lead, _ = h
         t = len(elements)
         # criteria M and F: per lcm, its first partner and whether any is coprime
         new: dict = {}
-        for k, (g, gmask) in enumerate(zip(elements, masks)):
-            lcm = _lcm(g[0], lead)
+        for k, (gmask, glead, _) in enumerate(elements):
+            lcm = _lcm(glead, lead)
             if lcm in new:
                 new[lcm][2] |= not gmask & hmask
             else:
@@ -275,12 +278,11 @@ def buchberger(
             if not coprime:
                 heapq.heappush(heap, (order.sort_key(lcm), t, k, lcm))
         elements.append(h)
-        masks.append(hmask)
 
     for a, b in generators:
         pair = _orient(tuple(a), tuple(b), order)
-        if pair is not None and pair not in elements:
-            add(pair)
+        if pair is not None and (h := _reducer(*pair)) not in elements:
+            add(h)
 
     popped = 0
     while heap:
@@ -291,26 +293,23 @@ def buchberger(
                 f"pair queue budget of {pair_budget} exhausted: {popped} pairs "
                 f"popped, basis of {len(elements)} elements"
             )
-        (ai, bi), (aj, bj) = elements[i], elements[j]
-        nf = _normal_form(_sub_add(lcm, ai, bi), _sub_add(lcm, aj, bj), elements, order, masks)
+        (_, ai, bi), (_, aj, bj) = elements[i], elements[j]
+        nf = _normal_form(_sub_add(lcm, ai, bi), _sub_add(lcm, aj, bj), elements, order)
         if nf is not None:
-            add(nf)
+            add(_reducer(*nf))
 
     return _interreduce(elements, order)
 
 
-def _interreduce(basis: list, order: DegrevlexOrder) -> list:
-    by_lead = sorted(basis, key=lambda g: order.sort_key(g[0]))
+def _interreduce(reducers: Sequence[tuple], order: DegrevlexOrder) -> list:
+    """Reduced basis, as (lead, tail) pairs, of the reducer records."""
     kept: list = []
-    masks: list = []
-    for g in by_lead:
-        if _first_divisor(g[0], kept, masks) is None:
-            kept.append(g)
-            masks.append(_support(g[0]))
+    for r in sorted(reducers, key=lambda r: order.sort_key(r[1])):
+        if _first_divisor(r[1], kept) is None:
+            kept.append(r)
     reduced = []
-    for idx, g in enumerate(kept):
-        others = kept[:idx] + kept[idx + 1 :]
-        nf = _normal_form(g[0], g[1], others, order, masks[:idx] + masks[idx + 1 :])
+    for idx, (_, lead, tail) in enumerate(kept):
+        nf = _normal_form(lead, tail, kept[:idx] + kept[idx + 1 :], order)
         if nf is not None:
             reduced.append(nf)
     reduced.sort(key=lambda g: (order.sort_key(g[0]), order.sort_key(g[1])))
@@ -369,7 +368,7 @@ def _saturated_groebner(pairs: list, nvars: int, config: RunConfig) -> list:
     Buchberger run.
     """
     sat = saturate_binomials(pairs, nvars, config.pair_queue_budget)
-    return _interreduce(sat, DegrevlexOrder(nvars))
+    return _interreduce([_reducer(*g) for g in sat], DegrevlexOrder(nvars))
 
 
 def lattice_ideal_groebner(
@@ -388,8 +387,7 @@ def lattice_ideal_groebner(
 
 def reduce_to_zero(b: Binomial, basis: BinomialBasis) -> bool:
     """Ideal membership by normal-form reduction against a Groebner basis."""
-    pairs, masks = basis.reducers
-    return _normal_form(b.plus, b.minus, pairs, DegrevlexOrder(b.var_count), masks) is None
+    return _normal_form(b.plus, b.minus, basis.reducers, DegrevlexOrder(b.var_count)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -445,45 +443,50 @@ def minimal_markov(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> 
 # Graver bases by completion
 
 
+def _move(plus: tuple, minus: tuple) -> tuple:
+    """The move record (plus, minus, plus mask, minus mask)."""
+    return plus, minus, _support(plus), _support(minus)
+
+
+def _negated(g: tuple) -> tuple:
+    """The move record of -g: halves and masks swapped."""
+    return g[1], g[0], g[3], g[2]
+
+
 def _sum_pair(f: tuple, g: tuple) -> tuple:
-    """(plus, minus) of the vector sum of two (plus, minus) moves."""
+    """The move record of the vector sum of two moves."""
     u = [fp - fm + gp - gm for fp, fm, gp, gm in zip(f[0], f[1], g[0], g[1])]
-    return tuple(x if x > 0 else 0 for x in u), tuple(-x if x < 0 else 0 for x in u)
+    return _move(tuple(x if x > 0 else 0 for x in u), tuple(-x if x < 0 else 0 for x in u))
 
 
-def _move_masks(g: tuple) -> tuple:
-    """Support masks of the plus and minus halves of a move."""
-    return _support(g[0]), _support(g[1])
-
-
-def _conformal_sign(g: tuple, gmasks: tuple, s: tuple, smasks: tuple) -> Optional[tuple]:
+def _conformal_sign(g: tuple, s: tuple) -> Optional[tuple]:
     """The move g or its negative, whichever fits conformally inside s
-    (both halves divide); None if neither does.  ``gmasks`` and ``smasks``
-    are the support masks of the halves of g and s."""
-    (gp, gm), (p, m), (s0, s1) = g, gmasks, smasks
-    if p & s0 == p and m & s1 == m and _divides(gp, s[0]) and _divides(gm, s[1]):
+    (both halves divide); None if neither does."""
+    gp, gm, p, m = g
+    sp, sm, s0, s1 = s
+    if p & s0 == p and m & s1 == m and _divides(gp, sp) and _divides(gm, sm):
         return g
-    if m & s0 == m and p & s1 == p and _divides(gm, s[0]) and _divides(gp, s[1]):
-        return gm, gp
+    if m & s0 == m and p & s1 == p and _divides(gm, sp) and _divides(gp, sm):
+        return _negated(g)
     return None
 
 
-def _conformal_remainder(s: tuple, moves: list, masks: list) -> Optional[tuple]:
-    """Subtract moves that fit conformally inside ``s`` until none fits;
-    None if nothing is left.  ``masks`` are the moves' support masks."""
+def _conformal_remainder(s: tuple, moves: Sequence[tuple]) -> Optional[tuple]:
+    """Subtract moves that fit conformally inside the move ``s`` until none
+    fits; None if nothing is left."""
     changed = True
     while changed:
         changed = False
-        smasks = s0, s1 = _move_masks(s)
-        for g, gmasks in zip(moves, masks):
-            p, m = gmasks
+        s0, s1 = s[2], s[3]
+        for g in moves:
+            p, m = g[2], g[3]
             # most moves fail on their masks alone: test those inline, before a call
             if (p & s0 != p or m & s1 != m) and (m & s0 != m or p & s1 != p):
                 continue
-            h = _conformal_sign(g, gmasks, s, smasks)
+            h = _conformal_sign(g, s)
             if h is not None:
-                s = tuple(map(sub, s[0], h[0])), tuple(map(sub, s[1], h[1]))
-                smasks = s0, s1 = _move_masks(s)
+                s = _move(tuple(map(sub, s[0], h[0])), tuple(map(sub, s[1], h[1])))
+                s0, s1 = s[2], s[3]
                 changed = True
     if any(s[0]) or any(s[1]):
         return s
@@ -493,26 +496,25 @@ def _conformal_remainder(s: tuple, moves: list, masks: list) -> Optional[tuple]:
 def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> BinomialBasis:
     """Graver basis of the lattice ideal by completion on kernel vectors.
 
-    A move (plus, minus) stands for itself and its negative.  Starting
-    from a kernel basis, the sum of every two moves whose signs conflict
-    somewhere is reduced by the moves that fit conformally inside it, and
-    a nonzero remainder becomes a new move (Hemmecke, "On the positive sum
-    property and the computation of Graver test sets", 2003).  The moves
-    then have the positive sum property, so the conformally minimal ones
-    are the primitive vectors.  Signs conflict exactly where the support
-    masks of opposite halves meet, and the masks rule out most conformal
-    fits before any exponent is compared.  Each pair reduced counts
-    against ``pair_queue_budget``.
+    A move record (plus, minus, plus mask, minus mask) stands for itself
+    and its negative.  Starting from a kernel basis, the sum of every two
+    moves whose signs conflict somewhere is reduced by the moves that fit
+    conformally inside it, and a nonzero remainder becomes a new move
+    (Hemmecke, "On the positive sum property and the computation of Graver
+    test sets", 2003).  The moves then have the positive sum property, so
+    the conformally minimal ones are the primitive vectors.  Signs
+    conflict exactly where the support masks of opposite halves meet, and
+    the masks rule out most conformal fits before any exponent is
+    compared.  Each pair reduced counts against ``pair_queue_budget``.
     """
     a = inc.matrix
-    moves = _binomial_pairs(exactmath.kernel_basis(a))
-    masks = [_move_masks(g) for g in moves]
+    moves = [_move(*g) for g in _binomial_pairs(exactmath.kernel_basis(a))]
     pairs = 0
     for i, f in enumerate(moves):  # grows while iterated
-        fp, fm = masks[i]
-        for g, (gp, gm) in zip(moves[:i], masks[:i]):
-            for h, (hp, hm) in ((g, (gp, gm)), (g[::-1], (gm, gp))):
-                if not (fp & hm or fm & hp):
+        fp, fm = f[2], f[3]
+        for g in moves[:i]:
+            for h in (g, _negated(g)):
+                if not (fp & h[3] or fm & h[2]):
                     continue
                 pairs += 1
                 if pairs > config.pair_queue_budget:
@@ -520,18 +522,14 @@ def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> Bi
                         f"pair queue budget of {config.pair_queue_budget} exhausted: "
                         f"{pairs} sums reduced, {len(moves)} moves"
                     )
-                r = _conformal_remainder(_sum_pair(f, h), moves, masks)
+                r = _conformal_remainder(_sum_pair(f, h), moves)
                 if r is not None:
                     moves.append(r)
-                    masks.append(_move_masks(r))
     order = DegrevlexOrder(a.cols)
     minimal = [
-        Binomial(a.cols, *g).oriented(order)
-        for g, gmasks in zip(moves, masks)
-        if not any(
-            h is not g and _conformal_sign(h, hmasks, g, gmasks)
-            for h, hmasks in zip(moves, masks)
-        )
+        Binomial(a.cols, g[0], g[1]).oriented(order)
+        for g in moves
+        if not any(h is not g and _conformal_sign(h, g) for h in moves)
     ]
     minimal.sort(key=order.binomial_key)
     return BinomialBasis("graver", tuple(minimal), inc)
@@ -659,8 +657,8 @@ def saturation_equals(
         if any(a.mat_vec([x - y for x, y in zip(lead, tail)])):
             raise CertificateError("saturation produced a binomial outside the kernel")
     order = DegrevlexOrder(a.cols)
-    masks = [_support(lead) for lead, _ in gb_j]
+    reducers = [_reducer(*g) for g in gb_j]
     return all(
-        _normal_form(plus, minus, gb_j, order, masks) is None
+        _normal_form(plus, minus, reducers, order) is None
         for plus, minus in _binomial_pairs(exactmath.kernel_basis(a))
     )

@@ -41,3 +41,23 @@ def test_criterion(results, number, name):
     r = results[number]
     assert r.name == name
     assert r.passed, r.detail
+
+
+def test_complex_criteria_verify_each_complex_once(monkeypatch):
+    # criterion 10 verifies the octahedron, the 4-crosspolytope, the
+    # cross-flip sphere and the pinched torus; criterion 11 the octahedron
+    # and the cross-flip sphere
+    from incitoric import complexes
+
+    seen = []
+    verify = complexes.verify
+
+    def counted(delta):
+        seen.append(delta)
+        return verify(delta)
+
+    monkeypatch.setattr(complexes, "verify", counted)
+    results = acceptance.run_acceptance(acceptance.Workspace(), [10, 11])
+    assert [r.passed for r in results] == [True, True]
+    assert len(seen) == 6
+    assert len(set(seen[:4])) == 4

@@ -90,6 +90,11 @@ PINNED_NO_META_SHA256 = (
     ("complex verify pinched_torus.cplx", "5c7578a0e7e6d83893d8374b852728e1edc02def05a4303f9826b7590a489349"),
     ("complex binomial octahedron.cplx", "356aeabbc4711f59326c4594253a2b092a09f536d39c2cd25f9b4b169812f7c7"),
     ("complex binomial crossflip.cplx", "b9e6c1decf2c6dcddf92a9190002e26cb0d6625d32dd967e86f792b1dfe3769a"),
+    ("incidence ranks --n-max 6", "dc5e90ff2998417106d8ef48e6743dea0c53a0f6289bb0bf024ef9e085177002"),
+    ("toric groebner -n 6 -k 3 -t 2", "c5ae9d0f6ae8198fdb12868bbf85f908db31ad8cfc6f7c3f573b20aab7c12d0f"),
+    ("toric graver -n 5 -k 3 -t 1", "bdf25710bacb78ff669f10f6edc1dfdc555076a55ff5f22a51edf8594ebd1f09"),
+    ("toric saturate -n 6 -k 3 -t 2", "a4276531437f24317ba14ea6df78b1f5872936aab2228cfa9ad3df3136f5d43f"),
+    ("acceptance --json --only 1 2 10 11", "b7af10c9cb5d311c9570c62da0c3dc0dcbe6bc81d0a1e4783caca8216dadee1c"),
 )
 
 

@@ -345,6 +345,19 @@ class TestOrientationBinomial:
         with pytest.raises(PreconditionFailed, match="not a cycle"):
             cx.orientation_binomial(oc, rep)
 
+    def test_forged_report_fails_cycle_check(self):
+        # the octahedron's report, handed in for a disk (its boundary
+        # ridges lie on one facet) and for a complex whose ridge {1, 3}
+        # lies on three facets
+        oc = cx.octahedron()
+        rep = cx.verify(oc)
+        for delta, orientation in (
+            (cx.SimplicialComplex(6, oc.facets[1:]), rep.orientation[1:]),
+            (cx.SimplicialComplex(7, oc.facets + (frozenset({1, 3, 7}),)), rep.orientation + (1,)),
+        ):
+            with pytest.raises(PreconditionFailed, match="not a cycle"):
+                cx.orientation_binomial(delta, replace(rep, orientation=orientation))
+
 
 class TestFileFormat:
     def test_round_trip(self, tmp_path):

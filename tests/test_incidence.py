@@ -6,7 +6,7 @@ import pytest
 
 from incitoric import exactmath as em
 from incitoric.errors import BadParameters
-from incitoric.incidence import build_matrix, check_rank_laws, full_rank_prime_threshold
+from incitoric.incidence import PrimeRank, build_matrix, check_rank_laws, full_rank_prime_threshold
 
 
 class TestBuildMatrix:
@@ -60,8 +60,8 @@ class TestRankLaws:
     def test_632_entries(self):
         report = check_rank_laws(6)
         entry = next(e for e in report.entries if (e.n, e.k, e.t) == (6, 3, 2))
-        assert entry.rank_over_q == 15
-        by_p = {p: (rp, mf, pf) for (p, rp, mf, pf, ok) in entry.mod_p}
+        assert entry.rank_q == entry.expected == 15
+        by_p = {r.p: (r.matrix_rank, r.map_full, r.predicted_full) for r in entry.mod_p}
         assert by_p[2][0] < 15 and by_p[2][1] is False and by_p[2][2] is False
         assert by_p[7] == (15, True, True)
 
@@ -73,5 +73,5 @@ class TestRankLaws:
         assert full_rank_prime_threshold(4, 3, 1) == 3
         report = check_rank_laws(4)
         entry = next(e for e in report.entries if (e.n, e.k, e.t) == (4, 3, 1))
-        by_p = {p: (rp, mf, pf, ok) for (p, rp, mf, pf, ok) in entry.mod_p}
-        assert by_p[2] == (4, False, False, True)
+        by_p = {r.p: r for r in entry.mod_p}
+        assert by_p[2] == PrimeRank(2, 4, False, False, True)

@@ -130,14 +130,20 @@ def _feasible_by_basic_enumeration(p):
     return False
 
 
-def test_random_instances_against_enumeration():
+def random_problems():
+    """250 seeded problems of 1-3 rows over 1-3 variables, most of them
+    non-negative."""
     rng = random.Random(2024)
-    verdicts = {"optimal": 0, "infeasible": 0}
     for _ in range(250):
         n = rng.randint(1, 3)
         m = rng.randint(1, 3)
         rows = [([rng.randint(-3, 3) for _ in range(n)], rng.randint(-4, 4)) for _ in range(m)]
-        p = problem(rows, [rng.random() < 0.7 for _ in range(n)])
+        yield problem(rows, [rng.random() < 0.7 for _ in range(n)])
+
+
+def test_random_instances_against_enumeration():
+    verdicts = {"optimal": 0, "infeasible": 0}
+    for p in random_problems():
         result = lp_feasible(p)
         verdicts[result.status] += 1
         assert (result.status == "optimal") == _feasible_by_basic_enumeration(p)
@@ -146,6 +152,28 @@ def test_random_instances_against_enumeration():
         else:
             assert holds_at(p, result)
     assert min(verdicts.values()) > 50
+
+
+def test_blands_rule_gives_the_same_verdicts(monkeypatch):
+    statuses = [lp_feasible(p).status for p in random_problems()]
+    rules = []
+    entering = lp._Tableau._entering
+
+    def recorded(self, bland):
+        rules.append(bland)
+        return entering(self, bland)
+
+    # steepest descent hands over to Bland's rule after the first pivot
+    monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
+    monkeypatch.setattr(lp._Tableau, "_entering", recorded)
+    for p, status in zip(random_problems(), statuses):
+        result = lp_feasible(p)
+        assert result.status == status
+        if status == "infeasible":
+            assert verify_farkas(p, result.values)
+        else:
+            assert holds_at(p, result)
+    assert rules.count(True) > 50
 
 
 @st.composite

@@ -31,9 +31,8 @@ from incitoric.polytope import (
 
 
 def points_config(pts):
-    """A configuration of integer points labelled by their indices."""
-    pts = tuple(tuple(p) for p in pts)
-    return PointConfig(pts, tuple(range(len(pts))))
+    """A configuration of integer points."""
+    return PointConfig(tuple(tuple(p) for p in pts))
 
 
 @pytest.fixture(scope="module")
@@ -397,7 +396,7 @@ class TestVolumes:
             "from incitoric.polytope import PointConfig, normalized_volume\n"
             "exactmath.determinant = lambda m: 0\n"
             "try:\n"
-            "    normalized_volume(PointConfig(((0, 0), (1, 0), (0, 1)), (0, 1, 2)))\n"
+            "    normalized_volume(PointConfig(((0, 0), (1, 0), (0, 1))))\n"
             "except CertificateError as e:\n"
             "    print(e)\n"
         )
@@ -537,7 +536,7 @@ class TestPencilUpdates:
             "from incitoric.errors import CertificateError\n"
             "polytope._reduced = lambda g, beta: (tuple(g), beta + 1)\n"
             "try:\n"
-            "    polytope.placing_triangulation(polytope.PointConfig(((0, 0), (1, 0), (0, 1)), (0, 1, 2)))\n"
+            "    polytope.placing_triangulation(polytope.PointConfig(((0, 0), (1, 0), (0, 1))))\n"
             "except CertificateError as e:\n"
             "    print(e)\n"
         )

@@ -81,8 +81,8 @@ class TestEngineSmall:
         a = IntMatrix.from_rows([[1, 1], [2, 2]])
         pairs = [((1, 0), (0, 1))]
         gb = toric.buchberger(pairs, toric.DegrevlexOrder(2))
-        masks = [toric._support(lead) for lead, _ in gb]
-        assert toric._normal_form((1, 0), (0, 1), gb, toric.DegrevlexOrder(2), masks) is None
+        reducers = [toric._reducer(*g) for g in gb]
+        assert toric._normal_form((1, 0), (0, 1), reducers, toric.DegrevlexOrder(2)) is None
 
     def test_trivial_kernel_empty_basis(self):
         inc = build_matrix(4, 3, 2)
@@ -181,7 +181,7 @@ class TestEngineOracles:
         rng = Random(632)
         a = inc632.matrix
         order = toric.DegrevlexOrder(20)
-        pairs, masks = gb632.reducers
+        pairs = [(b.plus, b.minus) for b in gb632.elements]
         moves = [b.vector for b in markov632.elements]
         queries = []
         while len(queries) < 60:
@@ -198,7 +198,7 @@ class TestEngineOracles:
         for u, member in queries:
             b = toric.Binomial.from_vector(u)
             nf = plain_normal_form(b.plus, b.minus, pairs, order)
-            assert toric._normal_form(b.plus, b.minus, pairs, order, masks) == nf
+            assert toric._normal_form(b.plus, b.minus, gb632.reducers, order) == nf
             assert toric.reduce_to_zero(b, gb632) is (nf is None) is member
 
 
@@ -236,14 +236,14 @@ class TestStructure632:
     def test_groebner_property_by_definition(self, gb632):
         # every S-pair reduces to zero, checked without any pair criteria
         order = toric.DegrevlexOrder(20)
-        basis, masks = gb632.reducers
+        basis = gb632.reducers
         for i in range(len(basis)):
             for j in range(i):
-                (ai, bi), (aj, bj) = basis[i], basis[j]
+                (_, ai, bi), (_, aj, bj) = basis[i], basis[j]
                 lcm = toric._lcm(ai, aj)
                 s1 = toric._sub_add(lcm, ai, bi)
                 s2 = toric._sub_add(lcm, aj, bj)
-                assert toric._normal_form(s1, s2, basis, order, masks) is None
+                assert toric._normal_form(s1, s2, basis, order) is None
 
     def test_homogeneous_and_sound(self, gb632, markov632, inc632):
         for basis in (gb632, markov632):
@@ -402,8 +402,9 @@ def remainder_cases(draw):
 @given(remainder_cases())
 def test_conformal_remainder_matches_plain(case):
     s, moves = case
-    masks = [toric._move_masks(g) for g in moves]
-    assert toric._conformal_remainder(s, moves, masks) == plain_conformal_remainder(s, moves)
+    r = toric._conformal_remainder(toric._move(*s), [toric._move(*g) for g in moves])
+    assert (r if r is None else r[:2]) == plain_conformal_remainder(s, moves)
+    assert r is None or r == toric._move(r[0], r[1])  # its masks are those of its halves
 
 
 def box_scan_primitive(u, a):
