@@ -28,12 +28,15 @@ EXIT_USAGE = 2
 
 
 def _emit(payload: dict, args) -> None:
-    if not getattr(args, "no_meta", False):
-        payload = dict(payload)
+    """Print the payload, opened by whichever of n, k and t the command's
+    parser defines."""
+    params = vars(args)
+    payload = {key: params[key] for key in ("n", "k", "t") if key in params} | payload
+    if not args.no_meta:
         payload["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     out = json.dumps(payload, indent=2, sort_keys=True)
     print(out)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
 
@@ -56,12 +59,13 @@ def _cmd_incidence_matrix(args) -> int:
         return EXIT_OK
     _emit(
         {
-            "n": args.n,
-            "k": args.k,
-            "t": args.t,
             "rows": [subset_label(s, args.n) for s in inc.row_labels],
             "cols": [subset_label(s, args.n) for s in inc.col_labels],
-            "matrix": inc.matrix.to_json_dict(),
+            "matrix": {
+                "rows": inc.matrix.rows,
+                "cols": inc.matrix.cols,
+                "entries": [str(x) for row in inc.matrix.entries for x in row],
+            },
         },
         args,
     )
@@ -93,9 +97,6 @@ def _cmd_toric(args) -> int:
         ok = toric.saturation_equals(basis, inc, config)
         _emit(
             {
-                "n": args.n,
-                "k": args.k,
-                "t": args.t,
                 "octahedral_generators": len(basis.elements),
                 "saturation_equals_lattice_ideal": ok,
             },
@@ -105,9 +106,6 @@ def _cmd_toric(args) -> int:
     degrees = basis.degree_multiset()
     _emit(
         {
-            "n": args.n,
-            "k": args.k,
-            "t": args.t,
             "kind": basis.kind,
             "order": "degrevlex",
             "count": len(basis.elements),
@@ -131,9 +129,6 @@ def _cmd_polytope(args) -> int:
         vol = normalized_volume(cfg, lattice, tri)
         _emit(
             {
-                "n": args.n,
-                "k": args.k,
-                "t": args.t,
                 "lattice": lattice,
                 "dimension": tri.dim,
                 "simplices": len(tri.simplices),
@@ -158,13 +153,7 @@ def _cmd_polytope(args) -> int:
             print(f"repeated vertex label '{repeated[0]}'", file=sys.stderr)
             return EXIT_USAGE
         cert = is_face(cfg, subset)
-        payload = {
-            "n": args.n,
-            "k": args.k,
-            "t": args.t,
-            "subset": sorted(labels[i] for i in subset),
-            "is_face": cert.is_face,
-        }
+        payload = {"subset": sorted(labels[i] for i in subset), "is_face": cert.is_face}
         if cert.is_face:
             c, beta = cert.functional
             payload["functional"] = {"coeffs": [str(x) for x in c], "rhs": str(beta)}
@@ -175,9 +164,6 @@ def _cmd_polytope(args) -> int:
     # neighborly
     rep = neighborliness(cfg, args.s_max)
     payload = {
-        "n": args.n,
-        "k": args.k,
-        "t": args.t,
         "s_max": args.s_max,
         "neighborliness": rep.neighborliness,
         "face_tests": rep.subsets_tested,
@@ -225,9 +211,6 @@ def _cmd_designs(args) -> int:
         span_ok = designs.pods_span_kernel(args.n, args.k, args.t, vectors)
         _emit(
             {
-                "n": args.n,
-                "k": args.k,
-                "t": args.t,
                 "count": len(vectors),
                 "span_equals_kernel": span_ok,
                 "designs": [_labelled(v, labels) for v in vectors],
@@ -237,9 +220,6 @@ def _cmd_designs(args) -> int:
         return EXIT_OK if span_ok else EXIT_VERIFICATION
     scan = designs.min_support_scan(args.n, args.k, args.t)
     payload = {
-        "n": args.n,
-        "k": args.k,
-        "t": args.t,
         "min_positive_support": scan.min_positive_support,
         "subsets_enumerated": scan.subsets_enumerated,
     }
@@ -271,13 +251,12 @@ def _cmd_threepoint(args) -> int:
                     "formula": expected,
                 }
             )
-        _emit({"n": args.n, "all_match": ok, "derangements": rows}, args)
+        _emit({"all_match": ok, "derangements": rows}, args)
         return EXIT_OK if ok else EXIT_VERIFICATION
     # det
     expr = threepoint.det_as_c_expression(args.n)
     tri_labels = _labels(args.n, 3)
     payload = {
-        "n": args.n,
         "numerator_terms": len(expr.f),
         "denominator": _labelled(expr.g_exps, tri_labels),
     }
@@ -300,7 +279,7 @@ def _cmd_acceptance(args) -> int:
     results = acceptance.run_acceptance(ws, args.only)
     all_ok = all(r.passed for r in results)
     # times are metadata: --no-meta drops them so that the output is reproducible
-    timed = not getattr(args, "no_meta", False)
+    timed = not args.no_meta
     if args.json:
         rows = [{k: v for k, v in r.as_dict().items() if timed or k != "elapsed_seconds"} for r in results]
         _emit({"criteria": rows, "all_passed": all_ok}, args)

@@ -46,10 +46,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
     def column(self, j: int) -> tuple:
         return tuple(r[j] for r in self.entries)
 
@@ -61,20 +57,15 @@ class IntMatrix:
             raise DimensionMismatch("matrix-vector shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "entries": [str(x) for row in self.entries for x in row],
-        }
-
 
 @dataclass(frozen=True)
 class HnfResult:
-    """Column Hermite normal form ``h`` with unimodular ``u``, ``m @ u == h``."""
+    """Column Hermite normal form ``h`` with unimodular transform ``u``,
+    both tuples of columns: ``m`` times column j of ``u`` is column j of
+    ``h``."""
 
-    h: IntMatrix
-    u: IntMatrix
+    h: tuple
+    u: tuple
     pivots: tuple  # (row, col) staircase positions
 
 
@@ -83,66 +74,43 @@ def hnf(m: IntMatrix) -> HnfResult:
 
     Returns ``h`` in lower staircase form with positive pivots, entries to
     the left of each pivot reduced into [0, pivot), zero columns at the
-    right, and a unimodular ``u`` with ``m @ u == h``.  Deterministic for
-    fixed input.
+    right, and a unimodular ``u`` with ``m @ u == h``.  Each working column
+    is one list, its ``h`` entries over its ``u`` entries, so a column
+    operation acts on both at once.  Deterministic for fixed input.
     """
     r, c = m.rows, m.cols
-    h = [list(row) for row in m.entries]
-    u = [[1 if i == j else 0 for j in range(c)] for i in range(c)]
-
-    def col_sub(j, k, q):
-        # column j -= q * column k
-        if q == 0:
-            return
-        for i in range(r):
-            h[i][j] -= q * h[i][k]
-        for i in range(c):
-            u[i][j] -= q * u[i][k]
-
-    def col_swap(j, k):
-        for i in range(r):
-            h[i][j], h[i][k] = h[i][k], h[i][j]
-        for i in range(c):
-            u[i][j], u[i][k] = u[i][k], u[i][j]
-
-    def col_neg(j):
-        for i in range(r):
-            h[i][j] = -h[i][j]
-        for i in range(c):
-            u[i][j] = -u[i][j]
-
+    cols = [list(m.column(j)) + [1 if i == j else 0 for i in range(c)] for j in range(c)]
     pivots = []
     pc = 0
     for i in range(r):
         if pc == c:
             break
-        nz = [j for j in range(pc, c) if h[i][j] != 0]
+        nz = [j for j in range(pc, c) if cols[j][i]]
         if not nz:
             continue
         while len(nz) > 1:
-            j0 = min(nz, key=lambda j: abs(h[i][j]))
-            if h[i][j0] < 0:
-                col_neg(j0)
-            p = h[i][j0]
+            j0 = min(nz, key=lambda j: abs(cols[j][i]))
+            if cols[j0][i] < 0:
+                cols[j0] = [-a for a in cols[j0]]
+            piv = cols[j0]
             for j in nz:
-                if j != j0:
-                    col_sub(j, j0, h[i][j] // p)
-            nz = [j for j in range(pc, c) if h[i][j] != 0]
+                q = cols[j][i] // piv[i]
+                if j != j0 and q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], piv)]
+            nz = [j for j in range(pc, c) if cols[j][i]]
         j0 = nz[0]
-        if j0 != pc:
-            col_swap(j0, pc)
-        if h[i][pc] < 0:
-            col_neg(pc)
-        p = h[i][pc]
+        cols[pc], cols[j0] = cols[j0], cols[pc]
+        if cols[pc][i] < 0:
+            cols[pc] = [-a for a in cols[pc]]
+        piv = cols[pc]
         for j in range(pc):
-            col_sub(j, pc, h[i][j] // p)
+            q = cols[j][i] // piv[i]
+            if q:
+                cols[j] = [a - q * b for a, b in zip(cols[j], piv)]
         pivots.append((i, pc))
         pc += 1
-
     return HnfResult(
-        IntMatrix.from_rows(h) if r else IntMatrix.zeros(0, c),
-        IntMatrix.from_rows(u),
-        tuple(pivots),
+        tuple(tuple(col[:r]) for col in cols), tuple(tuple(col[r:]) for col in cols), tuple(pivots)
     )
 
 
@@ -228,15 +196,15 @@ def kernel_basis(m: IntMatrix) -> tuple:
     integer combination of the basis).
     """
     res = hnf(m)
-    return tuple(res.u.column(j) for j in range(len(res.pivots), m.cols))
+    return res.u[len(res.pivots):]
 
 
 class HnfSolver:
     """Integer solutions of ``m x = v`` for many right-hand sides ``v``.
 
     The column HNF of ``m`` is computed once; each solve is one
-    back-substitution through its staircase followed by one product with
-    the unimodular transform.
+    back-substitution down the pivot columns of its staircase, adding up
+    the matching columns of the unimodular transform as it goes.
     """
 
     def __init__(self, m: IntMatrix):
@@ -250,21 +218,22 @@ class HnfSolver:
         if len(v) != self.m.rows:
             raise DimensionMismatch("right-hand side length does not match row count")
         v = tuple(int(a) for a in v)
-        h = self._hnf.h.entries
+        h, u = self._hnf.h, self._hnf.u
         rem = list(v)
-        y = [0] * self.m.cols
+        x = [0] * self.m.cols
         for pi, pj in self._hnf.pivots:
-            q, r = divmod(rem[pi], h[pi][pj])
+            col = h[pj]
+            q, r = divmod(rem[pi], col[pi])
             if r:
                 return None
-            y[pj] = q
             if q:
                 # column pj of the staircase is zero above its pivot row
-                for i in range(pi, self.m.rows):
-                    rem[i] -= q * h[i][pj]
+                for i in range(pi, len(rem)):
+                    rem[i] -= q * col[i]
+                x = [a + q * b for a, b in zip(x, u[pj])]
         if any(rem):
             return None
-        x = self._hnf.u.mat_vec(y)
+        x = tuple(x)
         if self.m.mat_vec(x) != v:
             raise CertificateError("HNF solution does not recombine to the right-hand side")
         return x
@@ -298,7 +267,7 @@ def lattice_from_generators(ambient_dim: int, generators: Iterable[Sequence[int]
     if not gens:
         return ()
     res = hnf(IntMatrix.from_rows(gens).transpose())
-    return tuple(res.h.column(j) for j in range(len(res.pivots)))
+    return res.h[:len(res.pivots)]
 
 
 # kept for the benchmark's tracer, which wraps it by name; no library caller

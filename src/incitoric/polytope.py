@@ -56,8 +56,9 @@ class PointConfig:
         """The Gale dual, from one column HNF of ``[P; 1]``, computed on the
         first face test of the configuration."""
         res = exactmath.hnf(IntMatrix.from_rows([*zip(*self.points), (1,) * len(self.points)]))
-        rank = len(res.pivots)
-        return GaleDual(tuple([row[rank:] for row in res.u.entries]), res)
+        dependences = res.u[len(res.pivots):]
+        vectors = tuple([tuple([d[j] for d in dependences]) for j in range(len(self.points))])
+        return GaleDual(vectors, res)
 
     @cached_property
     def column_lattice_coordinates(self) -> tuple:
@@ -83,9 +84,9 @@ class FaceCertificate:
 class GaleDual:
     """``[P; 1] U = H`` with ``U`` unimodular: the columns of ``U`` past
     the rank of ``H`` are a basis of the integer affine dependences, so
-    row j of ``U`` past the rank is the Gale vector of point j, and the
+    entry j of those columns is the Gale vector of point j, and the
     staircase of ``H`` turns the slack vector of a functional back into
-    the functional."""
+    the functional.  ``H`` and ``U`` are tuples of columns."""
 
     vectors: tuple  # one Gale vector of length r per point
     hnf: exactmath.HnfResult
@@ -96,17 +97,18 @@ class GaleDual:
         every Gale vector, by integer back-substitution through the
         staircase.  Otherwise no functional has these slacks and the
         equation fails somewhere; the caller re-checks it."""
-        h, u = self.hnf.h.entries, self.hnf.u.entries
+        h, u = self.hnf.h, self.hnf.u
         nz = [(i, z) for i, z in enumerate(slacks) if z]
         # y . H = slacks . U on the pivot columns, y zero off the pivot
         # rows; column k of H is zero above its pivot row, so solve from
         # the last pivot up, scaling y by ``den`` to stay in the integers
-        y = [0] * len(h)
+        rows = len(h[0])
+        y = [0] * rows
         den = 1
         for pi, pk in reversed(self.hnf.pivots):
-            rest = sum([y[i] * h[i][pk] for i in range(pi + 1, len(h)) if y[i]])
-            num = den * sum([z * u[i][pk] for i, z in nz]) - rest
-            piv = h[pi][pk]
+            rest = sum([y[i] * h[pk][i] for i in range(pi + 1, rows) if y[i]])
+            num = den * sum([z * u[pk][i] for i, z in nz]) - rest
+            piv = h[pk][pi]
             scale = piv // gcd(num, piv)
             if scale > 1:
                 den *= scale
@@ -134,9 +136,6 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
         raise BadParameters("subset must name existing points")
     inside = set(subset)
     outside = [j for j in range(m) if j not in inside]
-
-    if not outside:
-        return FaceCertificate(True, ((0,) * cfg.ambient_dim, 0), None)
 
     gale = cfg.gale.vectors
     # tuples from lists, not generators: see the note in the lp module

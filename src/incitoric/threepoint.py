@@ -314,54 +314,32 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
     """Generators for the first non-toric relation ideal, forward direction.
 
     Emits the toric generators (which map to zero) together with the
-    saturation of the principal determinant numerator: the monomial
+    saturation h of the principal determinant numerator f: the monomial
     content of f is divided out as long as the quotient stays a genuine
-    polynomial.  ``containment_verified`` reports whether its image lies in
-    the principal determinant ideal by exact proportionality; when it does
-    not, the quotient monomial and the scalar are None.
+    polynomial, and so is the gcd of its coefficients.  The identity
+    ``det_as_c_expression`` verified says that f expands to det times the
+    edge monomial A g, so h expands to det p^q / gcd with q = A (g -
+    content).  ``containment_verified`` reports whether q >= 0 and gcd
+    times the expansion of h is det shifted by q, one exact equality;
+    when it fails, the quotient monomial and the scalar are None.
     """
     from . import toric
 
     if n % 3 != 0:
         raise PreconditionFailed("implemented for 3 | n")
     expr = det_as_c_expression(n, config)
-    inc = expr.inc
-    markov = toric.minimal_markov(inc, config)
+    a = expr.inc.matrix
+    markov = toric.minimal_markov(expr.inc, config)
 
     f = expr.f
-    if len(f) == 1:
-        # a monomial saturates to a unit; keep the primitive monomial itself,
-        # which is the honest generator of the relation ideal here
-        h = {next(iter(f)): 1}
-    else:
-        content = [min(k[i] for k in f) for i in range(comb(n, 3))]
-        coeff_gcd = gcd(*f.values())
-        h = {k: v // coeff_gcd for k, v in _shifted(f, [-c for c in content]).items()}
-
-    image = expand_triangle_poly(inc.matrix, h)
-    prop = _proportional_up_to_monomial(image, expr.det)
-    q, scalar = prop if prop is not None else (None, None)
-    return TildeIdealResult(n, len(markov.elements), h, prop is not None, q, scalar)
-
-
-def _proportional_up_to_monomial(poly: Dict[tuple, int], det: Dict[tuple, int]):
-    """Find (q, scalar) with poly == scalar * det * p^q, else None."""
-    if not poly or not det or len(poly) != len(det):
-        return None
-    arity = len(next(iter(poly)))
-    pmin = [min(k[i] for k in poly) for i in range(arity)]
-    dmin = [min(k[i] for k in det) for i in range(arity)]
-    q = tuple(a - b for a, b in zip(pmin, dmin))
-    if any(x < 0 for x in q):
-        return None
-    shifted = _shifted(det, q)
-    scalar = None
-    for k, v in poly.items():
-        if k not in shifted:
-            return None
-        s = Fraction(v, shifted[k])
-        if scalar is None:
-            scalar = s
-        elif scalar != s:
-            return None
-    return q, scalar
+    # a monomial saturates to a unit; keep the primitive monomial itself,
+    # which is the honest generator of the relation ideal here, so its
+    # content stays
+    content = [min(k[i] for k in f) for i in range(comb(n, 3))] if len(f) > 1 else [0] * comb(n, 3)
+    coeff_gcd = gcd(*f.values())
+    h = {k: v // coeff_gcd for k, v in _shifted(f, [-c for c in content]).items()}
+    q = a.mat_vec([g - c for g, c in zip(expr.g_exps, content)])
+    image = {k: coeff_gcd * v for k, v in expand_triangle_poly(a, h).items()}
+    verified = min(q) >= 0 and image == _shifted(expr.det, q)
+    q, scalar = (q, Fraction(1, coeff_gcd)) if verified else (None, None)
+    return TildeIdealResult(n, len(markov.elements), h, verified, q, scalar)

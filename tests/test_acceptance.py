@@ -61,3 +61,14 @@ def test_complex_criteria_verify_each_complex_once(monkeypatch):
     assert [r.passed for r in results] == [True, True]
     assert len(seen) == 6
     assert len(set(seen[:4])) == 4
+
+
+def test_coset_criterion_reads_every_applicable_claim(monkeypatch):
+    # the exchange identities apply from n = 5 on; failing them at n = 5
+    # and 6 must fail the criterion, not only at n = 7
+    from incitoric import threepoint
+
+    monkeypatch.setattr(threepoint, "transposition_relations_check", lambda n: n == 7)
+    (result,) = acceptance.run_acceptance(acceptance.Workspace(), [13])
+    assert not result.passed
+    assert result.detail == "n=5: transposition_relations failed; n=6: transposition_relations failed"

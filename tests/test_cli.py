@@ -95,6 +95,11 @@ PINNED_NO_META_SHA256 = (
     ("toric graver -n 5 -k 3 -t 1", "bdf25710bacb78ff669f10f6edc1dfdc555076a55ff5f22a51edf8594ebd1f09"),
     ("toric saturate -n 6 -k 3 -t 2", "a4276531437f24317ba14ea6df78b1f5872936aab2228cfa9ad3df3136f5d43f"),
     ("acceptance --json --only 1 2 10 11", "b7af10c9cb5d311c9570c62da0c3dc0dcbe6bc81d0a1e4783caca8216dadee1c"),
+    ("incidence matrix -n 6 -k 3 -t 2", "857a8a7ad3736de990e0fbbfaa72dedeed1b8415b6491345f299a4ffbbad3e43"),
+    ("polytope faces -n 6 -k 3 -t 2 --subset 136,246,145,235", "4915212f0005ed5acc4e1730e9ab65ea641c8a7778625df6973ca97cefbe8de7"),
+    ("polytope faces -n 7 -k 3 -t 2 --subset 123,145,167", "01928836fdb03a3b06830c11661d375161f32e5603bd6df7278b22c74bb0ea7b"),
+    ("polytope neighborly -n 6 -k 3 -t 2", "3ac74494def4c4b563240e6932f15940c0a565fe0f4b8b3dd2dcab8939f6c634"),
+    ("acceptance --json --only 13 14", "9228a1d2578fe8d8bb323ee7c20f4cc546a2f539344151aa0560888eb4bfa7be"),
 )
 
 

@@ -44,10 +44,9 @@ def rank_fraction_oracle(m: IntMatrix) -> int:
     return rank
 
 
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_rows(
-        [[sum(x * y for x, y in zip(row, col)) for col in zip(*b.entries)] for row in a.entries]
-    )
+def columns_recombine(m: IntMatrix, res) -> bool:
+    """m times column j of the transform is column j of the HNF, for every j."""
+    return len(res.u) == len(res.h) == m.cols and all(m.mat_vec(u) == h for u, h in zip(res.u, res.h))
 
 
 def is_saturated(basis: tuple) -> bool:
@@ -90,42 +89,51 @@ class TestHnf:
     def test_identity(self):
         m = IntMatrix.identity(3)
         res = em.hnf(m)
-        assert res.h == m
-        assert res.u == m
+        assert res.h == m.entries
+        assert res.u == m.entries
 
     def test_two_by_two_pivots(self):
         m = IntMatrix.from_rows([[2, 4], [0, 3]])
         res = em.hnf(m)
-        assert [res.h.entries[i][j] for (i, j) in res.pivots] == [2, 3]
-        assert abs(em.determinant(res.h)) == 6
-        assert mat_mul(m, res.u) == res.h
+        assert [res.h[j][i] for (i, j) in res.pivots] == [2, 3]
+        assert abs(em.determinant(IntMatrix.from_rows(res.h))) == 6
+        assert columns_recombine(m, res)
 
     def test_incidence_432_rank_four(self):
         inc = build_matrix(4, 3, 2)
         res = em.hnf(inc.matrix)
         assert len(res.pivots) == 4
 
+    def test_empty_shapes(self):
+        # no rows: every column is a zero HNF column over a unit column
+        res = em.hnf(IntMatrix(0, 3, ()))
+        assert res.h == ((), (), ())
+        assert res.u == IntMatrix.identity(3).entries
+        assert res.pivots == ()
+        res = em.hnf(IntMatrix(2, 0, ((), ())))
+        assert res.h == res.u == res.pivots == ()
+
     @settings(max_examples=150, deadline=None)
     @given(small_matrices())
     def test_hnf_canonical_form(self, m):
         res = em.hnf(m)
-        assert mat_mul(m, res.u) == res.h
-        assert em.determinant(res.u) in (1, -1)
-        # staircase: pivot rows strictly increase, pivots positive, all
-        # entries above a pivot vanish, entries left of a pivot reduced
+        assert columns_recombine(m, res)
+        assert em.determinant(IntMatrix.from_rows(res.u)) in (1, -1)
+        # staircase, read from the columns: pivot rows strictly increase,
+        # pivots positive, all entries above a pivot vanish, entries left
+        # of a pivot reduced
         prev_row = -1
         for (i, j) in res.pivots:
             assert i > prev_row
             prev_row = i
-            p = res.h.entries[i][j]
+            p = res.h[j][i]
             assert p > 0
-            for i2 in range(i):
-                assert res.h.entries[i2][j] == 0
+            assert not any(res.h[j][:i])
             for j2 in range(j):
-                assert 0 <= res.h.entries[i][j2] < p
+                assert 0 <= res.h[j2][i] < p
         rank = len(res.pivots)
         for j in range(rank, m.cols):
-            assert all(res.h.entries[i][j] == 0 for i in range(m.rows))
+            assert not any(res.h[j])
 
 
 class TestKernel:
@@ -142,7 +150,7 @@ class TestKernel:
         assert is_saturated(kb)
 
     def test_zero_matrix(self):
-        kb = em.kernel_basis(IntMatrix.zeros(1, 3))
+        kb = em.kernel_basis(IntMatrix(1, 3, ((0, 0, 0),)))
         assert len(kb) == 3
 
     @settings(max_examples=60, deadline=None)
@@ -217,7 +225,7 @@ class TestSympyOracles:
 
         res = em.hnf(m)
         rank = len(res.pivots)
-        ours = Matrix([row[:rank] for row in res.h.entries])
+        ours = Matrix([[res.h[j][i] for j in range(rank)] for i in range(m.rows)])
         theirs = hermite_normal_form(Matrix(m.rows, m.cols, [x for row in m.entries for x in row]))
         assert theirs.shape == (m.rows, rank)
         if rank:
@@ -332,7 +340,7 @@ class TestHnfSolver:
     def test_bad_transform_fails_recombination(self):
         solver = em.HnfSolver(IntMatrix.from_rows([[1, 1], [0, 1]]))
         res = solver._hnf
-        doubled = IntMatrix.from_rows([[2 * a for a in row] for row in res.u.entries])
+        doubled = tuple(tuple(2 * a for a in col) for col in res.u)
         solver._hnf = em.HnfResult(res.h, doubled, res.pivots)
         with pytest.raises(CertificateError):
             solver.solve((3, 1))

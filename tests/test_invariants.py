@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from math import comb
 from pathlib import Path
 
@@ -16,9 +17,13 @@ from incitoric.incidence import build_matrix
 from test_designs import is_null_design
 
 
-def test_matrix_json_round_trip():
+def test_matrix_json_round_trip(capsys, monkeypatch):
+    # the incidence matrix command's layout: entries as strings, row by row
     m = IntMatrix.from_rows([[10**30, -2], [0, 7]])
-    payload = json.loads(json.dumps(m.to_json_dict()))
+    inc = build_matrix(3, 2, 1)
+    monkeypatch.setattr(cli, "build_matrix", lambda n, k, t: replace(inc, matrix=m))
+    assert cli.main(["--no-meta", "incidence", "matrix", "-n", "3", "-k", "2", "-t", "1"]) == cli.EXIT_OK
+    payload = json.loads(capsys.readouterr().out)["matrix"]
     assert payload == {"rows": 2, "cols": 2, "entries": [str(10**30), "-2", "0", "7"]}
 
 

@@ -58,6 +58,21 @@ class TestIsFace:
         cert = is_face(cfg632, range(20))
         assert cert.is_face
 
+    def test_whole_set_gets_the_zero_functional_from_the_lp(self, cfg632, monkeypatch):
+        # the LP of the whole set has no variables; it is still solved
+        calls = []
+
+        def counting_lp(problem):
+            calls.append(problem)
+            return lp_feasible(problem)
+
+        monkeypatch.setattr(polytope, "lp_feasible", counting_lp)
+        triangle = PointConfig(((0, 0), (1, 0), (0, 1)))
+        for cfg in (cfg632, triangle):
+            d, m = cfg.ambient_dim, len(cfg.points)
+            assert is_face(cfg, range(m)) == FaceCertificate(True, ((0,) * d, 0), None)
+        assert [p.nvars for p in calls] == [0, 0]
+
     def test_quartic_positive_support_not_a_face(self, cfg632):
         subset = [
             colex_rank(s) for s in [(1, 3, 6), (2, 4, 6), (1, 4, 5), (2, 3, 5)]
@@ -424,7 +439,7 @@ def placing_by_kernels(cfg, order):
         verts = sorted(facet)
         f0 = pts[verts[0]]
         rows = [tuple(a - b for a, b in zip(pts[v], f0)) for v in verts[1:]]
-        rows_m = IntMatrix.from_rows(rows) if rows else IntMatrix.zeros(0, len(f0))
+        rows_m = IntMatrix.from_rows(rows) if rows else IntMatrix(0, len(f0), ())
         for cand in exactmath.kernel_basis(rows_m):
             val = sum(c * (x - weight * y) for c, x, y in zip(cand, interior, f0))
             if val != 0:

@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -433,7 +433,16 @@ class TestTildeIdeal:
         assert res.containment_verified
 
     def test_failed_containment_is_reported(self, monkeypatch):
-        monkeypatch.setattr(tp, "_proportional_up_to_monomial", lambda poly, det: None)
+        # the real expression with one determinant coefficient doubled: the
+        # shifted determinant no longer equals the expansion of h
+        expression = tp.det_as_c_expression
+
+        def forged(n, config):
+            expr = expression(n, config)
+            k = next(iter(expr.det))
+            return replace(expr, det={**expr.det, k: 2 * expr.det[k]})
+
+        monkeypatch.setattr(tp, "det_as_c_expression", forged)
         res = tp.tilde_ideal_generators(3)
         assert res.containment_verified is False
         assert res.quotient_monomial is None
