@@ -12,22 +12,37 @@ remembered once it is popped.  Graver bases come from a completion on
 kernel vectors, Markov bases from fiber connectivity and primitivity from
 a meet-in-the-middle search of a box.
 
-Monomials are exponent tuples indexed by colex subset rank.  In the
-default order the colex-first variable is the most expensive and ties are
-broken reverse-lexicographically from the cheapest end.  A monomial's
-support mask, the int with bit v set where its exponent of x_v is
-positive, is tested before any divisibility check: a monomial divides
-another only if its mask lies inside the other's.
+At the boundary a monomial is an exponent tuple indexed by colex subset
+rank.  In the default order the colex-first variable is the most expensive
+and ties are broken reverse-lexicographically from the cheapest end.
+
+Inside the engine a monomial is one int, packed by its order (Monagan and
+Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  Each variable v gets a field of W bits
+holding K - m_v, with K = 2^(W-1) - 1; the cheapest variable has the most
+significant field and the degree sits above all fields.  Degrevlex order
+is then int order, m - lead + tail is the same sum of packed ints, d
+divides m exactly when ((d | G) - m) & G == G for the mask G of the top
+bit of every field, the lcm is the field-wise minimum of the complements,
+and two monomials are coprime exactly when their lcm packs to
+a + b - (the packed 1).  The top bit of each field is a guard bit: clear
+in every packed monomial, set by any sum that takes a field out of range.
+Every sum that can overflow is checked, and on an overflow the whole call
+reruns in the same order with W doubled, from 8 bits up to 64; beyond 64
+it raises CertificateError.  Nothing wraps silently.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import sys
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from math import prod
-from operator import le, sub
-from typing import Iterable, Optional, Sequence
+from operator import lshift
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import exactmath
 from .combinat import colex_rank
@@ -37,42 +52,85 @@ from .incidence import IncidenceMatrix
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# monomial orders and their packing
+
+
+class _Overflow(Exception):
+    """A packed field left its range; the call reruns at twice the width."""
 
 
 class DegrevlexOrder:
-    """Degree-reverse-lexicographic order with a configurable cheapest end.
+    """Degree-reverse-lexicographic order with a configurable cheapest end,
+    and the packing of monomials, ``width`` bits a field, that makes it int
+    order.
 
     ``scan`` lists variable indices from cheapest to most expensive; on a
     degree tie the first scanned variable where two monomials differ
     decides, the monomial with the smaller exponent there being larger.
+    The i-th scanned variable v has the field at bit ``offsets[v] =
+    (nvars - 1 - i) * width``, holding ``top - m_v``; the degree sits at
+    bit ``shift = nvars * width``.
     """
 
-    def __init__(self, nvars: int, cheapest: Optional[int] = None):
-        if cheapest is None:
-            self.scan = tuple(range(nvars - 1, -1, -1))
-        else:
-            if not 0 <= cheapest < nvars:
-                raise BadParameters("cheapest variable out of range")
-            self.scan = (cheapest,) + tuple(
-                v for v in range(nvars - 1, -1, -1) if v != cheapest
-            )
+    def __init__(self, nvars: int, cheapest: Optional[int] = None, width: int = 8):
+        if cheapest is not None and not 0 <= cheapest < nvars:
+            raise BadParameters("cheapest variable out of range")
+        rest = tuple(v for v in range(nvars - 1, -1, -1) if v != cheapest)
+        self.scan = rest if cheapest is None else (cheapest,) + rest
+        self.nvars, self.width = nvars, width
+        self.top = (1 << width - 1) - 1
+        self.offsets = [(nvars - 1 - self.scan.index(v)) * width for v in range(nvars)]
+        self.shift = nvars * width
+        self.fields = (1 << self.shift) - 1
+        self.units = self.fields // ((1 << width) - 1)  # a 1 in every field
+        self.guard = self.units << width - 1
+        self.one = self.units * self.top  # the monomial 1
+
+    @cached_property
+    def wider(self) -> "DegrevlexOrder":
+        """The same order at twice the width."""
+        if self.width == 64:
+            raise CertificateError("an exponent outgrew the widest packing, 64 bits a field")
+        return DegrevlexOrder(self.nvars, self.scan[0] if self.scan else None, 2 * self.width)
+
+    def pack(self, m: Sequence[int]) -> int:
+        """The packed monomial x^m; _Overflow if an exponent exceeds top."""
+        if len(m) != self.nvars or min(m, default=0) < 0:
+            raise BadParameters(f"not an exponent vector in {self.nvars} variables: {m}")
+        if max(m, default=0) > self.top:
+            raise _Overflow
+        return (sum(m) << self.shift) + self.one - sum(map(lshift, m, self.offsets))
+
+    def unpack(self, q: int) -> tuple:
+        return tuple(self.top - (q >> o & (1 << self.width) - 1) for o in self.offsets)
+
+    def lcm(self, a: int, b: int) -> int:
+        """The packed lcm of packed a and b: at each field the smaller
+        complement, and above the fields the degree, nvars * top minus
+        their sum."""
+        ge = ((a | self.guard) - b) & self.guard  # where a's complement is at least b's
+        low = (a ^ (a ^ b) & (ge - (ge >> self.width - 1))) & self.fields
+        raw = low.to_bytes(self.shift // 8, sys.byteorder)
+        if self.width > 8:
+            raw = memoryview(raw).cast("HIQ"[(self.width // 16).bit_length() - 1])
+        return (self.nvars * self.top - sum(raw)) << self.shift | low
 
     def compare(self, a: Sequence[int], b: Sequence[int]) -> int:
-        da, db = sum(a), sum(b)
-        if da != db:
-            return 1 if da > db else -1
-        for v in self.scan:
-            if a[v] != b[v]:
-                return 1 if a[v] < b[v] else -1
-        return 0
-
-    def sort_key(self, m: Sequence[int]) -> tuple:
-        # larger monomial sorts later
-        return (sum(m), tuple(-m[v] for v in self.scan))
+        qa, qb = _widening(lambda order: (order.pack(a), order.pack(b)), self)
+        return (qa > qb) - (qa < qb)
 
     def binomial_key(self, b: "Binomial") -> tuple:
-        return (b.degree, self.sort_key(b.plus), self.sort_key(b.minus))
+        return (b.degree, self.pack(b.plus), self.pack(b.minus))
+
+
+def _widening(run: Callable, order: DegrevlexOrder):
+    """run(order), rerun in the same order at twice the width as long as a
+    packed field overflows."""
+    while True:
+        try:
+            return run(order)
+        except _Overflow:
+            order = order.wider
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +191,8 @@ class Binomial:
 
     def oriented(self, order: "DegrevlexOrder") -> "Binomial":
         """The same binomial up to sign, with the larger monomial first."""
-        if order.compare(self.plus, self.minus) > 0:
-            return self
-        return Binomial(self.var_count, self.minus, self.plus)
+        flipped = order.compare(self.plus, self.minus) < 0
+        return Binomial(self.var_count, self.minus, self.plus) if flipped else self
 
 
 @dataclass(frozen=True)
@@ -143,92 +200,87 @@ class BinomialBasis:
     kind: str  # markov | graver | groebner | octahedral
     elements: tuple
     matrix: IncidenceMatrix
+    # reducers by order, filled by ``reducers``
+    _packed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = self.matrix.matrix
-        for b in self.elements:
-            if any(a.mat_vec(b.vector)):
-                raise BadParameters("basis element outside the kernel")
+        if any(any(self.matrix.matrix.mat_vec(b.vector)) for b in self.elements):
+            raise BadParameters("basis element outside the kernel")
 
     @cached_property
-    def reducers(self) -> tuple:
-        """The elements as reducer records, for normal forms against this
-        basis."""
-        return tuple(_reducer(b.plus, b.minus) for b in self.elements)
+    def order(self) -> DegrevlexOrder:
+        """The default order of the basis's variables."""
+        return DegrevlexOrder(self.matrix.matrix.cols)
+
+    def reducers(self, order: DegrevlexOrder) -> list:
+        """The elements packed in ``order`` as (lead, tail) pairs, made once
+        per order and kept on the basis."""
+        if order not in self._packed:
+            self._packed[order] = [
+                _orient(order.pack(b.plus), order.pack(b.minus)) for b in self.elements
+            ]
+        return self._packed[order]
 
     def degree_multiset(self) -> dict:
-        out: dict = {}
-        for b in self.elements:
-            out[b.degree] = out.get(b.degree, 0) + 1
-        return out
+        return dict(Counter(b.degree for b in self.elements))
 
 
 # ---------------------------------------------------------------------------
-# raw engine on monomial pairs
+# raw engine on packed monomial pairs
 
 
-def _orient(a: tuple, b: tuple, order: DegrevlexOrder):
-    c = order.compare(a, b)
-    if c == 0:
+def _orient(a: int, b: int) -> Optional[tuple]:
+    """(larger, smaller) of two packed monomials; None if they are equal."""
+    if a == b:
         return None
-    return (a, b) if c > 0 else (b, a)
+    return (a, b) if a > b else (b, a)
 
 
-def _divides(d: tuple, m: tuple) -> bool:
-    return all(map(le, d, m))
-
-
-def _support(m: tuple) -> int:
-    """Bit v set exactly where m[v] > 0.  A monomial divides another only
-    if its support mask lies inside the other's, so one integer operation
-    rules out most divisibility tests."""
-    mask = 0
-    for v, x in enumerate(m):
-        if x:
-            mask |= 1 << v
-    return mask
-
-
-def _sub_add(m: tuple, sub: tuple, add: tuple) -> tuple:
-    return tuple(x - y + z for x, y, z in zip(m, sub, add))
-
-
-def _reducer(lead: tuple, tail: tuple) -> tuple:
-    """The reducer record (lead mask, lead, tail) of x^lead - x^tail."""
-    return _support(lead), lead, tail
-
-
-def _first_divisor(m: tuple, reducers: Sequence[tuple]) -> Optional[tuple]:
-    """The first reducer record whose lead divides m."""
-    support = _support(m)
+def _first_divisor(m: int, reducers: Sequence[tuple], order: DegrevlexOrder) -> Optional[tuple]:
+    """The first reducer whose lead divides the packed m: its complement is
+    at least m's at every field, so no field borrows its guard bit."""
+    guard = order.guard
+    x = guard - (m & order.fields)  # kept positive: ints are slower below 0
     for r in reducers:
-        mask = r[0]
-        if mask & support == mask and _divides(r[1], m):
+        if (r[0] + x) & guard == guard:
             return r
     return None
 
 
-def _normal_form(a: tuple, b: tuple, reducers: Sequence[tuple], order: DegrevlexOrder):
-    """Full normal form of x^a - x^b against the reducer records; None if 0."""
-    pair = _orient(a, b, order)
+def _checked(q: int, order: DegrevlexOrder) -> int:
+    """q, a packed sum, unless a field overflowed and set its guard bit."""
+    if q & order.guard:
+        raise _Overflow
+    return q
+
+
+def _normal_form(a: int, b: int, reducers: Sequence[tuple], order: DegrevlexOrder):
+    """Full normal form of x^a - x^b against the reducers, all packed in
+    ``order``; None if 0."""
+    pair = _orient(a, b)
+    while pair is not None and (r := _first_divisor(pair[0], reducers, order)) is not None:
+        pair = _orient(_checked(pair[0] - r[0] + r[1], order), pair[1])
     if pair is None:
         return None
     lead, tail = pair
-    while (r := _first_divisor(lead, reducers)) is not None:
-        pair = _orient(_sub_add(lead, r[1], r[2]), tail, order)
-        if pair is None:
-            return None
-        lead, tail = pair
     # tail reduction for canonical output
-    while (r := _first_divisor(tail, reducers)) is not None:
-        tail = _sub_add(tail, r[1], r[2])
+    while (r := _first_divisor(tail, reducers, order)) is not None:
+        tail = _checked(tail - r[0] + r[1], order)
         if tail == lead:
             return None
     return lead, tail
 
 
-def _lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(x if x > y else y for x, y in zip(a, b))
+def _on_pairs(engine: Callable, pairs: Iterable[tuple], order: DegrevlexOrder) -> list:
+    """engine(packed pairs, order) on monomial pairs, packed in ``order``
+    at the least width that holds every exponent met, and unpacked."""
+    pairs = [(tuple(a), tuple(b)) for a, b in pairs]
+
+    def run(order: DegrevlexOrder) -> list:
+        out = engine([(order.pack(a), order.pack(b)) for a, b in pairs], order)
+        return [(order.unpack(lead), order.unpack(tail)) for lead, tail in out]
+
+    return _widening(run, order)
 
 
 def buchberger(
@@ -248,82 +300,77 @@ def buchberger(
     stays a reducer and a pair partner; the final interreduction leaves
     the reduced basis.
 
-    Every element is a reducer record and every lcm carries a support
-    mask, tested before any divisibility check.  Raises BudgetExceeded,
-    naming the pairs popped and the elements kept, when more than
-    ``pair_budget`` pairs are popped.
+    The engine runs on monomials packed in ``order``, each lcm being its
+    own heap key.  Raises BudgetExceeded, naming the pairs popped and the
+    elements kept, when more than ``pair_budget`` pairs are popped.
     """
-    elements: list = []  # every element so far, by index, as a reducer record
-    heap: list = []  # (order key of the lcm, newer member, older member, lcm)
+    return _on_pairs(lambda gens, order: _groebner(gens, order, pair_budget), generators, order)
+
+
+def _groebner(generators: list, order: DegrevlexOrder, pair_budget: int) -> list:
+    guard, one, fields = order.guard, order.one, order.fields
+    elements: list = []  # every element so far, by index, as a packed (lead, tail)
+    heap: list = []  # (lcm, newer member, older member)
 
     def add(h: tuple) -> None:
-        hmask, lead, _ = h
+        lead = h[0]
         t = len(elements)
         # criteria M and F: per lcm, its first partner and whether any is coprime
         new: dict = {}
-        for k, (gmask, glead, _) in enumerate(elements):
-            lcm = _lcm(glead, lead)
-            if lcm in new:
-                new[lcm][2] |= not gmask & hmask
-            else:
-                new[lcm] = [gmask | hmask, k, not gmask & hmask]
+        for k, (glead, _) in enumerate(elements):
+            lcm = order.lcm(glead, lead)
+            new.setdefault(lcm, [k, False])[1] |= lcm == glead + lead - one
         # a strict divisor has a lower degree, and distinct lcms of one
         # degree never divide each other: by increasing degree, each lcm
         # need only be tested against the minimal ones found before it
         minimal: list = []
-        for lcm, (lmask, k, coprime) in sorted(new.items(), key=lambda item: sum(item[0])):
-            if any(m & lmask == m and _divides(low, lcm) for m, low in minimal):
-                continue
-            minimal.append((lmask, lcm))
-            if not coprime:
-                heapq.heappush(heap, (order.sort_key(lcm), t, k, lcm))
+        for lcm in sorted(new):
+            x = guard - (lcm & fields)
+            for low in minimal:
+                if (low + x) & guard == guard:
+                    break
+            else:
+                minimal.append(lcm)
+                k, coprime = new[lcm]
+                if not coprime:
+                    heapq.heappush(heap, (lcm, t, k))
         elements.append(h)
 
     for a, b in generators:
-        pair = _orient(tuple(a), tuple(b), order)
-        if pair is not None and (h := _reducer(*pair)) not in elements:
-            add(h)
+        pair = _orient(a, b)
+        if pair is not None and pair not in elements:
+            add(pair)
 
     popped = 0
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        lcm, i, j = heapq.heappop(heap)
         popped += 1
         if popped > pair_budget:
-            raise BudgetExceeded(
-                f"pair queue budget of {pair_budget} exhausted: {popped} pairs "
-                f"popped, basis of {len(elements)} elements"
-            )
-        (_, ai, bi), (_, aj, bj) = elements[i], elements[j]
-        nf = _normal_form(_sub_add(lcm, ai, bi), _sub_add(lcm, aj, bj), elements, order)
+            raise BudgetExceeded(f"pair queue budget of {pair_budget} exhausted: {popped} pairs "
+                                 f"popped, basis of {len(elements)} elements")
+        (ai, bi), (aj, bj) = elements[i], elements[j]
+        s1, s2 = _checked(lcm - ai + bi, order), _checked(lcm - aj + bj, order)
+        nf = _normal_form(s1, s2, elements, order)
         if nf is not None:
-            add(_reducer(*nf))
+            add(nf)
 
     return _interreduce(elements, order)
 
 
-def _interreduce(reducers: Sequence[tuple], order: DegrevlexOrder) -> list:
-    """Reduced basis, as (lead, tail) pairs, of the reducer records."""
+def _interreduce(pairs: Sequence[tuple], order: DegrevlexOrder) -> list:
+    """Reduced basis, as packed (lead, tail) pairs, of the packed pairs."""
     kept: list = []
-    for r in sorted(reducers, key=lambda r: order.sort_key(r[1])):
-        if _first_divisor(r[1], kept) is None:
+    for r in sorted(pairs, key=lambda r: r[0]):
+        if _first_divisor(r[0], kept, order) is None:
             kept.append(r)
-    reduced = []
-    for idx, (_, lead, tail) in enumerate(kept):
-        nf = _normal_form(lead, tail, kept[:idx] + kept[idx + 1 :], order)
-        if nf is not None:
-            reduced.append(nf)
-    reduced.sort(key=lambda g: (order.sort_key(g[0]), order.sort_key(g[1])))
-    return reduced
+    reduced = (_normal_form(lead, tail, kept[:i] + kept[i + 1 :], order)
+               for i, (lead, tail) in enumerate(kept))
+    return sorted(nf for nf in reduced if nf is not None)
 
 
 def strip_variable(pair: tuple, v: int) -> tuple:
-    a, b = pair
-    m = min(a[v], b[v])
-    if m == 0:
-        return pair
-    a = a[:v] + (a[v] - m,) + a[v + 1 :]
-    b = b[:v] + (b[v] - m,) + b[v + 1 :]
-    return a, b
+    m = min(pair[0][v], pair[1][v])
+    return tuple(e[:v] + (e[v] - m,) + e[v + 1 :] for e in pair)
 
 
 def saturate_binomials(
@@ -335,8 +382,10 @@ def saturate_binomials(
 
     One round per variable in ascending colex order: Groebner basis in the
     order making that variable cheapest, then strip its common power from
-    every element.  Sound for homogeneous binomial ideals.  A
-    BudgetExceeded also names the round it stopped in.
+    every element.  Each round packs its generators afresh, since the
+    cheapest variable, and with it the packing, moves.  Sound for
+    homogeneous binomial ideals.  A BudgetExceeded also names the round it
+    stopped in.
     """
     gens = [(tuple(a), tuple(b)) for a, b in generators]
     for v in range(nvars):
@@ -368,7 +417,7 @@ def _saturated_groebner(pairs: list, nvars: int, config: RunConfig) -> list:
     Buchberger run.
     """
     sat = saturate_binomials(pairs, nvars, config.pair_queue_budget)
-    return _interreduce([_reducer(*g) for g in sat], DegrevlexOrder(nvars))
+    return _on_pairs(_interreduce, sat, DegrevlexOrder(nvars))
 
 
 def lattice_ideal_groebner(
@@ -376,39 +425,43 @@ def lattice_ideal_groebner(
 ) -> BinomialBasis:
     """Reduced degrevlex Groebner basis of the saturated lattice ideal."""
     a = inc.matrix
-    pairs = _binomial_pairs(exactmath.kernel_basis(a))
-    gb = _saturated_groebner(pairs, a.cols, config)
+    gb = _saturated_groebner(_binomial_pairs(exactmath.kernel_basis(a)), a.cols, config)
     elements = tuple(Binomial(a.cols, lead, tail) for lead, tail in gb)
-    for b in elements:
-        if not b.is_homogeneous():
-            raise BadParameters("inhomogeneous element in a lattice ideal basis")
+    if not all(b.is_homogeneous() for b in elements):
+        raise BadParameters("inhomogeneous element in a lattice ideal basis")
     return BinomialBasis("groebner", elements, inc)
 
 
 def reduce_to_zero(b: Binomial, basis: BinomialBasis) -> bool:
-    """Ideal membership by normal-form reduction against a Groebner basis."""
-    return _normal_form(b.plus, b.minus, basis.reducers, DegrevlexOrder(b.var_count)) is None
+    """Ideal membership by normal-form reduction against a Groebner basis.
+
+    Only a Groebner basis makes a zero normal form a certificate, and the
+    binomial must live in the basis's variables: BadParameters otherwise.
+    """
+    cols = basis.matrix.matrix.cols
+    if basis.kind != "groebner" or b.var_count != cols:
+        raise BadParameters(f"membership of a binomial in {b.var_count} variables needs a "
+                            f"groebner basis in as many, not a {basis.kind} basis in {cols}")
+    return _widening(lambda order: _normal_form(
+        order.pack(b.plus), order.pack(b.minus), basis.reducers(order), order) is None, basis.order)
 
 
 # ---------------------------------------------------------------------------
 # Markov bases
 
 
-def _component(start: tuple, moves: list, budget: int) -> set:
-    """Monomials reachable from ``start`` by applying moves non-negatively."""
+def _component(start: int, moves: list, budget: int, order: DegrevlexOrder) -> set:
+    """Packed monomials reachable from ``start`` by applying the packed
+    moves non-negatively."""
+    guard = order.guard
     seen = {start}
     stack = [start]
     while stack:
         u = stack.pop()
+        x = guard - (u & order.fields)
         for plus, minus in moves:
-            if _divides(plus, u):
-                w = _sub_add(u, plus, minus)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-            if _divides(minus, u):
-                w = _sub_add(u, minus, plus)
-                if w not in seen:
+            for sub, add in ((plus, minus), (minus, plus)):
+                if (sub + x) & guard == guard and (w := _checked(u - sub + add, order)) not in seen:
                     seen.add(w)
                     stack.append(w)
         if len(seen) > budget:
@@ -423,15 +476,17 @@ def markov_from_groebner(gb: BinomialBasis, config: RunConfig = DEFAULT_CONFIG) 
     when its two monomials are not yet connected in their fiber by the
     moves accepted so far, which is ideal membership in the graded piece.
     """
-    order = DegrevlexOrder(gb.matrix.matrix.cols)
-    accepted: list = []
-    moves: list = []
-    for cand in sorted(gb.elements, key=order.binomial_key):
-        comp = _component(cand.plus, moves, config.fiber_budget)
-        if cand.minus not in comp:
-            accepted.append(cand)
-            moves.append((cand.plus, cand.minus))
-    return BinomialBasis("markov", tuple(accepted), gb.matrix)
+
+    def run(order: DegrevlexOrder) -> list:
+        accepted, moves = [], []
+        for cand in sorted(gb.elements, key=order.binomial_key):
+            plus, minus = order.pack(cand.plus), order.pack(cand.minus)
+            if minus not in _component(plus, moves, config.fiber_budget, order):
+                accepted.append(cand)
+                moves.append((plus, minus))
+        return accepted
+
+    return BinomialBasis("markov", tuple(_widening(run, gb.order)), gb.matrix)
 
 
 def minimal_markov(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> BinomialBasis:
@@ -443,96 +498,76 @@ def minimal_markov(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> 
 # Graver bases by completion
 
 
-def _move(plus: tuple, minus: tuple) -> tuple:
-    """The move record (plus, minus, plus mask, minus mask)."""
-    return plus, minus, _support(plus), _support(minus)
-
-
-def _negated(g: tuple) -> tuple:
-    """The move record of -g: halves and masks swapped."""
-    return g[1], g[0], g[3], g[2]
-
-
-def _sum_pair(f: tuple, g: tuple) -> tuple:
-    """The move record of the vector sum of two moves."""
-    u = [fp - fm + gp - gm for fp, fm, gp, gm in zip(f[0], f[1], g[0], g[1])]
-    return _move(tuple(x if x > 0 else 0 for x in u), tuple(-x if x < 0 else 0 for x in u))
-
-
-def _conformal_sign(g: tuple, s: tuple) -> Optional[tuple]:
-    """The move g or its negative, whichever fits conformally inside s
-    (both halves divide); None if neither does."""
-    gp, gm, p, m = g
-    sp, sm, s0, s1 = s
-    if p & s0 == p and m & s1 == m and _divides(gp, sp) and _divides(gm, sm):
-        return g
-    if m & s0 == m and p & s1 == p and _divides(gm, sp) and _divides(gp, sm):
-        return _negated(g)
-    return None
-
-
-def _conformal_remainder(s: tuple, moves: Sequence[tuple]) -> Optional[tuple]:
-    """Subtract moves that fit conformally inside the move ``s`` until none
-    fits; None if nothing is left."""
-    changed = True
-    while changed:
-        changed = False
-        s0, s1 = s[2], s[3]
-        for g in moves:
-            p, m = g[2], g[3]
-            # most moves fail on their masks alone: test those inline, before a call
-            if (p & s0 != p or m & s1 != m) and (m & s0 != m or p & s1 != p):
+def _conformal_remainder(s: tuple, moves: Sequence[tuple], order: DegrevlexOrder) -> Optional[tuple]:
+    """Subtract packed moves that fit conformally inside the packed move
+    ``s``, cycling through the moves from the one after the last move
+    subtracted, until a whole cycle subtracts none; None if nothing is
+    left.  These are the subtractions of whole passes over the moves,
+    without the tail of the last pass, which can subtract nothing."""
+    guard, one, fields = order.guard, order.one, order.fields
+    sp, sm = s
+    n = len(moves)
+    j = n - 1  # the last move subtracted
+    while True:
+        x0, x1, x = guard - (sp & fields), guard - (sm & fields), guard - (sp + sm - one & fields)
+        for idx in chain(range(j + 1, n), range(j + 1)):
+            hp, hm = moves[idx]
+            if (hp + x) & guard != guard:  # not even inside plus * minus
                 continue
-            h = _conformal_sign(g, s)
-            if h is not None:
-                s = _move(tuple(map(sub, s[0], h[0])), tuple(map(sub, s[1], h[1])))
-                s0, s1 = s[2], s[3]
-                changed = True
-    if any(s[0]) or any(s[1]):
-        return s
-    return None
+            if (hp + x0) & (hm + x1) & guard != guard:
+                if (hm + x0) & (hp + x1) & guard != guard:
+                    continue
+                hp, hm = hm, hp
+            sp, sm, j = sp - hp + one, sm - hm + one, idx
+            break
+        else:
+            return None if sp == sm == one else (sp, sm)
 
 
 def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> BinomialBasis:
     """Graver basis of the lattice ideal by completion on kernel vectors.
 
-    A move record (plus, minus, plus mask, minus mask) stands for itself
+    A move, a pair (plus, minus) of packed monomials, stands for itself
     and its negative.  Starting from a kernel basis, the sum of every two
     moves whose signs conflict somewhere is reduced by the moves that fit
     conformally inside it, and a nonzero remainder becomes a new move
     (Hemmecke, "On the positive sum property and the computation of Graver
     test sets", 2003).  The moves then have the positive sum property, so
     the conformally minimal ones are the primitive vectors.  Signs
-    conflict exactly where the support masks of opposite halves meet, and
-    the masks rule out most conformal fits before any exponent is
-    compared.  Each pair reduced counts against ``pair_queue_budget``.
+    conflict exactly where opposite halves share a variable, and a move
+    fits when both its halves divide, each one packed test.  Each pair
+    reduced counts against ``pair_queue_budget``.
     """
     a = inc.matrix
-    moves = [_move(*g) for g in _binomial_pairs(exactmath.kernel_basis(a))]
-    pairs = 0
-    for i, f in enumerate(moves):  # grows while iterated
-        fp, fm = f[2], f[3]
-        for g in moves[:i]:
-            for h in (g, _negated(g)):
-                if not (fp & h[3] or fm & h[2]):
-                    continue
-                pairs += 1
-                if pairs > config.pair_queue_budget:
-                    raise BudgetExceeded(
-                        f"pair queue budget of {config.pair_queue_budget} exhausted: "
-                        f"{pairs} sums reduced, {len(moves)} moves"
-                    )
-                r = _conformal_remainder(_sum_pair(f, h), moves)
-                if r is not None:
-                    moves.append(r)
-    order = DegrevlexOrder(a.cols)
-    minimal = [
-        Binomial(a.cols, g[0], g[1]).oriented(order)
-        for g in moves
-        if not any(h is not g and _conformal_sign(h, g) for h in moves)
-    ]
-    minimal.sort(key=order.binomial_key)
-    return BinomialBasis("graver", tuple(minimal), inc)
+    kernel = _binomial_pairs(exactmath.kernel_basis(a))
+
+    def run(order: DegrevlexOrder) -> list:
+        guard, one, units = order.guard, order.one, order.units
+        moves = [(order.pack(p), order.pack(m)) for p, m in kernel]
+        pairs = 0
+        for i, (fp, fm) in enumerate(moves):  # grows while iterated
+            # adding a 1 to every field sets the guard bits of the zero exponents
+            zp, zm = fp + units, fm + units
+            for gp, gm in moves[:i]:
+                for hp, hm in ((gp, gm), (gm, gp)):
+                    if (zp | hm + units) & (zm | hp + units) & guard == guard:
+                        continue
+                    pairs += 1
+                    if pairs > config.pair_queue_budget:
+                        raise BudgetExceeded(f"pair queue budget of {config.pair_queue_budget} "
+                                             f"exhausted: {pairs} sums reduced, {len(moves)} moves")
+                    plus, minus = _checked(fp + hp - one, order), _checked(fm + hm - one, order)
+                    # dividing both by their gcd, (plus + minus) / lcm, leaves the halves
+                    lcm = order.lcm(plus, minus)
+                    r = _conformal_remainder((lcm - minus + one, lcm - plus + one), moves, order)
+                    if r is not None:
+                        moves.append(r)
+        # h fits conformally inside g exactly when subtracting it changes g
+        minimal = sorted(_orient(*g) for g in moves if not any(
+            h is not g and _conformal_remainder(g, [h], order) != g for h in moves))
+        return [Binomial(a.cols, order.unpack(lead), order.unpack(tail)) for lead, tail in minimal]
+
+    return BinomialBasis("graver", tuple(_widening(run, DegrevlexOrder(a.cols))), inc)
 
 
 def is_primitive(b: Binomial, inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> bool:
@@ -621,6 +656,8 @@ def _box_point(coords: Sequence[int], u: Sequence[int], index: int) -> list:
     return point
 
 
+
+
 # ---------------------------------------------------------------------------
 # octahedral generators and saturation identity
 
@@ -649,16 +686,16 @@ def saturation_equals(
     ideal, and J is saturated.
     """
     a = inc.matrix
-    for b in basis.elements:
-        if any(a.mat_vec(b.vector)):
-            raise BadParameters("generator outside the kernel")
+    if any(any(a.mat_vec(b.vector)) for b in basis.elements):
+        raise BadParameters("generator outside the kernel")
     gb_j = _saturated_groebner([(b.plus, b.minus) for b in basis.elements], a.cols, config)
-    for lead, tail in gb_j:
-        if any(a.mat_vec([x - y for x, y in zip(lead, tail)])):
-            raise CertificateError("saturation produced a binomial outside the kernel")
-    order = DegrevlexOrder(a.cols)
-    reducers = [_reducer(*g) for g in gb_j]
-    return all(
-        _normal_form(plus, minus, reducers, order) is None
-        for plus, minus in _binomial_pairs(exactmath.kernel_basis(a))
-    )
+    if any(any(a.mat_vec([x - y for x, y in zip(lead, tail)])) for lead, tail in gb_j):
+        raise CertificateError("saturation produced a binomial outside the kernel")
+    kernel = _binomial_pairs(exactmath.kernel_basis(a))
+
+    def run(order: DegrevlexOrder) -> bool:
+        reducers = [(order.pack(lead), order.pack(tail)) for lead, tail in gb_j]
+        pack = order.pack
+        return all(_normal_form(pack(p), pack(m), reducers, order) is None for p, m in kernel)
+
+    return _widening(run, DegrevlexOrder(a.cols))

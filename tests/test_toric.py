@@ -80,9 +80,10 @@ class TestEngineSmall:
         # x - y with equal matrix columns is in the ideal
         a = IntMatrix.from_rows([[1, 1], [2, 2]])
         pairs = [((1, 0), (0, 1))]
-        gb = toric.buchberger(pairs, toric.DegrevlexOrder(2))
-        reducers = [toric._reducer(*g) for g in gb]
-        assert toric._normal_form((1, 0), (0, 1), reducers, toric.DegrevlexOrder(2)) is None
+        order = toric.DegrevlexOrder(2)
+        gb = toric.buchberger(pairs, order)
+        reducers = [(order.pack(lead), order.pack(tail)) for lead, tail in gb]
+        assert toric._normal_form(order.pack((1, 0)), order.pack((0, 1)), reducers, order) is None
 
     def test_trivial_kernel_empty_basis(self):
         inc = build_matrix(4, 3, 2)
@@ -139,33 +140,55 @@ def homogeneous_generators(draw):
     return nvars, [(monomial(d), monomial(d)) for d in degrees]
 
 
+def assert_matches_sympy(gens, nvars, cheapest):
+    """buchberger's reduced basis of the generators, with x_cheapest the
+    cheapest variable, is the one sympy's grevlex Groebner basis gives."""
+    import sympy
+
+    ours = toric.buchberger(gens, toric.DegrevlexOrder(nvars, cheapest))
+    # sympy's grevlex breaks degree ties at its last generator first
+    perm = [v for v in range(nvars) if v != cheapest] + [cheapest]
+    xs = sympy.symbols(f"x0:{nvars}")
+    syms = [xs[v] for v in perm]
+
+    def monomial(exps):
+        return sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+
+    polys = [monomial(a) - monomial(b) for a, b in gens if a != b]
+    theirs = set()
+    if polys:
+        for poly in sympy.groebner(polys, *syms, order="grevlex").exprs:
+            terms = sympy.Poly(poly, *syms).terms()
+            assert sorted(c for _, c in terms) == [-1, 1]
+            theirs.add(frozenset(
+                tuple(m[perm.index(v)] for v in range(nvars)) for m, _ in terms
+            ))
+    assert len(ours) == len(theirs)
+    assert {frozenset(g) for g in ours} == theirs
+
+
 class TestEngineOracles:
     @settings(max_examples=40, deadline=None)
     @given(binomial_generators())
     def test_buchberger_matches_sympy(self, case):
-        import sympy
-
         nvars, gens, cheapest = case
-        ours = toric.buchberger(gens, toric.DegrevlexOrder(nvars, cheapest))
-        # sympy's grevlex breaks degree ties at its last generator first
-        perm = [v for v in range(nvars) if v != cheapest] + [cheapest]
-        xs = sympy.symbols(f"x0:{nvars}")
-        syms = [xs[v] for v in perm]
+        assert_matches_sympy(gens, nvars, cheapest)
 
-        def monomial(exps):
-            return sympy.Mul(*(x**e for x, e in zip(xs, exps)))
+    @pytest.mark.parametrize("gens, cheapest", [
+        # exponents above 127 from the start: no 8-bit field holds them
+        ([((130, 0, 1), (0, 131, 0)), ((0, 2, 0), (1, 0, 1))], 2),
+        # exponents of at most 100 whose reductions pass 127 on the way
+        ([((0, 90, 0), (0, 0, 60)), ((0, 100, 0), (0, 60, 0))], 0),
+    ])
+    def test_widening_matches_sympy(self, gens, cheapest):
+        order = toric.DegrevlexOrder(3, cheapest)
+        with pytest.raises(toric._Overflow):  # 8-bit fields cannot hold the run
+            toric._groebner([(order.pack(a), order.pack(b)) for a, b in gens], order, 10**6)
+        assert_matches_sympy(gens, 3, cheapest)
 
-        polys = [monomial(a) - monomial(b) for a, b in gens if a != b]
-        theirs = set()
-        if polys:
-            for poly in sympy.groebner(polys, *syms, order="grevlex").exprs:
-                terms = sympy.Poly(poly, *syms).terms()
-                assert sorted(c for _, c in terms) == [-1, 1]
-                theirs.add(frozenset(
-                    tuple(m[perm.index(v)] for v in range(nvars)) for m, _ in terms
-                ))
-        assert len(ours) == len(theirs)
-        assert {frozenset(g) for g in ours} == theirs
+    def test_widening_stops_at_64_bits(self):
+        with pytest.raises(CertificateError, match="widest packing"):
+            toric.buchberger([((2**63, 0), (0, 1))], toric.DegrevlexOrder(2))
 
     @settings(max_examples=60, deadline=None)
     @given(homogeneous_generators())
@@ -198,8 +221,90 @@ class TestEngineOracles:
         for u, member in queries:
             b = toric.Binomial.from_vector(u)
             nf = plain_normal_form(b.plus, b.minus, pairs, order)
-            assert toric._normal_form(b.plus, b.minus, gb632.reducers, order) == nf
+            packed = toric._normal_form(
+                order.pack(b.plus), order.pack(b.minus), gb632.reducers(order), order
+            )
+            assert (packed if packed is None else tuple(map(order.unpack, packed))) == nf
             assert toric.reduce_to_zero(b, gb632) is (nf is None) is member
+
+
+def plain_compare(order, a, b):
+    """Oracle for the packed order: degree first, then the first scanned
+    variable where a and b differ, the smaller exponent there winning."""
+    if sum(a) != sum(b):
+        return 1 if sum(a) > sum(b) else -1
+    for v in order.scan:
+        if a[v] != b[v]:
+            return 1 if a[v] < b[v] else -1
+    return 0
+
+
+@st.composite
+def packing_cases(draw):
+    """An order of 1-6 variables at a width of 8, 16, 32 or 64 bits and
+    three monomials whose exponents lie near 0 or at and beyond the top
+    of a field."""
+    nvars = draw(st.integers(1, 6))
+    width = draw(st.sampled_from([8, 16, 32, 64]))
+    order = toric.DegrevlexOrder(nvars, draw(st.integers(0, nvars - 1)), width)
+    exponent = st.one_of(st.integers(0, 3), st.integers(order.top - 3, order.top + 2))
+    return order, *(draw(st.tuples(*[exponent] * nvars)) for _ in range(3))
+
+
+@settings(max_examples=400, deadline=None)
+@given(packing_cases())
+def test_packed_operations_match_tuples(case):
+    order, a, b, t = case
+    for m in (a, b, t):
+        if max(m) > order.top:
+            with pytest.raises(toric._Overflow):
+                order.pack(m)
+    if max(a + b + t) > order.top:
+        a, b, t = (tuple(min(x, order.top) for x in m) for m in (a, b, t))
+    qa, qb, qt = map(order.pack, (a, b, t))
+    assert [order.unpack(q) for q in (qa, qb, qt)] == [a, b, t]
+    assert (qa > qb) - (qa < qb) == plain_compare(order, a, b) == order.compare(a, b)
+    divides = all(x <= y for x, y in zip(a, b))
+    assert (toric._first_divisor(qb, [(qa, qt)], order) is not None) is divides
+    lcm = tuple(max(x, y) for x, y in zip(a, b))
+    assert order.lcm(qa, qb) == order.pack(lcm)
+    coprime = not any(x and y for x, y in zip(a, b))
+    assert (order.lcm(qa, qb) == qa + qb - order.one) is coprime
+    # lcm - a + t: a divides the lcm, and t may push a field past the top
+    q = order.pack(lcm) - qa + qt
+    s = tuple(m - x + y for m, x, y in zip(lcm, a, t))
+    if max(s) > order.top:
+        assert q & order.guard
+        with pytest.raises(toric._Overflow):
+            toric._checked(q, order)
+    else:
+        assert toric._checked(q, order) == order.pack(s)
+
+
+class TestReduceToZeroInputs:
+    def test_too_few_variables(self, gb632):
+        with pytest.raises(BadParameters, match="binomial in 3 variables"):
+            toric.reduce_to_zero(toric.Binomial(3, (1, 0, 0), (0, 1, 0)), gb632)
+
+    def test_too_many_variables(self, gb632):
+        with pytest.raises(BadParameters, match="binomial in 22 variables"):
+            toric.reduce_to_zero(toric.Binomial.from_vector([1, -1] + [0] * 20), gb632)
+
+    def test_not_a_groebner_basis(self, markov632):
+        with pytest.raises(BadParameters, match="not a markov basis"):
+            toric.reduce_to_zero(binom(20, *QUARTIC), markov632)
+
+    def test_reducers_packed_once_per_width(self, gb632):
+        basis = toric.BinomialBasis("groebner", gb632.elements, gb632.matrix)
+        q = binom(20, *QUARTIC)
+        assert toric.reduce_to_zero(q, basis) and toric.reduce_to_zero(q, basis)
+        packed = basis.reducers(basis.order)
+        # x^(200a) - x^(200b) lies in the ideal too, but needs 16-bit fields
+        big = toric.Binomial(20, *(tuple(200 * x for x in m) for m in (q.plus, q.minus)))
+        assert toric.reduce_to_zero(big, basis)
+        assert toric.reduce_to_zero(q, basis)
+        assert [order.width for order in basis._packed] == [8, 16]
+        assert basis.reducers(basis.order) is packed
 
 
 class TestStructure632:
@@ -234,16 +339,18 @@ class TestStructure632:
         assert regenerated == [(g.plus, g.minus) for g in gb632.elements]
 
     def test_groebner_property_by_definition(self, gb632):
-        # every S-pair reduces to zero, checked without any pair criteria
+        # every S-pair reduces to zero, checked without any pair criteria;
+        # lcms and S-pair monomials are plain tuple arithmetic
         order = toric.DegrevlexOrder(20)
-        basis = gb632.reducers
-        for i in range(len(basis)):
+        pairs = [(b.plus, b.minus) for b in gb632.elements]
+        reducers = gb632.reducers(order)
+        for i in range(len(pairs)):
             for j in range(i):
-                (_, ai, bi), (_, aj, bj) = basis[i], basis[j]
-                lcm = toric._lcm(ai, aj)
-                s1 = toric._sub_add(lcm, ai, bi)
-                s2 = toric._sub_add(lcm, aj, bj)
-                assert toric._normal_form(s1, s2, basis, order) is None
+                (ai, bi), (aj, bj) = pairs[i], pairs[j]
+                lcm = tuple(max(x, y) for x, y in zip(ai, aj))
+                s1 = tuple(m - x + y for m, x, y in zip(lcm, ai, bi))
+                s2 = tuple(m - x + y for m, x, y in zip(lcm, aj, bj))
+                assert toric._normal_form(order.pack(s1), order.pack(s2), reducers, order) is None
 
     def test_homogeneous_and_sound(self, gb632, markov632, inc632):
         for basis in (gb632, markov632):
@@ -402,9 +509,15 @@ def remainder_cases(draw):
 @given(remainder_cases())
 def test_conformal_remainder_matches_plain(case):
     s, moves = case
-    r = toric._conformal_remainder(toric._move(*s), [toric._move(*g) for g in moves])
-    assert (r if r is None else r[:2]) == plain_conformal_remainder(s, moves)
-    assert r is None or r == toric._move(r[0], r[1])  # its masks are those of its halves
+    order = toric.DegrevlexOrder(len(s[0]))
+
+    def pack(g):
+        return order.pack(g[0]), order.pack(g[1])
+
+    r = toric._conformal_remainder(pack(s), [pack(g) for g in moves], order)
+    halves_r = r if r is None else tuple(map(order.unpack, r))
+    assert halves_r == plain_conformal_remainder(s, moves)
+    assert r is None or r == pack(halves_r)  # its packing is that of its halves
 
 
 def box_scan_primitive(u, a):
