@@ -21,6 +21,12 @@ def colex_rank(members: Sequence[int]) -> int:
     return sum(comb(x - 1, i + 1) for i, x in enumerate(s))
 
 
+def pair_rank(a: int, b: int) -> int:
+    """``colex_rank((a, b))`` in closed form, C(a-1, 1) + C(b-1, 2), for
+    1 <= a < b; the caller checks the pair."""
+    return (b - 1) * (b - 2) // 2 + a - 1
+
+
 def subsets_colex(n: int, k: int, first: int = 1) -> Iterator[tuple]:
     """All k-subsets of [first..first+n-1] in colex order: of [1..n] by
     default, of the point indices range(n) with ``first=0``."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameters, CertificateError, CompositeModulus, DimensionMismatch
@@ -211,6 +211,13 @@ class HnfSolver:
         self.m = m
         self._hnf = hnf(m)
         self.rank = len(self._hnf.pivots)
+
+    @property
+    def pivot_product(self) -> int:
+        """Product of the HNF pivots: the index of the column lattice in
+        Z^rows when the rank is full, since its pivot columns are then a
+        lower triangular basis."""
+        return prod(self._hnf.h[j][i] for i, j in self._hnf.pivots)
 
     def solve(self, v: Sequence[int]) -> Optional[tuple]:
         """An integer ``x`` with ``m x == v``, or None when ``v`` lies

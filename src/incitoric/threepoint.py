@@ -3,13 +3,16 @@
 The free abelian group on the edge variables of the complete graph is
 written additively: an element is a plain tuple of integer exponents over
 the colex-ordered 2-subsets, built by ``edge_vector`` from signed edges
-and triangles.  The triangle subgroup is generated by the vectors
+and triangles.  The triangle subgroup L is generated by the vectors
 e_ij + e_jk + e_ik, which are exactly the columns of the (n, 3, 2)
-incidence matrix, so coset membership is one ``exactmath.HnfSolver``
-solve against that matrix, with certificates in terms of triangle
-generators.  A derangement maps to the sum of the edges {m, sigma(m)};
-the Leibniz expansion of the determinant of the hollow symmetric matrix
-of edge variables runs over exactly these monomials.
+incidence matrix.  Coset membership is decided by the two characters
+chi = (sum of v mod 3, degree of each vertex mod 2) once one certificate
+per n shows that L is their kernel, which holds for every n >= 5 by
+Wilson's diagonal form; for n = 3 and 4, and as the tests' oracle, it is
+one ``exactmath.HnfSolver`` solve against the matrix.  A derangement maps
+to the sum of the edges {m, sigma(m)}; the Leibniz expansion of the
+determinant of the hollow symmetric matrix of edge variables runs over
+exactly these monomials.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import comb, gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from . import exactmath
-from .combinat import Derangement, colex_rank, derangement_from_images, derangements
+from .combinat import Derangement, derangement_from_images, derangements, pair_rank, subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     BadParameters,
@@ -44,10 +47,15 @@ def edge_vector(n: int, terms: Iterable[tuple]) -> tuple:
     exps = [0] * comb(n, 2)
     for c, vertices in terms:
         s = sorted(vertices)
-        if len(s) not in (2, 3) or len(set(s)) != len(s) or not 1 <= s[0] <= s[-1] <= n:
+        if len(s) == 2 and 1 <= s[0] < s[1] <= n:
+            exps[pair_rank(s[0], s[1])] += c
+        elif len(s) == 3 and 1 <= s[0] < s[1] < s[2] <= n:
+            a, b, d = s
+            exps[pair_rank(a, b)] += c
+            exps[pair_rank(a, d)] += c
+            exps[pair_rank(b, d)] += c
+        else:
             raise BadParameters(f"bad edge or triangle {tuple(vertices)} over [1..{n}]")
-        for pair in combinations(s, 2):
-            exps[colex_rank(pair)] += c
     return tuple(exps)
 
 
@@ -77,7 +85,10 @@ def fiber(v: tuple, n: int, config: RunConfig = DEFAULT_CONFIG) -> List[Derangem
     if len(v) != comb(n, 2):
         raise DimensionMismatch("edge vector over the wrong ground set")
     _derangements_within_cap(n, config)
-    rank = {(i, w): colex_rank(sorted((i, w))) for i, w in permutations(range(1, n + 1), 2)}
+    rank = {}
+    for b in range(2, n + 1):
+        for a in range(1, b):
+            rank[a, b] = rank[b, a] = pair_rank(a, b)
     left = list(v)  # edge multiplicities still unused
     used = [False] * (n + 1)
     images: List[int] = []
@@ -158,6 +169,48 @@ def det_leibniz(n: int, config: RunConfig = DEFAULT_CONFIG) -> Dict[tuple, int]:
 # section-5 claim verification
 
 
+def triangle_membership(n: int, solver: exactmath.HnfSolver) -> Callable[[Sequence[int]], bool]:
+    """Membership in the column lattice L of ``solver``, over the colex
+    2-subsets of [1..n]: the triangle lattice of the (n, 3, 2) matrix, or
+    a sublattice of it.
+
+    The characters chi(v) = (sum of v mod 3, deg_i(v) mod 2 for each vertex
+    i) vanish on every triangle; a column of the matrix where they do not
+    raises ``CertificateError``.  So L lies in ker chi, and the two are
+    equal when the matrix has full row rank and the product of its HNF
+    pivots, the index of L, is the order of the image of chi, closed here
+    from chi of the unit vectors.  For the triangle lattice this holds for
+    every n >= 5 (Wilson's diagonal form: one 3, then n - 1 twos), and
+    membership is then chi(v) == 0; otherwise each vector is one solve.
+    """
+    masks = tuple((1 << a) | (1 << b) for a, b in subsets_colex(n, 2))  # each edge's two vertex bits
+    if solver.m.rows != len(masks):
+        raise DimensionMismatch("lattice over the wrong ground set")
+
+    def chi(v: Sequence[int]) -> tuple:
+        if len(v) != len(masks):
+            raise DimensionMismatch("edge vector over the wrong ground set")
+        odd = 0
+        for x, mask in zip(v, masks):
+            if x & 1:
+                odd ^= mask
+        return sum(v) % 3, odd
+
+    for j in range(solver.m.cols):
+        if chi(solver.m.column(j)) != (0, 0):
+            raise CertificateError(f"the characters do not vanish on column {j}")
+    units = {(1, mask) for mask in masks}  # chi of the unit vector of each edge
+    image = {(0, 0)}
+    while True:
+        grown = image | {((s + t) % 3, m ^ u) for s, m in image for t, u in units}
+        if grown == image:
+            break
+        image = grown
+    if solver.rank == len(masks) and solver.pivot_product == len(image):
+        return lambda v: chi(v) == (0, 0)
+    return lambda v: solver.solve(v) is not None
+
+
 @dataclass(frozen=True)
 class ClaimResult:
     name: str
@@ -184,18 +237,19 @@ def check_section5(n: int, config: RunConfig = DEFAULT_CONFIG) -> Section5Report
     transitivity plus one canonical triple), which the transitivity claim
     itself justifies.  Claims that state the same membership share one
     check, and each check runs at most once, when a claim that applies
-    needs it.
+    needs it.  Each vector is decided by ``triangle_membership``: by the
+    characters from n = 5 on, by a solve below.
     """
     if n < 2:
         raise BadParameters("need n >= 2")
     _derangements_within_cap(n, config)
     # the triangle group is the column lattice of (n, 3, 2); no claim applies at n = 2
-    solver = exactmath.HnfSolver(build_matrix(n, 3, 2).matrix) if n >= 3 else None
+    member = triangle_membership(n, exactmath.HnfSolver(build_matrix(n, 3, 2).matrix)) if n >= 3 else None
     images = [phi(d) for d in derangements(n)]
     first, count = images[0], len(images)
 
     def members(vectors) -> bool:
-        return all(solver.solve(v) is not None for v in vectors)
+        return all(member(v) for v in vectors)
 
     checks: Dict[str, Callable[[], bool]] = {
         "transitive": lambda: members(tuple(a - b for a, b in zip(img, first)) for img in images[1:]),

@@ -26,6 +26,11 @@ class TestColex:
                 assert len(set(subsets)) == comb(n, k)
                 assert [cb.colex_rank(s) for s in subsets] == list(range(comb(n, k)))
 
+    def test_pair_rank_is_colex_rank(self):
+        for b in range(2, 16):
+            for a in range(1, b):
+                assert cb.pair_rank(a, b) == cb.colex_rank((a, b))
+
     def test_labels(self):
         assert cb.subset_label((1, 3, 6), 6) == "136"
         assert cb.subset_label((1, 3, 12), 12) == "1,3,12"

@@ -337,6 +337,18 @@ class TestHnfSolver:
         with pytest.raises(DimensionMismatch):
             em.HnfSolver(IntMatrix.identity(2)).solve((1, 2, 3))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3))
+    def test_pivot_product_is_the_index(self, rows):
+        # for a nonsingular square matrix the index of its column lattice is |det|
+        m = IntMatrix.from_rows(rows)
+        solver = em.HnfSolver(m)
+        if solver.rank == 3:
+            assert solver.pivot_product == abs(em.determinant(m))
+
+    def test_pivot_product_of_a_lattice_of_index_six(self):
+        assert em.HnfSolver(IntMatrix.from_rows([[2, 0, 4], [0, 3, 3]])).pivot_product == 6
+
     def test_bad_transform_fails_recombination(self):
         solver = em.HnfSolver(IntMatrix.from_rows([[1, 1], [0, 1]]))
         res = solver._hnf

@@ -1,6 +1,7 @@
 """Derangement map, coset calculus, determinant expressions."""
 
 import os
+import random
 import subprocess
 import sys
 from dataclasses import asdict, replace
@@ -184,6 +185,127 @@ class TestCosets:
         assert solver.m.mat_vec(coeffs) == v
 
 
+def count_memberships(monkeypatch):
+    """Record every vector ``triangle_membership``'s predicates decide and
+    every vector ``HnfSolver.solve`` is asked about."""
+    decided, solved = [], []
+    membership, solve = tp.triangle_membership, exactmath.HnfSolver.solve
+
+    def counted(n, solver):
+        member = membership(n, solver)
+        return lambda v: decided.append(v) or member(v)
+
+    monkeypatch.setattr(tp, "triangle_membership", counted)
+    monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: solved.append(v) or solve(self, v))
+    return decided, solved
+
+
+def with_column(m, j, column):
+    """The matrix ``m`` with column ``j`` replaced."""
+    return exactmath.IntMatrix.from_rows(
+        row[:j] + (x,) + row[j + 1:] for row, x in zip(m.entries, column)
+    )
+
+
+def lattice_samples(n, count, seed):
+    """Seeded integer combinations of triangle columns, each followed by
+    two copies with one random entry moved: by 1, 2 or 3, which changes a
+    character, and by 6, which keeps both (in the lattice for n >= 5, not
+    always below)."""
+    rng = random.Random(seed)
+    m = build_matrix(n, 3, 2).matrix
+    for _ in range(count):
+        v = m.mat_vec([rng.randint(-3, 3) for _ in range(m.cols)])
+        yield v
+        for step in (rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((-6, 6))):
+            moved = list(v)
+            moved[rng.randrange(len(v))] += step
+            yield tuple(moved)
+
+
+class TestTriangleCharacters:
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_certificate_holds(self, monkeypatch, n):
+        # Wilson's form of (n,3,2): full row rank, index 3 * 2^(n-1)
+        solver = triangle_solver(n)
+        assert solver.rank == comb(n, 2)
+        assert solver.pivot_product == 3 * 2 ** (n - 1)
+        _, solved = count_memberships(monkeypatch)
+        member = tp.triangle_membership(n, solver)
+        assert member(tp.edge_vector(n, [(1, (1, 2, 3))]))
+        assert not member(tp.edge_vector(n, [(1, (1, 2))]))
+        assert solved == []
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_small_n_falls_back_to_the_solver(self, monkeypatch, n):
+        _, solved = count_memberships(monkeypatch)
+        member = tp.triangle_membership(n, triangle_solver(n))
+        assert member(tp.edge_vector(n, [(2, (1, 2, 3))]))
+        assert len(solved) == 1
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_agrees_with_the_solver_oracle(self, n):
+        oracle = triangle_solver(n)
+        member = tp.triangle_membership(n, oracle)
+        verdicts = [
+            (member(v), oracle.solve(v) is not None) for v in lattice_samples(n, 60, seed=n)
+        ]
+        assert all(a == b for a, b in verdicts)
+        # both sides of the lattice are sampled
+        assert {a for a, _ in verdicts} == {True, False}
+
+    def test_doubled_column_fails_the_certificate(self, monkeypatch):
+        # at n = 5 the ten triangles are a basis of L, so doubling one
+        # gives a sublattice of index 2 that the characters cannot see
+        m = build_matrix(5, 3, 2).matrix
+        triangle = m.column(0)
+        forged = exactmath.HnfSolver(with_column(m, 0, [2 * x for x in triangle]))
+        assert forged.pivot_product == 2 * 48
+        _, solved = count_memberships(monkeypatch)
+        member = tp.triangle_membership(5, forged)
+        assert not member(triangle)
+        assert member(tuple(2 * x for x in triangle))
+        assert len(solved) == 2
+
+    def test_column_off_the_kernel_raises(self):
+        m = build_matrix(5, 3, 2).matrix
+        edge = tp.edge_vector(5, [(1, (1, 2))])
+        with pytest.raises(CertificateError):
+            tp.triangle_membership(5, exactmath.HnfSolver(with_column(m, 3, edge)))
+
+    def test_wrong_ground_set_raises(self):
+        with pytest.raises(DimensionMismatch):
+            tp.triangle_membership(6, triangle_solver(5))
+        member = tp.triangle_membership(5, triangle_solver(5))
+        with pytest.raises(DimensionMismatch):
+            member((0,) * 15)
+
+    def test_certificate_checks_survive_python_O(self):
+        # the certificate raises and falls back by explicit code, so -O keeps both
+        code = (
+            "from incitoric import exactmath, threepoint as tp\n"
+            "from incitoric.errors import CertificateError\n"
+            "from incitoric.incidence import build_matrix\n"
+            "m = build_matrix(5, 3, 2).matrix\n"
+            "def with_column(j, column):\n"
+            "    return exactmath.IntMatrix.from_rows(\n"
+            "        row[:j] + (x,) + row[j + 1:] for row, x in zip(m.entries, column))\n"
+            "triangle = m.column(0)\n"
+            "doubled = exactmath.HnfSolver(with_column(0, [2 * x for x in triangle]))\n"
+            "print(tp.triangle_membership(5, exactmath.HnfSolver(m))(triangle))\n"
+            "print(tp.triangle_membership(5, doubled)(triangle))\n"
+            "try:\n"
+            "    tp.triangle_membership(5, exactmath.HnfSolver(with_column(3, tp.edge_vector(5, [(1, (1, 2))]))))\n"
+            "except CertificateError:\n"
+            "    print('raised')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split() == ["True", "False", "raised"]
+
+
 class TestTranspositionRelations:
     def test_holds_for_five_and_six(self):
         assert tp.transposition_relations_check(5)
@@ -237,14 +359,29 @@ class TestSection5:
         assert rep.n == n and rep.all_passed
         assert [asdict(c) for c in rep.claims] == expected
 
-    @pytest.mark.parametrize("n, solves", [(5, 89), (6, 794), (7, 1854)])
-    def test_each_membership_set_solved_once(self, monkeypatch, n, solves):
-        calls = []
-        solve = exactmath.HnfSolver.solve
-        monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: calls.append(v) or solve(self, v))
+    def test_n8(self):
+        # criterion 13 stops at n = 7; the characters make n = 8 cheap enough to test
+        rep = tp.check_section5(8)
+        assert rep.all_passed
+        claims = {c.name: c for c in rep.claims}
+        assert claims["single_coset_transitivity"].detail == "14833 derangements against the lexicographic first"
+        assert not claims["images_in_triangle_group"].applicable
+
+    @pytest.mark.parametrize("n, vectors", [(5, 89), (6, 794), (7, 1854)])
+    def test_each_membership_set_solved_once(self, monkeypatch, n, vectors):
+        decided, solved = count_memberships(monkeypatch)
         tp.check_section5(n)
-        # one solve per vector of each membership set, however many claims state it
-        assert len(calls) == solves
+        # one evaluation per vector of each membership set, however many
+        # claims state it, and from n = 5 on the characters decide it alone
+        assert len(decided) == vectors
+        assert solved == []
+
+    def test_n3_memberships_are_solved(self, monkeypatch):
+        # below n = 5 the characters do not cut out the triangle group
+        decided, solved = count_memberships(monkeypatch)
+        assert tp.check_section5(3).all_passed
+        assert len(decided) == 2
+        assert solved == decided
 
 
 # every claim in report order, with the reason it gives when it does not apply
