@@ -35,10 +35,10 @@ def _emit(payload: dict, args) -> None:
     if not args.no_meta:
         payload["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
     out = json.dumps(payload, indent=2, sort_keys=True)
-    print(out)
-    if args.out:
+    if args.out:  # first, so that an unwritable path prints no payload
         with open(args.out, "w") as fh:
             fh.write(out + "\n")
+    print(out)
 
 
 def _labels(n: int, k: int) -> list:
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     except IncitoricError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:  # an unreadable input or unwritable --out
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

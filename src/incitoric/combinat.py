@@ -8,10 +8,11 @@ s_1 < ... < s_k, so the pairs of [4] enumerate as 12, 13, 23, 14, 24, 34.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .errors import BadParameters
+from .errors import BadParameters, DimensionMismatch
 
 
 def colex_rank(members: Sequence[int]) -> int:
@@ -51,38 +52,42 @@ def subset_label(s: Sequence[int], n: int) -> str:
 
 @dataclass(frozen=True)
 class Derangement:
-    """Fixed-point-free permutation with its canonical cycle data."""
+    """Fixed-point-free permutation of [1..n]; its cycle data is derived
+    from the images on demand."""
 
-    n: int
     images: tuple  # images[i-1] = sigma(i)
-    cycles: tuple  # smallest-element-first within and between cycles
-    t_count: int  # number of cycles
-    s_count: int  # number of transpositions among them
+
+    @property
+    def n(self) -> int:
+        return len(self.images)
+
+    @cached_property
+    def cycles(self) -> tuple:
+        """Smallest element first, within and between cycles."""
+        seen, cycles = set(), []
+        for start in range(1, self.n + 1):
+            if start in seen:
+                continue
+            cyc = [start]
+            while self.images[cyc[-1] - 1] != start:
+                cyc.append(self.images[cyc[-1] - 1])
+            seen.update(cyc)
+            cycles.append(tuple(cyc))
+        return tuple(cycles)
+
+    @property
+    def t_count(self) -> int:
+        """The number of cycles."""
+        return len(self.cycles)
+
+    @property
+    def s_count(self) -> int:
+        """The number of transpositions among the cycles."""
+        return sum(1 for c in self.cycles if len(c) == 2)
 
     @property
     def sign(self) -> int:
         return -1 if (self.n - self.t_count) % 2 else 1
-
-    def apply(self, i: int) -> int:
-        return self.images[i - 1]
-
-
-def _cycle_decomposition(images: Sequence[int]) -> tuple:
-    n = len(images)
-    seen = [False] * n
-    cycles = []
-    for start in range(1, n + 1):
-        if seen[start - 1]:
-            continue
-        cyc = [start]
-        seen[start - 1] = True
-        j = images[start - 1]
-        while j != start:
-            cyc.append(j)
-            seen[j - 1] = True
-            j = images[j - 1]
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
 
 
 def derangement_from_images(images: Sequence[int]) -> Derangement:
@@ -92,32 +97,42 @@ def derangement_from_images(images: Sequence[int]) -> Derangement:
         raise BadParameters("not a permutation of [1..n]")
     if any(images[i - 1] == i for i in range(1, n + 1)):
         raise BadParameters("permutation has a fixed point")
-    cycles = _cycle_decomposition(images)
-    return Derangement(
-        n, images, cycles, len(cycles), sum(1 for c in cycles if len(c) == 2)
-    )
+    return Derangement(images)
 
 
-def derangements(n: int) -> Iterator[Derangement]:
-    """All derangements of [1..n], lexicographic in the image tuple."""
+def derangements(n: int, edges: Optional[Sequence[int]] = None) -> Iterator[Derangement]:
+    """All derangements of [1..n] whose edges {i, sigma(i)}, counted with
+    multiplicity, lie within ``edges``, lexicographic in the image tuple.
+
+    ``edges`` holds one multiplicity per colex pair of [1..n], a negative
+    one counting as zero, and the backtracking tries sigma(i) = w only
+    while the edge {i, w} has multiplicity left.  By default every edge
+    starts at 2, which no derangement exceeds, so nothing is pruned.
+    """
     if n < 2:
         raise BadParameters("derangements need n >= 2")
-
+    left = [2] * comb(n, 2) if edges is None else list(edges)
+    if len(left) != comb(n, 2):
+        raise DimensionMismatch("edge multiplicities over the wrong ground set")
+    # the candidate images of each i, each with the colex rank of its edge
+    choices = [[(w, pair_rank(i, w) if i < w else pair_rank(w, i)) for w in range(1, n + 1) if w != i]
+               for i in range(1, n + 1)]
     used = [False] * (n + 1)
     images: list = []
 
     def backtrack(i: int) -> Iterator[Derangement]:
-        if i > n:
-            yield derangement_from_images(tuple(images))
+        if i == n:
+            yield derangement_from_images(images)
             return
-        for v in range(1, n + 1):
-            if v == i or used[v]:
+        for w, e in choices[i]:
+            if used[w] or left[e] <= 0:
                 continue
-            used[v] = True
-            images.append(v)
+            used[w] = True
+            left[e] -= 1
+            images.append(w)
             yield from backtrack(i + 1)
             images.pop()
-            used[v] = False
+            left[e] += 1
+            used[w] = False
 
-    yield from backtrack(1)
-
+    yield from backtrack(0)

@@ -25,7 +25,7 @@ from math import comb, gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from . import exactmath
-from .combinat import Derangement, derangement_from_images, derangements, pair_rank, subsets_colex
+from .combinat import Derangement, derangements, pair_rank, subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     BadParameters,
@@ -61,7 +61,7 @@ def edge_vector(n: int, terms: Iterable[tuple]) -> tuple:
 
 def phi(d: Derangement) -> tuple:
     """Product of the edges {m, sigma(m)}, written additively; degree n."""
-    v = edge_vector(d.n, ((1, (i, d.apply(i))) for i in range(1, d.n + 1)))
+    v = edge_vector(d.n, ((1, (i, w)) for i, w in enumerate(d.images, 1)))
     if sum(v) != d.n:
         raise CertificateError(f"derangement image has degree {sum(v)}, not {d.n}")
     return v
@@ -75,47 +75,13 @@ def _derangements_within_cap(n: int, config: RunConfig) -> None:
 def fiber(v: tuple, n: int, config: RunConfig = DEFAULT_CONFIG) -> List[Derangement]:
     """All derangements with edge image v, lexicographic in the image tuple.
 
-    A backtracking search picks sigma(1), sigma(2), ... in turn and tries
-    sigma(i) = w only while the edge {i, w} has multiplicity left in v.
-    The search is complete, since the edges of every prefix of a derangement
-    in the fiber lie within v, and each leaf is re-checked against phi.
+    ``derangements`` prunes its search by the edge multiplicities of v,
+    and checks n and the ground set of v.  The pruned search is complete,
+    since the edges of every prefix of a derangement in the fiber lie
+    within v, and each leaf is re-checked against phi.
     """
-    if n < 2:
-        raise BadParameters("derangements need n >= 2")
-    if len(v) != comb(n, 2):
-        raise DimensionMismatch("edge vector over the wrong ground set")
     _derangements_within_cap(n, config)
-    rank = {}
-    for b in range(2, n + 1):
-        for a in range(1, b):
-            rank[a, b] = rank[b, a] = pair_rank(a, b)
-    left = list(v)  # edge multiplicities still unused
-    used = [False] * (n + 1)
-    images: List[int] = []
-    found: List[Derangement] = []
-
-    def extend(i: int) -> None:
-        if i > n:
-            d = derangement_from_images(images)
-            if phi(d) == v:
-                found.append(d)
-            return
-        for w in range(1, n + 1):
-            if w == i or used[w]:
-                continue
-            e = rank[i, w]
-            if left[e] <= 0:
-                continue
-            used[w] = True
-            left[e] -= 1
-            images.append(w)
-            extend(i + 1)
-            images.pop()
-            left[e] += 1
-            used[w] = False
-
-    extend(1)
-    return found
+    return [d for d in derangements(n, v) if phi(d) == v]
 
 
 def fiber_size_formula(d: Derangement) -> int:

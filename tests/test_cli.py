@@ -174,6 +174,26 @@ def usage_error(capsys, *argv):
     return captured.err
 
 
+@pytest.mark.parametrize("case", ["directory", "binary", "out directory"])
+def test_file_error_is_usage_error(tmp_path, capsys, case):
+    binary = tmp_path / "binary.cplx"
+    binary.write_bytes(b"\xff\xfe\x00\x81 2 3\n")
+    argv = {
+        "directory": ["complex", "verify", str(tmp_path)],
+        "binary": ["complex", "verify", str(binary)],
+        "out directory": ["--out", str(tmp_path), "threepoint", "check", "-n", "3"],
+    }[case]
+    err = usage_error(capsys, "--no-meta", *argv)
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_out_file_holds_the_printed_payload(tmp_path, capsys):
+    path = tmp_path / "check.json"
+    code, out = run_cli(capsys, "--no-meta", "--out", str(path), "threepoint", "check", "-n", "3")
+    assert code == EXIT_OK
+    assert path.read_text() == out
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_pair_budget_below_one_is_usage_error(capsys, budget):
     err = usage_error(

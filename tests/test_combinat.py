@@ -1,11 +1,14 @@
 """Subset ranking, derangements, tableaux."""
 
+from itertools import permutations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from incitoric import combinat as cb
-from incitoric.errors import BadParameters
+from incitoric.errors import BadParameters, DimensionMismatch
 
 
 class TestColex:
@@ -44,8 +47,6 @@ class TestDerangements:
         assert ds[0].cycles == ((1, 2),)
 
     def test_counts_by_brute_force(self):
-        from itertools import permutations
-
         for n in (3, 4, 5, 6):
             expected = sum(
                 1
@@ -85,3 +86,61 @@ class TestDerangements:
     def test_rejects_fixed_points(self):
         with pytest.raises(BadParameters):
             cb.derangement_from_images((1, 2))
+
+
+def edge_counts(images):
+    """The multiplicity of each colex pair among the edges {i, sigma(i)}."""
+    n = len(images)
+    counts = [0] * comb(n, 2)
+    for i, w in enumerate(images, 1):
+        counts[cb.colex_rank(sorted((i, w)))] += 1
+    return counts
+
+
+def derangements_within(n, edges):
+    """Oracle for the pruned search: the permutations of [1..n], in
+    lexicographic order, without a fixed point and with every edge count
+    within ``edges``, where a negative multiplicity counts as zero."""
+    return [
+        p for p in permutations(range(1, n + 1))
+        if all(p[i - 1] != i for i in range(1, n + 1))
+        and all(c <= max(e, 0) for c, e in zip(edge_counts(p), edges))
+    ]
+
+
+class TestPrunedDerangements:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(-2, 2), min_size=comb(n, 2), max_size=comb(n, 2)))
+    ))
+    def test_agrees_with_filtered_permutations(self, case):
+        n, edges = case
+        assert [d.images for d in cb.derangements(n, edges)] == derangements_within(n, edges)
+
+    def test_uniform_budgets(self):
+        for n in range(2, 8):
+            everything = list(cb.derangements(n))
+            # no derangement uses an edge more than twice, and only a transposition twice
+            assert list(cb.derangements(n, [2] * comb(n, 2))) == everything
+            assert list(cb.derangements(n, [1] * comb(n, 2))) == [d for d in everything if d.s_count == 0]
+            assert list(cb.derangements(n, [0] * comb(n, 2))) == []
+
+    @pytest.mark.parametrize("size", [0, 5, 7])
+    def test_wrong_ground_set_raises(self, size):
+        with pytest.raises(DimensionMismatch):
+            list(cb.derangements(4, [2] * size))
+
+
+class TestDerivedCycleData:
+    def test_against_sympy(self):
+        # sympy, test-only: its permutations act on 0..n-1, and cyclic_form
+        # lists each cycle from its smallest element, cycles by that element
+        from sympy.combinatorics import Permutation
+
+        for n in range(2, 8):
+            for d in cb.derangements(n):
+                p = Permutation([w - 1 for w in d.images])
+                assert d.cycles == tuple(tuple(x + 1 for x in c) for c in p.cyclic_form)
+                assert d.t_count == p.cycles
+                assert d.s_count == p.cycle_structure.get(2, 0)
+                assert d.sign == p.signature()
