@@ -144,7 +144,8 @@ def _cmd_polytope(args) -> int:
         labels = _labels(args.n, args.k)
         idx = {lbl: i for i, lbl in enumerate(labels)}
         try:
-            subset = [idx[s.strip()] for s in args.subset.split(",")]
+            # labels of n >= 10 hold commas themselves
+            subset = [idx[s.strip()] for s in args.subset.split("," if args.n <= 9 else ";")]
         except KeyError as e:
             print(f"unknown vertex label {e}", file=sys.stderr)
             return EXIT_USAGE
@@ -335,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("what", choices=("volume", "faces", "neighborly"))
     _add_nkt(poly)
     poly.add_argument("--lattice", choices=("euclidean", "column"), default="euclidean")
-    poly.add_argument("--subset", help="comma-separated vertex labels for face tests")
+    poly.add_argument(
+        "--subset", help="vertex labels for face tests, separated by commas (by ';' for n >= 10)"
+    )
     poly.add_argument("--s-max", type=int, default=3)
     poly.set_defaults(func=_cmd_polytope)
 

@@ -4,9 +4,15 @@ Integer equality rows, non-negative variables and no objective.  The
 face test poses it with one row per Gale coordinate and one variable per
 point outside the face.  Phase one of a dense-tableau simplex decides it
 in integers from input to certificate: every row gets an artificial,
-each tableau row is an integer vector with one positive denominator, so
-a pivot is integer cross multiplication followed by a gcd reduction and
-the ratio test never leaves the integers.
+and each tableau row is kept as the one primitive integer multiple of
+itself that is positive at its lead column, its basic column.  That
+entry is the row's denominator, so none is stored beside the row
+(integer-preserving elimination; Bareiss, Math. Comp. 22, 1968).  The
+cost row leads in a -z column of its own, so a pivot treats it like any
+row: integer cross multiplication, then division by the gcd.  A row's
+canonical form does not depend on the pivots that reached it, and the
+ratio test compares quotients by cross multiplication, so the integers
+are never left.
 
 Pivoting is deterministic: steepest Dantzig descent with smallest-index
 tie-breaks, falling back to Bland's rule after a fixed pivot count so
@@ -63,6 +69,8 @@ class RationalLpProblem:
     nvars: int
 
     def __post_init__(self):
+        if self.nvars < 0:
+            raise BadParameters("the variable count must be non-negative")
         for c in self.constraints:
             if len(c.coeffs) != self.nvars:
                 raise DimensionMismatch("one coefficient per variable required")
@@ -84,106 +92,34 @@ class LpResult:
     den: int
 
 
-def _reduce_row(num: list, den: int) -> tuple:
-    g = den
-    for x in num:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                break
-    if g > 1:
-        num = [x // g for x in num]
-        den //= g
-    return num, den
-
-
-def _eliminate(num: list, den: int, prow: list, col: int) -> tuple:
-    """The row ``num / den`` minus the multiple of the pivot row ``prow``
-    (any denominator) that clears column ``col``, reduced, with a positive
-    denominator."""
-    f, piv = num[col], prow[col]
-    new = [a * piv - f * b for a, b in zip(num, prow)]
-    d = den * piv
-    if d < 0:
-        d = -d
-        new = [-x for x in new]
-    return _reduce_row(new, d)
-
-
 # pivots by steepest descent before Bland's rule takes over
 _BLAND_AFTER = 10_000
 
 
-class _Tableau:
-    """Phase one over the rows ``[A | I | b]`` with the artificials
-    ``I`` basic.  Rows store (integer vector including the rhs column,
-    positive denominator); the cost row, the sum of the artificials priced
-    out, is stored the same way with -z in the rhs slot."""
+def _entering(cost: list, bland: bool) -> Optional[int]:
+    """The column to enter: the most negative reduced cost, or under
+    Bland's rule the first negative one; ties go to the smallest index.
+    The last two entries of the cost row, its -z lead and the rhs, never
+    enter."""
+    reduced = cost[:-2]
+    if bland:
+        return next((j for j, c in enumerate(reduced) if c < 0), None)
+    c = min(reduced, default=0)
+    return reduced.index(c) if c < 0 else None
 
-    def __init__(self, rows: list, art_base: int):
-        self.m = len(rows)
-        self.ncols = art_base + self.m
-        self.num = rows
-        self.den = [1] * self.m
-        self.basis = list(range(art_base, self.ncols))
-        self.cost = [-sum([r[j] for r in rows]) for j in range(self.ncols + 1)]
-        self.cost[art_base:self.ncols] = [0] * self.m
-        self.cden = 1
-        self.pivots_done = 0
 
-    def pivot(self, row, col):
-        self.pivots_done += 1
-        rn = self.num[row]
-        for i in range(self.m):
-            if i != row and self.num[i][col]:
-                self.num[i], self.den[i] = _eliminate(self.num[i], self.den[i], rn, col)
-        if self.cost[col]:
-            self.cost, self.cden = _eliminate(self.cost, self.cden, rn, col)
-        d = rn[col]
-        if d < 0:
-            d = -d
-            rn = [-x for x in rn]
-        self.num[row], self.den[row] = _reduce_row(rn, d)
-        self.basis[row] = col
-
-    def _entering(self, bland: bool) -> Optional[int]:
-        if bland:
-            for j in range(self.ncols):
-                if self.cost[j] < 0:
-                    return j
-            return None
-        best = None
-        for j in range(self.ncols):
-            c = self.cost[j]
-            if c < 0 and (best is None or c < best[0]):
-                best = (c, j)
-        return None if best is None else best[1]
-
-    def _leaving(self, col) -> Optional[int]:
-        best = None
-        for i in range(self.m):
-            a = self.num[i][col]
-            if a > 0:
-                b = self.num[i][self.ncols]
-                # compare b/a across rows by cross multiplication
-                if best is None:
-                    best = (b, a, self.basis[i], i)
-                else:
-                    lhs = b * best[1]
-                    rhs = best[0] * a
-                    if lhs < rhs or (lhs == rhs and self.basis[i] < best[2]):
-                        best = (b, a, self.basis[i], i)
-        return None if best is None else best[3]
-
-    def solve(self) -> None:
-        while True:
-            col = self._entering(self.pivots_done > _BLAND_AFTER)
-            if col is None:
-                return
-            row = self._leaving(col)
-            if row is None:
-                raise CertificateError("phase one of the simplex did not reach an optimum")
-            self.pivot(row, col)
+def _leaving(rows: list, basis: list, col: int) -> Optional[int]:
+    """The row of the ratio test in ``col``: the least rhs / entry over the
+    positive entries, compared by cross multiplication, ties to the
+    smallest basic column."""
+    best = None
+    for i, r in enumerate(rows):
+        a = r[col]
+        if a > 0:
+            b = r[-1]
+            if best is None or (b * best[1], basis[i]) < (best[0] * a, best[2]):
+                best = (b, a, basis[i], i)
+    return None if best is None else best[3]
 
 
 # kept under this name: the benchmark's tracer wraps it and counts its statuses
@@ -192,34 +128,58 @@ def lp_feasible(problem: RationalLpProblem) -> LpResult:
     certificate, each re-checked in integers."""
     cons = problem.constraints
     m, art_base = len(cons), problem.nvars
+    ncols = art_base + m
 
     # row i is sigma[i] * constraint i, so that its rhs is non-negative,
-    # plus its artificial
+    # with its artificial basic and a zero in the -z column
+    sigma = [-1 if c.rhs < 0 else 1 for c in cons]
     rows = []
-    sigma = []
-    for i, c in enumerate(cons):
-        s = -1 if c.rhs < 0 else 1
-        row = [s * a for a in c.coeffs] + [0] * m + [s * c.rhs]
+    for i, (c, s) in enumerate(zip(cons, sigma)):
+        row = [s * a for a in c.coeffs] + [0] * (m + 1) + [s * c.rhs]
         row[art_base + i] = 1
-        sigma.append(s)
         rows.append(row)
+    # the cost row, the sum of the artificials priced out, leads in -z
+    cost = [-sum([r[j] for r in rows]) for j in range(ncols + 2)]
+    cost[art_base:ncols + 1] = [0] * m + [1]
+    rows.append(cost)
+    lead = list(range(art_base, ncols + 1))
 
-    tab = _Tableau(rows, art_base)
-    tab.solve()
-    ncols = tab.ncols
-    if tab.cost[ncols] < 0:  # the artificials sum to -cost[rhs] / cden > 0
+    pivots = 0
+    while (col := _entering(rows[m], pivots > _BLAND_AFTER)) is not None:
+        # the cost row is negative at col, so the ratio test passes it by
+        row = _leaving(rows, lead, col)
+        if row is None:
+            raise CertificateError("phase one of the simplex did not reach an optimum")
+        pivots += 1
+        # the pivot row is already primitive and positive at col; clearing
+        # col from a row multiplies its lead by piv > 0, and the gcd
+        # division keeps the row primitive
+        prow = rows[row]
+        piv = prow[col]
+        for i, r in enumerate(rows):
+            f = r[col]
+            if f and i != row:
+                new = [a * piv - f * b for a, b in zip(r, prow)]
+                g = 1 if new[lead[i]] == 1 else gcd(*new)
+                rows[i] = new if g == 1 else [x // g for x in new]
+        lead[row] = col
+
+    cost = rows[m]
+    # a row's lead entry is its denominator; the cost row's is cost[ncols]
+    if cost[-1] < 0:  # the artificials sum to -cost[rhs] / cost[ncols] > 0
         # multiplier of row i: 1 - (reduced cost of its artificial)
-        farkas = tuple([(tab.cost[art_base + i] - tab.cden) * sigma[i] for i in range(m)])
+        farkas = tuple([(cost[art_base + i] - cost[ncols]) * sigma[i] for i in range(m)])
         if not verify_farkas(problem, farkas):
             raise CertificateError("bad Farkas certificate")
-        return LpResult("infeasible", farkas, tab.cden)
+        return LpResult("infeasible", farkas, cost[ncols])
 
     # the point is xs / d, d the common denominator of the rows
-    d = lcm(*tab.den)
+    dens = [r[j] for r, j in zip(rows, lead[:m])]
+    d = lcm(*dens)
     xs = [0] * art_base
-    for i in range(m):
-        if tab.basis[i] < art_base:
-            xs[tab.basis[i]] = tab.num[i][ncols] * (d // tab.den[i])
+    for r, j, den in zip(rows, lead, dens):
+        if j < art_base:
+            xs[j] = r[-1] * (d // den)
     if any(x < 0 for x in xs) or any(
         sum([a * x for a, x in zip(c.coeffs, xs)]) != c.rhs * d for c in cons
     ):

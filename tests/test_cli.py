@@ -271,6 +271,29 @@ def test_face_command(capsys):
     assert run_cli(capsys, *argv) == (EXIT_OK, out)
 
 
+def test_face_command_separates_labels_by_semicolons_from_n_10(capsys):
+    # labels of n >= 10 hold commas, so the subset is split on ';'
+    code, out = run_cli(
+        capsys, "--no-meta", "polytope", "faces", "-n", "10", "-k", "3", "-t", "2",
+        "--subset", "1,2,3;4,5,6",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["subset"], payload["is_face"]) == (["1,2,3", "4,5,6"], True)
+    inc = build_matrix(10, 3, 2)
+    coeffs = [int(x) for x in payload["functional"]["coeffs"]]
+    rhs = int(payload["functional"]["rhs"])
+    for j, label in enumerate(inc.col_labels):
+        value = sum(c * x for c, x in zip(coeffs, inc.matrix.column(j)))
+        assert value == rhs if label in ((1, 2, 3), (4, 5, 6)) else value < rhs
+
+    code, _ = run_cli(
+        capsys, "--no-meta", "polytope", "faces", "-n", "10", "-k", "3", "-t", "2",
+        "--subset", "1,2,3,4,5,6",
+    )
+    assert code == EXIT_USAGE
+
+
 def test_threepoint_check_exit_code(capsys):
     code, out = run_cli(capsys, "--no-meta", "threepoint", "check", "-n", "6")
     assert code == EXIT_OK

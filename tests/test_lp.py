@@ -1,6 +1,7 @@
 """Exact phase-one simplex: statuses, integer certificates, and an
 independent basic-solution oracle on random instances."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -86,6 +87,11 @@ def test_non_integer_constraint_data_rejected():
         LinearConstraint.of([1], 0.5)
 
 
+def test_negative_variable_count_rejected():
+    with pytest.raises(BadParameters):
+        RationalLpProblem.of([], -1)
+
+
 def test_deterministic_repeat():
     p = problem([([1, 2, 1, 0], 4), ([3, 1, 0, 1], 5)], [True, False, True, True])
     assert lp_feasible(p) == lp_feasible(p)
@@ -157,15 +163,15 @@ def test_random_instances_against_enumeration():
 def test_blands_rule_gives_the_same_verdicts(monkeypatch):
     statuses = [lp_feasible(p).status for p in random_problems()]
     rules = []
-    entering = lp._Tableau._entering
+    entering = lp._entering
 
-    def recorded(self, bland):
+    def recorded(cost, bland):
         rules.append(bland)
-        return entering(self, bland)
+        return entering(cost, bland)
 
     # steepest descent hands over to Bland's rule after the first pivot
     monkeypatch.setattr(lp, "_BLAND_AFTER", 0)
-    monkeypatch.setattr(lp._Tableau, "_entering", recorded)
+    monkeypatch.setattr(lp, "_entering", recorded)
     for p, status in zip(random_problems(), statuses):
         result = lp_feasible(p)
         assert result.status == status
@@ -174,6 +180,23 @@ def test_blands_rule_gives_the_same_verdicts(monkeypatch):
         else:
             assert holds_at(p, result)
     assert rules.count(True) > 50
+
+
+def test_results_digest_on_seeded_problems():
+    # the exact points and multipliers, not only the verdicts, of 1,000
+    # problems of 1-5 rows over 1-6 non-negative variables
+    rng = random.Random(24)
+    results = []
+    for _ in range(1000):
+        n, m = rng.randint(1, 6), rng.randint(1, 5)
+        rows = [
+            LinearConstraint.of([rng.randint(-5, 5) for _ in range(n)], rng.randint(-6, 6))
+            for _ in range(m)
+        ]
+        results.append(lp_feasible(RationalLpProblem.of(rows, n)))
+    assert sum(r.status == "optimal" for r in results) == 340
+    digest = hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
+    assert digest == "ff98c190c51555e2705361311238b43d45f5938f2e3f79f8bab9b959423701fa"
 
 
 @st.composite

@@ -1,5 +1,6 @@
 """Face tests, neighborliness, hyperplanes, triangulations, volumes."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -172,6 +173,29 @@ class TestGaleFaceTestAgainstPrimalOracle:
         subsets = [sorted(rng.sample(range(35), rng.randint(4, 8))) for _ in range(50)]
         verdicts = self.assert_same_verdicts(cfg732, subsets)
         assert 0 < sum(verdicts) < 50
+
+
+def certificates_digest(certs):
+    return hashlib.sha256("\n".join(map(repr, certs)).encode()).hexdigest()
+
+
+class TestCertificateDigests:
+    """The exact certificates, not only the verdicts: a change to the LP's
+    pivoting or to the recombination of its result shows here first."""
+
+    def test_full_632_scan(self, cfg632):
+        subsets = [s for size in (1, 2, 3) for s in subsets_colex(20, size, first=0)]
+        assert len(subsets) == 1350
+        digest = certificates_digest([is_face(cfg632, s) for s in subsets])
+        assert digest == "3bfadf7ba3db55ca131ddc99ca4440961f3c6c84fde2048653b6632ccbad7f1a"
+
+    def test_seeded_732_subsets(self, cfg732):
+        rng = random.Random(24)
+        subsets = [sorted(rng.sample(range(35), rng.randint(1, 12))) for _ in range(200)]
+        certs = [is_face(cfg732, s) for s in subsets]
+        assert sum(c.is_face for c in certs) == 149
+        digest = certificates_digest(certs)
+        assert digest == "ec8d374f4cc1f320cdcc7350e2937b319514893df317e4a545c77b36a96bb31d"
 
 
 class TestGaleDual:
