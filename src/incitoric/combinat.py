@@ -31,6 +31,8 @@ def pair_rank(a: int, b: int) -> int:
 def subsets_colex(n: int, k: int, first: int = 1) -> Iterator[tuple]:
     """All k-subsets of [first..first+n-1] in colex order: of [1..n] by
     default, of the point indices range(n) with ``first=0``."""
+    if n < 0 or k < 0:
+        raise BadParameters(f"subset sizes must be non-negative, not n={n}, k={k}")
 
     def gen(size: int, cap: int) -> Iterator[tuple]:
         if size == 0:

@@ -90,6 +90,8 @@ def check_rank_laws(n_max: int = 8) -> RankLawReport:
     the bare 0/1 matrix keeps full rank mod p (e.g. (n,k,t)=(4,3,1),
     p=2), so both ranks are reported.
     """
+    if n_max < 2:
+        raise BadParameters(f"n_max must be at least 2, the least n with a triple, not {n_max}")
     entries = []
     ok_all = True
     for n in range(2, n_max + 1):

@@ -15,7 +15,7 @@ positive support lies inside S.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import comb, gcd, prod
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from functools import cached_property
@@ -23,7 +23,7 @@ from functools import cached_property
 from . import exactmath
 from .combinat import subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import BadParameters, BudgetExceeded, CertificateError, PreconditionFailed
+from .errors import BadParameters, BudgetExceeded, CertificateError
 from .exactmath import IntMatrix
 from .incidence import IncidenceMatrix
 from .lp import LinearConstraint, RationalLpProblem, lp_feasible
@@ -32,7 +32,6 @@ from .lp import LinearConstraint, RationalLpProblem, lp_feasible
 @dataclass(frozen=True)
 class PointConfig:
     points: tuple  # integer coordinate tuples
-    source: Optional[IncidenceMatrix] = None
 
     def __post_init__(self):
         if len(set(self.points)) != len(self.points):
@@ -45,7 +44,7 @@ class PointConfig:
         for p in pts:
             if sum(p) != target:
                 raise BadParameters("incidence columns left the degree hyperplane")
-        return cls(pts, inc)
+        return cls(pts)
 
     @property
     def ambient_dim(self) -> int:
@@ -61,16 +60,26 @@ class PointConfig:
         return GaleDual(vectors, res)
 
     @cached_property
-    def column_lattice_coordinates(self) -> tuple:
-        """Coordinates of each ``p_j - p_0`` in a basis of the lattice
-        generated by the point differences."""
-        return _lattice_coordinates(self, saturate=False)
+    def volume_frame(self) -> tuple:
+        """The staircase rows and the two direction lattices' indices,
+        ``(rows, {"column_lattice": i_col, "euclidean": i_euc})``.
 
-    @cached_property
-    def euclidean_coordinates(self) -> tuple:
-        """Coordinates of each ``p_j - p_0`` in a basis of the integer
-        points of the affine hull's directions."""
-        return _lattice_coordinates(self, saturate=True)
+        The column lattice is generated by the point differences ``p_j -
+        p_0``; the euclidean one, its saturation, is (direction span over
+        Q) intersect Z^N, by two kernel passes.  In the HNF basis of either
+        lattice each vector's first nonzero entry is its pivot, and the
+        pivot rows depend only on the span, so projecting to these rows
+        maps each lattice onto a sublattice of Z^d of index the product of
+        its pivots."""
+        nd = self.ambient_dim
+        diffs = [tuple([a - b for a, b in zip(p, self.points[0])]) for p in self.points[1:]]
+        col = exactmath.lattice_from_generators(nd, diffs)
+        normals = exactmath.kernel_basis(IntMatrix(len(col), nd, col))
+        euc = exactmath.lattice_from_generators(nd, exactmath.kernel_basis(IntMatrix(len(normals), nd, normals)))
+        (rows, i_col), (euc_rows, i_euc) = _staircase(col), _staircase(euc)
+        if rows != euc_rows:
+            raise CertificateError("the direction lattices have different staircase rows")
+        return rows, {"column_lattice": i_col, "euclidean": i_euc}
 
 
 @dataclass(frozen=True)
@@ -180,13 +189,8 @@ def _dot(c, p):
 
 
 def _is_affine_dependence(cfg: PointConfig, v: Sequence[int]) -> bool:
-    if not any(v):
-        return False
-    if sum(v) != 0:
-        return False
-    nd = cfg.ambient_dim
-    return all(
-        sum(v[i] * cfg.points[i][r] for i in range(len(v))) == 0 for r in range(nd)
+    return any(v) and sum(v) == 0 and all(
+        sum(v[i] * cfg.points[i][r] for i in range(len(v))) == 0 for r in range(cfg.ambient_dim)
     )
 
 
@@ -218,52 +222,6 @@ def neighborliness(
             if not cert.is_face:
                 return NeighborlinessReport(s - 1, tested, (subset, cert.witness))
     return NeighborlinessReport(s_max, tested, None)
-
-
-@dataclass(frozen=True)
-class SupportingHyperplane:
-    tsets: tuple  # the t-subsets whose coordinates sum to the bound on the face
-    bound: int  # C(k, t)
-    on_hyperplane: tuple  # queried point indices
-    strictly_below: int  # witness point index off the hyperplane
-
-
-def supporting_hyperplane(
-    cfg: PointConfig, subset: Iterable[int]
-) -> SupportingHyperplane:
-    """Explicit supporting hyperplane for fewer than 2^t vertices when
-    2k < n: sum the coordinates of every t-subset lying inside one of the
-    chosen k-subsets; the chosen vertices sit at the bound C(k, t), every
-    vertex is at most that, and some vertex is strictly below.
-    """
-    inc = cfg.source
-    if inc is None:
-        raise BadParameters("supporting hyperplane needs an incidence configuration")
-    subset = sorted(set(subset))
-    if 2 * inc.k >= inc.n:
-        raise PreconditionFailed(f"need 2k < n, got k={inc.k}, n={inc.n}")
-    if len(subset) >= 1 << inc.t:
-        raise PreconditionFailed(f"need fewer than 2^t = {1 << inc.t} vertices")
-    chosen = [frozenset(inc.col_labels[i]) for i in subset]
-    tsets = []
-    for row, tset in enumerate(inc.row_labels):
-        if any(frozenset(tset) <= kset for kset in chosen):
-            tsets.append(tset)
-    bound = comb(inc.k, inc.t)
-    if len(tsets) > len(subset) * bound:
-        raise CertificateError("more t-subsets than the chosen k-subsets contain")
-    row_index = {t: i for i, t in enumerate(inc.row_labels)}
-    values = [
-        sum(cfg.points[j][row_index[t]] for t in tsets) for j in range(len(cfg.points))
-    ]
-    if any(values[i] != bound for i in subset):
-        raise CertificateError("a chosen vertex is off the supporting hyperplane")
-    if any(v > bound for v in values):
-        raise CertificateError("a vertex lies above the supporting hyperplane")
-    below = next((j for j, v in enumerate(values) if v < bound), None)
-    if below is None:
-        raise CertificateError("no vertex strictly below the hyperplane")
-    return SupportingHyperplane(tuple(tsets), bound, tuple(subset), below)
 
 
 # ---------------------------------------------------------------------------
@@ -401,24 +359,10 @@ def _reduced(g: Sequence[int], beta: int) -> tuple:
     return tuple([x // d for x in g]), beta // d
 
 
-def _lattice_coordinates(cfg: PointConfig, saturate: bool) -> tuple:
-    """Integer coordinates of every ``p_j - p_0`` in a basis of the
-    direction lattice: the lattice generated by the point differences or,
-    saturated, (direction span over Q) intersect Z^N, via two kernel
-    passes.  One HNF per lattice and one solve per point; by linearity an
-    edge ``p_v - p_u`` has coordinates ``coords[v] - coords[u]``."""
-    nd = cfg.ambient_dim
-    p0 = cfg.points[0]
-    diffs = [tuple([a - b for a, b in zip(p, p0)]) for p in cfg.points]
-    basis = exactmath.lattice_from_generators(nd, diffs[1:])
-    if saturate:
-        normals = exactmath.kernel_basis(IntMatrix(len(basis), nd, basis))
-        basis = exactmath.kernel_basis(IntMatrix(len(normals), nd, normals))
-    solver = exactmath.basis_solver(nd, basis)
-    coords = tuple(map(solver.solve, diffs))
-    if None in coords:
-        raise CertificateError("point difference outside its direction lattice")
-    return coords
+def _staircase(basis: Sequence[Sequence[int]]) -> tuple:
+    """The pivot rows of an HNF basis and the product of its pivots."""
+    rows = tuple([next(i for i, x in enumerate(b) if x) for b in basis])
+    return rows, prod([b[i] for b, i in zip(basis, rows)])
 
 
 def normalized_volume(
@@ -427,28 +371,33 @@ def normalized_volume(
     triangulation: Optional[Triangulation] = None,
     config: RunConfig = DEFAULT_CONFIG,
 ) -> int:
-    """Sum of simplex determinants in a basis of the chosen lattice.
+    """Sum of simplex volumes, each normalized to the chosen lattice.
 
     'euclidean' normalizes w.r.t. the full integer lattice of the affine
     hull (direction space intersected with Z^N); 'column_lattice' uses
     the lattice generated by the point differences, which makes the
     volume the projective degree of the associated toric variety.  Each
-    simplex costs one determinant of coordinate differences; a 0-simplex,
-    a 0 x 0 determinant, has volume 1.
+    simplex costs one determinant of its edge vectors on the staircase
+    rows of ``cfg.volume_frame``, divided by the lattice's index there; a
+    0-simplex, a 0 x 0 determinant, has volume 1.
     """
     if lattice not in ("euclidean", "column_lattice"):
         raise BadParameters("lattice must be 'euclidean' or 'column_lattice'")
     if triangulation is None:
         triangulation = placing_triangulation(cfg, config=config)
-    coords = cfg.euclidean_coordinates if lattice == "euclidean" else cfg.column_lattice_coordinates
-    if len(coords[0]) != triangulation.dim:
+    rows, indices = cfg.volume_frame
+    if len(rows) != triangulation.dim:
         raise BadParameters("lattice rank does not match triangulation dimension")
+    pts = cfg.points
     total = 0
     for simplex in triangulation.simplices:
-        c0 = coords[simplex[0]]
-        rows = [[a - b for a, b in zip(coords[v], c0)] for v in simplex[1:]]
-        det = exactmath.determinant(IntMatrix.from_rows(rows))
+        p0 = pts[simplex[0]]
+        edges = [[pts[v][r] - p0[r] for r in rows] for v in simplex[1:]]
+        det = abs(exactmath.determinant(IntMatrix.from_rows(edges)))
         if det == 0:
             raise CertificateError("degenerate simplex in triangulation")
-        total += abs(det)
+        volume, rest = divmod(det, indices[lattice])
+        if rest:
+            raise CertificateError("simplex determinant is not a multiple of the lattice index")
+        total += volume
     return total

@@ -231,6 +231,25 @@ def test_unknown_acceptance_number_is_usage_error(capsys, only):
     assert f"unknown criterion number {bad} (valid numbers are 1..14)" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["designs", "pods", "-n", "4", "-k", "-1", "-t", "1"],
+    ["designs", "scan", "-n", "4", "-k", "-1", "-t", "1"],
+    ["toric", "markov", "-n", "4", "-k", "-1", "-t", "1"],
+    ["designs", "pods", "-n", "-1", "-k", "2", "-t", "1"],
+])
+def test_negative_subset_size_is_usage_error(capsys, argv):
+    # the column labels are enumerated before the triple is validated
+    err = usage_error(capsys, "--no-meta", *argv)
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be non-negative" in err
+
+
+@pytest.mark.parametrize("n_max", ["1", "0", "-2"])
+def test_rank_laws_without_a_triple_is_usage_error(capsys, n_max):
+    err = usage_error(capsys, "--no-meta", "incidence", "ranks", "--n-max", n_max)
+    assert f"n_max must be at least 2, the least n with a triple, not {n_max}" in err
+
+
 def test_bad_parameters_usage_error(capsys):
     code, _ = run_cli(capsys, "--no-meta", "incidence", "matrix", "-n", "4", "-k", "3", "-t", "3")
     assert code == EXIT_USAGE

@@ -29,6 +29,12 @@ class TestColex:
                 assert len(set(subsets)) == comb(n, k)
                 assert [cb.colex_rank(s) for s in subsets] == list(range(comb(n, k)))
 
+    @pytest.mark.parametrize("n, k", [(4, -1), (-1, 2), (-3, -3)])
+    def test_negative_size_rejected(self, n, k):
+        # a negative size used to recurse until RecursionError
+        with pytest.raises(BadParameters, match="must be non-negative"):
+            cb.subsets_colex(n, k)
+
     def test_pair_rank_is_colex_rank(self):
         for b in range(2, 16):
             for a in range(1, b):

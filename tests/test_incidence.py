@@ -57,6 +57,17 @@ class TestRankLaws:
         assert report.all_ok
         assert all(e.rank_law_ok for e in report.entries)
 
+    @pytest.mark.parametrize("n_max", [1, 0, -4])
+    def test_no_triple_is_rejected(self, n_max):
+        # below n = 2 no triple is checked, so no report can say all_ok
+        with pytest.raises(BadParameters):
+            check_rank_laws(n_max)
+
+    def test_smallest_range_checks_one_triple(self):
+        report = check_rank_laws(2)
+        assert [(e.n, e.k, e.t) for e in report.entries] == [(2, 2, 1)]
+        assert report.all_ok
+
     def test_632_entries(self):
         report = check_rank_laws(6)
         entry = next(e for e in report.entries if (e.n, e.k, e.t) == (6, 3, 2))

@@ -106,7 +106,6 @@ def test_no_assert_in_library():
 UNCALLED_ON_PURPOSE = {
     "solve_rational": "the benchmark's tracer wraps it by name",
     "lattice_member": "the benchmark's tracer wraps it by name",
-    "supporting_hyperplane": "explicit face certificates for 2k < n, for an orbit-reduced face scan",
 }
 
 

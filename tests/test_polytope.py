@@ -1,4 +1,4 @@
-"""Face tests, neighborliness, hyperplanes, triangulations, volumes."""
+"""Face tests, neighborliness, triangulations, volumes."""
 
 import hashlib
 import os
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import incitoric
 from incitoric import designs, exactmath, polytope
 from incitoric.combinat import colex_rank, subsets_colex
-from incitoric.errors import BadParameters, CertificateError, PreconditionFailed
+from incitoric.errors import BadParameters, CertificateError
 from incitoric.exactmath import IntMatrix
 from incitoric.incidence import build_matrix
 from incitoric.lp import LinearConstraint, RationalLpProblem, lp_feasible
@@ -27,7 +27,6 @@ from incitoric.polytope import (
     neighborliness,
     normalized_volume,
     placing_triangulation,
-    supporting_hyperplane,
 )
 
 
@@ -264,36 +263,6 @@ class TestNeighborliness:
             neighborliness(cfg632, s_max)
 
 
-class TestSupportingHyperplane:
-    def test_single_vertex_123(self):
-        inc = build_matrix(7, 3, 2)
-        cfg = PointConfig.from_incidence(inc)
-        sh = supporting_hyperplane(cfg, [colex_rank((1, 2, 3))])
-        assert set(sh.tsets) == {(1, 2), (1, 3), (2, 3)}
-        assert sh.bound == 3
-        row_index = {t: i for i, t in enumerate(inc.row_labels)}
-        v456 = cfg.points[colex_rank((4, 5, 6))]
-        assert sum(v456[row_index[t]] for t in sh.tsets) == 0
-
-    def test_three_vertices(self):
-        inc = build_matrix(7, 3, 2)
-        cfg = PointConfig.from_incidence(inc)
-        subset = [colex_rank(s) for s in [(1, 2, 3), (1, 2, 4), (2, 3, 4)]]
-        sh = supporting_hyperplane(cfg, subset)
-        assert len(sh.tsets) <= 3 * 3
-        assert set(sh.on_hyperplane) == set(subset)
-
-    def test_preconditions(self):
-        inc6 = build_matrix(6, 3, 2)
-        cfg6 = PointConfig.from_incidence(inc6)
-        with pytest.raises(PreconditionFailed):
-            supporting_hyperplane(cfg6, [0])  # 2k = n fails
-        inc7 = build_matrix(7, 3, 2)
-        cfg7 = PointConfig.from_incidence(inc7)
-        with pytest.raises(PreconditionFailed):
-            supporting_hyperplane(cfg7, [0, 1, 2, 3])  # 4 = 2^t not allowed
-
-
 class TestPlacing:
     def test_three_independent_points(self):
         cfg = points_config([(0, 0), (1, 0), (0, 1)])
@@ -332,9 +301,11 @@ class TestPlacing:
     def test_interior_point_covered_once(self, cfg632, tri632):
         rng = random.Random(31)
         pts = cfg632.points
-        # integer coordinates of p - p_0 in a basis of the affine hull's
-        # lattice, behind a leading 1 so that barycentric weights are linear
-        coords = [(1,) + c for c in cfg632.euclidean_coordinates]
+        # the points on the staircase rows, which map the affine hull
+        # injectively, behind a leading 1 so that barycentric weights are
+        # linear
+        rows, _ = cfg632.volume_frame
+        coords = [(1,) + tuple(p[r] for r in rows) for p in pts]
         interior_hits = 0
         attempts = 0
         while interior_hits < 4 and attempts < 40:
@@ -399,24 +370,53 @@ class TestVolumes:
             assert normalized_volume(cfg, "euclidean", tri) == 1
             assert normalized_volume(cfg, "column_lattice", tri) == 1
 
-    def test_one_solve_per_point_per_lattice(self, tri632, monkeypatch):
-        calls = []
-        solve = exactmath.HnfSolver.solve
-        monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: calls.append(v) or solve(self, v))
+    def test_no_solve_and_one_frame_per_config(self, tri632, monkeypatch):
+        solves, frames = [], []
+        monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: solves.append(v))
+        staircase = polytope._staircase
+        monkeypatch.setattr(polytope, "_staircase", lambda basis: frames.append(basis) or staircase(basis))
         cfg = PointConfig.from_incidence(build_matrix(6, 3, 2))
         one = Triangulation(tri632.dim, tri632.simplices[:1], ())
         for lattice, volume in (("column_lattice", 162), ("euclidean", 5184)):
             assert normalized_volume(cfg, lattice, tri632) == volume
-            assert len(calls) == 20
-            calls.clear()
-            assert normalized_volume(cfg, lattice, tri632) == volume
             assert normalized_volume(cfg, lattice, one) >= 1
-            assert calls == []
+        # one staircase per lattice, both read on the first call
+        assert len(frames) == 2
+        assert solves == []
 
-    def test_point_outside_its_lattice_raises(self, monkeypatch):
-        monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: None)
-        with pytest.raises(CertificateError, match="outside its direction lattice"):
-            normalized_volume(points_config([(0, 0), (1, 0), (0, 1)]))
+    def test_point_outside_its_lattice_raises(self):
+        # a forged index that does not divide the simplex determinant, 1
+        cfg = points_config([(0, 0), (1, 0), (0, 1)])
+        cfg.__dict__["volume_frame"] = ((0, 1), {"column_lattice": 1, "euclidean": 2})
+        assert normalized_volume(cfg, "column_lattice") == 1
+        with pytest.raises(CertificateError, match="not a multiple of the lattice index"):
+            normalized_volume(cfg, "euclidean")
+
+    def test_forged_index_raises_under_python_O(self):
+        code = (
+            "from incitoric.errors import CertificateError\n"
+            "from incitoric.polytope import PointConfig, normalized_volume\n"
+            "cfg = PointConfig(((0, 0), (2, 0), (0, 1)))\n"
+            "cfg.__dict__['volume_frame'] = ((0, 1), {'column_lattice': 1, 'euclidean': 4})\n"
+            "try:\n"
+            "    normalized_volume(cfg, 'euclidean')\n"
+            "except CertificateError as e:\n"
+            "    print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "simplex determinant is not a multiple of the lattice index"
+
+    def test_lattices_with_different_staircases_raise(self, monkeypatch):
+        # the saturation spans the same space, so it has the same pivot
+        # rows; a forged euclidean basis on other rows is caught
+        bases = iter([((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1))])
+        monkeypatch.setattr(exactmath, "lattice_from_generators", lambda nd, gens: next(bases))
+        cfg = points_config([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+        with pytest.raises(CertificateError, match="different staircase rows"):
+            normalized_volume(cfg)
 
     def test_bad_lattice_name(self, cfg632):
         with pytest.raises(BadParameters):
@@ -444,6 +444,76 @@ class TestVolumes:
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "degenerate simplex in triangulation"
+
+
+def volumes_by_solves(cfg, lattice, tri):
+    """Oracle for normalized_volume: the integer coordinates of every
+    ``p_j - p_0`` in a basis of the lattice, one ``HnfSolver`` solve per
+    point, then one determinant of coordinate differences per simplex."""
+    nd = cfg.ambient_dim
+    diffs = [tuple(a - b for a, b in zip(p, cfg.points[0])) for p in cfg.points]
+    basis = exactmath.lattice_from_generators(nd, diffs[1:])
+    if lattice == "euclidean":
+        normals = exactmath.kernel_basis(IntMatrix(len(basis), nd, basis))
+        basis = exactmath.kernel_basis(IntMatrix(len(normals), nd, normals))
+    solver = exactmath.basis_solver(nd, basis)
+    coords = [solver.solve(d) for d in diffs]
+    assert None not in coords
+    return [
+        abs(exactmath.determinant(IntMatrix.from_rows(
+            [[a - b for a, b in zip(coords[v], coords[s[0]])] for v in s[1:]]
+        )))
+        for s in tri.simplices
+    ]
+
+
+ORACLE_TRIPLES = [
+    (6, 3, 2), (7, 4, 3), (5, 3, 1), (5, 2, 1), (6, 2, 1), (6, 4, 2), (6, 3, 1), (7, 5, 2), (6, 4, 3)
+]
+
+
+class TestStaircaseVolumes:
+    @pytest.mark.parametrize("nkt", ORACLE_TRIPLES)
+    def test_per_simplex_volumes_match_the_solve_oracle(self, nkt):
+        cfg = PointConfig.from_incidence(build_matrix(*nkt))
+        _, index = cfg.volume_frame
+        for seed in (None, 1, 23):
+            order = list(range(len(cfg.points)))
+            if seed is not None:
+                random.Random(seed).shuffle(order)
+            tri = placing_triangulation(cfg, order)
+            per = {
+                lattice: [normalized_volume(cfg, lattice, Triangulation(tri.dim, (s,), ()))
+                          for s in tri.simplices]
+                for lattice in ("column_lattice", "euclidean")
+            }
+            for lattice, volumes in per.items():
+                assert volumes == volumes_by_solves(cfg, lattice, tri)
+                assert normalized_volume(cfg, lattice, tri) == sum(volumes)
+            # the euclidean volume is the column volume times the index
+            # of the column lattice in the euclidean one
+            ratio, rest = divmod(index["column_lattice"], index["euclidean"])
+            assert rest == 0
+            assert per["euclidean"] == [ratio * v for v in per["column_lattice"]]
+
+    @pytest.mark.parametrize("nkt, column, ratio", [
+        ((6, 3, 2), 162, 32), ((7, 4, 3), 1, 11943936), ((6, 4, 3), 1, 48), ((7, 3, 2), None, 64),
+    ])
+    def test_index_of_the_column_lattice(self, nkt, column, ratio):
+        cfg = PointConfig.from_incidence(build_matrix(*nkt))
+        _, index = cfg.volume_frame
+        assert index["column_lattice"] == ratio * index["euclidean"]
+        if column is not None:
+            tri = placing_triangulation(cfg)
+            assert normalized_volume(cfg, "column_lattice", tri) == column
+            assert normalized_volume(cfg, "euclidean", tri) == ratio * column
+
+    def test_staircase_rows_are_the_pivots_of_the_column_hnf(self, cfg632):
+        rows, index = cfg632.volume_frame
+        diffs = [tuple(a - b for a, b in zip(p, cfg632.points[0])) for p in cfg632.points[1:]]
+        res = exactmath.hnf(IntMatrix.from_rows(diffs).transpose())
+        assert rows == tuple(i for i, _ in res.pivots)
+        assert index["column_lattice"] == exactmath.HnfSolver(IntMatrix.from_rows(diffs).transpose()).pivot_product
 
 
 def placing_by_kernels(cfg, order):
