@@ -139,7 +139,7 @@ def _cmd_polytope(args) -> int:
         return EXIT_OK
     if args.what == "faces":
         if args.subset is None:
-            print("polytope faces needs --subset", file=sys.stderr)
+            print("error: polytope faces needs --subset", file=sys.stderr)
             return EXIT_USAGE
         labels = _labels(args.n, args.k)
         idx = {lbl: i for i, lbl in enumerate(labels)}
@@ -147,11 +147,11 @@ def _cmd_polytope(args) -> int:
             # labels of n >= 10 hold commas themselves
             subset = [idx[s.strip()] for s in args.subset.split("," if args.n <= 9 else ";")]
         except KeyError as e:
-            print(f"unknown vertex label {e}", file=sys.stderr)
+            print(f"error: unknown vertex label {e}", file=sys.stderr)
             return EXIT_USAGE
         repeated = [labels[i] for j, i in enumerate(subset) if i in subset[:j]]
         if repeated:
-            print(f"repeated vertex label '{repeated[0]}'", file=sys.stderr)
+            print(f"error: repeated vertex label '{repeated[0]}'", file=sys.stderr)
             return EXIT_USAGE
         cert = is_face(cfg, subset)
         payload = {"subset": sorted(labels[i] for i in subset), "is_face": cert.is_face}

@@ -73,13 +73,13 @@ def pods_span_kernel(n: int, k: int, t: int, vectors: Sequence[tuple]) -> bool:
     """Whether the pod expansions ``vectors`` span the integer kernel of
     the (n, k, t) incidence matrix.  Span inside kernel: the matrix
     annihilates every vector, which suffices as the kernel is saturated.
-    Kernel inside span: every kernel basis vector solves against the HNF
-    basis of the span."""
+    Then the two lattices are equal exactly when their column HNF bases,
+    which are unique, are."""
     a = build_matrix(n, k, t).matrix
     if any(any(a.mat_vec(v)) for v in vectors):
         return False
-    solver = exactmath.basis_solver(a.cols, exactmath.lattice_from_generators(a.cols, vectors))
-    return all(solver.solve(v) is not None for v in exactmath.kernel_basis(a))
+    span = exactmath.lattice_from_generators(a.cols, vectors)
+    return span == exactmath.lattice_from_generators(a.cols, exactmath.kernel_basis(a))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ provides the column-style Hermite normal form with its unimodular
 transform, saturated integer kernels, one fraction-free echelon kernel
 behind the ranks over Q and over prime fields and the determinants, and
 one HNF solver for integer lattice coordinates.  A lattice is a plain
-tuple of basis vectors; every membership certificate is one solve
-against the ``basis_solver`` of that tuple.  No floating point anywhere.
+tuple of basis vectors, its column HNF, built without a transform; the
+HNF is unique, so two lattices are equal exactly when these tuples are,
+and a membership certificate is one solve against the ``basis_solver``
+of that tuple.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -80,6 +82,15 @@ def hnf(m: IntMatrix) -> HnfResult:
     """
     r, c = m.rows, m.cols
     cols = [list(m.column(j)) + [1 if i == j else 0 for i in range(c)] for j in range(c)]
+    pivots = tuple(_column_hnf(cols, r))
+    return HnfResult(tuple(tuple(col[:r]) for col in cols), tuple(tuple(col[r:]) for col in cols), pivots)
+
+
+def _column_hnf(cols: list, r: int) -> list:
+    """Bring the first ``r`` entries of the working columns ``cols`` to
+    column HNF in place, by integer column operations that act on whole
+    columns, and return the (row, col) staircase positions."""
+    c = len(cols)
     pivots = []
     pc = 0
     for i in range(r):
@@ -109,9 +120,7 @@ def hnf(m: IntMatrix) -> HnfResult:
                 cols[j] = [a - q * b for a, b in zip(cols[j], piv)]
         pivots.append((i, pc))
         pc += 1
-    return HnfResult(
-        tuple(tuple(col[:r]) for col in cols), tuple(tuple(col[r:]) for col in cols), tuple(pivots)
-    )
+    return pivots
 
 
 def _echelon(m: IntMatrix, p: int = 0) -> tuple:
@@ -267,14 +276,12 @@ def lattice_member(basis: Sequence[Sequence[int]], v: Sequence[int]) -> Optional
 
 def lattice_from_generators(ambient_dim: int, generators: Iterable[Sequence[int]]) -> tuple:
     """HNF-reduce a (possibly dependent) generating set to basis vectors."""
-    gens = [tuple(int(x) for x in g) for g in generators]
-    for g in gens:
+    cols = [[int(x) for x in g] for g in generators]
+    for g in cols:
         if len(g) != ambient_dim:
             raise DimensionMismatch("generator of wrong length")
-    if not gens:
-        return ()
-    res = hnf(IntMatrix.from_rows(gens).transpose())
-    return res.h[:len(res.pivots)]
+    rank = len(_column_hnf(cols, ambient_dim))
+    return tuple(tuple(col) for col in cols[:rank])
 
 
 # kept for the benchmark's tracer, which wraps it by name; no library caller

@@ -34,6 +34,7 @@ those free lists held about a megabyte of peak memory over a face scan.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd, lcm
 from typing import Optional, Sequence
 
@@ -48,7 +49,7 @@ class LinearConstraint:
     rhs: int
 
     def __post_init__(self):
-        if not all(isinstance(a, int) for a in (*self.coeffs, self.rhs)):
+        if not (isinstance(self.rhs, int) and all(map(isinstance, self.coeffs, repeat(int)))):
             raise BadParameters("constraint data must be integers")
 
     # kept beside the constructor: the benchmark's tracer wraps ``of`` by name
@@ -139,7 +140,7 @@ def lp_feasible(problem: RationalLpProblem) -> LpResult:
         row[art_base + i] = 1
         rows.append(row)
     # the cost row, the sum of the artificials priced out, leads in -z
-    cost = [-sum([r[j] for r in rows]) for j in range(ncols + 2)]
+    cost = [-sum(col) for col in zip(*rows, [0] * (ncols + 2))]
     cost[art_base:ncols + 1] = [0] * m + [1]
     rows.append(cost)
     lead = list(range(art_base, ncols + 1))

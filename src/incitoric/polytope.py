@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, gcd, prod
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from functools import cached_property
@@ -51,13 +52,38 @@ class PointConfig:
         return len(self.points[0]) if self.points else 0
 
     @cached_property
+    def supports(self) -> tuple:
+        """Each point's nonzero ``(coordinate, value)`` pairs."""
+        return tuple([tuple([(r, x) for r, x in enumerate(p) if x]) for p in self.points])
+
+    @cached_property
     def gale(self) -> "GaleDual":
-        """The Gale dual, from one column HNF of ``[P; 1]``, computed on the
-        first face test of the configuration."""
+        """The Gale dual and the left inverse of the functionals, from one
+        column HNF ``[P; 1] U = H``, computed on the first face test of the
+        configuration.
+
+        A functional y with slack vector s solves ``y H = s U`` and is zero
+        off the pivot rows R, so on the pivot columns K it solves ``y_R T =
+        s U_K`` with T the part of H on R and K: lower triangular with a
+        positive diagonal.  So ``D y_R = s L`` with ``L = U_K X`` and ``X =
+        D T^-1``, the adjugate of T when D is the product of the pivots,
+        found by integer forward substitution."""
         res = exactmath.hnf(IntMatrix.from_rows([*zip(*self.points), (1,) * len(self.points)]))
-        dependences = res.u[len(res.pivots):]
-        vectors = tuple([tuple([d[j] for d in dependences]) for j in range(len(self.points))])
-        return GaleDual(vectors, res)
+        rank = len(res.pivots)
+        t = [[res.h[k][i] for k in range(rank)] for i, _ in res.pivots]
+        den = prod([t[a][a] for a in range(rank)])
+        x = [[0] * rank for _ in range(rank)]
+        for b in range(rank):
+            x[b][b] = den // t[b][b]
+            for a in range(b + 1, rank):
+                x[a][b] = -sum([t[a][c] * x[c][b] for c in range(b, a)]) // t[a][a]
+        u_k = list(zip(*res.u[:rank]))
+        cols = [[sum([u * xk[b] for u, xk in zip(uj, x) if u]) for uj in u_k] for b in range(rank)]
+        g = gcd(den, *[v for col in cols for v in col])
+        left = [()] * (self.ambient_dim + 1)
+        for (i, _), col in zip(res.pivots, cols):
+            left[i] = tuple([v // g for v in col])
+        return GaleDual(res.u[rank:], tuple(left), den // g)
 
     @cached_property
     def volume_frame(self) -> tuple:
@@ -91,40 +117,32 @@ class FaceCertificate:
 
 @dataclass(frozen=True)
 class GaleDual:
-    """``[P; 1] U = H`` with ``U`` unimodular: the columns of ``U`` past
-    the rank of ``H`` are a basis of the integer affine dependences, so
-    entry j of those columns is the Gale vector of point j, and the
-    staircase of ``H`` turns the slack vector of a functional back into
-    the functional.  ``H`` and ``U`` are tuples of columns."""
+    """The integer affine dependences of a configuration and the left
+    inverse that turns a slack vector back into its functional.
 
-    vectors: tuple  # one Gale vector of length r per point
-    hnf: exactmath.HnfResult
+    Row i of ``rows`` is dependence i over all the points, so entry j of
+    the rows is the Gale vector of point j; each row sums to zero, which
+    the last row of ``[P; 1]`` makes exact.  ``left`` has one entry per
+    row of ``[P; 1]``: on a pivot row, the column of L, one integer per
+    point; elsewhere the empty tuple, as y is zero there."""
+
+    rows: tuple  # one dependence per Gale coordinate, one entry per point
+    left: tuple  # one column of L per pivot row of [P; 1], () off them
+    den: int
+
+    def __post_init__(self):
+        if any(sum(row) for row in self.rows):
+            raise CertificateError("a Gale row does not sum to zero over the points")
 
     def functional_with_slacks(self, slacks: Sequence[int]) -> tuple:
         """Integers (c, beta, den), den > 0, with ``c . p_j - beta ==
         den * slacks[j]`` at every point when ``slacks`` is orthogonal to
-        every Gale vector, by integer back-substitution through the
-        staircase.  Otherwise no functional has these slacks and the
-        equation fails somewhere; the caller re-checks it."""
-        h, u = self.hnf.h, self.hnf.u
-        nz = [(i, z) for i, z in enumerate(slacks) if z]
-        # y . H = slacks . U on the pivot columns, y zero off the pivot
-        # rows; column k of H is zero above its pivot row, so solve from
-        # the last pivot up, scaling y by ``den`` to stay in the integers
-        rows = len(h[0])
-        y = [0] * rows
-        den = 1
-        for pi, pk in reversed(self.hnf.pivots):
-            rest = sum([y[i] * h[pk][i] for i in range(pi + 1, rows) if y[i]])
-            num = den * sum([z * u[pk][i] for i, z in nz]) - rest
-            piv = h[pk][pi]
-            scale = piv // gcd(num, piv)
-            if scale > 1:
-                den *= scale
-                num *= scale
-                y = [x * scale for x in y]
-            y[pi] = num // piv
-        return y[:-1], -y[-1], den
+        every Gale vector: ``(c, -beta)`` is ``sum_j slacks[j] L[j]`` on
+        the pivot rows and zero off them.  Otherwise no functional has
+        these slacks and the equation fails somewhere; the caller
+        re-checks it."""
+        y = [sum(map(mul, slacks, col)) for col in self.left]
+        return y[:-1], -y[-1], self.den
 
 
 def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
@@ -146,11 +164,11 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
     inside = set(subset)
     outside = [j for j in range(m) if j not in inside]
 
-    gale = cfg.gale.vectors
-    # tuples from lists, not generators: see the note in the lp module
+    gale = cfg.gale
+    # the rhs -sum_{j not in S} G_j is sum_{i in S} G_i, as each Gale row
+    # sums to zero; tuples from lists, not generators: see the lp module
     cons = [
-        LinearConstraint.of([gale[j][i] for j in outside], -sum([gale[j][i] for j in outside]))
-        for i in range(len(gale[0]))
+        LinearConstraint.of([g[j] for j in outside], sum([g[i] for i in subset])) for g in gale.rows
     ]
     res = lp_feasible(RationalLpProblem.of(cons, len(outside)))
 
@@ -159,8 +177,8 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
         slacks = [0] * m
         for j, x in zip(outside, res.values):
             slacks[j] = -(res.den + x)
-        c, beta, den = cfg.gale.functional_with_slacks(slacks)
-        values = [_dot(c, p) - beta for p in cfg.points]
+        c, beta, den = gale.functional_with_slacks(slacks)
+        values = [sum([c[r] * x for r, x in sup]) - beta for sup in cfg.supports]
         if values != [den * z for z in slacks]:
             raise CertificateError("supporting functional does not recombine to its slack vector")
         if any(values[i] for i in inside):
@@ -172,7 +190,7 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
     if res.status != "infeasible":
         raise CertificateError(f"face LP came back {res.status}")
     # den times the Farkas multipliers y; the dependence is v_j = y . G_j
-    v = [_dot(res.values, g) for g in gale]
+    v = [_dot(res.values, g) for g in zip(*gale.rows)]
     g = gcd(*v)
     if not g:
         raise CertificateError("Farkas multipliers combine to the zero dependence")
@@ -189,9 +207,12 @@ def _dot(c, p):
 
 
 def _is_affine_dependence(cfg: PointConfig, v: Sequence[int]) -> bool:
-    return any(v) and sum(v) == 0 and all(
-        sum(v[i] * cfg.points[i][r] for i in range(len(v))) == 0 for r in range(cfg.ambient_dim)
-    )
+    total = [0] * cfg.ambient_dim
+    for x, sup in zip(v, cfg.supports):
+        if x:
+            for r, a in sup:
+                total[r] += x * a
+    return any(v) and sum(v) == 0 and not any(total)
 
 
 @dataclass(frozen=True)
@@ -209,9 +230,11 @@ def neighborliness(
     Sizes are tested exhaustively in colex order; at the first failing
     size the witness is reported.
     """
+    m = len(cfg.points)
     if s_max < 1:
         raise BadParameters(f"s_max must be at least 1, not {s_max}")
-    m = len(cfg.points)
+    if s_max > m:
+        raise BadParameters(f"s_max {s_max} exceeds the {m} points")
     tested = 0
     for s in range(1, s_max + 1):
         if comb(m, s) > config.box_budget:

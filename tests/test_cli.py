@@ -129,11 +129,10 @@ def test_meta_timestamp_present_by_default(capsys):
 
 
 def test_unknown_vertex_label_is_usage_error(capsys):
-    code, _ = run_cli(
-        capsys, "--no-meta", "polytope", "faces", "-n", "6", "-k", "3", "-t", "2",
-        "--subset", "999",
-    )
+    code = main(["--no-meta", "polytope", "faces", "-n", "6", "-k", "3", "-t", "2", "--subset", "999"])
+    captured = capsys.readouterr()
     assert code == EXIT_USAGE
+    assert captured.err == "error: unknown vertex label '999'\n"
 
 
 def test_repeated_vertex_label_is_usage_error(capsys):
@@ -144,6 +143,7 @@ def test_repeated_vertex_label_is_usage_error(capsys):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "repeated vertex label '123'" in captured.err
+    assert captured.err == "error: repeated vertex label '123'\n"
 
 
 def test_faces_without_subset_is_usage_error(capsys):
@@ -152,6 +152,7 @@ def test_faces_without_subset_is_usage_error(capsys):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "needs --subset" in captured.err
+    assert captured.err == "error: polytope faces needs --subset\n"
 
 
 def test_malformed_complex_file_is_usage_error(tmp_path, capsys):
@@ -222,6 +223,19 @@ def test_neighborly_s_max_below_one_is_usage_error(capsys, s_max):
         capsys, "--no-meta", "polytope", "neighborly", "-n", "4", "-k", "2", "-t", "1", "--s-max", s_max
     )
     assert f"s_max must be at least 1, not {s_max}" in err
+
+
+def test_neighborly_s_max_past_the_point_count_is_usage_error(capsys):
+    # (3,2,1) has 3 points; s_max 50 used to be reported as the neighborliness
+    err = usage_error(
+        capsys, "--no-meta", "polytope", "neighborly", "-n", "3", "-k", "2", "-t", "1", "--s-max", "50"
+    )
+    assert err == "error: s_max 50 exceeds the 3 points\n"
+    code, out = run_cli(
+        capsys, "--no-meta", "polytope", "neighborly", "-n", "3", "-k", "2", "-t", "1", "--s-max", "3"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["neighborliness"] == 3
 
 
 @pytest.mark.parametrize("only", [["2", "99"], ["0"], ["15", "3"]])

@@ -205,7 +205,7 @@ class TestGaleDual:
         cfg = PointConfig.from_incidence(build_matrix(n, 3, 2))
         m = len(cfg.points)
         a = sympy.Matrix([*map(list, zip(*cfg.points)), [1] * m])
-        basis = sympy.Matrix([list(g) for g in cfg.gale.vectors])  # m x r
+        basis = sympy.Matrix(cfg.gale.rows).T  # m x r
         r = m - a.rank()
         assert basis.shape == (m, r) and basis.rank() == r
         assert a * basis == sympy.zeros(a.rows, r)
@@ -213,7 +213,7 @@ class TestGaleDual:
 
     def test_simplex_has_rank_zero_and_every_subset_is_a_face(self, monkeypatch):
         cfg = PointConfig.from_incidence(build_matrix(7, 4, 3))
-        assert cfg.gale.vectors == ((),) * 35
+        assert cfg.gale.rows == ()
         rows = []
 
         def counting_lp(problem):
@@ -230,7 +230,7 @@ class TestGaleDual:
 
     def test_square_has_rank_one_and_the_diagonal_witness(self):
         cfg = points_config([(0, 0), (1, 0), (0, 1), (1, 1)])
-        assert [len(g) for g in cfg.gale.vectors] == [1] * 4
+        assert [len(g) for g in cfg.gale.rows] == [4]
         assert is_face(cfg, (1, 2)).witness == (-1, 1, 1, -1)
         assert is_face(cfg, (0, 3)).witness == (1, -1, -1, 1)
         assert all(is_face(cfg, edge).is_face for edge in ((0, 1), (0, 2), (1, 3), (2, 3)))
@@ -261,6 +261,14 @@ class TestNeighborliness:
     def test_s_max_below_one_rejected(self, cfg632, s_max):
         with pytest.raises(BadParameters):
             neighborliness(cfg632, s_max)
+
+    def test_s_max_past_the_point_count_rejected(self, cfg632):
+        # sizes past the point count have no subset, so no non-face
+        with pytest.raises(BadParameters, match="s_max 21 exceeds the 20 points"):
+            neighborliness(cfg632, 21)
+        simplex = points_config([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+        with pytest.raises(BadParameters, match="s_max 5 exceeds the 4 points"):
+            neighborliness(simplex, 5)
 
 
 class TestPlacing:
@@ -654,3 +662,157 @@ class TestPencilUpdates:
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "boundary functional misses a facet vertex"
+
+
+def back_substitution_oracle(cfg):
+    """Oracle for is_face: the Gale-dual LP with the right-hand side summed
+    over the outside points, and each functional found by integer
+    back-substitution through the staircase of the HNF of ``[P; 1]``, from
+    the last pivot up, re-checked densely."""
+    m = len(cfg.points)
+    res = exactmath.hnf(IntMatrix.from_rows([*zip(*cfg.points), (1,) * m]))
+    h, u, rank = res.h, res.u, len(res.pivots)
+    gale = [tuple(d[j] for d in u[rank:]) for j in range(m)]
+
+    def oracle(subset):
+        inside = set(subset)
+        outside = [j for j in range(m) if j not in inside]
+        cons = [
+            LinearConstraint.of([gale[j][i] for j in outside], -sum(gale[j][i] for j in outside))
+            for i in range(m - rank)
+        ]
+        lp = lp_feasible(RationalLpProblem.of(cons, len(outside)))
+        if lp.status == "infeasible":
+            v = [sum(y * g for y, g in zip(lp.values, gale[j])) for j in range(m)]
+            g = gcd(*v)
+            return FaceCertificate(False, None, tuple(-x // g for x in v))
+        slacks = [0] * m
+        for j, x in zip(outside, lp.values):
+            slacks[j] = -(lp.den + x)
+        # y . H = slacks . U on the pivot columns, y zero off the pivot rows
+        y, den = [0] * len(h[0]), 1
+        for pi, pk in reversed(res.pivots):
+            rest = sum(y[i] * h[pk][i] for i in range(pi + 1, len(y)))
+            num = den * sum(z * u[pk][i] for i, z in enumerate(slacks)) - rest
+            scale = h[pk][pi] // gcd(num, h[pk][pi])
+            den, num, y = den * scale, num * scale, [x * scale for x in y]
+            y[pi] = num // h[pk][pi]
+        c, beta = y[:-1], -y[-1]
+        assert [sum(a * b for a, b in zip(c, p)) - beta for p in cfg.points] == [den * z for z in slacks]
+        return FaceCertificate(True, polytope._reduced(c, beta), None)
+
+    return oracle
+
+
+FORGE_GALE_ROW = """
+def forged_hnf(m, hnf=exactmath.hnf):
+    # one entry of the first dependence column raised by one
+    res = hnf(m)
+    u, col = list(res.u), len(res.pivots)
+    u[col] = (u[col][0] + 1,) + u[col][1:]
+    return exactmath.HnfResult(res.h, tuple(u), res.pivots)
+"""
+
+
+def run_under_python_O(code):
+    env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
+
+
+class TestLeftInverse:
+    @pytest.mark.parametrize("nkt, s_max", [((6, 3, 2), 3), ((6, 3, 1), 3), ((5, 2, 1), 3), ((7, 4, 3), 2)])
+    def test_certificates_equal_the_back_substitution_oracle(self, nkt, s_max):
+        # (7,4,3) is a simplex: Gale rank 0, an LP without rows
+        cfg = PointConfig.from_incidence(build_matrix(*nkt))
+        oracle = back_substitution_oracle(cfg)
+        m = len(cfg.points)
+        subsets = [s for size in range(1, s_max + 1) for s in subsets_colex(m, size, first=0)]
+        assert [is_face(cfg, s) for s in subsets] == [oracle(s) for s in subsets]
+
+    def test_certificates_equal_the_oracle_on_732_subsets(self, cfg732):
+        oracle = back_substitution_oracle(cfg732)
+        rng = random.Random(26)
+        subsets = [sorted(rng.sample(range(35), rng.randint(1, 14))) for _ in range(400)]
+        certs = [is_face(cfg732, s) for s in subsets]
+        assert 0 < sum(c.is_face for c in certs) < 400
+        assert certs == [oracle(s) for s in subsets]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_slacks_of_a_functional_recombine_to_it(self, cfg632, cfg732, data):
+        cfg = data.draw(st.sampled_from([cfg632, cfg732, None]))
+        if cfg is None:
+            cfg = data.draw(point_sets_with_order())[0]
+        nd = cfg.ambient_dim
+        c = data.draw(st.lists(st.integers(-50, 50), min_size=nd, max_size=nd))
+        beta = data.draw(st.integers(-50, 50))
+        slacks = [sum(a * b for a, b in zip(c, p)) - beta for p in cfg.points]
+        gale = cfg.gale
+        m = len(cfg.points)
+        rank = m - len(gale.rows)
+        assert gale.den > 0 and len(gale.left) == nd + 1
+        assert sorted(map(len, gale.left)) == [0] * (nd + 1 - rank) + [m] * rank
+        # D y_R = sum_j s_j L[j] on the pivot rows R, y zero off them
+        y = [sum(z * x for z, x in zip(slacks, col)) for col in gale.left]
+        assert [sum(a * b for a, b in zip(y, (*p, 1))) for p in cfg.points] == [gale.den * z for z in slacks]
+        assert gale.functional_with_slacks(slacks) == (y[:-1], -y[-1], gale.den)
+
+    def test_forged_left_inverse_entry_raises(self):
+        cfg = PointConfig.from_incidence(build_matrix(6, 3, 2))
+        left = [list(col) for col in cfg.gale.left]
+        left[0][1] += 1
+        cfg.__dict__["gale"] = polytope.GaleDual(cfg.gale.rows, tuple(map(tuple, left)), cfg.gale.den)
+        with pytest.raises(CertificateError, match="does not recombine to its slack vector"):
+            is_face(cfg, [0])
+
+    def test_forged_gale_row_sum_raises(self, monkeypatch):
+        scope = {"exactmath": exactmath}
+        exec(FORGE_GALE_ROW, scope)
+        monkeypatch.setattr(exactmath, "hnf", scope["forged_hnf"])
+        cfg = PointConfig.from_incidence(build_matrix(6, 3, 2))
+        with pytest.raises(CertificateError, match="Gale row does not sum to zero"):
+            is_face(cfg, [0])
+
+    def test_forgeries_raise_under_python_O(self):
+        # both checks are explicit raises, not asserts, so -O keeps them
+        code = (
+            "from incitoric import exactmath, polytope\n"
+            "from incitoric.errors import CertificateError\n"
+            "from incitoric.incidence import build_matrix\n"
+            "cfg = polytope.PointConfig.from_incidence(build_matrix(6, 3, 2))\n"
+            "g = cfg.gale\n"
+            "left = [list(col) for col in g.left]\n"
+            "left[0][1] += 1\n"
+            "cfg.__dict__['gale'] = polytope.GaleDual(g.rows, tuple(map(tuple, left)), g.den)\n"
+            + FORGE_GALE_ROW +
+            "exactmath.hnf = forged_hnf\n"
+            "for config in (cfg, polytope.PointConfig(cfg.points)):\n"
+            "    try:\n"
+            "        polytope.is_face(config, [0])\n"
+            "    except CertificateError as e:\n"
+            "        print(e)\n"
+        )
+        assert run_under_python_O(code).splitlines() == [
+            "supporting functional does not recombine to its slack vector",
+            "a Gale row does not sum to zero over the points",
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sparse_affine_dependence_agrees_with_dense(self, cfg632, data):
+        cfg = data.draw(st.sampled_from([cfg632, None]))
+        if cfg is None:
+            cfg = data.draw(point_sets_with_order())[0]
+        m = len(cfg.points)
+        # an integer combination of the dependences, or any small vector
+        weights = data.draw(st.lists(st.integers(-3, 3), min_size=len(cfg.gale.rows), max_size=len(cfg.gale.rows)))
+        dependence = [sum(w * row[j] for w, row in zip(weights, cfg.gale.rows)) for j in range(m)]
+        other = data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+        for v in (dependence, other):
+            dense = any(v) and sum(v) == 0 and all(
+                sum(v[i] * cfg.points[i][r] for i in range(m)) == 0 for r in range(cfg.ambient_dim)
+            )
+            assert polytope._is_affine_dependence(cfg, v) == dense
