@@ -274,7 +274,7 @@ def _cmd_acceptance(args) -> int:
     count = len(acceptance.ALL_CRITERIA)
     unknown = [i for i in args.only or () if not 1 <= i <= count]
     if unknown:
-        print(f"unknown criterion number {unknown[0]} (valid numbers are 1..{count})", file=sys.stderr)
+        print(f"error: unknown criterion number {unknown[0]} (valid numbers are 1..{count})", file=sys.stderr)
         return EXIT_USAGE
     ws = acceptance.Workspace(_config(args))
     results = acceptance.run_acceptance(ws, args.only)
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     if args.pair_budget is not None and args.func not in (_cmd_toric, _cmd_acceptance):
-        print(f"--pair-budget does not apply to the {args.command} command", file=sys.stderr)
+        print(f"error: --pair-budget does not apply to the {args.command} command", file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

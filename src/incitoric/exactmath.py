@@ -1,21 +1,22 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Dense matrices only; desk-scale instances never need sparsity.  The module
-provides the column-style Hermite normal form with its unimodular
+Dense matrices only; the one sparse structure is the staircase the HNF
+solver keeps, so that a membership test touches only nonzero entries.
+The module provides the column-style Hermite normal form with its unimodular
 transform, saturated integer kernels, one fraction-free echelon kernel
 behind the ranks over Q and over prime fields and the determinants, and
-one HNF solver for integer lattice coordinates.  A lattice is a plain
-tuple of basis vectors, its column HNF, built without a transform; the
-HNF is unique, so two lattices are equal exactly when these tuples are,
-and a membership certificate is one solve against the ``basis_solver``
-of that tuple.  No floating point anywhere.
+one HNF solver, whose certified staircase decides lattice membership and
+gives integer lattice coordinates.  A lattice is a plain tuple of basis
+vectors, its column HNF, built without a transform; the HNF is unique, so
+two lattices are equal exactly when these tuples are.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, prod
+from math import isqrt
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameters, CertificateError, CompositeModulus, DimensionMismatch
@@ -211,57 +212,69 @@ def kernel_basis(m: IntMatrix) -> tuple:
 class HnfSolver:
     """Integer solutions of ``m x = v`` for many right-hand sides ``v``.
 
-    The column HNF of ``m`` is computed once; each solve is one
-    back-substitution down the pivot columns of its staircase, adding up
-    the matching columns of the unimodular transform as it goes.
+    The column HNF of ``m`` is computed once and kept as its staircase: for
+    each pivot its row, its entry, the nonzero entries of its column below
+    it and its transform column, and the rows without a pivot.  A vector is
+    reduced with one exact quotient per pivot, each step updating only the
+    nonzero entries below that pivot; it lies in the column lattice exactly
+    when every quotient is exact and the rows without a pivot end at zero.
+    Construction certifies that the staircase spans exactly the column
+    lattice: each staircase column is ``m`` times its transform column, and
+    each column of ``m`` reduces to zero.
     """
 
     def __init__(self, m: IntMatrix):
         self.m = m
-        self._hnf = hnf(m)
-        self.rank = len(self._hnf.pivots)
+        res = hnf(m)
+        self.rank = len(res.pivots)
+        self._staircase = tuple(
+            (i, res.h[j][i], tuple((k, a) for k, a in enumerate(res.h[j]) if k > i and a), res.u[j])
+            for i, j in res.pivots
+        )
+        pivot_rows = {i for i, _ in res.pivots}
+        self._free_rows = tuple(i for i in range(m.rows) if i not in pivot_rows)
+        for i, j in res.pivots:
+            # the staircase keeps only the entries from the pivot row down
+            if any(res.h[j][:i]) or m.mat_vec(res.u[j]) != res.h[j]:
+                raise CertificateError(f"the staircase column of pivot row {i} is not m times its transform column")
+        for j in range(m.cols):
+            if self._reduce(m.column(j)) is None:
+                raise CertificateError(f"column {j} of the matrix does not reduce to zero down the staircase")
 
-    @property
-    def pivot_product(self) -> int:
-        """Product of the HNF pivots: the index of the column lattice in
-        Z^rows when the rank is full, since its pivot columns are then a
-        lower triangular basis."""
-        return prod(self._hnf.h[j][i] for i, j in self._hnf.pivots)
+    def _reduce(self, v: Sequence[int]) -> Optional[list]:
+        """The nonzero quotients of ``v`` down the staircase, each with its
+        transform column, or None when ``v`` lies outside the column
+        lattice."""
+        if len(v) != self.m.rows:
+            raise DimensionMismatch("right-hand side length does not match row count")
+        rem = list(v)
+        steps = []
+        for i, pivot, below, u in self._staircase:
+            q, r = divmod(rem[i], pivot)
+            if r:
+                return None
+            if q:
+                # the staircase column is zero above its pivot row
+                for k, a in below:
+                    rem[k] -= q * a
+                steps.append((q, u))
+        return None if any(rem[i] for i in self._free_rows) else steps
+
+    def contains(self, v: Sequence[int]) -> bool:
+        """Whether ``v`` lies in the column lattice of ``m``."""
+        return self._reduce(v) is not None
 
     def solve(self, v: Sequence[int]) -> Optional[tuple]:
         """An integer ``x`` with ``m x == v``, or None when ``v`` lies
         outside the column lattice of ``m``."""
-        if len(v) != self.m.rows:
-            raise DimensionMismatch("right-hand side length does not match row count")
         v = tuple(int(a) for a in v)
-        h, u = self._hnf.h, self._hnf.u
-        rem = list(v)
-        x = [0] * self.m.cols
-        for pi, pj in self._hnf.pivots:
-            col = h[pj]
-            q, r = divmod(rem[pi], col[pi])
-            if r:
-                return None
-            if q:
-                # column pj of the staircase is zero above its pivot row
-                for i in range(pi, len(rem)):
-                    rem[i] -= q * col[i]
-                x = [a + q * b for a, b in zip(x, u[pj])]
-        if any(rem):
+        steps = self._reduce(v)
+        if steps is None:
             return None
-        x = tuple(x)
+        x = tuple(sum(q * u[c] for q, u in steps) for c in range(self.m.cols))
         if self.m.mat_vec(x) != v:
             raise CertificateError("HNF solution does not recombine to the right-hand side")
         return x
-
-
-def basis_solver(ambient_dim: int, basis: Sequence[Sequence[int]]) -> HnfSolver:
-    """One ``HnfSolver`` with the basis vectors, of length ``ambient_dim``,
-    as its columns: its solutions are coordinates in the basis."""
-    solver = HnfSolver(IntMatrix(len(basis), ambient_dim, tuple(basis)).transpose())
-    if solver.rank != len(basis):
-        raise BadParameters("basis vectors are not Z-linearly independent")
-    return solver
 
 
 # kept for the benchmark's tracer, which wraps it by name; no library caller
@@ -271,7 +284,10 @@ def lattice_member(basis: Sequence[Sequence[int]], v: Sequence[int]) -> Optional
     The certificate recomputes to ``v`` exactly: the sum of ``c_i`` times
     the i-th basis vector is ``v``.
     """
-    return basis_solver(len(v), basis).solve(v)
+    solver = HnfSolver(IntMatrix(len(basis), len(v), tuple(basis)).transpose())
+    if solver.rank != len(basis):
+        raise BadParameters("basis vectors are not Z-linearly independent")
+    return solver.solve(v)
 
 
 def lattice_from_generators(ambient_dim: int, generators: Iterable[Sequence[int]]) -> tuple:

@@ -5,14 +5,12 @@ written additively: an element is a plain tuple of integer exponents over
 the colex-ordered 2-subsets, built by ``edge_vector`` from signed edges
 and triangles.  The triangle subgroup L is generated by the vectors
 e_ij + e_jk + e_ik, which are exactly the columns of the (n, 3, 2)
-incidence matrix.  Coset membership is decided by the two characters
-chi = (sum of v mod 3, degree of each vertex mod 2) once one certificate
-per n shows that L is their kernel, which holds for every n >= 5 by
-Wilson's diagonal form; for n = 3 and 4, and as the tests' oracle, it is
-one ``exactmath.HnfSolver`` solve against the matrix.  A derangement maps
-to the sum of the edges {m, sigma(m)}; the Leibniz expansion of the
-determinant of the hollow symmetric matrix of edge variables runs over
-exactly these monomials.
+incidence matrix.  Coset membership is decided for every n by reducing
+the vector down the certified HNF staircase of that matrix, through
+``exactmath.HnfSolver.contains``.  A derangement maps to the sum of the
+edges {m, sigma(m)}; the Leibniz expansion of the determinant of the
+hollow symmetric matrix of edge variables runs over exactly these
+monomials.
 """
 
 from __future__ import annotations
@@ -25,13 +23,12 @@ from math import comb, gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from . import exactmath
-from .combinat import Derangement, derangements, pair_rank, subsets_colex
+from .combinat import Derangement, derangements, pair_rank
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
     BadParameters,
     BudgetExceeded,
     CertificateError,
-    DimensionMismatch,
     PreconditionFailed,
 )
 from .incidence import IncidenceMatrix, build_matrix
@@ -135,48 +132,6 @@ def det_leibniz(n: int, config: RunConfig = DEFAULT_CONFIG) -> Dict[tuple, int]:
 # section-5 claim verification
 
 
-def triangle_membership(n: int, solver: exactmath.HnfSolver) -> Callable[[Sequence[int]], bool]:
-    """Membership in the column lattice L of ``solver``, over the colex
-    2-subsets of [1..n]: the triangle lattice of the (n, 3, 2) matrix, or
-    a sublattice of it.
-
-    The characters chi(v) = (sum of v mod 3, deg_i(v) mod 2 for each vertex
-    i) vanish on every triangle; a column of the matrix where they do not
-    raises ``CertificateError``.  So L lies in ker chi, and the two are
-    equal when the matrix has full row rank and the product of its HNF
-    pivots, the index of L, is the order of the image of chi, closed here
-    from chi of the unit vectors.  For the triangle lattice this holds for
-    every n >= 5 (Wilson's diagonal form: one 3, then n - 1 twos), and
-    membership is then chi(v) == 0; otherwise each vector is one solve.
-    """
-    masks = tuple((1 << a) | (1 << b) for a, b in subsets_colex(n, 2))  # each edge's two vertex bits
-    if solver.m.rows != len(masks):
-        raise DimensionMismatch("lattice over the wrong ground set")
-
-    def chi(v: Sequence[int]) -> tuple:
-        if len(v) != len(masks):
-            raise DimensionMismatch("edge vector over the wrong ground set")
-        odd = 0
-        for x, mask in zip(v, masks):
-            if x & 1:
-                odd ^= mask
-        return sum(v) % 3, odd
-
-    for j in range(solver.m.cols):
-        if chi(solver.m.column(j)) != (0, 0):
-            raise CertificateError(f"the characters do not vanish on column {j}")
-    units = {(1, mask) for mask in masks}  # chi of the unit vector of each edge
-    image = {(0, 0)}
-    while True:
-        grown = image | {((s + t) % 3, m ^ u) for s, m in image for t, u in units}
-        if grown == image:
-            break
-        image = grown
-    if solver.rank == len(masks) and solver.pivot_product == len(image):
-        return lambda v: chi(v) == (0, 0)
-    return lambda v: solver.solve(v) is not None
-
-
 @dataclass(frozen=True)
 class ClaimResult:
     name: str
@@ -203,14 +158,14 @@ def check_section5(n: int, config: RunConfig = DEFAULT_CONFIG) -> Section5Report
     transitivity plus one canonical triple), which the transitivity claim
     itself justifies.  Claims that state the same membership share one
     check, and each check runs at most once, when a claim that applies
-    needs it.  Each vector is decided by ``triangle_membership``: by the
-    characters from n = 5 on, by a solve below.
+    needs it.  Each vector is decided down the HNF staircase of the
+    (n, 3, 2) matrix.
     """
     if n < 2:
         raise BadParameters("need n >= 2")
     _derangements_within_cap(n, config)
     # the triangle group is the column lattice of (n, 3, 2); no claim applies at n = 2
-    member = triangle_membership(n, exactmath.HnfSolver(build_matrix(n, 3, 2).matrix)) if n >= 3 else None
+    member = exactmath.HnfSolver(build_matrix(n, 3, 2).matrix).contains if n >= 3 else None
     images = [phi(d) for d in derangements(n)]
     first, count = images[0], len(images)
 

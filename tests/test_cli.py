@@ -214,6 +214,7 @@ def test_pair_budget_below_one_is_usage_error(capsys, budget):
 def test_pair_budget_on_a_command_without_budget_is_usage_error(capsys, argv):
     # only toric and acceptance compute bases; elsewhere the option would be ignored
     err = usage_error(capsys, "--no-meta", "--pair-budget", "5", *argv)
+    assert err.startswith("error: ")
     assert f"--pair-budget does not apply to the {argv[0]} command" in err
 
 
@@ -242,6 +243,7 @@ def test_neighborly_s_max_past_the_point_count_is_usage_error(capsys):
 def test_unknown_acceptance_number_is_usage_error(capsys, only):
     err = usage_error(capsys, "--no-meta", "acceptance", "--only", *only)
     bad = next(x for x in only if not 1 <= int(x) <= 14)
+    assert err.startswith("error: ")
     assert f"unknown criterion number {bad} (valid numbers are 1..14)" in err
 
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings
@@ -326,7 +327,9 @@ class TestHnfSolver:
     @given(full_column_rank_systems())
     def test_agrees_with_fraction_elimination(self, system):
         m, v = system
-        x = em.HnfSolver(m).solve(v)
+        solver = em.HnfSolver(m)
+        x = solver.solve(v)
+        assert solver.contains(v) == (x is not None)
         sol = em.solve_rational(m.entries, v)
         if sol is not None and all(q.denominator == 1 for q in sol):
             assert x == tuple(int(q) for q in sol)
@@ -342,18 +345,21 @@ class TestHnfSolver:
     def test_pivot_product_is_the_index(self, rows):
         # for a nonsingular square matrix the index of its column lattice is |det|
         m = IntMatrix.from_rows(rows)
-        solver = em.HnfSolver(m)
-        if solver.rank == 3:
-            assert solver.pivot_product == abs(em.determinant(m))
+        res = em.hnf(m)
+        if len(res.pivots) == 3:
+            assert prod(res.h[j][i] for i, j in res.pivots) == abs(em.determinant(m))
 
     def test_pivot_product_of_a_lattice_of_index_six(self):
-        assert em.HnfSolver(IntMatrix.from_rows([[2, 0, 4], [0, 3, 3]])).pivot_product == 6
+        res = em.hnf(IntMatrix.from_rows([[2, 0, 4], [0, 3, 3]]))
+        assert prod(res.h[j][i] for i, j in res.pivots) == 6
 
     def test_bad_transform_fails_recombination(self):
+        # a transform forged after the construction certificate still
+        # fails the re-check of each solution
         solver = em.HnfSolver(IntMatrix.from_rows([[1, 1], [0, 1]]))
-        res = solver._hnf
-        doubled = tuple(tuple(2 * a for a in col) for col in res.u)
-        solver._hnf = em.HnfResult(res.h, doubled, res.pivots)
+        solver._staircase = tuple(
+            (i, pivot, below, tuple(2 * a for a in u)) for i, pivot, below, u in solver._staircase
+        )
         with pytest.raises(CertificateError):
             solver.solve((3, 1))
 

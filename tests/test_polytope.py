@@ -5,7 +5,7 @@ import os
 import random
 import subprocess
 import sys
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -464,7 +464,8 @@ def volumes_by_solves(cfg, lattice, tri):
     if lattice == "euclidean":
         normals = exactmath.kernel_basis(IntMatrix(len(basis), nd, basis))
         basis = exactmath.kernel_basis(IntMatrix(len(normals), nd, normals))
-    solver = exactmath.basis_solver(nd, basis)
+    solver = exactmath.HnfSolver(IntMatrix(len(basis), nd, basis).transpose())
+    assert solver.rank == len(basis)
     coords = [solver.solve(d) for d in diffs]
     assert None not in coords
     return [
@@ -521,7 +522,7 @@ class TestStaircaseVolumes:
         diffs = [tuple(a - b for a, b in zip(p, cfg632.points[0])) for p in cfg632.points[1:]]
         res = exactmath.hnf(IntMatrix.from_rows(diffs).transpose())
         assert rows == tuple(i for i, _ in res.pivots)
-        assert index["column_lattice"] == exactmath.HnfSolver(IntMatrix.from_rows(diffs).transpose()).pivot_product
+        assert index["column_lattice"] == prod(res.h[j][i] for i, j in res.pivots)
 
 
 def placing_by_kernels(cfg, order):

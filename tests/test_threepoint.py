@@ -6,16 +6,18 @@ import subprocess
 import sys
 from dataclasses import asdict, replace
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import invariant_factors
 
 import incitoric
 from incitoric import exactmath, threepoint as tp
-from incitoric.combinat import colex_rank, derangement_from_images, derangements
+from incitoric.combinat import colex_rank, derangement_from_images, derangements, subsets_colex
 from incitoric.errors import (
     BadParameters,
     CertificateError,
@@ -186,16 +188,11 @@ class TestCosets:
 
 
 def count_memberships(monkeypatch):
-    """Record every vector ``triangle_membership``'s predicates decide and
-    every vector ``HnfSolver.solve`` is asked about."""
+    """Record every vector ``HnfSolver.contains`` decides and every vector
+    ``HnfSolver.solve`` is asked about."""
     decided, solved = [], []
-    membership, solve = tp.triangle_membership, exactmath.HnfSolver.solve
-
-    def counted(n, solver):
-        member = membership(n, solver)
-        return lambda v: decided.append(v) or member(v)
-
-    monkeypatch.setattr(tp, "triangle_membership", counted)
+    contains, solve = exactmath.HnfSolver.contains, exactmath.HnfSolver.solve
+    monkeypatch.setattr(exactmath.HnfSolver, "contains", lambda self, v: decided.append(v) or contains(self, v))
     monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: solved.append(v) or solve(self, v))
     return decided, solved
 
@@ -223,87 +220,140 @@ def lattice_samples(n, count, seed):
             yield tuple(moved)
 
 
+def chi(n, v):
+    """The characters of the triangle quotient: the sum of v mod 3 and the
+    degree of each vertex mod 2.  Both vanish on every triangle."""
+    degrees = [0] * (n + 1)
+    for (a, b), x in zip(subsets_colex(n, 2), v):
+        degrees[a] += x
+        degrees[b] += x
+    return sum(v) % 3, tuple(d % 2 for d in degrees)
+
+
+def pivot_product(m):
+    """The product of the pivots of the column HNF of ``m``: the index of
+    its column lattice when ``m`` has full row rank."""
+    res = exactmath.hnf(m)
+    return prod(res.h[j][i] for i, j in res.pivots)
+
+
+# staircases that do not span the column lattice of the matrix they are built for
+FORGE_STAIRCASE = """
+def forged_transform(m, hnf=exactmath.hnf):
+    # one entry of the first transform column raised by one
+    res = hnf(m)
+    u = list(res.u)
+    u[0] = (u[0][0] + 1,) + u[0][1:]
+    return exactmath.HnfResult(res.h, tuple(u), res.pivots)
+
+def forged_column(m, hnf=exactmath.hnf):
+    # the staircase of m with column 0 doubled; its transform columns are
+    # rescaled so that m times each of them is still its staircase column
+    res = hnf(exactmath.IntMatrix.from_rows((2 * row[0],) + row[1:] for row in m.entries))
+    u = tuple((2 * col[0],) + col[1:] for col in res.u)
+    return exactmath.HnfResult(res.h, u, res.pivots)
+"""
+
+
 class TestTriangleCharacters:
+    """The paper's argument for the coset claims, kept on the test side:
+    from n = 5 on the triangle lattice is the kernel of the characters,
+    by Wilson's diagonal form of (n, 3, 2)."""
+
     @pytest.mark.parametrize("n", range(5, 10))
-    def test_certificate_holds(self, monkeypatch, n):
-        # Wilson's form of (n,3,2): full row rank, index 3 * 2^(n-1)
+    def test_certificate_holds(self, n):
+        # full row rank and index 3 * 2^(n-1), the order of the image of chi
         solver = triangle_solver(n)
         assert solver.rank == comb(n, 2)
-        assert solver.pivot_product == 3 * 2 ** (n - 1)
-        _, solved = count_memberships(monkeypatch)
-        member = tp.triangle_membership(n, solver)
-        assert member(tp.edge_vector(n, [(1, (1, 2, 3))]))
-        assert not member(tp.edge_vector(n, [(1, (1, 2))]))
-        assert solved == []
+        assert pivot_product(solver.m) == 3 * 2 ** (n - 1)
+        zero = (0, (0,) * (n + 1))
+        verdicts = [(solver.contains(v), chi(n, v) == zero) for v in lattice_samples(n, 100, seed=n)]
+        assert all(a == b for a, b in verdicts)
+        assert {a for a, _ in verdicts} == {True, False}
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_small_n_falls_back_to_the_solver(self, monkeypatch, n):
-        _, solved = count_memberships(monkeypatch)
-        member = tp.triangle_membership(n, triangle_solver(n))
-        assert member(tp.edge_vector(n, [(2, (1, 2, 3))]))
-        assert len(solved) == 1
-
-    @pytest.mark.parametrize("n", range(3, 9))
+    @pytest.mark.parametrize("n", range(3, 10))
     def test_agrees_with_the_solver_oracle(self, n):
-        oracle = triangle_solver(n)
-        member = tp.triangle_membership(n, oracle)
+        solver = triangle_solver(n)
         verdicts = [
-            (member(v), oracle.solve(v) is not None) for v in lattice_samples(n, 60, seed=n)
+            (solver.contains(v), solver.solve(v) is not None) for v in lattice_samples(n, 100, seed=n)
         ]
         assert all(a == b for a, b in verdicts)
         # both sides of the lattice are sampled
         assert {a for a, _ in verdicts} == {True, False}
 
-    def test_doubled_column_fails_the_certificate(self, monkeypatch):
+    @pytest.mark.parametrize("n", range(3, 8))
+    def test_agrees_with_the_smith_form_oracle(self, n):
+        # v lies in the column lattice of M exactly when [M | v] has the
+        # rank of M and the same product of nonzero invariant factors
+        def rank_and_index(rows):
+            a = Matrix(rows)
+            return a.rank(), prod(f for f in invariant_factors(a, domain=ZZ) if f)
+
+        m = build_matrix(n, 3, 2).matrix
+        solver = triangle_solver(n)
+        lattice = rank_and_index(m.entries)
+        verdicts = [
+            (solver.contains(v), rank_and_index([row + (x,) for row, x in zip(m.entries, v)]) == lattice)
+            for v in lattice_samples(n, 15, seed=10 + n)
+        ]
+        assert all(a == b for a, b in verdicts)
+        assert {a for a, _ in verdicts} == {True, False}
+
+    def test_doubled_column_fails_the_certificate(self):
         # at n = 5 the ten triangles are a basis of L, so doubling one
         # gives a sublattice of index 2 that the characters cannot see
         m = build_matrix(5, 3, 2).matrix
         triangle = m.column(0)
-        forged = exactmath.HnfSolver(with_column(m, 0, [2 * x for x in triangle]))
-        assert forged.pivot_product == 2 * 48
-        _, solved = count_memberships(monkeypatch)
-        member = tp.triangle_membership(5, forged)
-        assert not member(triangle)
-        assert member(tuple(2 * x for x in triangle))
-        assert len(solved) == 2
+        doubled = with_column(m, 0, [2 * x for x in triangle])
+        assert pivot_product(doubled) == 2 * 48
+        assert chi(5, triangle) == (0, (0,) * 6)
+        forged = exactmath.HnfSolver(doubled)
+        assert not forged.contains(triangle)
+        assert forged.contains(tuple(2 * x for x in triangle))
 
-    def test_column_off_the_kernel_raises(self):
-        m = build_matrix(5, 3, 2).matrix
-        edge = tp.edge_vector(5, [(1, (1, 2))])
-        with pytest.raises(CertificateError):
-            tp.triangle_membership(5, exactmath.HnfSolver(with_column(m, 3, edge)))
+    def test_forged_transform_column_raises(self, monkeypatch):
+        scope = {"exactmath": exactmath}
+        exec(FORGE_STAIRCASE, scope)
+        monkeypatch.setattr(exactmath, "hnf", scope["forged_transform"])
+        with pytest.raises(CertificateError, match="is not m times its transform column"):
+            triangle_solver(5)
+
+    def test_forged_matrix_column_raises(self, monkeypatch):
+        scope = {"exactmath": exactmath}
+        exec(FORGE_STAIRCASE, scope)
+        monkeypatch.setattr(exactmath, "hnf", scope["forged_column"])
+        with pytest.raises(CertificateError, match="column 0 of the matrix does not reduce"):
+            triangle_solver(5)
 
     def test_wrong_ground_set_raises(self):
         with pytest.raises(DimensionMismatch):
-            tp.triangle_membership(6, triangle_solver(5))
-        member = tp.triangle_membership(5, triangle_solver(5))
-        with pytest.raises(DimensionMismatch):
-            member((0,) * 15)
+            triangle_solver(5).contains((0,) * 15)
 
     def test_certificate_checks_survive_python_O(self):
-        # the certificate raises and falls back by explicit code, so -O keeps both
+        # the staircase certificate raises by explicit code, so -O keeps it
         code = (
-            "from incitoric import exactmath, threepoint as tp\n"
+            "from incitoric import exactmath\n"
             "from incitoric.errors import CertificateError\n"
             "from incitoric.incidence import build_matrix\n"
             "m = build_matrix(5, 3, 2).matrix\n"
-            "def with_column(j, column):\n"
-            "    return exactmath.IntMatrix.from_rows(\n"
-            "        row[:j] + (x,) + row[j + 1:] for row, x in zip(m.entries, column))\n"
-            "triangle = m.column(0)\n"
-            "doubled = exactmath.HnfSolver(with_column(0, [2 * x for x in triangle]))\n"
-            "print(tp.triangle_membership(5, exactmath.HnfSolver(m))(triangle))\n"
-            "print(tp.triangle_membership(5, doubled)(triangle))\n"
-            "try:\n"
-            "    tp.triangle_membership(5, exactmath.HnfSolver(with_column(3, tp.edge_vector(5, [(1, (1, 2))]))))\n"
-            "except CertificateError:\n"
-            "    print('raised')\n"
+            + FORGE_STAIRCASE +
+            "print(exactmath.HnfSolver(m).contains(m.column(0)))\n"
+            "for forged in (forged_transform, forged_column):\n"
+            "    exactmath.hnf = forged\n"
+            "    try:\n"
+            "        exactmath.HnfSolver(m)\n"
+            "    except CertificateError as e:\n"
+            "        print(e)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
         out = subprocess.run(
             [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.split() == ["True", "False", "raised"]
+        assert out.stdout.splitlines() == [
+            "True",
+            "the staircase column of pivot row 0 is not m times its transform column",
+            "column 0 of the matrix does not reduce to zero down the staircase",
+        ]
 
 
 class TestTranspositionRelations:
@@ -360,7 +410,7 @@ class TestSection5:
         assert [asdict(c) for c in rep.claims] == expected
 
     def test_n8(self):
-        # criterion 13 stops at n = 7; the characters make n = 8 cheap enough to test
+        # criterion 13 stops at n = 7; the sparse staircase makes n = 8 cheap enough to test
         rep = tp.check_section5(8)
         assert rep.all_passed
         claims = {c.name: c for c in rep.claims}
@@ -372,16 +422,17 @@ class TestSection5:
         decided, solved = count_memberships(monkeypatch)
         tp.check_section5(n)
         # one evaluation per vector of each membership set, however many
-        # claims state it, and from n = 5 on the characters decide it alone
+        # claims state it, each down the staircase without coordinates
         assert len(decided) == vectors
         assert solved == []
 
     def test_n3_memberships_are_solved(self, monkeypatch):
-        # below n = 5 the characters do not cut out the triangle group
+        # below n = 5 the characters do not cut out the triangle group, and
+        # the staircase decides these memberships as it does for every n
         decided, solved = count_memberships(monkeypatch)
         assert tp.check_section5(3).all_passed
         assert len(decided) == 2
-        assert solved == decided
+        assert solved == []
 
 
 # every claim in report order, with the reason it gives when it does not apply
