@@ -34,11 +34,16 @@ def _emit(payload: dict, args) -> None:
     payload = {key: params[key] for key in ("n", "k", "t") if key in params} | payload
     if not args.no_meta:
         payload["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    out = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out:  # first, so that an unwritable path prints no payload
+    _write(json.dumps(payload, indent=2, sort_keys=True), args)
+
+
+def _write(text: str, args) -> None:
+    """Print the text, after writing it to --out if given, so that an
+    unwritable path prints nothing."""
+    if args.out:
         with open(args.out, "w") as fh:
-            fh.write(out + "\n")
-    print(out)
+            fh.write(text + "\n")
+    print(text)
 
 
 def _labels(n: int, k: int) -> list:
@@ -53,9 +58,10 @@ def _labelled(vec, labels: list) -> dict:
 def _cmd_incidence_matrix(args) -> int:
     inc = build_matrix(args.n, args.k, args.t)
     if args.format == "csv":
-        print("," + ",".join(subset_label(s, args.n) for s in inc.col_labels))
+        lines = ["," + ",".join(subset_label(s, args.n) for s in inc.col_labels)]
         for label, row in zip(inc.row_labels, inc.matrix.entries):
-            print(subset_label(label, args.n) + "," + ",".join(str(x) for x in row))
+            lines.append(subset_label(label, args.n) + "," + ",".join(str(x) for x in row))
+        _write("\n".join(lines), args)
         return EXIT_OK
     _emit(
         {
@@ -286,11 +292,13 @@ def _cmd_acceptance(args) -> int:
         _emit({"criteria": rows, "all_passed": all_ok}, args)
     else:
         width = max(len(r.name) for r in results)
+        lines = []
         for r in results:
             mark = "PASS" if r.passed else "FAIL"
             elapsed = f"{r.elapsed:7.1f}s  " if timed else ""
-            print(f"[{mark}] {r.number:2d} {r.name:<{width}}  {elapsed}{r.detail}")
-        print(f"{'all passed' if all_ok else 'FAILURES PRESENT'}")
+            lines.append(f"[{mark}] {r.number:2d} {r.name:<{width}}  {elapsed}{r.detail}")
+        lines.append("all passed" if all_ok else "FAILURES PRESENT")
+        _write("\n".join(lines), args)
     return EXIT_OK if all_ok else EXIT_VERIFICATION
 
 
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations around subset-incidence toric ideals",
     )
     parser.add_argument("--no-meta", action="store_true", help="suppress the timestamp and the acceptance times")
-    parser.add_argument("--out", help="also write the JSON payload to this file")
+    parser.add_argument("--out", help="also write the output to this file")
     parser.add_argument("--pair-budget", type=int, help="pair queue budget of toric and acceptance")
     sub = parser.add_subparsers(dest="command", required=True)
 

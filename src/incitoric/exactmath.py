@@ -2,21 +2,24 @@
 
 Dense matrices only; the one sparse structure is the staircase the HNF
 solver keeps, so that a membership test touches only nonzero entries.
-The module provides the column-style Hermite normal form with its unimodular
-transform, saturated integer kernels, one fraction-free echelon kernel
-behind the ranks over Q and over prime fields and the determinants, and
-one HNF solver, whose certified staircase decides lattice membership and
-gives integer lattice coordinates.  A lattice is a plain tuple of basis
-vectors, its column HNF, built without a transform; the HNF is unique, so
-two lattices are equal exactly when these tuples are.  No floating point
-anywhere.
+One elimination kernel, the Euclidean column echelon, runs over Z or
+over a prime field.  Its pivot count is the rank over Q or mod p, and the
+signed product of its pivots is the determinant.  One pass that reduces
+the entries left of each pivot turns it into the column-style Hermite
+normal form with its unimodular transform, behind the saturated integer
+kernels, the lattice bases, the staircase reader of a basis's pivot rows
+and index, and one HNF solver, whose certified staircase decides lattice
+membership and gives integer lattice coordinates.  A lattice is a plain
+tuple of basis vectors, its column HNF, built without a transform; the
+HNF is unique, so two lattices are equal exactly when these tuples are.
+No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameters, CertificateError, CompositeModulus, DimensionMismatch
@@ -87,94 +90,109 @@ def hnf(m: IntMatrix) -> HnfResult:
     return HnfResult(tuple(tuple(col[:r]) for col in cols), tuple(tuple(col[r:]) for col in cols), pivots)
 
 
-def _column_hnf(cols: list, r: int) -> list:
+def _echelon(cols: list, r: int, p: int = 0) -> tuple:
     """Bring the first ``r`` entries of the working columns ``cols`` to
-    column HNF in place, by integer column operations that act on whole
-    columns, and return the (row, col) staircase positions."""
+    lower column echelon form in place, over Z or, when ``p`` is nonzero,
+    over the field with ``p`` elements (the entries already reduced mod
+    ``p``), and return the (row, col) pivots and the sign of the swaps and
+    negations.
+
+    Row by row, Euclid's algorithm on the entries of that row clears all
+    but one column, which moves to the next pivot position; over Z its
+    pivot is made positive, mod ``p`` it is scaled to 1.  The operations
+    act on whole columns, transform entries included, but only from the
+    pivot row down: the columns from the pivot on are zero above it.  Over
+    Z every operation but a swap or a negation has determinant 1, so a
+    nonsingular square matrix has determinant the sign times the product
+    of the pivots.
+    """
     c = len(cols)
     pivots = []
-    pc = 0
+    sign = 1
     for i in range(r):
-        if pc == c:
-            break
+        pc = len(pivots)
         nz = [j for j in range(pc, c) if cols[j][i]]
         if not nz:
             continue
         while len(nz) > 1:
             j0 = min(nz, key=lambda j: abs(cols[j][i]))
-            if cols[j0][i] < 0:
-                cols[j0] = [-a for a in cols[j0]]
+            sign *= _unit_pivot(cols[j0], i, p)
             piv = cols[j0]
             for j in nz:
                 q = cols[j][i] // piv[i]
                 if j != j0 and q:
-                    cols[j] = [a - q * b for a, b in zip(cols[j], piv)]
-            nz = [j for j in range(pc, c) if cols[j][i]]
+                    _subtract(cols[j], q, piv, i, p)
+            nz = [j for j in nz if cols[j][i]]
         j0 = nz[0]
-        cols[pc], cols[j0] = cols[j0], cols[pc]
-        if cols[pc][i] < 0:
-            cols[pc] = [-a for a in cols[pc]]
+        if j0 != pc:
+            cols[pc], cols[j0] = cols[j0], cols[pc]
+            sign = -sign
+        sign *= _unit_pivot(cols[pc], i, p)
+        pivots.append((i, pc))
+    return pivots, sign
+
+
+def _unit_pivot(col: list, i: int, p: int) -> int:
+    """Make entry ``i`` of ``col`` positive over Z, or 1 mod ``p``, by
+    scaling the column from row ``i`` down; return the sign of the scaling
+    over Z."""
+    if p:
+        inv = pow(col[i], -1, p)
+        col[i:] = [a * inv % p for a in col[i:]]
+    elif col[i] < 0:
+        col[i:] = [-a for a in col[i:]]
+        return -1
+    return 1
+
+
+def _subtract(col: list, q: int, piv: list, i: int, p: int = 0) -> None:
+    """``col -= q * piv`` from row ``i`` down, where ``piv`` is zero above
+    row ``i``; mod ``p`` when ``p`` is nonzero."""
+    pairs = zip(col[i:], piv[i:])
+    col[i:] = [(a - q * b) % p for a, b in pairs] if p else [a - q * b for a, b in pairs]
+
+
+def _column_hnf(cols: list, r: int) -> list:
+    """Bring the first ``r`` entries of the working columns ``cols`` to
+    column HNF in place and return the (row, col) staircase positions: the
+    column echelon, then one pass in pivot order that reduces the entries
+    left of each pivot into [0, pivot)."""
+    pivots, _ = _echelon(cols, r)
+    for i, pc in pivots:
         piv = cols[pc]
         for j in range(pc):
             q = cols[j][i] // piv[i]
             if q:
-                cols[j] = [a - q * b for a, b in zip(cols[j], piv)]
-        pivots.append((i, pc))
-        pc += 1
+                _subtract(cols[j], q, piv, i)
     return pivots
 
 
-def _echelon(m: IntMatrix, p: int = 0) -> tuple:
-    """Fraction-free row echelon form of ``m`` over Z, or over the field
-    with ``p`` elements when ``p`` is nonzero.
+def staircase(basis: Sequence[Sequence[int]]) -> tuple:
+    """The pivot rows of an HNF basis and its index, the product of its
+    pivots: the index in Z^d of its projection to those d rows."""
+    rows = tuple([next(i for i, x in enumerate(b) if x) for b in basis])
+    return rows, prod([b[i] for b, i in zip(basis, rows)])
 
-    Over Z this is Bareiss elimination: every entry stays a minor of ``m``,
-    so each division by the previous pivot is exact.  Mod ``p`` nothing is
-    divided: scaling a row by the pivot, a unit, keeps the rank, so a row
-    with nothing to eliminate is skipped.  Returns the rank and the last
-    pivot signed by the row swaps, which over Z is the determinant of a
-    nonsingular square ``m``.
-    """
-    a = [[x % p for x in row] for row in m.entries] if p else [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
-    rank, sign, prev = 0, 1, 1
-    for col in range(cols):
-        if rank == rows:
-            break
-        piv = next((i for i in range(rank, rows) if a[i][col]), None)
-        if piv is None:
-            continue
-        if piv != rank:
-            a[rank], a[piv] = a[piv], a[rank]
-            sign = -sign
-        top = a[rank]
-        pivot = top[col]
-        for i in range(rank + 1, rows):
-            row = a[i]
-            f = row[col]
-            if p:
-                if f:
-                    for j in range(col + 1, cols):
-                        row[j] = (pivot * row[j] - f * top[j]) % p
-            else:
-                for j in range(col + 1, cols):
-                    row[j] = (pivot * row[j] - f * top[j]) // prev
-        prev = pivot
-        rank += 1
-    return rank, sign * prev
+
+def _columns(m: IntMatrix, p: int = 0) -> list:
+    """The columns of ``m`` as working lists, reduced mod ``p`` when ``p``
+    is nonzero."""
+    return [[a % p for a in col] if p else list(col) for col in zip(*m.entries)]
 
 
 def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant: the signed product of the column echelon's
+    pivots."""
     if m.rows != m.cols:
         raise DimensionMismatch("determinant of a non-square matrix")
-    rank, last = _echelon(m)
-    return last if rank == m.rows else 0
+    cols = _columns(m)
+    pivots, sign = _echelon(cols, m.rows)
+    return sign * prod([cols[j][i] for i, j in pivots]) if len(pivots) == m.rows else 0
 
 
 def rank_q(m: IntMatrix) -> int:
-    """Rank over the rationals (fraction-free elimination)."""
-    return _echelon(m)[0]
+    """Rank over the rationals: the column echelon's pivot count."""
+    return len(_echelon(_columns(m), m.rows)[0])
 
 
 def is_prime(p: int) -> bool:
@@ -194,7 +212,7 @@ def rank_mod_p(m: IntMatrix, p: int) -> int:
     """Rank over the field with ``p`` elements."""
     if not is_prime(p):
         raise CompositeModulus(f"{p} is not prime")
-    return _echelon(m, p)[0]
+    return len(_echelon(_columns(m, p), m.rows, p)[0])
 
 
 def kernel_basis(m: IntMatrix) -> tuple:

@@ -3,7 +3,10 @@
 The matrix for parameters (n, k, t) has one row per t-subset and one
 column per k-subset of [1..n], both in colex order, with a 1 exactly when
 the row subset is contained in the column subset.  Its columns span the
-cone whose toric ideal the rest of the package studies.
+cone whose toric ideal the rest of the package studies.  Its rank over Q
+and its HNF basis come from the one column echelon of ``exactmath``; the
+basis's index decides the rank mod every prime that does not divide it,
+and only the primes that do take an elimination mod p.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from math import comb
 
 from . import exactmath
 from .combinat import subsets_colex
-from .errors import BadParameters
+from .errors import BadParameters, CertificateError
 from .exactmath import IntMatrix
 
 
@@ -89,6 +92,13 @@ def check_rank_laws(n_max: int = 8) -> RankLawReport:
     p > min(k, n-t).  For p <= k-t the factorial kills the map even when
     the bare 0/1 matrix keeps full rank mod p (e.g. (n,k,t)=(4,3,1),
     p=2), so both ranks are reported.
+
+    The rank mod p is read off the HNF basis of the column lattice where
+    it can be.  That basis is the matrix times a unimodular transform, and
+    its pivot minor is triangular with the pivots on the diagonal, so the
+    rank mod p equals the rank over Q whenever p does not divide the
+    basis's index, the product of its pivots.  Only the other primes
+    take an elimination mod p.
     """
     if n_max < 2:
         raise BadParameters(f"n_max must be at least 2, the least n with a triple, not {n_max}")
@@ -101,9 +111,15 @@ def check_rank_laws(n_max: int = 8) -> RankLawReport:
                 full = min(comb(n, t), comb(n, k))
                 rq = exactmath.rank_q(inc.matrix)
                 law_q = rq == full
+                basis = exactmath.lattice_from_generators(inc.matrix.rows, zip(*inc.matrix.entries))
+                rows, index = exactmath.staircase(basis)
+                if len(rows) != rq:
+                    raise CertificateError(
+                        f"the column lattice of ({n},{k},{t}) has {len(rows)} pivots, not the rank {rq}"
+                    )
                 per_p = []
                 for p in RANK_LAW_PRIMES:
-                    rp = exactmath.rank_mod_p(inc.matrix, p)
+                    rp = rq if index % p else exactmath.rank_mod_p(inc.matrix, p)
                     factorial_vanishes = p <= k - t
                     map_full = (not factorial_vanishes) and rp == full
                     predicted = p > full_rank_prime_threshold(n, k, t)

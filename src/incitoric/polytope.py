@@ -102,7 +102,7 @@ class PointConfig:
         col = exactmath.lattice_from_generators(nd, diffs)
         normals = exactmath.kernel_basis(IntMatrix(len(col), nd, col))
         euc = exactmath.lattice_from_generators(nd, exactmath.kernel_basis(IntMatrix(len(normals), nd, normals)))
-        (rows, i_col), (euc_rows, i_euc) = _staircase(col), _staircase(euc)
+        (rows, i_col), (euc_rows, i_euc) = exactmath.staircase(col), exactmath.staircase(euc)
         if rows != euc_rows:
             raise CertificateError("the direction lattices have different staircase rows")
         return rows, {"column_lattice": i_col, "euclidean": i_euc}
@@ -380,12 +380,6 @@ def _reduced(g: Sequence[int], beta: int) -> tuple:
     """(g, beta) divided by the gcd of all its entries."""
     d = gcd(*g, beta) or 1
     return tuple([x // d for x in g]), beta // d
-
-
-def _staircase(basis: Sequence[Sequence[int]]) -> tuple:
-    """The pivot rows of an HNF basis and the product of its pivots."""
-    rows = tuple([next(i for i, x in enumerate(b) if x) for b in basis])
-    return rows, prod([b[i] for b, i in zip(basis, rows)])
 
 
 def normalized_volume(

@@ -100,6 +100,7 @@ PINNED_NO_META_SHA256 = (
     ("polytope faces -n 7 -k 3 -t 2 --subset 123,145,167", "01928836fdb03a3b06830c11661d375161f32e5603bd6df7278b22c74bb0ea7b"),
     ("polytope neighborly -n 6 -k 3 -t 2", "3ac74494def4c4b563240e6932f15940c0a565fe0f4b8b3dd2dcab8939f6c634"),
     ("acceptance --json --only 13 14", "9228a1d2578fe8d8bb323ee7c20f4cc546a2f539344151aa0560888eb4bfa7be"),
+    ("incidence ranks --n-max 8", "a78400995ee6ed2119cdec530f410b56675953973494b8035af1345711bae3eb"),
 )
 
 
@@ -175,7 +176,7 @@ def usage_error(capsys, *argv):
     return captured.err
 
 
-@pytest.mark.parametrize("case", ["directory", "binary", "out directory"])
+@pytest.mark.parametrize("case", ["directory", "binary", "out directory", "csv out directory"])
 def test_file_error_is_usage_error(tmp_path, capsys, case):
     binary = tmp_path / "binary.cplx"
     binary.write_bytes(b"\xff\xfe\x00\x81 2 3\n")
@@ -183,6 +184,8 @@ def test_file_error_is_usage_error(tmp_path, capsys, case):
         "directory": ["complex", "verify", str(tmp_path)],
         "binary": ["complex", "verify", str(binary)],
         "out directory": ["--out", str(tmp_path), "threepoint", "check", "-n", "3"],
+        "csv out directory": ["--out", str(tmp_path), "incidence", "matrix", "-n", "4", "-k", "2", "-t", "1",
+                              "--format", "csv"],
     }[case]
     err = usage_error(capsys, "--no-meta", *argv)
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -192,6 +195,19 @@ def test_out_file_holds_the_printed_payload(tmp_path, capsys):
     path = tmp_path / "check.json"
     code, out = run_cli(capsys, "--no-meta", "--out", str(path), "threepoint", "check", "-n", "3")
     assert code == EXIT_OK
+    assert path.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["incidence", "matrix", "-n", "4", "-k", "2", "-t", "1", "--format", "csv"],
+    ["acceptance", "--only", "10"],
+])
+def test_out_file_holds_the_printed_text(tmp_path, capsys, argv):
+    # the CSV and the acceptance table are not JSON, and --out holds them too
+    path = tmp_path / "out.txt"
+    code, out = run_cli(capsys, "--no-meta", "--out", str(path), *argv)
+    assert code == EXIT_OK
+    assert out.count("\n") > 1
     assert path.read_text() == out
 
 

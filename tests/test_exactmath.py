@@ -136,6 +136,60 @@ class TestHnf:
         for j in range(rank, m.cols):
             assert not any(res.h[j])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 7).flatmap(
+            lambda r: st.integers(0, 7).flatmap(
+                lambda c: st.lists(
+                    st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=r, max_size=r
+                ).map(lambda rows: IntMatrix(r, c, tuple(map(tuple, rows))))
+            )
+        )
+    )
+    def test_hnf_matches_the_interleaved_loop(self, m):
+        # the echelon followed by one reducing pass gives the same h, u and
+        # pivots as reducing left of each pivot as soon as it is found
+        res = em.hnf(m)
+        assert (res.h, res.u, res.pivots) == interleaved_hnf(m)
+
+
+def interleaved_hnf(m: IntMatrix) -> tuple:
+    """Oracle for hnf: the column HNF by one loop that, row by row, clears
+    the row by Euclid's algorithm on whole columns and at once reduces the
+    entries left of the new pivot."""
+    r, c = m.rows, m.cols
+    cols = [list(m.column(j)) + [1 if i == j else 0 for i in range(c)] for j in range(c)]
+    pivots = []
+    pc = 0
+    for i in range(r):
+        if pc == c:
+            break
+        nz = [j for j in range(pc, c) if cols[j][i]]
+        if not nz:
+            continue
+        while len(nz) > 1:
+            j0 = min(nz, key=lambda j: abs(cols[j][i]))
+            if cols[j0][i] < 0:
+                cols[j0] = [-a for a in cols[j0]]
+            piv = cols[j0]
+            for j in nz:
+                q = cols[j][i] // piv[i]
+                if j != j0 and q:
+                    cols[j] = [a - q * b for a, b in zip(cols[j], piv)]
+            nz = [j for j in range(pc, c) if cols[j][i]]
+        j0 = nz[0]
+        cols[pc], cols[j0] = cols[j0], cols[pc]
+        if cols[pc][i] < 0:
+            cols[pc] = [-a for a in cols[pc]]
+        piv = cols[pc]
+        for j in range(pc):
+            q = cols[j][i] // piv[i]
+            if q:
+                cols[j] = [a - q * b for a, b in zip(cols[j], piv)]
+        pivots.append((i, pc))
+        pc += 1
+    return tuple(tuple(col[:r]) for col in cols), tuple(tuple(col[r:]) for col in cols), tuple(pivots)
+
 
 class TestKernel:
     def test_432_trivial(self):
@@ -343,11 +397,14 @@ class TestHnfSolver:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(st.integers(-6, 6), min_size=3, max_size=3), min_size=3, max_size=3))
     def test_pivot_product_is_the_index(self, rows):
-        # for a nonsingular square matrix the index of its column lattice is |det|
-        m = IntMatrix.from_rows(rows)
-        res = em.hnf(m)
+        # for a nonsingular square matrix the index of its column lattice
+        # is |det|; sympy's determinant, as em.determinant reads the same
+        # echelon's pivots
+        from sympy import Matrix
+
+        res = em.hnf(IntMatrix.from_rows(rows))
         if len(res.pivots) == 3:
-            assert prod(res.h[j][i] for i, j in res.pivots) == abs(em.determinant(m))
+            assert prod(res.h[j][i] for i, j in res.pivots) == abs(Matrix(rows).det())
 
     def test_pivot_product_of_a_lattice_of_index_six(self):
         res = em.hnf(IntMatrix.from_rows([[2, 0, 4], [0, 3, 3]]))

@@ -1,11 +1,16 @@
 """Incidence matrices and rank laws."""
 
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import incitoric
 from incitoric import exactmath as em
-from incitoric.errors import BadParameters
+from incitoric.errors import BadParameters, CertificateError
 from incitoric.incidence import PrimeRank, build_matrix, check_rank_laws, full_rank_prime_threshold
 
 
@@ -86,3 +91,42 @@ class TestRankLaws:
         entry = next(e for e in report.entries if (e.n, e.k, e.t) == (4, 3, 1))
         by_p = {r.p: r for r in entry.mod_p}
         assert by_p[2] == PrimeRank(2, 4, False, False, True)
+
+    def test_every_prime_rank_is_an_elimination_mod_p(self):
+        # the ranks read off the index are the ranks an elimination gives
+        for entry in check_rank_laws(7).entries:
+            m = build_matrix(entry.n, entry.k, entry.t).matrix
+            for r in entry.mod_p:
+                assert r.matrix_rank == em.rank_mod_p(m, r.p), (entry.n, entry.k, entry.t, r.p)
+
+    def test_only_primes_dividing_the_index_are_eliminated(self, monkeypatch):
+        calls = []
+        rank_mod_p = em.rank_mod_p
+        monkeypatch.setattr(em, "rank_mod_p", lambda m, p: calls.append(p) or rank_mod_p(m, p))
+        report = check_rank_laws(8)
+        assert report.all_ok
+        assert len(report.entries) * len(report.primes) == 504
+        assert len(calls) == 80
+
+    def test_forged_staircase_raises(self, monkeypatch):
+        # a staircase one pivot short of the rank over Q
+        monkeypatch.setattr(em, "staircase", lambda basis: ((), 1))
+        with pytest.raises(CertificateError, match=r"column lattice of \(2,2,1\) has 0 pivots, not the rank 1"):
+            check_rank_laws(2)
+
+    def test_forged_staircase_raises_under_python_O(self):
+        code = (
+            "from incitoric import exactmath\n"
+            "from incitoric.errors import CertificateError\n"
+            "from incitoric.incidence import check_rank_laws\n"
+            "exactmath.staircase = lambda basis: ((), 1)\n"
+            "try:\n"
+            "    check_rank_laws(2)\n"
+            "except CertificateError as e:\n"
+            "    print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "the column lattice of (2,2,1) has 0 pivots, not the rank 1"

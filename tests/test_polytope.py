@@ -340,7 +340,8 @@ def _locate_in_simplex(verts, target):
     """Where ``target`` lies against the simplex on the homogeneous integer
     points ``verts``.  By Cramer's rule its j-th barycentric coordinate is
     det(V_j) / det(V), V having the vertices as rows and V_j the target in
-    row j, so the signs come from Bareiss determinants."""
+    row j, so the signs come from determinants, each the signed product of
+    the pivots of one column echelon."""
     orientation = exactmath.determinant(IntMatrix.from_rows(verts))
     on_face = False
     for j in range(len(verts)):
@@ -381,8 +382,8 @@ class TestVolumes:
     def test_no_solve_and_one_frame_per_config(self, tri632, monkeypatch):
         solves, frames = [], []
         monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: solves.append(v))
-        staircase = polytope._staircase
-        monkeypatch.setattr(polytope, "_staircase", lambda basis: frames.append(basis) or staircase(basis))
+        staircase = exactmath.staircase
+        monkeypatch.setattr(exactmath, "staircase", lambda basis: frames.append(basis) or staircase(basis))
         cfg = PointConfig.from_incidence(build_matrix(6, 3, 2))
         one = Triangulation(tri632.dim, tri632.simplices[:1], ())
         for lattice, volume in (("column_lattice", 162), ("euclidean", 5184)):
