@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands mirror the library modules; every command prints a single
-JSON document (or CSV where noted) and exits 0 on success, 1 when a
-verification fails, 2 on usage or budget errors.  Output is reproducible:
+Subcommands mirror the library modules.  Each one is a single argparse
+leaf with one handler and only the options that handler reads, so an
+option given to a subcommand that does not read it is a usage error.
+Every command prints a single JSON document (or CSV where noted) and
+exits 0 on success, 1 when a verification fails, 2 on usage or budget
+errors.  Output is reproducible:
 identical invocations give byte-identical output once the timestamp and
 the acceptance times are suppressed with --no-meta.
 """
@@ -16,7 +19,7 @@ import time
 from dataclasses import asdict
 
 from . import acceptance, complexes, designs, threepoint, toric
-from .combinat import subset_label, subsets_colex
+from .combinat import derangements, subset_label, subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BudgetExceeded, CertificateError, IncitoricError
 from .incidence import build_matrix, check_rank_laws
@@ -84,31 +87,10 @@ def _cmd_incidence_ranks(args) -> int:
     return EXIT_OK if report.all_ok else EXIT_VERIFICATION
 
 
-def _cmd_toric(args) -> int:
+def _cmd_basis(args) -> int:
     config = _config(args)
     labels = _labels(args.n, args.k)
-    if args.kind in ("octahedral", "saturate"):
-        # the octahedral basis carries the matrix it was built against
-        basis = toric.octahedral_generators(args.n, args.k, args.t)
-        inc = basis.matrix
-    else:
-        inc = build_matrix(args.n, args.k, args.t)
-    if args.kind == "markov":
-        basis = toric.minimal_markov(inc, config)
-    elif args.kind == "graver":
-        basis = toric.graver_basis(inc, config)
-    elif args.kind == "groebner":
-        basis = toric.lattice_ideal_groebner(inc, config)
-    elif args.kind == "saturate":
-        ok = toric.saturation_equals(basis, inc, config)
-        _emit(
-            {
-                "octahedral_generators": len(basis.elements),
-                "saturation_equals_lattice_ideal": ok,
-            },
-            args,
-        )
-        return EXIT_OK if ok else EXIT_VERIFICATION
+    basis = args.basis(args.n, args.k, args.t, config)
     degrees = basis.degree_multiset()
     _emit(
         {
@@ -126,50 +108,75 @@ def _cmd_toric(args) -> int:
     return EXIT_OK
 
 
-def _cmd_polytope(args) -> int:
-    inc = build_matrix(args.n, args.k, args.t)
-    cfg = PointConfig.from_incidence(inc)
-    if args.what == "volume":
-        lattice = "euclidean" if args.lattice == "euclidean" else "column_lattice"
-        tri = placing_triangulation(cfg)
-        vol = normalized_volume(cfg, lattice, tri)
-        _emit(
-            {
-                "lattice": lattice,
-                "dimension": tri.dim,
-                "simplices": len(tri.simplices),
-                "normalized_volume": vol,
-            },
-            args,
-        )
-        return EXIT_OK
-    if args.what == "faces":
-        if args.subset is None:
-            print("error: polytope faces needs --subset", file=sys.stderr)
-            return EXIT_USAGE
-        labels = _labels(args.n, args.k)
-        idx = {lbl: i for i, lbl in enumerate(labels)}
-        try:
-            # labels of n >= 10 hold commas themselves
-            subset = [idx[s.strip()] for s in args.subset.split("," if args.n <= 9 else ";")]
-        except KeyError as e:
-            print(f"error: unknown vertex label {e}", file=sys.stderr)
-            return EXIT_USAGE
-        repeated = [labels[i] for j, i in enumerate(subset) if i in subset[:j]]
-        if repeated:
-            print(f"error: repeated vertex label '{repeated[0]}'", file=sys.stderr)
-            return EXIT_USAGE
-        cert = is_face(cfg, subset)
-        payload = {"subset": sorted(labels[i] for i in subset), "is_face": cert.is_face}
-        if cert.is_face:
-            c, beta = cert.functional
-            payload["functional"] = {"coeffs": [str(x) for x in c], "rhs": str(beta)}
-        else:
-            payload["witness"] = _labelled(cert.witness, labels)
-        _emit(payload, args)
-        return EXIT_OK
-    # neighborly
-    rep = neighborliness(cfg, args.s_max)
+def _of_matrix(basis):
+    """The builder of ``basis(inc, config)`` on the incidence matrix of (n, k, t)."""
+    return lambda n, k, t, config: basis(build_matrix(n, k, t), config)
+
+
+def _cmd_saturate(args) -> int:
+    config = _config(args)
+    _labels(args.n, args.k)  # the sizes are checked first, as on the basis leaves
+    # the octahedral basis carries the matrix it was built against
+    basis = toric.octahedral_generators(args.n, args.k, args.t)
+    ok = toric.saturation_equals(basis, basis.matrix, config)
+    _emit(
+        {
+            "octahedral_generators": len(basis.elements),
+            "saturation_equals_lattice_ideal": ok,
+        },
+        args,
+    )
+    return EXIT_OK if ok else EXIT_VERIFICATION
+
+
+def _points(args) -> PointConfig:
+    return PointConfig.from_incidence(build_matrix(args.n, args.k, args.t))
+
+
+def _cmd_volume(args) -> int:
+    cfg = _points(args)
+    lattice = "euclidean" if args.lattice == "euclidean" else "column_lattice"
+    tri = placing_triangulation(cfg)
+    vol = normalized_volume(cfg, lattice, tri)
+    _emit(
+        {
+            "lattice": lattice,
+            "dimension": tri.dim,
+            "simplices": len(tri.simplices),
+            "normalized_volume": vol,
+        },
+        args,
+    )
+    return EXIT_OK
+
+
+def _cmd_faces(args) -> int:
+    cfg = _points(args)
+    labels = _labels(args.n, args.k)
+    idx = {lbl: i for i, lbl in enumerate(labels)}
+    try:
+        # labels of n >= 10 hold commas themselves
+        subset = [idx[s.strip()] for s in args.subset.split("," if args.n <= 9 else ";")]
+    except KeyError as e:
+        print(f"error: unknown vertex label {e}", file=sys.stderr)
+        return EXIT_USAGE
+    repeated = [labels[i] for j, i in enumerate(subset) if i in subset[:j]]
+    if repeated:
+        print(f"error: repeated vertex label '{repeated[0]}'", file=sys.stderr)
+        return EXIT_USAGE
+    cert = is_face(cfg, subset)
+    payload = {"subset": sorted(labels[i] for i in subset), "is_face": cert.is_face}
+    if cert.is_face:
+        c, beta = cert.functional
+        payload["functional"] = {"coeffs": [str(x) for x in c], "rhs": str(beta)}
+    else:
+        payload["witness"] = _labelled(cert.witness, labels)
+    _emit(payload, args)
+    return EXIT_OK
+
+
+def _cmd_neighborly(args) -> int:
+    rep = neighborliness(_points(args), args.s_max)
     payload = {
         "s_max": args.s_max,
         "neighborliness": rep.neighborliness,
@@ -183,13 +190,21 @@ def _cmd_polytope(args) -> int:
     return EXIT_OK
 
 
-def _cmd_complex(args) -> int:
+def _verified(args):
+    """The complex of the leaf's file and its verification report."""
     with open(args.file) as fh:
         delta = complexes.parse_complex_file(fh.read())
-    report = complexes.verify(delta)
-    if args.what == "verify":
-        _emit({"file": args.file, "report": asdict(report)}, args)
-        return EXIT_OK
+    return delta, complexes.verify(delta)
+
+
+def _cmd_complex_verify(args) -> int:
+    _, report = _verified(args)
+    _emit({"file": args.file, "report": asdict(report)}, args)
+    return EXIT_OK
+
+
+def _cmd_complex_binomial(args) -> int:
+    delta, report = _verified(args)
     try:
         binom = complexes.orientation_binomial(delta, report)
     except IncitoricError as e:
@@ -211,20 +226,23 @@ def _cmd_complex(args) -> int:
     return EXIT_OK
 
 
-def _cmd_designs(args) -> int:
+def _cmd_pods(args) -> int:
     labels = _labels(args.n, args.k)
-    if args.what == "pods":
-        vectors = list(designs.pods(args.n, args.k, args.t))
-        span_ok = designs.pods_span_kernel(args.n, args.k, args.t, vectors)
-        _emit(
-            {
-                "count": len(vectors),
-                "span_equals_kernel": span_ok,
-                "designs": [_labelled(v, labels) for v in vectors],
-            },
-            args,
-        )
-        return EXIT_OK if span_ok else EXIT_VERIFICATION
+    vectors = list(designs.pods(args.n, args.k, args.t))
+    span_ok = designs.pods_span_kernel(args.n, args.k, args.t, vectors)
+    _emit(
+        {
+            "count": len(vectors),
+            "span_equals_kernel": span_ok,
+            "designs": [_labelled(v, labels) for v in vectors],
+        },
+        args,
+    )
+    return EXIT_OK if span_ok else EXIT_VERIFICATION
+
+
+def _cmd_scan(args) -> int:
+    labels = _labels(args.n, args.k)
     scan = designs.min_support_scan(args.n, args.k, args.t)
     payload = {
         "min_positive_support": scan.min_positive_support,
@@ -236,31 +254,32 @@ def _cmd_designs(args) -> int:
     return EXIT_OK
 
 
-def _cmd_threepoint(args) -> int:
-    if args.what == "check":
-        report = threepoint.check_section5(args.n)
-        _emit({**asdict(report), "all_passed": report.all_passed}, args)
-        return EXIT_OK if report.all_passed else EXIT_VERIFICATION
-    if args.what == "fibers":
-        from .combinat import derangements
+def _cmd_check(args) -> int:
+    report = threepoint.check_section5(args.n)
+    _emit({**asdict(report), "all_passed": report.all_passed}, args)
+    return EXIT_OK if report.all_passed else EXIT_VERIFICATION
 
-        rows = []
-        ok = True
-        for d in derangements(args.n):
-            size = len(threepoint.fiber(threepoint.phi(d), args.n))
-            expected = threepoint.fiber_size_formula(d)
-            ok = ok and size == expected
-            rows.append(
-                {
-                    "images": list(d.images),
-                    "cycles": [list(c) for c in d.cycles],
-                    "fiber": size,
-                    "formula": expected,
-                }
-            )
-        _emit({"all_match": ok, "derangements": rows}, args)
-        return EXIT_OK if ok else EXIT_VERIFICATION
-    # det
+
+def _cmd_fibers(args) -> int:
+    rows = []
+    ok = True
+    for d in derangements(args.n):
+        size = len(threepoint.fiber(threepoint.phi(d), args.n))
+        expected = threepoint.fiber_size_formula(d)
+        ok = ok and size == expected
+        rows.append(
+            {
+                "images": list(d.images),
+                "cycles": [list(c) for c in d.cycles],
+                "fiber": size,
+                "formula": expected,
+            }
+        )
+    _emit({"all_match": ok, "derangements": rows}, args)
+    return EXIT_OK if ok else EXIT_VERIFICATION
+
+
+def _cmd_det(args) -> int:
     expr = threepoint.det_as_c_expression(args.n)
     tri_labels = _labels(args.n, 3)
     payload = {
@@ -309,10 +328,14 @@ def _config(args) -> RunConfig:
     return DEFAULT_CONFIG
 
 
-def _add_nkt(p):
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-t", type=int, required=True)
+def _leaf(group, name, func, sizes="nkt", **kwargs) -> argparse.ArgumentParser:
+    """One subcommand, its handler and a required integer option per
+    letter of ``sizes``; ``kwargs`` go to ``add_parser``."""
+    p = group.add_parser(name, **kwargs)
+    for size in sizes:
+        p.add_argument(f"-{size}", type=int, required=True)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,51 +348,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--pair-budget", type=int, help="pair queue budget of toric and acceptance")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    inc = sub.add_parser("incidence", help="incidence matrices and rank laws")
-    inc_sub = inc.add_subparsers(dest="what", required=True)
-    m = inc_sub.add_parser("matrix")
-    _add_nkt(m)
-    m.add_argument("--format", choices=("json", "csv"), default="json")
-    m.set_defaults(func=_cmd_incidence_matrix)
-    rk = inc_sub.add_parser("ranks")
-    rk.add_argument("--n-max", type=int, default=8)
-    rk.set_defaults(func=_cmd_incidence_ranks)
+    def group(name, dest, help):
+        return sub.add_parser(name, help=help).add_subparsers(dest=dest, required=True)
 
-    tor = sub.add_parser("toric", help="Markov, Graver, octahedral and Groebner bases")
-    tor.add_argument("kind", choices=("markov", "graver", "octahedral", "groebner", "saturate"))
-    _add_nkt(tor)
-    tor.set_defaults(func=_cmd_toric)
+    inc = group("incidence", "what", "incidence matrices and rank laws")
+    _leaf(inc, "matrix", _cmd_incidence_matrix).add_argument("--format", choices=("json", "csv"), default="json")
+    _leaf(inc, "ranks", _cmd_incidence_ranks, "").add_argument("--n-max", type=int, default=8)
 
-    poly = sub.add_parser("polytope", help="face tests, neighborliness, volumes")
-    poly.add_argument("what", choices=("volume", "faces", "neighborly"))
-    _add_nkt(poly)
-    poly.add_argument("--lattice", choices=("euclidean", "column"), default="euclidean")
-    poly.add_argument(
-        "--subset", help="vertex labels for face tests, separated by commas (by ';' for n >= 10)"
+    tor = group("toric", "kind", "Markov, Graver, octahedral and Groebner bases")
+    for kind, basis in (
+        ("markov", _of_matrix(toric.minimal_markov)),
+        ("graver", _of_matrix(toric.graver_basis)),
+        ("octahedral", lambda n, k, t, config: toric.octahedral_generators(n, k, t)),
+        ("groebner", _of_matrix(toric.lattice_ideal_groebner)),
+    ):
+        _leaf(tor, kind, _cmd_basis).set_defaults(basis=basis)
+    _leaf(tor, "saturate", _cmd_saturate)
+
+    poly = group("polytope", "what", "face tests, neighborliness, volumes")
+    _leaf(poly, "volume", _cmd_volume).add_argument(
+        "--lattice", choices=("euclidean", "column"), default="euclidean"
     )
-    poly.add_argument("--s-max", type=int, default=3)
-    poly.set_defaults(func=_cmd_polytope)
+    _leaf(poly, "faces", _cmd_faces).add_argument(
+        "--subset", required=True, help="vertex labels, separated by commas (by ';' for n >= 10)"
+    )
+    _leaf(poly, "neighborly", _cmd_neighborly).add_argument("--s-max", type=int, default=3)
 
-    cx = sub.add_parser("complex", help="verify complexes and build orientation binomials")
-    cx.add_argument("what", choices=("verify", "binomial"))
-    cx.add_argument("file")
-    cx.set_defaults(func=_cmd_complex)
+    cx = group("complex", "what", "verify complexes and build orientation binomials")
+    for what, func in (("verify", _cmd_complex_verify), ("binomial", _cmd_complex_binomial)):
+        _leaf(cx, what, func, "").add_argument("file")
 
-    dg = sub.add_parser("designs", help="pods and support scans")
-    dg.add_argument("what", choices=("pods", "scan"))
-    _add_nkt(dg)
-    dg.set_defaults(func=_cmd_designs)
+    dg = group("designs", "what", "pods and support scans")
+    _leaf(dg, "pods", _cmd_pods)
+    _leaf(dg, "scan", _cmd_scan)
 
-    tp = sub.add_parser("threepoint", help="derangement and coset calculus")
-    tp.add_argument("what", choices=("check", "det", "fibers"))
-    tp.add_argument("-n", type=int, required=True)
-    tp.add_argument("--emit", action="store_true", help="include the full numerator")
-    tp.set_defaults(func=_cmd_threepoint)
+    tp = group("threepoint", "what", "derangement and coset calculus")
+    _leaf(tp, "check", _cmd_check, "n")
+    _leaf(tp, "det", _cmd_det, "n").add_argument("--emit", action="store_true", help="include the full numerator")
+    _leaf(tp, "fibers", _cmd_fibers, "n")
 
-    acc = sub.add_parser("acceptance", help="run the acceptance suite")
+    acc = _leaf(sub, "acceptance", _cmd_acceptance, "", help="run the acceptance suite")
     acc.add_argument("--only", type=int, nargs="+", help="criterion numbers to run")
     acc.add_argument("--json", action="store_true", help="JSON output instead of a table")
-    acc.set_defaults(func=_cmd_acceptance)
 
     return parser
 
@@ -380,7 +400,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    if args.pair_budget is not None and args.func not in (_cmd_toric, _cmd_acceptance):
+    if args.pair_budget is not None and args.command not in ("toric", "acceptance"):
         print(f"error: --pair-budget does not apply to the {args.command} command", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -190,6 +190,8 @@ def determinant(m: IntMatrix) -> int:
     return sign * prod([cols[j][i] for i, j in pivots]) if len(pivots) == m.rows else 0
 
 
+# exported, and kept for the benchmark's tracer, which wraps it by name; no
+# library caller
 def rank_q(m: IntMatrix) -> int:
     """Rank over the rationals: the column echelon's pivot count."""
     return len(_echelon(_columns(m), m.rows)[0])

@@ -72,3 +72,23 @@ def test_coset_criterion_reads_every_applicable_claim(monkeypatch):
     (result,) = acceptance.run_acceptance(acceptance.Workspace(), [13])
     assert not result.passed
     assert result.detail == "n=5: transposition_relations failed; n=6: transposition_relations failed"
+
+
+def test_orientation_criterion_decides_primitivity_once_per_binomial(monkeypatch):
+    # orientation_binomial refuses a binomial that is not primitive, so
+    # criterion 11 tests the octahedral quartic and the degree-7 binomial
+    # once each, and never again itself
+    from incitoric import complexes, toric
+
+    seen = []
+    is_primitive = toric.is_primitive
+
+    def counted(b, inc, *rest):
+        seen.append((inc.n, inc.k, inc.t))
+        return is_primitive(b, inc, *rest)
+
+    monkeypatch.setattr(toric, "is_primitive", counted)
+    monkeypatch.setattr(complexes, "is_primitive", counted)
+    (result,) = acceptance.run_acceptance(acceptance.Workspace(), [11])
+    assert result.passed
+    assert seen == [(6, 3, 2), (9, 3, 2)]

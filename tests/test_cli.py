@@ -148,12 +148,51 @@ def test_repeated_vertex_label_is_usage_error(capsys):
 
 
 def test_faces_without_subset_is_usage_error(capsys):
+    # --subset is a required option of the faces leaf, enforced by argparse
     code = main(["--no-meta", "polytope", "faces", "-n", "6", "-k", "3", "-t", "2"])
     captured = capsys.readouterr()
     assert code == EXIT_USAGE
     assert captured.out == ""
-    assert "needs --subset" in captured.err
-    assert captured.err == "error: polytope faces needs --subset\n"
+    assert "required: --subset" in captured.err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["polytope", "faces", "--subset", "123", "--lattice", "column"], "--lattice"),
+    (["polytope", "neighborly", "--lattice", "column"], "--lattice"),
+    (["polytope", "volume", "--subset", "123"], "--subset"),
+    (["polytope", "neighborly", "--subset", "123"], "--subset"),
+    (["polytope", "volume", "--s-max", "2"], "--s-max"),
+    (["polytope", "faces", "--subset", "123", "--s-max", "2"], "--s-max"),
+    (["threepoint", "check", "--emit"], "--emit"),
+    (["threepoint", "fibers", "--emit"], "--emit"),
+])
+def test_option_of_another_subcommand_is_usage_error(capsys, argv, option):
+    # each option belongs to the one leaf whose handler reads it
+    sizes = ["-n", "4"] if argv[0] == "threepoint" else ["-n", "6", "-k", "3", "-t", "2"]
+    code = main(["--no-meta", *argv[:2], *sizes, *argv[2:]])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "unrecognized arguments: " in captured.err
+    assert option in captured.err.splitlines()[-1]
+
+
+LEAVES = (
+    "incidence matrix", "incidence ranks",
+    "toric markov", "toric graver", "toric octahedral", "toric groebner", "toric saturate",
+    "polytope volume", "polytope faces", "polytope neighborly",
+    "complex verify", "complex binomial",
+    "designs pods", "designs scan",
+    "threepoint check", "threepoint det", "threepoint fibers",
+    "acceptance",
+)
+
+
+@pytest.mark.parametrize("leaf", LEAVES)
+def test_every_leaf_has_help(capsys, leaf):
+    code, out = run_cli(capsys, *leaf.split(), "--help")
+    assert code == EXIT_OK
+    assert out.startswith(f"usage: incitoric {leaf} ")
 
 
 def test_malformed_complex_file_is_usage_error(tmp_path, capsys):

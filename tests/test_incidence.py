@@ -1,16 +1,12 @@
 """Incidence matrices and rank laws."""
 
-import os
-import subprocess
-import sys
+from collections import Counter
 from math import comb
-from pathlib import Path
 
 import pytest
 
-import incitoric
 from incitoric import exactmath as em
-from incitoric.errors import BadParameters, CertificateError
+from incitoric.errors import BadParameters
 from incitoric.incidence import PrimeRank, build_matrix, check_rank_laws, full_rank_prime_threshold
 
 
@@ -108,25 +104,18 @@ class TestRankLaws:
         assert len(report.entries) * len(report.primes) == 504
         assert len(calls) == 80
 
-    def test_forged_staircase_raises(self, monkeypatch):
-        # a staircase one pivot short of the rank over Q
-        monkeypatch.setattr(em, "staircase", lambda basis: ((), 1))
-        with pytest.raises(CertificateError, match=r"column lattice of \(2,2,1\) has 0 pivots, not the rank 1"):
-            check_rank_laws(2)
+    def test_one_echelon_over_z_per_triple(self, monkeypatch):
+        # the rank over Q is the staircase length of the one HNF basis, so
+        # each of the 84 triples of n <= 8 takes one echelon over Z, and
+        # only the 80 primes dividing an index take one mod p
+        calls = Counter()
+        echelon = em._echelon
 
-    def test_forged_staircase_raises_under_python_O(self):
-        code = (
-            "from incitoric import exactmath\n"
-            "from incitoric.errors import CertificateError\n"
-            "from incitoric.incidence import check_rank_laws\n"
-            "exactmath.staircase = lambda basis: ((), 1)\n"
-            "try:\n"
-            "    check_rank_laws(2)\n"
-            "except CertificateError as e:\n"
-            "    print(e)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == "the column lattice of (2,2,1) has 0 pivots, not the rank 1"
+        def counted(cols, r, p=0):
+            calls["mod p" if p else "Z"] += 1
+            return echelon(cols, r, p)
+
+        monkeypatch.setattr(em, "_echelon", counted)
+        report = check_rank_laws(8)
+        assert report.all_ok
+        assert calls == {"Z": 84, "mod p": 80}
