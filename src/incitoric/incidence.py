@@ -3,10 +3,10 @@
 The matrix for parameters (n, k, t) has one row per t-subset and one
 column per k-subset of [1..n], both in colex order, with a 1 exactly when
 the row subset is contained in the column subset.  Its columns span the
-cone whose toric ideal the rest of the package studies.  Its rank over Q
-is the staircase length of the one HNF basis of its column lattice; the
-basis's index decides the rank mod every prime that does not divide it,
-and only the primes that do take an elimination mod p.
+cone whose toric ideal the rest of the package studies.  One diagonal
+form over Z gives its rank over Q, the number of its entries, and its
+rank mod every prime p, the number of its entries that p does not
+divide; no arithmetic runs mod p.
 """
 
 from __future__ import annotations
@@ -93,14 +93,11 @@ def check_rank_laws(n_max: int = 8) -> RankLawReport:
     the bare 0/1 matrix keeps full rank mod p (e.g. (n,k,t)=(4,3,1),
     p=2), so both ranks are reported.
 
-    The rank over Q is the staircase length of the HNF basis of the
-    column lattice, the one column echelon over Z of each triple.  The
-    rank mod p is read off the same basis where it can be.  That basis is
-    the matrix times a unimodular transform, and its pivot minor is
-    triangular with the pivots on the diagonal, so the rank mod p equals
-    the rank over Q whenever p does not divide the basis's index, the
-    product of its pivots.  Only the other primes take an elimination
-    mod p.
+    Both ranks come from one diagonal form ``U W V`` of the incidence
+    matrix ``W``, with ``U`` and ``V`` unimodular, one per triple: the rank
+    over Q is the number of its entries, and as ``U`` and ``V`` stay
+    invertible mod p, the rank mod p is the number of its entries that p
+    does not divide.
     """
     if n_max < 2:
         raise BadParameters(f"n_max must be at least 2, the least n with a triple, not {n_max}")
@@ -111,13 +108,12 @@ def check_rank_laws(n_max: int = 8) -> RankLawReport:
             for t in range(1, k):
                 inc = build_matrix(n, k, t)
                 full = min(comb(n, t), comb(n, k))
-                basis = exactmath.lattice_from_generators(inc.matrix.rows, zip(*inc.matrix.entries))
-                rows, index = exactmath.staircase(basis)
-                rq = len(rows)
+                diag = exactmath.diagonal(inc.matrix)
+                rq = len(diag)
                 law_q = rq == full
                 per_p = []
                 for p in RANK_LAW_PRIMES:
-                    rp = rq if index % p else exactmath.rank_mod_p(inc.matrix, p)
+                    rp = sum(1 for d in diag if d % p)
                     factorial_vanishes = p <= k - t
                     map_full = (not factorial_vanishes) and rp == full
                     predicted = p > full_rank_prime_threshold(n, k, t)

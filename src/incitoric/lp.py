@@ -6,13 +6,13 @@ point outside the face.  Phase one of a dense-tableau simplex decides it
 in integers from input to certificate: every row gets an artificial,
 and each tableau row is kept as the one primitive integer multiple of
 itself that is positive at its lead column, its basic column.  That
-entry is the row's denominator, so none is stored beside the row
-(integer-preserving elimination; Bareiss, Math. Comp. 22, 1968).  The
-cost row leads in a -z column of its own, so a pivot treats it like any
-row: integer cross multiplication, then division by the gcd.  A row's
-canonical form does not depend on the pivots that reached it, and the
-ratio test compares quotients by cross multiplication, so the integers
-are never left.
+entry is the row's denominator, so none is stored beside the row.  A
+pivot cross-multiplies each row with the pivot row in integers and then
+divides the result by the gcd of its entries, which keeps it primitive;
+the cost row leads in a -z column of its own, so a pivot treats it like
+any row.  A row's canonical form does not depend on the pivots that
+reached it, and the ratio test compares quotients by cross
+multiplication, so the integers are never left.
 
 Pivoting is deterministic: steepest Dantzig descent with smallest-index
 tie-breaks, falling back to Bland's rule after a fixed pivot count so

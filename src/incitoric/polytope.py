@@ -90,21 +90,20 @@ class PointConfig:
         """The staircase rows and the two direction lattices' indices,
         ``(rows, {"column_lattice": i_col, "euclidean": i_euc})``.
 
-        The column lattice is generated by the point differences ``p_j -
-        p_0``; the euclidean one, its saturation, is (direction span over
-        Q) intersect Z^N, by two kernel passes.  In the HNF basis of either
-        lattice each vector's first nonzero entry is its pivot, and the
-        pivot rows depend only on the span, so projecting to these rows
-        maps each lattice onto a sublattice of Z^d of index the product of
-        its pivots."""
-        nd = self.ambient_dim
+        The column lattice L is generated by the point differences ``p_j -
+        p_0``; the euclidean one, its saturation S, is (direction span over
+        Q) intersect Z^N.  In the HNF basis of L each vector's first nonzero
+        entry is its pivot, so projecting to these rows maps L onto a
+        sublattice of Z^d of index the product of its pivots, and maps S,
+        which spans the same space, one to one onto a lattice between them.
+        [S : L] is the order of the torsion of Z^N / L, the product of the
+        diagonal form of the basis, and divides the index of L."""
         diffs = [tuple([a - b for a, b in zip(p, self.points[0])]) for p in self.points[1:]]
-        col = exactmath.lattice_from_generators(nd, diffs)
-        normals = exactmath.kernel_basis(IntMatrix(len(col), nd, col))
-        euc = exactmath.lattice_from_generators(nd, exactmath.kernel_basis(IntMatrix(len(normals), nd, normals)))
-        (rows, i_col), (euc_rows, i_euc) = exactmath.staircase(col), exactmath.staircase(euc)
-        if rows != euc_rows:
-            raise CertificateError("the direction lattices have different staircase rows")
+        col = exactmath.lattice_from_generators(self.ambient_dim, diffs)
+        rows, i_col = exactmath.staircase(col)
+        i_euc, rest = divmod(i_col, prod(exactmath.diagonal(IntMatrix.from_rows(col))))
+        if rest:
+            raise CertificateError("the saturation index does not divide the column lattice's index")
         return rows, {"column_lattice": i_col, "euclidean": i_euc}
 
 

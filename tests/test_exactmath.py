@@ -299,6 +299,31 @@ class TestSympyOracles:
         for p in RANK_LAW_PRIMES:
             assert em.rank_mod_p(m, p) == dm.convert_to(GF(p)).rank()
 
+    @settings(max_examples=120, deadline=None)
+    @given(small_matrices())
+    def test_diagonal_matches_invariant_factors(self, m):
+        # the entries need not divide one another as Smith's do, but their
+        # count, their product and the primes dividing them must agree
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        diag = em.diagonal(m)
+        factors = [abs(int(f)) for f in invariant_factors(Matrix(m.entries), domain=ZZ) if f]
+        assert all(d > 0 for d in diag)
+        assert len(diag) == len(factors)
+        assert prod(diag) == prod(factors)
+        for p in RANK_LAW_PRIMES:
+            assert sum(1 for d in diag if d % p) == sum(1 for f in factors if f % p)
+
+    @pytest.mark.parametrize(
+        "m",
+        [IntMatrix(0, 3, ()), IntMatrix(3, 0, ((), (), ())), IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])],
+        ids=["0x3", "3x0", "zero 2x3"],
+    )
+    def test_diagonal_of_an_empty_or_zero_matrix_is_empty(self, m):
+        assert em.diagonal(m) == ()
+        assert em.rank_mod_p(m, 2) == em.rank_q(m) == 0
+
     def test_determinant_matches_sympy(self):
         # up to 14 x 14, the simplex size of (6,3,2)
         from sympy import Matrix

@@ -1,6 +1,5 @@
 """Incidence matrices and rank laws."""
 
-from collections import Counter
 from math import comb
 
 import pytest
@@ -89,33 +88,56 @@ class TestRankLaws:
         assert by_p[2] == PrimeRank(2, 4, False, False, True)
 
     def test_every_prime_rank_is_an_elimination_mod_p(self):
-        # the ranks read off the index are the ranks an elimination gives
+        # the ranks read off the diagonal form are the ranks sympy's
+        # elimination over GF(p) gives
+        from sympy import GF, ZZ
+        from sympy.polys.matrices import DomainMatrix
+
         for entry in check_rank_laws(7).entries:
             m = build_matrix(entry.n, entry.k, entry.t).matrix
+            dm = DomainMatrix([[ZZ(x) for x in row] for row in m.entries], (m.rows, m.cols), ZZ)
             for r in entry.mod_p:
-                assert r.matrix_rank == em.rank_mod_p(m, r.p), (entry.n, entry.k, entry.t, r.p)
+                assert r.matrix_rank == dm.convert_to(GF(r.p)).rank(), (entry.n, entry.k, entry.t, r.p)
 
-    def test_only_primes_dividing_the_index_are_eliminated(self, monkeypatch):
-        calls = []
-        rank_mod_p = em.rank_mod_p
-        monkeypatch.setattr(em, "rank_mod_p", lambda m, p: calls.append(p) or rank_mod_p(m, p))
+    def test_one_diagonal_form_per_triple(self, monkeypatch):
+        # every rank of a triple is read off its one diagonal form; nothing
+        # is eliminated mod p
+        diagonals, mod_p = [], []
+        diagonal, rank_mod_p = em.diagonal, em.rank_mod_p
+        monkeypatch.setattr(em, "diagonal", lambda m: diagonals.append(m) or diagonal(m))
+        monkeypatch.setattr(em, "rank_mod_p", lambda m, p: mod_p.append(p) or rank_mod_p(m, p))
         report = check_rank_laws(8)
         assert report.all_ok
         assert len(report.entries) * len(report.primes) == 504
-        assert len(calls) == 80
+        assert (len(diagonals), len(mod_p)) == (84, 0)
 
     def test_one_echelon_over_z_per_triple(self, monkeypatch):
-        # the rank over Q is the staircase length of the one HNF basis, so
-        # each of the 84 triples of n <= 8 takes one echelon over Z, and
-        # only the 80 primes dividing an index take one mod p
-        calls = Counter()
+        # the diagonal form alternates column echelons over Z of the matrix
+        # and of its transpose: two rounds on 83 of the 84 triples of
+        # n <= 8 and three on one, 169 echelons in all
+        calls = []
         echelon = em._echelon
 
-        def counted(cols, r, p=0):
-            calls["mod p" if p else "Z"] += 1
-            return echelon(cols, r, p)
+        def counted(cols, r):
+            calls.append(r)
+            return echelon(cols, r)
 
         monkeypatch.setattr(em, "_echelon", counted)
         report = check_rank_laws(8)
         assert report.all_ok
-        assert calls == {"Z": 84, "mod p": 80}
+        assert len(calls) == 169
+
+
+def test_rank_law_for_every_prime():
+    # the rank over Q is full, so (k-t)! W drops rank mod p exactly for the
+    # primes p <= k-t and the primes dividing an entry of the diagonal form
+    # of W; the law says these are the primes <= min(k, n-t)
+    from sympy import primefactors, primerange
+
+    for n in range(2, 9):
+        for k in range(2, n + 1):
+            for t in range(1, k):
+                diag = em.diagonal(build_matrix(n, k, t).matrix)
+                assert len(diag) == min(comb(n, t), comb(n, k))
+                dropping = set(primerange(k - t + 1)).union(*(primefactors(d) for d in diag))
+                assert dropping == set(primerange(full_rank_prime_threshold(n, k, t) + 1)), (n, k, t)

@@ -107,6 +107,7 @@ UNCALLED_ON_PURPOSE = {
     "solve_rational": "the benchmark's tracer wraps it by name",
     "lattice_member": "the benchmark's tracer wraps it by name",
     "rank_q": "exported, and the benchmark's tracer wraps it by name",
+    "rank_mod_p": "exported, and the benchmark's tracer wraps it by name",
 }
 
 

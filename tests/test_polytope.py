@@ -380,18 +380,20 @@ class TestVolumes:
             assert normalized_volume(cfg, "column_lattice", tri) == 1
 
     def test_no_solve_and_one_frame_per_config(self, tri632, monkeypatch):
-        solves, frames = [], []
+        solves, frames, kernels = [], [], []
         monkeypatch.setattr(exactmath.HnfSolver, "solve", lambda self, v: solves.append(v))
         staircase = exactmath.staircase
         monkeypatch.setattr(exactmath, "staircase", lambda basis: frames.append(basis) or staircase(basis))
+        monkeypatch.setattr(exactmath, "kernel_basis", lambda m: kernels.append(m))
         cfg = PointConfig.from_incidence(build_matrix(6, 3, 2))
         one = Triangulation(tri632.dim, tri632.simplices[:1], ())
         for lattice, volume in (("column_lattice", 162), ("euclidean", 5184)):
             assert normalized_volume(cfg, lattice, tri632) == volume
             assert normalized_volume(cfg, lattice, one) >= 1
-        # one staircase per lattice, both read on the first call
-        assert len(frames) == 2
-        assert solves == []
+        # one staircase, of the column lattice, read on the first call; the
+        # saturation's index comes from the diagonal form, not a kernel
+        assert len(frames) == 1
+        assert solves == [] and kernels == []
 
     def test_point_outside_its_lattice_raises(self):
         # a forged index that does not divide the simplex determinant, 1
@@ -418,14 +420,30 @@ class TestVolumes:
         )
         assert out.stdout.strip() == "simplex determinant is not a multiple of the lattice index"
 
-    def test_lattices_with_different_staircases_raise(self, monkeypatch):
-        # the saturation spans the same space, so it has the same pivot
-        # rows; a forged euclidean basis on other rows is caught
-        bases = iter([((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1))])
-        monkeypatch.setattr(exactmath, "lattice_from_generators", lambda nd, gens: next(bases))
-        cfg = points_config([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
-        with pytest.raises(CertificateError, match="different staircase rows"):
+    def test_saturation_index_not_dividing_raises(self, monkeypatch):
+        # [saturation : column lattice] divides the column lattice's index,
+        # here 2; a forged diagonal form whose product is 3 is caught
+        monkeypatch.setattr(exactmath, "diagonal", lambda m: (1, 3))
+        cfg = points_config([(0, 0), (2, 0), (0, 1)])
+        with pytest.raises(CertificateError, match="saturation index does not divide"):
             normalized_volume(cfg)
+
+    def test_saturation_index_not_dividing_raises_under_python_O(self):
+        code = (
+            "from incitoric import exactmath\n"
+            "from incitoric.errors import CertificateError\n"
+            "from incitoric.polytope import PointConfig, normalized_volume\n"
+            "exactmath.diagonal = lambda m: (1, 3)\n"
+            "try:\n"
+            "    normalized_volume(PointConfig(((0, 0), (2, 0), (0, 1))))\n"
+            "except CertificateError as e:\n"
+            "    print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "the saturation index does not divide the column lattice's index"
 
     def test_bad_lattice_name(self, cfg632):
         with pytest.raises(BadParameters):
