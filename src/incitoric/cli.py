@@ -21,7 +21,7 @@ from dataclasses import asdict
 from . import acceptance, complexes, designs, threepoint, toric
 from .combinat import derangements, subset_label, subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
-from .errors import BudgetExceeded, CertificateError, IncitoricError
+from .errors import BadParameters, BudgetExceeded, CertificateError, IncitoricError
 from .incidence import build_matrix, check_rank_laws
 from .polytope import PointConfig, is_face, neighborliness, normalized_volume, placing_triangulation
 
@@ -115,7 +115,6 @@ def _of_matrix(basis):
 
 def _cmd_saturate(args) -> int:
     config = _config(args)
-    _labels(args.n, args.k)  # the sizes are checked first, as on the basis leaves
     # the octahedral basis carries the matrix it was built against
     basis = toric.octahedral_generators(args.n, args.k, args.t)
     ok = toric.saturation_equals(basis, basis.matrix, config)
@@ -328,12 +327,23 @@ def _config(args) -> RunConfig:
     return DEFAULT_CONFIG
 
 
+def subset_size(text: str) -> int:
+    """The type of -n, -k and -t: a subset size, refused before any handler
+    runs when negative.  The error is an ``IncitoricError`` but not a
+    ``ValueError``, which argparse would turn into its own message, so
+    ``main`` reports it as a usage error of one line."""
+    size = int(text)
+    if size < 0:
+        raise IncitoricError(f"subset sizes must be non-negative, not {size}")
+    return size
+
+
 def _leaf(group, name, func, sizes="nkt", **kwargs) -> argparse.ArgumentParser:
-    """One subcommand, its handler and a required integer option per
+    """One subcommand, its handler and a required subset size option per
     letter of ``sizes``; ``kwargs`` go to ``add_parser``."""
     p = group.add_parser(name, **kwargs)
     for size in sizes:
-        p.add_argument(f"-{size}", type=int, required=True)
+        p.add_argument(f"-{size}", type=subset_size, required=True)
     p.set_defaults(func=func)
     return p
 
@@ -395,16 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
-    if args.pair_budget is not None and args.command not in ("toric", "acceptance"):
-        print(f"error: --pair-budget does not apply to the {args.command} command", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
+        if args.pair_budget is not None and args.command not in ("toric", "acceptance"):
+            raise BadParameters(f"--pair-budget does not apply to the {args.command} command")
         return args.func(args)
+    except SystemExit as e:  # argparse has printed its usage error, or the help
+        return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except BudgetExceeded as e:
         print(f"budget exceeded: {e}", file=sys.stderr)
         return EXIT_USAGE

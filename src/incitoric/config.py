@@ -19,7 +19,7 @@ class RunConfig:
     fiber_budget: int = 200_000
     box_budget: int = 4_000_000
     volume_simplex_budget: int = 200_000
-    derangement_max_n: int = 8
+    derangement_max_n: int = 9
     # the benchmark worker builds RunConfig(workers=1); every run is
     # sequential, so 1 is the only value accepted
     workers: int = 1

@@ -1,7 +1,11 @@
 """Exact integer linear algebra over arbitrary-precision integers.
 
-Dense matrices only; the one sparse structure is the staircase the HNF
-solver keeps, so that a membership test touches only nonzero entries.
+Matrices are stored dense.  Each also keeps the nonzero ``(row, value)``
+pairs of its columns, built once on first use; such pairs are the
+library's one sparse vector shape.  ``mat_vec`` runs over them alone,
+``sparse_dot`` evaluates a dense functional at a sparse vector, and the
+polytope module's points and the staircase the HNF solver keeps take the
+same shape, so that a membership test touches only nonzero entries.
 One elimination kernel, the Euclidean column echelon over Z, does all the
 work; no arithmetic runs mod p.  Its pivot count is the rank over Q, and
 the signed product of its pivots is the determinant.  Echelons of a
@@ -22,15 +26,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, prod
 from typing import Iterable, Optional, Sequence
 
 from .errors import BadParameters, CertificateError, CompositeModulus, DimensionMismatch
 
 
+def nonzeros(vectors: Iterable[Sequence[int]]) -> tuple:
+    """Each vector's nonzero ``(index, value)`` pairs."""
+    return tuple([tuple([(i, x) for i, x in enumerate(v) if x]) for v in vectors])
+
+
+def sparse_dot(pairs: Iterable[tuple], v: Sequence[int]) -> int:
+    """The dot product of ``v`` with the vector whose nonzero entries are
+    ``pairs``."""
+    # a plain loop: on the 3 to 5 pairs of a 0/1 point it takes half the
+    # time of sum() over a list comprehension
+    total = 0
+    for i, x in pairs:
+        total += v[i] * x
+    return total
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """Dense matrix over Python ints, stored as a tuple of row tuples."""
+    """Matrix over Python ints, stored as a tuple of row tuples, with the
+    nonzero entries of each column kept once, on first use, for
+    ``mat_vec``."""
 
     rows: int
     cols: int
@@ -61,10 +84,21 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)) if self.rows else tuple(() for _ in range(self.cols)))
 
+    @cached_property
+    def column_nonzeros(self) -> tuple:
+        """Each column's nonzero ``(row, value)`` pairs."""
+        return nonzeros(self.transpose().entries)
+
     def mat_vec(self, v: Sequence[int]) -> tuple:
+        """``self @ v``: each nonzero entry of ``v`` adds its multiple of the
+        column's nonzero entries."""
         if len(v) != self.cols:
             raise DimensionMismatch("matrix-vector shape mismatch")
-        return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
+        out = [0] * self.rows
+        for col, x in zip(self.column_nonzeros, v):
+            for i, a in col if x else ():
+                out[i] += a * x
+        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from . import exactmath
 from .combinat import subsets_colex
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadParameters, BudgetExceeded, CertificateError
-from .exactmath import IntMatrix
+from .exactmath import IntMatrix, sparse_dot
 from .incidence import IncidenceMatrix
 from .lp import LinearConstraint, RationalLpProblem, lp_feasible
 
@@ -52,9 +52,10 @@ class PointConfig:
         return len(self.points[0]) if self.points else 0
 
     @cached_property
-    def supports(self) -> tuple:
-        """Each point's nonzero ``(coordinate, value)`` pairs."""
-        return tuple([tuple([(r, x) for r, x in enumerate(p) if x]) for p in self.points])
+    def matrix(self) -> IntMatrix:
+        """The points as the columns of a matrix.  Its column nonzeros are
+        the sparse points: every functional is evaluated on these."""
+        return IntMatrix(self.ambient_dim, len(self.points), tuple(zip(*self.points)))
 
     @cached_property
     def gale(self) -> "GaleDual":
@@ -177,7 +178,7 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
         for j, x in zip(outside, res.values):
             slacks[j] = -(res.den + x)
         c, beta, den = gale.functional_with_slacks(slacks)
-        values = [sum([c[r] * x for r, x in sup]) - beta for sup in cfg.supports]
+        values = [sparse_dot(sup, c) - beta for sup in cfg.matrix.column_nonzeros]
         if values != [den * z for z in slacks]:
             raise CertificateError("supporting functional does not recombine to its slack vector")
         if any(values[i] for i in inside):
@@ -189,7 +190,7 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
     if res.status != "infeasible":
         raise CertificateError(f"face LP came back {res.status}")
     # den times the Farkas multipliers y; the dependence is v_j = y . G_j
-    v = [_dot(res.values, g) for g in zip(*gale.rows)]
+    v = [sparse_dot(g, res.values) for g in exactmath.nonzeros(zip(*gale.rows))]
     g = gcd(*v)
     if not g:
         raise CertificateError("Farkas multipliers combine to the zero dependence")
@@ -201,17 +202,8 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
     return FaceCertificate(False, None, witness)
 
 
-def _dot(c, p):
-    return sum(a * b for a, b in zip(c, p))
-
-
 def _is_affine_dependence(cfg: PointConfig, v: Sequence[int]) -> bool:
-    total = [0] * cfg.ambient_dim
-    for x, sup in zip(v, cfg.supports):
-        if x:
-            for r, a in sup:
-                total[r] += x * a
-    return any(v) and sum(v) == 0 and not any(total)
+    return any(v) and sum(v) == 0 and not any(cfg.matrix.mat_vec(v))
 
 
 @dataclass(frozen=True)
@@ -278,8 +270,15 @@ def placing_triangulation(
     depends only on each functional restricted to the hull, so no integer
     kernel is needed.  Every new facet functional is re-checked in
     integers against its facet.
+
+    A boundary facet is an int bitmask of its point indices, so the ridge
+    of facet f opposite vertex v is ``f ^ (1 << v)``; a cell is a tuple,
+    the points of the facet it cones over in increasing order, then the
+    point placed.  Functionals are dense and points sparse: each
+    evaluation runs over a point's nonzero coordinates, the column
+    nonzeros of ``cfg.matrix``.
     """
-    pts = cfg.points
+    pts, sup = cfg.points, cfg.matrix.column_nonzeros
     m = len(pts)
     nd = cfg.ambient_dim
     order = list(order) if order is not None else list(range(m))
@@ -287,22 +286,23 @@ def placing_triangulation(
         raise BadParameters("order must be a permutation of the point indices")
 
     cells: List[tuple] = []
-    # facet -> functional (g, beta) with g.x - beta negative inside the hull
-    boundary: Dict[frozenset, tuple] = {}
+    # facet bitmask -> functional (g, beta) with g.x - beta negative inside the hull
+    boundary: Dict[int, tuple] = {}
     normals: tuple = ()  # independent functionals whose common zeros are the hull's directions
     origin: Optional[int] = None
-    # interior reference: the sum of the first cell's vertices, i.e. their
-    # centroid scaled by ``weight``, the number of vertices
-    interior: Optional[tuple] = None
+    # interior reference: the nonzero entries of the sum of the first
+    # cell's vertices, i.e. their centroid scaled by ``weight``, the
+    # number of vertices
+    interior: tuple = ()
     weight = 0
 
-    def oriented(facet: Iterable[int], functional: tuple) -> tuple:
+    def oriented(facet: int, functional: tuple) -> tuple:
         """The functional, checked to vanish on the facet and signed to be
         negative at the interior reference."""
         g, beta = functional
-        if any(_dot(g, pts[v]) != beta for v in facet):
+        if any(sparse_dot(sup[v], g) != beta for v in _members(facet)):
             raise CertificateError("boundary functional misses a facet vertex")
-        side = _dot(g, interior) - weight * beta
+        side = sparse_dot(interior, g) - weight * beta
         if side == 0:
             raise CertificateError("interior reference lies on a boundary facet")
         return functional if side < 0 else (tuple([-x for x in g]), -beta)
@@ -311,47 +311,48 @@ def placing_triangulation(
     for idx in order:
         if len(cells) > config.volume_simplex_budget:
             raise BudgetExceeded("triangulation grew past the simplex budget")
-        p = pts[idx]
+        p = sup[idx]
         if origin is None:
             origin = idx
             cells = [(idx,)]
             # the empty facet of a point: the constant functional -1
-            boundary = {frozenset(): ((0,) * nd, 1)}
+            boundary = {0: ((0,) * nd, 1)}
             normals = IntMatrix.identity(nd).entries
             continue
-        diff = tuple([a - b for a, b in zip(p, pts[origin])])
-        normal = next((v for v in normals if _dot(v, diff)), None)
+        diff = exactmath.nonzeros([[a - b for a, b in zip(pts[idx], pts[origin])]])[0]
+        normal = next((v for v in normals if sparse_dot(diff, v)), None)
         if normal is not None:
             # dimension grows: cone over everything; the normal vanishes
             # on the old hull and not at the new point
-            off_hull = (normal, _dot(normal, pts[origin]))
+            off_hull = (normal, sparse_dot(sup[origin], normal))
             normals = tuple(_pencil((v, 0), (normal, 0), diff)[0] for v in normals if v != normal)
             cells = [c + (idx,) for c in cells]
-            interior = tuple(sum(pts[v][r] for v in cells[0]) for r in range(nd))
+            interior = exactmath.nonzeros([[sum(pts[v][r] for v in cells[0]) for r in range(nd)]])[0]
             weight = len(cells[0])
             # every old cell, c[:-1] of a new one, is now a facet on the old hull
-            new_boundary = {frozenset(c[:-1]): oriented(c[:-1], off_hull) for c in cells}
+            new_boundary = {f: oriented(f, off_hull) for f in [sum([1 << v for v in c[:-1]]) for c in cells]}
             for f, lf in boundary.items():
-                nf = f | {idx}
+                nf = f | (1 << idx)
                 new_boundary[nf] = oriented(nf, _pencil(lf, off_hull, p))
             boundary = new_boundary
             continue
         # same dimension: find strictly visible boundary facets
-        visible = {f: lf for f, lf in boundary.items() if _dot(lf[0], p) > lf[1]}
+        visible = {f: lf for f, lf in boundary.items() if sparse_dot(p, lf[0]) > lf[1]}
         if not visible:
             skipped.append(idx)
             continue
-        on_ridge: Dict[frozenset, List[frozenset]] = {}  # ridge -> visible facets on it
+        on_ridge: Dict[int, List[int]] = {}  # ridge -> visible facets on it
         for f in visible:
-            cells.append(tuple(sorted(f)) + (idx,))
-            for v in f:
-                on_ridge.setdefault(f - {v}, []).append(f)
-        hidden: Dict[frozenset, List[frozenset]] = {}  # ridge -> non-visible facets on it
+            members = _members(f)
+            cells.append(tuple(members) + (idx,))
+            for v in members:
+                on_ridge.setdefault(f ^ (1 << v), []).append(f)
+        hidden: Dict[int, List[int]] = {}  # ridge -> non-visible facets on it
         for f in boundary:
             if f not in visible:
-                for v in f:
-                    if f - {v} in on_ridge:
-                        hidden.setdefault(f - {v}, []).append(f)
+                for v in _members(f):
+                    if f ^ (1 << v) in on_ridge:
+                        hidden.setdefault(f ^ (1 << v), []).append(f)
         for f in visible:
             del boundary[f]
         for r, faces in on_ridge.items():
@@ -359,7 +360,7 @@ def placing_triangulation(
             if len(faces) + len(hidden.get(r, ())) != 2:
                 raise CertificateError("boundary complex is not closed")
             if len(faces) == 1:
-                nf = r | {idx}
+                nf = r | (1 << idx)
                 boundary[nf] = oriented(nf, _pencil(visible[faces[0]], boundary[hidden[r][0]], p))
 
     dim = nd - len(normals)
@@ -367,10 +368,16 @@ def placing_triangulation(
     return Triangulation(dim, full, tuple(skipped))
 
 
-def _pencil(la: tuple, lb: tuple, p: Sequence[int]) -> tuple:
+def _members(mask: int) -> list:
+    """The point indices of a facet bitmask, in increasing order."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _pencil(la: tuple, lb: tuple, p: Sequence[tuple]) -> tuple:
     """lb(p) * la - la(p) * lb: the member of the pencil of la and lb that
-    vanishes at p, reduced to coprime integers."""
-    va, vb = _dot(la[0], p) - la[1], _dot(lb[0], p) - lb[1]
+    vanishes at the point p, given by its nonzero ``(coordinate, value)``
+    pairs, reduced to coprime integers."""
+    va, vb = sparse_dot(p, la[0]) - la[1], sparse_dot(p, lb[0]) - lb[1]
     g = [vb * x - va * y for x, y in zip(la[0], lb[0])]
     return _reduced(g, vb * la[1] - va * lb[1])
 

@@ -307,9 +307,10 @@ def test_unknown_acceptance_number_is_usage_error(capsys, only):
     ["designs", "scan", "-n", "4", "-k", "-1", "-t", "1"],
     ["toric", "markov", "-n", "4", "-k", "-1", "-t", "1"],
     ["designs", "pods", "-n", "-1", "-k", "2", "-t", "1"],
+    ["toric", "saturate", "-n", "4", "-k", "-1", "-t", "1"],
 ])
 def test_negative_subset_size_is_usage_error(capsys, argv):
-    # the column labels are enumerated before the triple is validated
+    # the type of -n, -k and -t refuses a negative size before any handler runs
     err = usage_error(capsys, "--no-meta", *argv)
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must be non-negative" in err

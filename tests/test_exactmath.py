@@ -86,6 +86,33 @@ def det_permanent_oracle(m: IntMatrix) -> int:
     return total
 
 
+@st.composite
+def mat_vec_cases(draw):
+    """A matrix of 0..4 rows and 0..4 columns, some columns all zero, and
+    a vector to multiply it with."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    zero = draw(st.sets(st.integers(0, 3), max_size=c))
+    entries = tuple(tuple(0 if j in zero else draw(st.integers(-6, 6)) for j in range(c)) for _ in range(r))
+    return IntMatrix(r, c, entries), draw(st.lists(st.integers(-6, 6), min_size=c, max_size=c))
+
+
+class TestMatVec:
+    @settings(max_examples=300, deadline=None)
+    @given(mat_vec_cases())
+    def test_matches_the_dense_row_by_row_product(self, case):
+        m, v = case
+        assert m.mat_vec(v) == tuple(sum(a * x for a, x in zip(row, v)) for row in m.entries)
+
+    def test_empty_shapes_zero_columns_and_negative_entries(self):
+        assert IntMatrix(0, 3, ()).mat_vec([1, -2, 3]) == ()
+        assert IntMatrix(2, 0, ((), ())).mat_vec([]) == (0, 0)
+        m = IntMatrix.from_rows([[0, -3, 0], [0, 5, -1]])
+        assert m.column_nonzeros == ((), ((0, -3), (1, 5)), ((1, -1),))
+        assert m.mat_vec([7, 2, -4]) == (-6, 14)
+        with pytest.raises(DimensionMismatch):
+            m.mat_vec([1, 2])
+
+
 class TestHnf:
     def test_identity(self):
         m = IntMatrix.identity(3)

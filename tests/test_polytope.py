@@ -306,6 +306,17 @@ class TestPlacing:
             cfg632, "euclidean", reversed_tri
         )
 
+    @pytest.mark.parametrize("seed", [1, 23, 4096])
+    def test_seeded_632_orders(self, cfg632, seed):
+        # the degree and the euclidean volume do not depend on the order
+        order = list(range(20))
+        random.Random(seed).shuffle(order)
+        tri = placing_triangulation(cfg632, order)
+        assert len(set(tri.simplices)) == len(tri.simplices) == 162
+        assert all(len(set(c)) == 15 for c in tri.simplices)
+        assert normalized_volume(cfg632, "column_lattice", tri) == 162
+        assert normalized_volume(cfg632, "euclidean", tri) == 5184
+
     def test_interior_point_covered_once(self, cfg632, tri632):
         rng = random.Random(31)
         pts = cfg632.points
