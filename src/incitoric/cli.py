@@ -262,8 +262,12 @@ def _cmd_check(args) -> int:
 def _cmd_fibers(args) -> int:
     rows = []
     ok = True
+    sizes: dict = {}  # fiber size by image: each fiber is searched once
     for d in derangements(args.n):
-        size = len(threepoint.fiber(threepoint.phi(d), args.n))
+        image = threepoint.phi(d)
+        if image not in sizes:
+            sizes[image] = len(threepoint.fiber(image, args.n))
+        size = sizes[image]
         expected = threepoint.fiber_size_formula(d)
         ok = ok and size == expected
         rows.append(

@@ -3,10 +3,15 @@
 Everything here works on pure-difference binomials x^a - x^b, closed under
 S-pairs and reduction, so no coefficient arithmetic beyond signs is ever
 needed.  The saturated lattice ideal is computed by the standard loop:
-start from the binomials of an integer kernel basis and saturate one
-variable at a time, each round re-running Buchberger in a degree-reverse-
-lexicographic order that makes the active variable cheapest and then
-stripping its common power from every basis element.  Buchberger queues
+start from the binomials of the kernel's HNF basis and of the pods (the
+octahedra) and saturate one variable at a time, each round re-running
+Buchberger in a degree-reverse-lexicographic order that makes the active
+variable cheapest and then stripping its common power from every basis
+element.  The rounds of the basis's unit variables, each +-1 in one basis
+vector and 0 in the others, are skipped: once the other variables are
+inverted, the basis binomials make every unit variable a unit, so the
+ideal of the basis already agrees with the lattice ideal there (Hosten and
+Sturmfels, "GRIN", IPCO 1995).  Buchberger queues
 S-pairs by criteria M and F of the Gebauer-Moeller update, so no pair is
 remembered once it is popped.  Graver bases come from a completion on
 kernel vectors, Markov bases from fiber connectivity and primitivity from
@@ -44,7 +49,7 @@ from math import prod
 from operator import lshift
 from typing import Callable, Iterable, Optional, Sequence
 
-from . import exactmath
+from . import designs, exactmath
 from .combinat import colex_rank
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadParameters, BudgetExceeded, CertificateError
@@ -377,18 +382,25 @@ def saturate_binomials(
     generators: Iterable[tuple],
     nvars: int,
     pair_budget: int = DEFAULT_CONFIG.pair_queue_budget,
+    skip: Iterable[int] = (),
 ) -> list:
-    """Saturate the binomial ideal w.r.t. the product of all variables.
+    """Saturate the binomial ideal w.r.t. the product of all variables but
+    those in ``skip``.
 
     One round per variable in ascending colex order: Groebner basis in the
     order making that variable cheapest, then strip its common power from
     every element.  Each round packs its generators afresh, since the
     cheapest variable, and with it the packing, moves.  Sound for
     homogeneous binomial ideals.  A BudgetExceeded also names the round it
-    stopped in.
+    stopped in by its variable.
+
+    Skipping loses nothing when the generators contain the binomials of a
+    lattice basis B and every skipped variable is a unit variable of B
+    (``_unit_variables``): the saturation by the other variables is then
+    already the lattice ideal, by the lemma in ``lattice_ideal_groebner``.
     """
     gens = [(tuple(a), tuple(b)) for a, b in generators]
-    for v in range(nvars):
+    for v in sorted(set(range(nvars)).difference(skip)):
         order = DegrevlexOrder(nvars, cheapest=v)
         try:
             gb = buchberger(gens, order, pair_budget)
@@ -405,27 +417,53 @@ def _binomial_pairs(vectors: Iterable[Sequence[int]]) -> list:
     return [(b.plus, b.minus) for b in map(Binomial.from_vector, vectors)]
 
 
-def _saturated_groebner(pairs: list, nvars: int, config: RunConfig) -> list:
+def _unit_variables(vectors: Sequence[Sequence[int]]) -> frozenset:
+    """The unit variables of a lattice basis, at most one per vector: for
+    each vector, the first coordinate where it is +-1 and every other
+    vector is 0.  For a column HNF basis these are its pivots equal to 1."""
+    support = Counter(c for v in vectors for c, x in enumerate(v) if x)
+    units = (next((c for c, x in enumerate(v) if x in (1, -1) and support[c] == 1), None)
+             for v in vectors)
+    return frozenset(c for c in units if c is not None)
+
+
+def _saturated_groebner(pairs: list, nvars: int, config: RunConfig, skip: Iterable[int] = ()) -> list:
     """Reduced degrevlex Groebner basis of the saturation of the ideal the
-    binomial pairs span; empty for no pairs.
+    binomial pairs span by every variable not in ``skip``; empty for no
+    pairs.
 
     The last saturation round runs in the default order, whose cheapest
-    variable is x_(nvars-1).  For a homogeneous ideal, stripping that
-    variable from a reduced degrevlex basis leaves a Groebner basis of the
-    saturation (Sturmfels, *Groebner bases and convex polytopes*, 1996,
-    ch. 12), so interreducing it finishes the job without another
-    Buchberger run.
+    variable is x_(nvars-1), so that round is never skipped.  For a
+    homogeneous ideal, stripping that variable from a reduced degrevlex
+    basis leaves a Groebner basis of the saturation (Sturmfels, *Groebner
+    bases and convex polytopes*, 1996, ch. 12), so interreducing it
+    finishes the job without another Buchberger run.
     """
-    sat = saturate_binomials(pairs, nvars, config.pair_queue_budget)
+    sat = saturate_binomials(pairs, nvars, config.pair_queue_budget, set(skip) - {nvars - 1})
     return _on_pairs(_interreduce, sat, DegrevlexOrder(nvars))
 
 
 def lattice_ideal_groebner(
     inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG
 ) -> BinomialBasis:
-    """Reduced degrevlex Groebner basis of the saturated lattice ideal."""
+    """Reduced degrevlex Groebner basis of the saturated lattice ideal I_L.
+
+    The saturation starts from the binomials of the kernel's HNF basis B
+    and of the triple's pods, all in I_L, and skips the rounds of the unit
+    variables of B: coordinates where exactly one vector b of B is nonzero,
+    with entry +-1.  Lemma (Hosten and Sturmfels, "GRIN", IPCO 1995;
+    Sturmfels 1996, ch. 12): if J lies between I_B and I_L, then
+    J : (product of the other variables)^inf = I_L.  Sketch: invert the
+    other variables.  The binomial of b then makes its unit variable a
+    Laurent monomial in them, so every variable is a unit modulo I_B, and
+    the quotient by I_B is the Laurent ring modulo the lattice L, which is
+    the quotient by I_L.  Contracting back gives I_L, as I_L is saturated.
+    Pods exist exactly when the kernel is nonzero, k + t + 1 <= n.
+    """
     a = inc.matrix
-    gb = _saturated_groebner(_binomial_pairs(exactmath.kernel_basis(a)), a.cols, config)
+    basis = exactmath.lattice_from_generators(a.cols, exactmath.kernel_basis(a))
+    seeds = _binomial_pairs(chain(basis, designs.pods(inc.n, inc.k, inc.t)))
+    gb = _saturated_groebner(seeds, a.cols, config, _unit_variables(basis))
     elements = tuple(Binomial(a.cols, lead, tail) for lead, tail in gb)
     if not all(b.is_homogeneous() for b in elements):
         raise BadParameters("inhomogeneous element in a lattice ideal basis")
@@ -664,7 +702,6 @@ def _box_point(coords: Sequence[int], u: Sequence[int], index: int) -> list:
 
 def octahedral_generators(n: int, k: int, t: int) -> BinomialBasis:
     """One squarefree binomial per pod, plus part the positive support."""
-    from . import designs
     from .incidence import build_matrix
 
     inc = build_matrix(n, k, t)

@@ -647,6 +647,56 @@ class TestOctahedral:
             assert designs.pods_span_kernel(n, k, t, [b.vector for b in basis.elements])
 
 
+KERNEL_TRIPLES = [(n, k, t) for n in range(4, 7) for k in range(2, n) for t in range(1, k)
+                  if k + t + 1 <= n]
+
+
+def full_saturation(pairs, nvars):
+    """Oracle: the reduced basis of the saturation by every variable, by
+    one more Buchberger run in the default order after the last round."""
+    return toric.buchberger(toric.saturate_binomials(pairs, nvars), toric.DegrevlexOrder(nvars))
+
+
+@st.composite
+def graded_matrices(draw):
+    """A row of ones over 1-3 rows of entries 0..3, in 3-7 columns."""
+    cols = draw(st.integers(3, 7))
+    row = st.lists(st.integers(0, 3), min_size=cols, max_size=cols)
+    return IntMatrix.from_rows([[1] * cols] + draw(st.lists(row, min_size=1, max_size=3)))
+
+
+class TestUnitVariables:
+    def test_hnf_pivots_of_one(self, inc632):
+        a = inc632.matrix
+        basis = em.lattice_from_generators(a.cols, em.kernel_basis(a))
+        assert toric._unit_variables(basis) == {0, 1, 2, 4, 5}
+
+    def test_rejects_a_shared_coordinate(self):
+        # coordinate 0 is 1 in both vectors, coordinate 1 only in the second
+        assert toric._unit_variables([(1, 0), (1, 1)]) == {1}
+        assert toric._unit_variables([(1, 0, 1), (-1, 1, 0), (0, 1, 1)]) == frozenset()
+
+    def test_rejects_an_entry_of_two(self):
+        assert toric._unit_variables([(2, 0, -1)]) == {2}
+        assert toric._unit_variables([(2, 0), (0, -2)]) == frozenset()
+
+    def test_at_most_one_per_vector(self):
+        assert toric._unit_variables([(1, -1, 1, 0)]) == {0}
+        assert toric._unit_variables([(0, -1, 1, 0), (0, 0, 0, 1)]) == {1, 3}
+        assert toric._unit_variables([]) == frozenset()
+
+    @settings(max_examples=60, deadline=None)
+    @given(graded_matrices())
+    def test_skipping_keeps_the_reduced_basis(self, a):
+        basis = em.lattice_from_generators(a.cols, em.kernel_basis(a))
+        units = toric._unit_variables(basis)
+        for c in units:
+            assert sorted(abs(v[c]) for v in basis) == [0] * (len(basis) - 1) + [1]
+        assert all(sum(1 for c in units if v[c]) <= 1 for v in basis)
+        pairs = toric._binomial_pairs(basis)
+        assert toric._saturated_groebner(pairs, a.cols, RunConfig(), units) == full_saturation(pairs, a.cols)
+
+
 class TestSaturation:
     def test_octahedral_saturates(self, inc632):
         assert toric.saturation_equals(
@@ -668,8 +718,9 @@ class TestSaturation:
         monkeypatch.setattr(toric, "lattice_ideal_groebner", forbidden)
         assert toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
 
-    def test_twenty_groebner_runs(self, inc632, monkeypatch):
-        # one Buchberger run per saturation round of the 20 variables; the
+    def test_groebner_runs_skip_the_unit_variables(self, inc632, monkeypatch):
+        # one Buchberger run per saturation round; the lattice basis skips
+        # the rounds of its 5 unit variables, the octahedra run all 20; the
         # default-order basis is then finished by interreduction alone
         calls = []
         buchberger = toric.buchberger
@@ -680,10 +731,30 @@ class TestSaturation:
 
         monkeypatch.setattr(toric, "buchberger", counted)
         assert len(toric.lattice_ideal_groebner(inc632).elements) == 30
-        assert len(calls) == 20
+        assert len(calls) == 15
+        assert [order.scan[0] for _, order, _ in calls] == [3] + list(range(6, 20))
         calls.clear()
         assert toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
         assert len(calls) == 20
+
+    def test_last_round_always_runs(self, monkeypatch):
+        # the interreduction finish needs the round of x_(nvars-1), whose
+        # order is the default one, even when every variable may be skipped
+        orders = []
+        buchberger = toric.buchberger
+        monkeypatch.setattr(toric, "buchberger", lambda *args: orders.append(args[1]) or buchberger(*args))
+        gb = toric._saturated_groebner([((1, 0, 1), (0, 2, 0))], 3, RunConfig(), range(3))
+        assert [order.scan for order in orders] == [toric.DegrevlexOrder(3).scan]
+        assert gb == [((0, 2, 0), (1, 0, 1))]
+
+    @pytest.mark.parametrize("nkt", KERNEL_TRIPLES)
+    def test_lattice_ideal_groebner_matches_full_saturation(self, nkt):
+        # seeded with the bare kernel basis, every variable saturated
+        inc = build_matrix(*nkt)
+        nvars = inc.matrix.cols
+        expected = full_saturation(toric._binomial_pairs(em.kernel_basis(inc.matrix)), nvars)
+        gb = toric.lattice_ideal_groebner(inc)
+        assert [(b.plus, b.minus) for b in gb.elements] == expected
 
     def test_non_kernel_saturation_raises(self, inc632, monkeypatch):
         junk = binom(20, [(1, 2, 3)], [(1, 2, 4)])
