@@ -8,6 +8,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,78 @@ def test_results_digest_on_seeded_problems():
     assert sum(r.status == "optimal" for r in results) == 340
     digest = hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
     assert digest == "ff98c190c51555e2705361311238b43d45f5938f2e3f79f8bab9b959423701fa"
+
+
+def dense_lp_feasible(problem):
+    """Test oracle: phase one with dense pivots, each touched row
+    cross-multiplied with the whole pivot row and divided by the gcd of
+    its entries.  It shares only the pivot choice with ``lp``.
+    Returns the result and the counts of pivots other than 1 and of
+    updated rows whose lead is not 1."""
+    cons = problem.constraints
+    m, art_base = len(cons), problem.nvars
+    ncols = art_base + m
+    sigma = [-1 if c.rhs < 0 else 1 for c in cons]
+    rows = []
+    for i, (c, s) in enumerate(zip(cons, sigma)):
+        row = [s * a for a in c.coeffs] + [0] * (m + 1) + [s * c.rhs]
+        row[art_base + i] = 1
+        rows.append(row)
+    cost = [-sum(col) for col in zip(*rows, [0] * (ncols + 2))]
+    cost[art_base:ncols + 1] = [0] * m + [1]
+    rows.append(cost)
+    lead = list(range(art_base, ncols + 1))
+    pivots = odd_pivots = odd_leads = 0
+    while (col := lp._entering(rows[m], pivots > lp._BLAND_AFTER)) is not None:
+        row = lp._leaving(rows, lead, col)
+        pivots += 1
+        prow = rows[row]
+        piv = prow[col]
+        odd_pivots += piv != 1
+        for i, r in enumerate(rows):
+            f = r[col]
+            if f and i != row:
+                new = [a * piv - f * b for a, b in zip(r, prow)]
+                odd_leads += new[lead[i]] != 1
+                g = gcd(*new)
+                rows[i] = [x // g for x in new]
+        lead[row] = col
+    cost = rows[m]
+    if cost[-1] < 0:
+        farkas = tuple((cost[art_base + i] - cost[ncols]) * sigma[i] for i in range(m))
+        return LpResult("infeasible", farkas, cost[ncols]), odd_pivots, odd_leads
+    dens = [r[j] for r, j in zip(rows, lead[:m])]
+    d = lcm(*dens)
+    xs = [0] * art_base
+    for r, j, den in zip(rows, lead, dens):
+        if j < art_base:
+            xs[j] = r[-1] * (d // den)
+    return LpResult("optimal", tuple(xs), d), odd_pivots, odd_leads
+
+
+@pytest.mark.parametrize("bland_after", [lp._BLAND_AFTER, 0])
+def test_sparse_pivots_match_the_dense_oracle(monkeypatch, bland_after):
+    # 400 seeded problems of 1-6 rows over 1-8 non-negative variables with
+    # entries up to 9 in size: the same status, values and den, bit for bit
+    monkeypatch.setattr(lp, "_BLAND_AFTER", bland_after)
+    rng = random.Random(33)
+    verdicts = {"optimal": 0, "infeasible": 0}
+    odd_pivots = odd_leads = 0
+    for _ in range(400):
+        n, m = rng.randint(1, 8), rng.randint(1, 6)
+        rows = [
+            LinearConstraint.of([rng.randint(-9, 9) for _ in range(n)], rng.randint(-9, 9))
+            for _ in range(m)
+        ]
+        p = RationalLpProblem.of(rows, n)
+        expected, pivots, leads = dense_lp_feasible(p)
+        assert lp_feasible(p) == expected
+        verdicts[expected.status] += 1
+        odd_pivots += pivots
+        odd_leads += leads
+    # the scaling and gcd branches run, which the face LPs rarely reach
+    assert min(verdicts.values()) > 50
+    assert odd_pivots > 100 and odd_leads > 100
 
 
 @st.composite
