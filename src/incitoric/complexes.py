@@ -26,12 +26,15 @@ from .toric import Binomial, is_primitive
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Facet list over the vertex set [1..n]; no facet contains another."""
+    """A nonempty facet list over the vertex set [1..n]; no facet contains
+    another."""
 
     n: int
     facets: tuple  # of frozensets
 
     def __post_init__(self):
+        if not self.facets:
+            raise BadParameters("a complex needs at least one facet")
         for f in self.facets:
             if not f or not all(1 <= v <= self.n for v in f):
                 raise BadParameters("facet vertices must lie in [1..n]")
@@ -356,8 +359,6 @@ def parse_complex_file(text: str) -> SimplicialComplex:
         if len(set(facet)) != len(facet):
             raise BadParameters(f"line {number}: repeated vertex in a facet")
         facets.append(facet)
-    if not facets:
-        raise BadParameters("no facets in complex file")
-    n = max(max(f) for f in facets)
+    n = max((max(f) for f in facets), default=0)
     return SimplicialComplex.from_facets(n, facets)
 

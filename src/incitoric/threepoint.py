@@ -22,7 +22,7 @@ from itertools import permutations
 from math import comb, gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from . import exactmath
+from . import exactmath, toric
 from .combinat import Derangement, derangements, pair_rank
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import (
@@ -298,8 +298,6 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
     times the expansion of h is det shifted by q, one exact equality;
     when it fails, the quotient monomial and the scalar are None.
     """
-    from . import toric
-
     if n % 3 != 0:
         raise PreconditionFailed("implemented for 3 | n")
     expr = det_as_c_expression(n, config)

@@ -206,6 +206,13 @@ def test_malformed_complex_file_is_usage_error(tmp_path, capsys):
         assert captured.err.startswith("error: line ")
 
 
+def test_complex_file_of_comments_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "comments.cplx"
+    path.write_text("# no facets here\n\n")
+    err = usage_error(capsys, "--no-meta", "complex", "verify", str(path))
+    assert err == "error: a complex needs at least one facet\n"
+
+
 def usage_error(capsys, *argv):
     """Run the CLI, require exit 2 with nothing on stdout; return stderr."""
     code = main(list(argv))

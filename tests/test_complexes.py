@@ -379,6 +379,14 @@ class TestFileFormat:
         with pytest.raises(BadParameters, match="line 2"):
             cx.parse_complex_file("1 2 3\n1 1 2\n")
 
+    def test_no_facets_rejected(self):
+        # a complex with no facets has no dimension: the constructor, which
+        # the file parser reaches too, refuses it before anything asks
+        with pytest.raises(BadParameters, match="at least one facet"):
+            cx.verify(cx.SimplicialComplex.from_facets(3, []))
+        with pytest.raises(BadParameters, match="at least one facet"):
+            cx.parse_complex_file("# only a comment\n\n")
+
     def test_facet_containment_rejected(self):
         with pytest.raises(BadParameters):
             cx.SimplicialComplex.from_facets(3, [(1, 2, 3), (1, 2)])

@@ -56,14 +56,14 @@ def graver632(inc632):
 class TestOrders:
     def test_degrevlex_basics(self):
         order = toric.DegrevlexOrder(3)
-        assert order.compare((2, 0, 0), (1, 1, 0)) > 0  # on a degree tie, less of x1 wins
-        assert order.compare((1, 0, 0), (0, 0, 2)) < 0  # lower degree is smaller
-        assert order.compare((1, 1, 0), (1, 0, 1)) > 0  # less of the cheapest var wins
+        assert plain_compare(order, (2, 0, 0), (1, 1, 0)) > 0  # on a degree tie, less of x1 wins
+        assert plain_compare(order, (1, 0, 0), (0, 0, 2)) < 0  # lower degree is smaller
+        assert plain_compare(order, (1, 1, 0), (1, 0, 1)) > 0  # less of the cheapest var wins
 
     def test_cheapest_variable_moves(self):
         order = toric.DegrevlexOrder(3, cheapest=0)
         # with x0 cheapest, x0^2 is the smallest degree-2 monomial
-        assert order.compare((2, 0, 0), (0, 1, 1)) < 0
+        assert plain_compare(order, (2, 0, 0), (0, 1, 1)) < 0
 
 
 class TestEngineSmall:
@@ -100,14 +100,14 @@ def plain_normal_form(a, b, basis, order):
     def first_divisor(m):
         return next((g for g in basis if all(x <= y for x, y in zip(g[0], m))), None)
 
-    if order.compare(a, b) == 0:
+    if plain_compare(order, a, b) == 0:
         return None
-    lead, tail = (a, b) if order.compare(a, b) > 0 else (b, a)
+    lead, tail = (a, b) if plain_compare(order, a, b) > 0 else (b, a)
     while (g := first_divisor(lead)) is not None:
         lead = tuple(x - y + z for x, y, z in zip(lead, *g))
-        if order.compare(lead, tail) == 0:
+        if plain_compare(order, lead, tail) == 0:
             return None
-        if order.compare(lead, tail) < 0:
+        if plain_compare(order, lead, tail) < 0:
             lead, tail = tail, lead
     while (g := first_divisor(tail)) is not None:
         tail = tuple(x - y + z for x, y, z in zip(tail, *g))
@@ -196,9 +196,7 @@ class TestEngineOracles:
         # the last saturation round already runs in the default order, so
         # interreducing its stripped basis must equal one more Buchberger run
         nvars, gens = case
-        sat = toric.saturate_binomials(gens, nvars)
-        expected = toric.buchberger(sat, toric.DegrevlexOrder(nvars))
-        assert toric._saturated_groebner(gens, nvars, RunConfig()) == expected
+        assert toric.saturate_binomials(gens, nvars) == full_saturation(gens, nvars)
 
     def test_reduce_to_zero_matches_plain_reduction(self, inc632, gb632, markov632):
         rng = Random(632)
@@ -263,7 +261,7 @@ def test_packed_operations_match_tuples(case):
         a, b, t = (tuple(min(x, order.top) for x in m) for m in (a, b, t))
     qa, qb, qt = map(order.pack, (a, b, t))
     assert [order.unpack(q) for q in (qa, qb, qt)] == [a, b, t]
-    assert (qa > qb) - (qa < qb) == plain_compare(order, a, b) == order.compare(a, b)
+    assert (qa > qb) - (qa < qb) == plain_compare(order, a, b)
     divides = all(x <= y for x, y in zip(a, b))
     assert (toric._first_divisor(qb, [(qa, qt)], order) is not None) is divides
     lcm = tuple(max(x, y) for x, y in zip(a, b))
@@ -317,6 +315,14 @@ class TestStructure632:
     def test_markov_count_and_degrees(self, markov632):
         assert len(markov632.elements) == 30
         assert markov632.degree_multiset() == {4: 15, 6: 15}
+
+    def test_negated_candidates(self, inc632, gb632, markov632):
+        # an element and its negative pack to the same (lead, tail) pair, so
+        # they tie in the candidate order; the first is kept and its move
+        # connects the second
+        negated = tuple(toric.Binomial(20, b.minus, b.plus) for b in gb632.elements)
+        doubled = toric.BinomialBasis("groebner", gb632.elements + negated, inc632)
+        assert toric.markov_from_groebner(doubled).elements == markov632.elements
 
     def test_markov_quartics_match_octahedral_relabelings(self, markov632):
         quartics = {
@@ -628,6 +634,10 @@ class TestPrimitivity:
             toric.is_primitive(junk, inc632)
 
 
+KERNEL_TRIPLES = [(n, k, t) for n in range(4, 7) for k in range(2, n) for t in range(1, k)
+                  if k + t + 1 <= n]
+
+
 class TestOctahedral:
     def test_counts(self):
         assert len(toric.octahedral_generators(6, 3, 2).elements) == 15
@@ -646,15 +656,27 @@ class TestOctahedral:
             inc = basis.matrix
             assert designs.pods_span_kernel(n, k, t, [b.vector for b in basis.elements])
 
-
-KERNEL_TRIPLES = [(n, k, t) for n in range(4, 7) for k in range(2, n) for t in range(1, k)
-                  if k + t + 1 <= n]
+    @pytest.mark.parametrize("nkt", KERNEL_TRIPLES)
+    def test_oriented_pods(self, nkt):
+        # each pod up to sign, in the order of the pods, with the larger
+        # monomial of the default order first
+        basis = toric.octahedral_generators(*nkt)
+        order = toric.DegrevlexOrder(basis.matrix.matrix.cols)
+        assert all(plain_compare(order, b.plus, b.minus) > 0 for b in basis.elements)
+        pods = list(designs.pods(*nkt))
+        assert len(basis.elements) == len(pods)
+        for b, pod in zip(basis.elements, pods):
+            assert b.vector in (pod, tuple(-x for x in pod))
 
 
 def full_saturation(pairs, nvars):
-    """Oracle: the reduced basis of the saturation by every variable, by
-    one more Buchberger run in the default order after the last round."""
-    return toric.buchberger(toric.saturate_binomials(pairs, nvars), toric.DegrevlexOrder(nvars))
+    """Oracle for saturate_binomials: the reduced basis of the saturation
+    by every variable, one Buchberger run and strip per round, then one
+    more Buchberger run in the default order after the last round."""
+    for v in range(nvars):
+        gb = toric.buchberger(pairs, toric.DegrevlexOrder(nvars, v))
+        pairs = [toric.strip_variable(g, v) for g in gb]
+    return toric.buchberger(pairs, toric.DegrevlexOrder(nvars))
 
 
 @st.composite
@@ -694,7 +716,7 @@ class TestUnitVariables:
             assert sorted(abs(v[c]) for v in basis) == [0] * (len(basis) - 1) + [1]
         assert all(sum(1 for c in units if v[c]) <= 1 for v in basis)
         pairs = toric._binomial_pairs(basis)
-        assert toric._saturated_groebner(pairs, a.cols, RunConfig(), units) == full_saturation(pairs, a.cols)
+        assert toric.saturate_binomials(pairs, a.cols, RunConfig(), units) == full_saturation(pairs, a.cols)
 
 
 class TestSaturation:
@@ -743,7 +765,7 @@ class TestSaturation:
         orders = []
         buchberger = toric.buchberger
         monkeypatch.setattr(toric, "buchberger", lambda *args: orders.append(args[1]) or buchberger(*args))
-        gb = toric._saturated_groebner([((1, 0, 1), (0, 2, 0))], 3, RunConfig(), range(3))
+        gb = toric.saturate_binomials([((1, 0, 1), (0, 2, 0))], 3, RunConfig(), range(3))
         assert [order.scan for order in orders] == [toric.DegrevlexOrder(3).scan]
         assert gb == [((0, 2, 0), (1, 0, 1))]
 
@@ -759,7 +781,7 @@ class TestSaturation:
     def test_non_kernel_saturation_raises(self, inc632, monkeypatch):
         junk = binom(20, [(1, 2, 3)], [(1, 2, 4)])
         monkeypatch.setattr(
-            toric, "_saturated_groebner", lambda pairs, nvars, config: [(junk.plus, junk.minus)]
+            toric, "saturate_binomials", lambda pairs, nvars, config: [(junk.plus, junk.minus)]
         )
         with pytest.raises(CertificateError):
             toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
