@@ -35,7 +35,7 @@ class RunConfig:
             if getattr(self, name) <= 0:
                 raise BadParameters(f"{name} must be positive, not {getattr(self, name)}")
         if self.workers != 1:
-            raise ValueError("workers must be 1: every run is sequential")
+            raise BadParameters("workers must be 1: every run is sequential")
 
 
 DEFAULT_CONFIG = RunConfig()

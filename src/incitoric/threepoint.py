@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations
 from math import comb, gcd
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -281,8 +280,6 @@ class TildeIdealResult:
     markov_count: int
     extra_generator: Dict[tuple, int]  # saturated principal generator in triangle vars
     containment_verified: bool
-    quotient_monomial: Optional[tuple]  # edge exponents q with phi(extra) = scalar * det * p^q
-    scalar: Optional[Fraction]
 
 
 def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeIdealResult:
@@ -295,8 +292,7 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
     ``det_as_c_expression`` verified says that f expands to det times the
     edge monomial A g, so h expands to det p^q / gcd with q = A (g -
     content).  ``containment_verified`` reports whether q >= 0 and gcd
-    times the expansion of h is det shifted by q, one exact equality;
-    when it fails, the quotient monomial and the scalar are None.
+    times the expansion of h is det shifted by q, one exact equality.
     """
     if n % 3 != 0:
         raise PreconditionFailed("implemented for 3 | n")
@@ -314,5 +310,4 @@ def tilde_ideal_generators(n: int, config: RunConfig = DEFAULT_CONFIG) -> TildeI
     q = a.mat_vec([g - c for g, c in zip(expr.g_exps, content)])
     image = {k: coeff_gcd * v for k, v in expand_triangle_poly(a, h).items()}
     verified = min(q) >= 0 and image == _shifted(expr.det, q)
-    q, scalar = (q, Fraction(1, coeff_gcd)) if verified else (None, None)
-    return TildeIdealResult(n, len(markov.elements), h, verified, q, scalar)
+    return TildeIdealResult(n, len(markov.elements), h, verified)

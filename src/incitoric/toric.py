@@ -48,10 +48,10 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, product
 from math import prod
 from operator import lshift
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import designs, exactmath
 from .combinat import colex_rank
@@ -143,12 +143,11 @@ def _widening(run: Callable, order: DegrevlexOrder):
 class Binomial:
     """x^plus - x^minus with disjoint non-negative supports."""
 
-    var_count: int
     plus: tuple
     minus: tuple
 
     def __post_init__(self):
-        if len(self.plus) != self.var_count or len(self.minus) != self.var_count:
+        if len(self.plus) != len(self.minus):
             raise BadParameters("exponent vector length mismatch")
         if any(x < 0 for x in self.plus) or any(x < 0 for x in self.minus):
             raise BadParameters("negative exponent")
@@ -165,9 +164,6 @@ class Binomial:
     def degree(self) -> int:
         return max(sum(self.plus), sum(self.minus))
 
-    def is_homogeneous(self) -> bool:
-        return sum(self.plus) == sum(self.minus)
-
     def is_squarefree(self) -> bool:
         return all(x <= 1 for x in self.plus) and all(x <= 1 for x in self.minus)
 
@@ -176,24 +172,36 @@ class Binomial:
         cls, nvars: int, plus: Iterable[Iterable[int]], minus: Iterable[Iterable[int]]
     ) -> "Binomial":
         """One variable per k-subset in colex order; each subset listed in
-        ``plus`` or ``minus`` adds 1 to the exponent of its variable there."""
+        ``plus`` or ``minus`` adds 1 to the exponent of its variable there.
+        A subset whose colex rank is nvars or more raises BadParameters."""
         exps = []
         for subsets in (plus, minus):
             e = [0] * nvars
             for s in subsets:
-                e[colex_rank(tuple(sorted(s)))] += 1
+                rank = colex_rank(tuple(sorted(s)))
+                if rank >= nvars:
+                    raise BadParameters(f"subset {tuple(s)} has colex rank {rank}, "
+                                        f"outside the {nvars} variables")
+                e[rank] += 1
             exps.append(tuple(e))
-        return cls(nvars, *exps)
+        return cls(*exps)
 
     @classmethod
     def from_vector(cls, u: Sequence[int]) -> "Binomial":
         plus = tuple(x if x > 0 else 0 for x in u)
         minus = tuple(-x if x < 0 else 0 for x in u)
-        return cls(len(u), plus, minus)
+        return cls(plus, minus)
 
 
 @dataclass(frozen=True)
 class BinomialBasis:
+    """Binomials the library computed in the variables of ``matrix``.
+
+    The kernel check here is the one certificate of every computed basis,
+    whichever engine made it: an element outside the kernel of the matrix
+    raises CertificateError.
+    """
+
     kind: str  # markov | graver | groebner | octahedral
     elements: tuple
     matrix: IncidenceMatrix
@@ -202,7 +210,7 @@ class BinomialBasis:
 
     def __post_init__(self):
         if any(any(self.matrix.matrix.mat_vec(b.vector)) for b in self.elements):
-            raise BadParameters("basis element outside the kernel")
+            raise CertificateError("basis element outside the kernel")
 
     @cached_property
     def order(self) -> DegrevlexOrder:
@@ -440,15 +448,17 @@ def lattice_ideal_groebner(
     the quotient by I_B is the Laurent ring modulo the lattice L, which is
     the quotient by I_L.  Contracting back gives I_L, as I_L is saturated.
     Pods exist exactly when the kernel is nonzero, k + t + 1 <= n.
+
+    Every binomial met is homogeneous, as the saturation needs: each
+    column of an incidence matrix sums to C(k, t), so every kernel vector
+    sums to 0 (Sturmfels 1996, ch. 4).  The kernel check of
+    ``BinomialBasis`` therefore certifies homogeneity too.
     """
     a = inc.matrix
     basis = exactmath.lattice_from_generators(a.cols, exactmath.kernel_basis(a))
     seeds = _binomial_pairs(chain(basis, designs.pods(inc.n, inc.k, inc.t)))
-    gb = saturate_binomials(seeds, a.cols, config, _unit_variables(basis))
-    elements = tuple(Binomial(a.cols, lead, tail) for lead, tail in gb)
-    if not all(b.is_homogeneous() for b in elements):
-        raise BadParameters("inhomogeneous element in a lattice ideal basis")
-    return BinomialBasis("groebner", elements, inc)
+    pairs = saturate_binomials(seeds, a.cols, config, _unit_variables(basis))
+    return BinomialBasis("groebner", tuple(Binomial(*pair) for pair in pairs), inc)
 
 
 def reduce_to_zero(b: Binomial, basis: BinomialBasis) -> bool:
@@ -458,8 +468,8 @@ def reduce_to_zero(b: Binomial, basis: BinomialBasis) -> bool:
     binomial must live in the basis's variables: BadParameters otherwise.
     """
     cols = basis.matrix.matrix.cols
-    if basis.kind != "groebner" or b.var_count != cols:
-        raise BadParameters(f"membership of a binomial in {b.var_count} variables needs a "
+    if basis.kind != "groebner" or len(b.plus) != cols:
+        raise BadParameters(f"membership of a binomial in {len(b.plus)} variables needs a "
                             f"groebner basis in as many, not a {basis.kind} basis in {cols}")
     return _reduces_to_zero(b, basis)
 
@@ -564,47 +574,51 @@ def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> Bi
     the conformally minimal ones are the primitive vectors.  Signs
     conflict exactly where opposite halves share a variable, and a move
     fits when both its halves divide, each one packed test.  Each pair
-    reduced counts against ``pair_queue_budget``.
+    reduced counts against ``pair_queue_budget``.  The completion runs on
+    packed pairs through ``_on_pairs``, as ``buchberger`` does, and the
+    kernel check of ``BinomialBasis`` certifies the result.
     """
     a = inc.matrix
-    kernel = _binomial_pairs(exactmath.kernel_basis(a))
+    pairs = _on_pairs(lambda moves, order: _graver(moves, order, config.pair_queue_budget),
+                      _binomial_pairs(exactmath.kernel_basis(a)), DegrevlexOrder(a.cols))
+    return BinomialBasis("graver", tuple(Binomial(*pair) for pair in pairs), inc)
 
-    def run(order: DegrevlexOrder) -> list:
-        guard, one, units = order.guard, order.one, order.units
-        moves = [(order.pack(p), order.pack(m)) for p, m in kernel]
-        pairs = 0
-        for i, (fp, fm) in enumerate(moves):  # grows while iterated
-            # adding a 1 to every field sets the guard bits of the zero exponents
-            zp, zm = fp + units, fm + units
-            for gp, gm in moves[:i]:
-                for hp, hm in ((gp, gm), (gm, gp)):
-                    if (zp | hm + units) & (zm | hp + units) & guard == guard:
-                        continue
-                    pairs += 1
-                    if pairs > config.pair_queue_budget:
-                        raise BudgetExceeded(f"pair queue budget of {config.pair_queue_budget} "
-                                             f"exhausted: {pairs} sums reduced, {len(moves)} moves")
-                    plus, minus = _checked(fp + hp - one, order), _checked(fm + hm - one, order)
-                    # dividing both by their gcd, (plus + minus) / lcm, leaves the halves
-                    lcm = order.lcm(plus, minus)
-                    r = _conformal_remainder((lcm - minus + one, lcm - plus + one), moves, order)
-                    if r is not None:
-                        moves.append(r)
-        # h fits conformally inside g exactly when subtracting it changes g
-        minimal = sorted(_orient(*g) for g in moves if not any(
-            h is not g and _conformal_remainder(g, [h], order) != g for h in moves))
-        return [Binomial(a.cols, order.unpack(lead), order.unpack(tail)) for lead, tail in minimal]
 
-    return BinomialBasis("graver", tuple(_widening(run, DegrevlexOrder(a.cols))), inc)
+def _graver(moves: list, order: DegrevlexOrder, budget: int) -> list:
+    """The conformally minimal moves of the completion of the packed
+    moves, as sorted oriented pairs; ``moves`` grows in place."""
+    guard, one, units = order.guard, order.one, order.units
+    pairs = 0
+    for i, (fp, fm) in enumerate(moves):  # grows while iterated
+        # adding a 1 to every field sets the guard bits of the zero exponents
+        zp, zm = fp + units, fm + units
+        for gp, gm in moves[:i]:
+            for hp, hm in ((gp, gm), (gm, gp)):
+                if (zp | hm + units) & (zm | hp + units) & guard == guard:
+                    continue
+                pairs += 1
+                if pairs > budget:
+                    raise BudgetExceeded(f"pair queue budget of {budget} exhausted: "
+                                         f"{pairs} sums reduced, {len(moves)} moves")
+                plus, minus = _checked(fp + hp - one, order), _checked(fm + hm - one, order)
+                # dividing both by their gcd, (plus + minus) / lcm, leaves the halves
+                lcm = order.lcm(plus, minus)
+                r = _conformal_remainder((lcm - minus + one, lcm - plus + one), moves, order)
+                if r is not None:
+                    moves.append(r)
+    # h fits conformally inside g exactly when subtracting it changes g
+    return sorted(_orient(*g) for g in moves if not any(
+        h is not g and _conformal_remainder(g, [h], order) != g for h in moves))
 
 
 def is_primitive(b: Binomial, inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> bool:
     """No other kernel vector fits componentwise inside (plus, minus).
 
     Decided by meet-in-the-middle over the box 0 <= v+ <= plus,
-    0 <= v- <= minus: the support of u is cut in two, each half lists the
-    sums A·v over its half-box, and a left and a right half-vector whose
-    sums cancel make a kernel vector in the box.  ``box_budget`` bounds the
+    0 <= v- <= minus: the support of u is cut in two, each half walks the
+    points v of its half-box with their sums A·v, and a left and a right
+    point whose sums cancel make a kernel vector in the box.  The left
+    half keeps at most two points per sum.  ``box_budget`` bounds the
     entries of the larger half-box, checked before anything is listed.  A
     vector other than 0 and u is re-checked against A (CertificateError
     otherwise) before it is returned as a witness.
@@ -622,19 +636,18 @@ def is_primitive(b: Binomial, inc: IncidenceMatrix, config: RunConfig = DEFAULT_
             f"of {config.box_budget}"
         )
     keys = _column_keys(a, u, support)
-    witnesses: dict = {}  # sum key -> up to two left half-box indices
-    for j, key in enumerate(_half_sums(left, u, keys)):
+    witnesses: dict = {}  # sum key -> up to two left half-box points
+    for key, point in _half_box(left, u, keys):
         found = witnesses.setdefault(key, [])
         if len(found) < 2:
-            found.append(j)
-    # a right half-vector rules out at most one partner (0 when it is 0,
-    # u's left half when it is u's right half), so two per key suffice
-    for j, key in enumerate(_half_sums(right, u, keys)):
-        for i in witnesses.get(-key, ()):
+            found.append(point)
+    # a right point rules out at most one partner (0 when it is 0, u's
+    # left half when it is u's right half), so two per key suffice
+    for key, point in _half_box(right, u, keys):
+        for partner in witnesses.get(-key, ()):
             v = [0] * len(u)
-            for half, index in ((left, i), (right, j)):
-                for c, x in zip(half, _box_point(half, u, index)):
-                    v[c] = x
+            for c, x in zip(support, partner + point):
+                v[c] = x
             v = tuple(v)
             if any(v) and v != u:
                 if any(a.mat_vec(v)):
@@ -663,27 +676,13 @@ def _column_keys(a, u: Sequence[int], support: Sequence[int]) -> dict:
     return {c: sum(x << (r * width) for r, x in enumerate(col)) for c, col in columns.items()}
 
 
-def _half_sums(coords: Sequence[int], u: Sequence[int], keys: dict) -> list:
-    """Packed sums A·v over the half-box of ``coords``, the last coordinate
-    varying fastest."""
-    sums = [0]
-    for c in coords:
-        step = range(min(u[c], 0), max(u[c], 0) + 1)
-        col = keys[c]
-        sums = [s + x * col for s in sums for x in step]
-    return sums
-
-
-def _box_point(coords: Sequence[int], u: Sequence[int], index: int) -> list:
-    """The half-box point at position ``index`` of ``_half_sums``."""
-    point = []
-    for c in reversed(coords):
-        index, digit = divmod(index, abs(u[c]) + 1)
-        point.append(min(u[c], 0) + digit)
-    point.reverse()
-    return point
-
-
+def _half_box(coords: Sequence[int], u: Sequence[int], keys: dict) -> Iterator[tuple]:
+    """(packed sum A·v, v) for each point v of the half-box of ``coords``,
+    v_c between 0 and u_c, the last coordinate varying fastest: the sum is
+    that of the terms v_c * A_c, walked by the same product as v."""
+    steps = [range(min(u[c], 0), max(u[c], 0) + 1) for c in coords]
+    terms = product(*([x * keys[c] for x in step] for c, step in zip(coords, steps)))
+    return zip(map(sum, terms), product(*steps))
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +694,9 @@ def octahedral_generators(n: int, k: int, t: int) -> BinomialBasis:
     from .incidence import build_matrix
 
     inc = build_matrix(n, k, t)
-    cols = inc.matrix.cols
     pairs = _on_pairs(lambda packed, _: [_orient(a, b) for a, b in packed],
-                      _binomial_pairs(designs.pods(n, k, t)), DegrevlexOrder(cols))
-    return BinomialBasis("octahedral", tuple(Binomial(cols, *pair) for pair in pairs), inc)
+                      _binomial_pairs(designs.pods(n, k, t)), DegrevlexOrder(inc.matrix.cols))
+    return BinomialBasis("octahedral", tuple(Binomial(*pair) for pair in pairs), inc)
 
 
 def saturation_equals(
@@ -708,16 +706,16 @@ def saturation_equals(
     full lattice ideal I?
 
     Call the saturation J.  J lies in I when every element of its Groebner
-    basis is a kernel binomial, which is re-checked (CertificateError
-    otherwise).  I lies in J when the binomials of a kernel lattice basis
-    reduce to zero against that basis, as ``reduce_to_zero`` reduces: I is
-    the saturation of their ideal, and J is saturated.
+    basis is a kernel binomial, which the kernel check of ``BinomialBasis``
+    certifies (CertificateError otherwise).  I lies in J when the binomials
+    of a kernel lattice basis reduce to zero against that basis, as
+    ``reduce_to_zero`` reduces: I is the saturation of their ideal, and J
+    is saturated.  ``basis`` is checked against ``inc`` first
+    (BadParameters otherwise), as ``inc`` need not be its matrix.
     """
     a = inc.matrix
     if any(any(a.mat_vec(b.vector)) for b in basis.elements):
         raise BadParameters("generator outside the kernel")
-    gb_j = saturate_binomials([(b.plus, b.minus) for b in basis.elements], a.cols, config)
-    if any(any(a.mat_vec([x - y for x, y in zip(lead, tail)])) for lead, tail in gb_j):
-        raise CertificateError("saturation produced a binomial outside the kernel")
-    j = BinomialBasis("groebner", tuple(Binomial(a.cols, *pair) for pair in gb_j), inc)
+    pairs = saturate_binomials([(b.plus, b.minus) for b in basis.elements], a.cols, config)
+    j = BinomialBasis("groebner", tuple(Binomial(*pair) for pair in pairs), inc)
     return all(_reduces_to_zero(b, j) for b in map(Binomial.from_vector, exactmath.kernel_basis(a)))

@@ -496,6 +496,18 @@ def test_certificate_error_is_verification_failure(monkeypatch, capsys):
     assert "verification failure" in capsys.readouterr().err
 
 
+def test_computed_basis_outside_the_kernel_is_verification_failure(monkeypatch, capsys):
+    from incitoric import toric
+
+    junk = toric.Binomial.from_subsets(20, [(1, 2, 3)], [(1, 2, 4)])
+    monkeypatch.setattr(toric, "saturate_binomials", lambda *args: [(junk.plus, junk.minus)])
+    code = main(["--no-meta", "toric", "groebner", "-n", "6", "-k", "3", "-t", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_VERIFICATION
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["verification failure: basis element outside the kernel"]
+
+
 @pytest.mark.parametrize("kind", ["octahedral", "saturate"])
 def test_toric_octahedral_builds_matrix_once(monkeypatch, capsys, kind):
     from incitoric import cli, incidence

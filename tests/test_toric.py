@@ -279,10 +279,28 @@ def test_packed_operations_match_tuples(case):
         assert toric._checked(q, order) == order.pack(s)
 
 
+class TestBinomialChecks:
+    @pytest.mark.parametrize("plus, minus, message", [
+        ((1, 0), (0, 1, 0), "length mismatch"),
+        ((1, -1), (0, 0), "negative exponent"),
+        ((0, 0), (0, 0), "zero binomial"),
+        ((1, 1), (0, 1), "supports overlap"),
+    ])
+    def test_each_check_raises(self, plus, minus, message):
+        with pytest.raises(BadParameters, match=message):
+            toric.Binomial(plus, minus)
+
+    def test_subset_outside_the_variables(self):
+        # (1, 2, 7) has colex rank 20, one past the 3-subsets of [1..6]
+        with pytest.raises(BadParameters, match=r"subset \(1, 2, 7\) has colex rank 20"):
+            binom(20, [(1, 2, 7)], [(1, 2, 3)])
+        assert binom(35, [(1, 2, 7)], [(1, 2, 3)]).degree == 1
+
+
 class TestReduceToZeroInputs:
     def test_too_few_variables(self, gb632):
         with pytest.raises(BadParameters, match="binomial in 3 variables"):
-            toric.reduce_to_zero(toric.Binomial(3, (1, 0, 0), (0, 1, 0)), gb632)
+            toric.reduce_to_zero(toric.Binomial((1, 0, 0), (0, 1, 0)), gb632)
 
     def test_too_many_variables(self, gb632):
         with pytest.raises(BadParameters, match="binomial in 22 variables"):
@@ -298,7 +316,7 @@ class TestReduceToZeroInputs:
         assert toric.reduce_to_zero(q, basis) and toric.reduce_to_zero(q, basis)
         packed = basis.reducers(basis.order)
         # x^(200a) - x^(200b) lies in the ideal too, but needs 16-bit fields
-        big = toric.Binomial(20, *(tuple(200 * x for x in m) for m in (q.plus, q.minus)))
+        big = toric.Binomial(*(tuple(200 * x for x in m) for m in (q.plus, q.minus)))
         assert toric.reduce_to_zero(big, basis)
         assert toric.reduce_to_zero(q, basis)
         assert [order.width for order in basis._packed] == [8, 16]
@@ -320,7 +338,7 @@ class TestStructure632:
         # an element and its negative pack to the same (lead, tail) pair, so
         # they tie in the candidate order; the first is kept and its move
         # connects the second
-        negated = tuple(toric.Binomial(20, b.minus, b.plus) for b in gb632.elements)
+        negated = tuple(toric.Binomial(b.minus, b.plus) for b in gb632.elements)
         doubled = toric.BinomialBasis("groebner", gb632.elements + negated, inc632)
         assert toric.markov_from_groebner(doubled).elements == markov632.elements
 
@@ -361,12 +379,12 @@ class TestStructure632:
     def test_homogeneous_and_sound(self, gb632, markov632, inc632):
         for basis in (gb632, markov632):
             for b in basis.elements:
-                assert b.is_homogeneous()
+                assert sum(b.plus) == sum(b.minus)
                 assert not any(inc632.matrix.mat_vec(b.vector))
 
     def test_soundness_enforced(self, inc632):
         junk = binom(20, [(1, 2, 3)], [(1, 2, 4)])
-        with pytest.raises(BadParameters):
+        with pytest.raises(CertificateError, match="basis element outside the kernel"):
             toric.BinomialBasis("markov", (junk,), inc632)
 
     def test_minimal_markov_builds_on_groebner(self, inc632, markov632):
@@ -427,7 +445,7 @@ class TestGraver:
     def test_graver_sound(self, graver632, inc632):
         for b in graver632.elements:
             assert not any(inc632.matrix.mat_vec(b.vector))
-            assert b.is_homogeneous()
+            assert sum(b.plus) == sum(b.minus)
 
     @pytest.mark.parametrize("nkt", [(5, 2, 1), (5, 3, 1)])
     def test_thirty_primitive_elements(self, nkt):
@@ -612,9 +630,7 @@ class TestPrimitivity:
 
     def test_doubled_not_primitive(self, inc632):
         q = binom(20, *QUARTIC)
-        doubled = toric.Binomial(
-            20, tuple(2 * x for x in q.plus), tuple(2 * x for x in q.minus)
-        )
+        doubled = toric.Binomial(tuple(2 * x for x in q.plus), tuple(2 * x for x in q.minus))
         assert not toric.is_primitive(doubled, inc632)
 
     def test_crossflip_binomial_primitive(self):
@@ -785,6 +801,13 @@ class TestSaturation:
         )
         with pytest.raises(CertificateError):
             toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
+
+    def test_non_kernel_lattice_groebner_raises(self, inc632, monkeypatch):
+        # the kernel check of BinomialBasis certifies the computed basis
+        junk = binom(20, [(1, 2, 3)], [(1, 2, 4)])
+        monkeypatch.setattr(toric, "saturate_binomials", lambda *args: [(junk.plus, junk.minus)])
+        with pytest.raises(CertificateError, match="basis element outside the kernel"):
+            toric.lattice_ideal_groebner(inc632)
 
 
 def fiber_enumerate(inc, target):
