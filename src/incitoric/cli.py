@@ -3,11 +3,14 @@
 Subcommands mirror the library modules.  Each one is a single argparse
 leaf with one handler and only the options that handler reads, so an
 option given to a subcommand that does not read it is a usage error.
-Every command prints a single JSON document (or CSV where noted) and
-exits 0 on success, 1 when a verification fails, 2 on usage or budget
-errors.  Output is reproducible:
-identical invocations give byte-identical output once the timestamp and
-the acceptance times are suppressed with --no-meta.
+A handler returns its output and its verdict: a payload dict, a text
+(the CSV of the matrix, the acceptance table) or None, and whether its
+verification passed.  ``main`` alone writes the output, a payload as a
+single JSON document, and maps the verdict to the exit code: 0 on
+success, 1 when a verification fails; an error raised into it exits 1
+when a certificate fails and 2 on usage or budget errors.  Output is
+reproducible: identical invocations give byte-identical output once the
+timestamp and the acceptance times are suppressed with --no-meta.
 """
 
 from __future__ import annotations
@@ -30,23 +33,20 @@ EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 
 
-def _emit(payload: dict, args) -> None:
-    """Print the payload, opened by whichever of n, k and t the command's
-    parser defines."""
-    params = vars(args)
-    payload = {key: params[key] for key in ("n", "k", "t") if key in params} | payload
-    if not args.no_meta:
-        payload["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
-    _write(json.dumps(payload, indent=2, sort_keys=True), args)
-
-
-def _write(text: str, args) -> None:
-    """Print the text, after writing it to --out if given, so that an
-    unwritable path prints nothing."""
+def _write(output, args) -> None:
+    """Print a handler's output: a payload as JSON, opened by whichever of
+    n, k and t the command's parser defines, a text as it is.  It goes to
+    --out first if given, so that an unwritable path prints nothing."""
+    if isinstance(output, dict):
+        params = vars(args)
+        output = {key: params[key] for key in ("n", "k", "t") if key in params} | output
+        if not args.no_meta:
+            output["meta"] = {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z")}
+        output = json.dumps(output, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    print(text)
+            fh.write(output + "\n")
+    print(output)
 
 
 def _labels(n: int, k: int) -> list:
@@ -58,54 +58,46 @@ def _labelled(vec, labels: list) -> dict:
     return {labels[i]: x for i, x in enumerate(vec) if x}
 
 
-def _cmd_incidence_matrix(args) -> int:
+def _cmd_incidence_matrix(args):
     inc = build_matrix(args.n, args.k, args.t)
+    rows = [subset_label(s, args.n) for s in inc.row_labels]
+    cols = [subset_label(s, args.n) for s in inc.col_labels]
     if args.format == "csv":
-        lines = ["," + ",".join(subset_label(s, args.n) for s in inc.col_labels)]
-        for label, row in zip(inc.row_labels, inc.matrix.entries):
-            lines.append(subset_label(label, args.n) + "," + ",".join(str(x) for x in row))
-        _write("\n".join(lines), args)
-        return EXIT_OK
-    _emit(
-        {
-            "rows": [subset_label(s, args.n) for s in inc.row_labels],
-            "cols": [subset_label(s, args.n) for s in inc.col_labels],
-            "matrix": {
-                "rows": inc.matrix.rows,
-                "cols": inc.matrix.cols,
-                "entries": [str(x) for row in inc.matrix.entries for x in row],
-            },
+        lines = ["," + ",".join(cols)]
+        for label, row in zip(rows, inc.matrix.entries):
+            lines.append(label + "," + ",".join(str(x) for x in row))
+        return "\n".join(lines), True
+    return {
+        "rows": rows,
+        "cols": cols,
+        "matrix": {
+            "rows": inc.matrix.rows,
+            "cols": inc.matrix.cols,
+            "entries": [str(x) for row in inc.matrix.entries for x in row],
         },
-        args,
-    )
-    return EXIT_OK
+    }, True
 
 
-def _cmd_incidence_ranks(args) -> int:
+def _cmd_incidence_ranks(args):
     report = check_rank_laws(args.n_max)
-    _emit({"n_max": args.n_max, **asdict(report)}, args)
-    return EXIT_OK if report.all_ok else EXIT_VERIFICATION
+    return {"n_max": args.n_max, **asdict(report)}, report.all_ok
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args):
     config = _config(args)
     labels = _labels(args.n, args.k)
     basis = args.basis(args.n, args.k, args.t, config)
     degrees = basis.degree_multiset()
-    _emit(
-        {
-            "kind": basis.kind,
-            "order": "degrevlex",
-            "count": len(basis.elements),
-            "degrees": {str(d): c for d, c in sorted(degrees.items())},
-            "elements": [
-                {"plus": _labelled(b.plus, labels), "minus": _labelled(b.minus, labels)}
-                for b in basis.elements
-            ],
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "kind": basis.kind,
+        "order": "degrevlex",
+        "count": len(basis.elements),
+        "degrees": {str(d): c for d, c in sorted(degrees.items())},
+        "elements": [
+            {"plus": _labelled(b.plus, labels), "minus": _labelled(b.minus, labels)}
+            for b in basis.elements
+        ],
+    }, True
 
 
 def _of_matrix(basis):
@@ -113,43 +105,35 @@ def _of_matrix(basis):
     return lambda n, k, t, config: basis(build_matrix(n, k, t), config)
 
 
-def _cmd_saturate(args) -> int:
+def _cmd_saturate(args):
     config = _config(args)
     # the octahedral basis carries the matrix it was built against
     basis = toric.octahedral_generators(args.n, args.k, args.t)
     ok = toric.saturation_equals(basis, basis.matrix, config)
-    _emit(
-        {
-            "octahedral_generators": len(basis.elements),
-            "saturation_equals_lattice_ideal": ok,
-        },
-        args,
-    )
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return {
+        "octahedral_generators": len(basis.elements),
+        "saturation_equals_lattice_ideal": ok,
+    }, ok
 
 
 def _points(args) -> PointConfig:
     return PointConfig.from_incidence(build_matrix(args.n, args.k, args.t))
 
 
-def _cmd_volume(args) -> int:
+def _cmd_volume(args):
     cfg = _points(args)
     lattice = "euclidean" if args.lattice == "euclidean" else "column_lattice"
     tri = placing_triangulation(cfg)
     vol = normalized_volume(cfg, lattice, tri)
-    _emit(
-        {
-            "lattice": lattice,
-            "dimension": tri.dim,
-            "simplices": len(tri.simplices),
-            "normalized_volume": vol,
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "lattice": lattice,
+        "dimension": tri.dim,
+        "simplices": len(tri.simplices),
+        "normalized_volume": vol,
+    }, True
 
 
-def _cmd_faces(args) -> int:
+def _cmd_faces(args):
     cfg = _points(args)
     labels = _labels(args.n, args.k)
     idx = {lbl: i for i, lbl in enumerate(labels)}
@@ -157,12 +141,10 @@ def _cmd_faces(args) -> int:
         # labels of n >= 10 hold commas themselves
         subset = [idx[s.strip()] for s in args.subset.split("," if args.n <= 9 else ";")]
     except KeyError as e:
-        print(f"error: unknown vertex label {e}", file=sys.stderr)
-        return EXIT_USAGE
+        raise BadParameters(f"unknown vertex label {e}") from None
     repeated = [labels[i] for j, i in enumerate(subset) if i in subset[:j]]
     if repeated:
-        print(f"error: repeated vertex label '{repeated[0]}'", file=sys.stderr)
-        return EXIT_USAGE
+        raise BadParameters(f"repeated vertex label '{repeated[0]}'")
     cert = is_face(cfg, subset)
     payload = {"subset": sorted(labels[i] for i in subset), "is_face": cert.is_face}
     if cert.is_face:
@@ -170,11 +152,10 @@ def _cmd_faces(args) -> int:
         payload["functional"] = {"coeffs": [str(x) for x in c], "rhs": str(beta)}
     else:
         payload["witness"] = _labelled(cert.witness, labels)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_neighborly(args) -> int:
+def _cmd_neighborly(args):
     rep = neighborliness(_points(args), args.s_max)
     payload = {
         "s_max": args.s_max,
@@ -185,8 +166,7 @@ def _cmd_neighborly(args) -> int:
         labels = _labels(args.n, args.k)
         subset, witness = rep.non_face_witness
         payload["non_face"] = sorted(labels[i] for i in subset)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, True
 
 
 def _verified(args):
@@ -196,51 +176,42 @@ def _verified(args):
     return delta, complexes.verify(delta)
 
 
-def _cmd_complex_verify(args) -> int:
+def _cmd_complex_verify(args):
     _, report = _verified(args)
-    _emit({"file": args.file, "report": asdict(report)}, args)
-    return EXIT_OK
+    return {"file": args.file, "report": asdict(report)}, True
 
 
-def _cmd_complex_binomial(args) -> int:
+def _cmd_complex_binomial(args):
     delta, report = _verified(args)
     try:
         binom = complexes.orientation_binomial(delta, report)
     except IncitoricError as e:
         print(f"cannot build orientation binomial: {e}", file=sys.stderr)
-        return EXIT_VERIFICATION
+        return None, False
     k = report.dimension + 1
     labels = _labels(delta.n, k)
-    _emit(
-        {
-            "file": args.file,
-            "n": delta.n,
-            "k": k,
-            "degree": binom.degree,
-            "plus": _labelled(binom.plus, labels),
-            "minus": _labelled(binom.minus, labels),
-        },
-        args,
-    )
-    return EXIT_OK
+    return {
+        "file": args.file,
+        "n": delta.n,
+        "k": k,
+        "degree": binom.degree,
+        "plus": _labelled(binom.plus, labels),
+        "minus": _labelled(binom.minus, labels),
+    }, True
 
 
-def _cmd_pods(args) -> int:
+def _cmd_pods(args):
     labels = _labels(args.n, args.k)
     vectors = list(designs.pods(args.n, args.k, args.t))
     span_ok = designs.pods_span_kernel(args.n, args.k, args.t, vectors)
-    _emit(
-        {
-            "count": len(vectors),
-            "span_equals_kernel": span_ok,
-            "designs": [_labelled(v, labels) for v in vectors],
-        },
-        args,
-    )
-    return EXIT_OK if span_ok else EXIT_VERIFICATION
+    return {
+        "count": len(vectors),
+        "span_equals_kernel": span_ok,
+        "designs": [_labelled(v, labels) for v in vectors],
+    }, span_ok
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     labels = _labels(args.n, args.k)
     scan = designs.min_support_scan(args.n, args.k, args.t)
     payload = {
@@ -249,17 +220,15 @@ def _cmd_scan(args) -> int:
     }
     if scan.witness is not None:
         payload["witness"] = _labelled(scan.witness, labels)
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     report = threepoint.check_section5(args.n)
-    _emit({**asdict(report), "all_passed": report.all_passed}, args)
-    return EXIT_OK if report.all_passed else EXIT_VERIFICATION
+    return {**asdict(report), "all_passed": report.all_passed}, report.all_passed
 
 
-def _cmd_fibers(args) -> int:
+def _cmd_fibers(args):
     rows = []
     ok = True
     sizes: dict = {}  # fiber size by image: each fiber is searched once
@@ -278,11 +247,10 @@ def _cmd_fibers(args) -> int:
                 "formula": expected,
             }
         )
-    _emit({"all_match": ok, "derangements": rows}, args)
-    return EXIT_OK if ok else EXIT_VERIFICATION
+    return {"all_match": ok, "derangements": rows}, ok
 
 
-def _cmd_det(args) -> int:
+def _cmd_det(args):
     expr = threepoint.det_as_c_expression(args.n)
     tri_labels = _labels(args.n, 3)
     payload = {
@@ -294,16 +262,14 @@ def _cmd_det(args) -> int:
             {"coeff": c, "monomial": _labelled(k, tri_labels)}
             for k, c in sorted(expr.f.items())
         ]
-    _emit(payload, args)
-    return EXIT_OK
+    return payload, True
 
 
-def _cmd_acceptance(args) -> int:
+def _cmd_acceptance(args):
     count = len(acceptance.ALL_CRITERIA)
     unknown = [i for i in args.only or () if not 1 <= i <= count]
     if unknown:
-        print(f"error: unknown criterion number {unknown[0]} (valid numbers are 1..{count})", file=sys.stderr)
-        return EXIT_USAGE
+        raise BadParameters(f"unknown criterion number {unknown[0]} (valid numbers are 1..{count})")
     ws = acceptance.Workspace(_config(args))
     results = acceptance.run_acceptance(ws, args.only)
     all_ok = all(r.passed for r in results)
@@ -311,17 +277,15 @@ def _cmd_acceptance(args) -> int:
     timed = not args.no_meta
     if args.json:
         rows = [{k: v for k, v in r.as_dict().items() if timed or k != "elapsed_seconds"} for r in results]
-        _emit({"criteria": rows, "all_passed": all_ok}, args)
-    else:
-        width = max(len(r.name) for r in results)
-        lines = []
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            elapsed = f"{r.elapsed:7.1f}s  " if timed else ""
-            lines.append(f"[{mark}] {r.number:2d} {r.name:<{width}}  {elapsed}{r.detail}")
-        lines.append("all passed" if all_ok else "FAILURES PRESENT")
-        _write("\n".join(lines), args)
-    return EXIT_OK if all_ok else EXIT_VERIFICATION
+        return {"criteria": rows, "all_passed": all_ok}, all_ok
+    width = max(len(r.name) for r in results)
+    lines = []
+    for r in results:
+        mark = "PASS" if r.passed else "FAIL"
+        elapsed = f"{r.elapsed:7.1f}s  " if timed else ""
+        lines.append(f"[{mark}] {r.number:2d} {r.name:<{width}}  {elapsed}{r.detail}")
+    lines.append("all passed" if all_ok else "FAILURES PRESENT")
+    return "\n".join(lines), all_ok
 
 
 def _config(args) -> RunConfig:
@@ -413,7 +377,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.pair_budget is not None and args.command not in ("toric", "acceptance"):
             raise BadParameters(f"--pair-budget does not apply to the {args.command} command")
-        return args.func(args)
+        output, passed = args.func(args)
+        if output is not None:
+            _write(output, args)
+        return EXIT_OK if passed else EXIT_VERIFICATION
     except SystemExit as e:  # argparse has printed its usage error, or the help
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     except BudgetExceeded as e:

@@ -19,6 +19,8 @@ def colex_rank(members: Sequence[int]) -> int:
     s = tuple(members)
     if list(s) != sorted(set(s)):
         raise BadParameters("subset must be strictly increasing")
+    if s and s[0] < 1:
+        raise BadParameters(f"subset {s} has a member below 1")
     return sum(comb(x - 1, i + 1) for i, x in enumerate(s))
 
 

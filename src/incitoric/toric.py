@@ -57,7 +57,7 @@ from . import designs, exactmath
 from .combinat import colex_rank
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadParameters, BudgetExceeded, CertificateError
-from .incidence import IncidenceMatrix
+from .incidence import IncidenceMatrix, build_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -691,8 +691,6 @@ def _half_box(coords: Sequence[int], u: Sequence[int], keys: dict) -> Iterator[t
 
 def octahedral_generators(n: int, k: int, t: int) -> BinomialBasis:
     """One squarefree binomial per pod, plus part the positive support."""
-    from .incidence import build_matrix
-
     inc = build_matrix(n, k, t)
     pairs = _on_pairs(lambda packed, _: [_orient(a, b) for a, b in packed],
                       _binomial_pairs(designs.pods(n, k, t)), DegrevlexOrder(inc.matrix.cols))

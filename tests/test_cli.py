@@ -68,8 +68,9 @@ def test_determinism_byte_identical(capsys):
 
 
 # sha256 of the --no-meta stdout of commands whose JSON is built from
-# kernel vectors, edge vectors, polynomials or complex reports, pinned so
-# that a change of representation keeps it
+# kernel vectors, edge vectors, polynomials or complex reports, and of the
+# two text outputs, the CSV and the acceptance table, pinned so that a
+# change of representation keeps it
 PINNED_NO_META_SHA256 = (
     ("designs pods -n 6 -k 3 -t 2", "436348473989d4ba9ad92df8fff39b40480f9c85a0635bf7b5d97fd7552feed2"),
     ("designs scan -n 7 -k 3 -t 2", "220096b2c5eade8ad37a909aeb462459c402847b2c753bfd8396dca3a83ec707"),
@@ -101,6 +102,8 @@ PINNED_NO_META_SHA256 = (
     ("polytope neighborly -n 6 -k 3 -t 2", "3ac74494def4c4b563240e6932f15940c0a565fe0f4b8b3dd2dcab8939f6c634"),
     ("acceptance --json --only 13 14", "9228a1d2578fe8d8bb323ee7c20f4cc546a2f539344151aa0560888eb4bfa7be"),
     ("incidence ranks --n-max 8", "a78400995ee6ed2119cdec530f410b56675953973494b8035af1345711bae3eb"),
+    ("incidence matrix -n 6 -k 3 -t 2 --format csv", "3d5a6104ecdf87f6d84a555f34c96fd58275306d8b294519505982d988a7103a"),
+    ("acceptance --only 1 2 10 12", "9721e89a700c2f285bcdf9be14a5eabe55357ed323f3578e8d914b680ce90065"),
 )
 
 
@@ -476,11 +479,16 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_binomial_fails_on_boundary_complex(tmp_path, capsys):
+    # the handler prints its own line and no output: nothing reaches --out
     path = tmp_path / "triangle.cplx"
     path.write_text("1 2 3\n")
-    code = main(["--no-meta", "complex", "binomial", str(path)])
-    capsys.readouterr()
+    target = tmp_path / "binomial.json"
+    code = main(["--no-meta", "--out", str(target), "complex", "binomial", str(path)])
+    captured = capsys.readouterr()
     assert code == EXIT_VERIFICATION
+    assert captured.out == ""
+    assert captured.err == "cannot build orientation binomial: hypotheses not satisfied: without boundary\n"
+    assert not target.exists()
 
 
 def test_certificate_error_is_verification_failure(monkeypatch, capsys):
@@ -510,7 +518,7 @@ def test_computed_basis_outside_the_kernel_is_verification_failure(monkeypatch, 
 
 @pytest.mark.parametrize("kind", ["octahedral", "saturate"])
 def test_toric_octahedral_builds_matrix_once(monkeypatch, capsys, kind):
-    from incitoric import cli, incidence
+    from incitoric import cli, incidence, toric
 
     calls = []
     build = incidence.build_matrix
@@ -521,6 +529,7 @@ def test_toric_octahedral_builds_matrix_once(monkeypatch, capsys, kind):
 
     monkeypatch.setattr(cli, "build_matrix", counted)
     monkeypatch.setattr(incidence, "build_matrix", counted)
+    monkeypatch.setattr(toric, "build_matrix", counted)
     code, _ = run_cli(capsys, "--no-meta", "toric", kind, "-n", "6", "-k", "3", "-t", "2")
     assert code == EXIT_OK
     # the octahedral basis carries the matrix its pods were checked against

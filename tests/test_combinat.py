@@ -29,6 +29,12 @@ class TestColex:
                 assert len(set(subsets)) == comb(n, k)
                 assert [cb.colex_rank(s) for s in subsets] == list(range(comb(n, k)))
 
+    @pytest.mark.parametrize("subset", [(0, 1, 2), (-2, 3), (0,)])
+    def test_member_below_one_rejected(self, subset):
+        # math.comb raised a bare ValueError for a member of 0 or less
+        with pytest.raises(BadParameters, match=r"has a member below 1"):
+            cb.colex_rank(subset)
+
     @pytest.mark.parametrize("n, k", [(4, -1), (-1, 2), (-3, -3)])
     def test_negative_size_rejected(self, n, k):
         # a negative size used to recurse until RecursionError

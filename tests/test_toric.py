@@ -296,6 +296,10 @@ class TestBinomialChecks:
             binom(20, [(1, 2, 7)], [(1, 2, 3)])
         assert binom(35, [(1, 2, 7)], [(1, 2, 3)]).degree == 1
 
+    def test_subset_member_below_one(self):
+        with pytest.raises(BadParameters, match=r"subset \(0, 1, 2\) has a member below 1"):
+            toric.Binomial.from_subsets(20, [(0, 1, 2)], [(1, 2, 3)])
+
 
 class TestReduceToZeroInputs:
     def test_too_few_variables(self, gb632):
