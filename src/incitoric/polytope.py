@@ -277,6 +277,15 @@ def placing_triangulation(
     point placed.  Functionals are dense and points sparse: each
     evaluation runs over a point's nonzero coordinates, the column
     nonzeros of ``cfg.matrix``.
+
+    Each placed point walks the boundary once, to find the visible
+    facets.  The other boundary facet on a ridge r of a visible facet f
+    is ``r | (1 << w)`` for a point w placed earlier and not in f, so it
+    is looked up among those points; a closed boundary has exactly one
+    such facet, and CertificateError is raised otherwise.  A dimension
+    step only extends the cells, so cells are added only by coning a
+    visible facet, and ``config.volume_simplex_budget`` is checked there:
+    BudgetExceeded as soon as the cells outnumber it.
     """
     pts, sup = cfg.points, cfg.matrix.column_nonzeros
     m = len(pts)
@@ -308,9 +317,7 @@ def placing_triangulation(
         return functional if side < 0 else (tuple([-x for x in g]), -beta)
 
     skipped: List[int] = []
-    for idx in order:
-        if len(cells) > config.volume_simplex_budget:
-            raise BudgetExceeded("triangulation grew past the simplex budget")
+    for pos, idx in enumerate(order):
         p = sup[idx]
         if origin is None:
             origin = idx
@@ -341,30 +348,29 @@ def placing_triangulation(
         if not visible:
             skipped.append(idx)
             continue
-        on_ridge: Dict[int, List[int]] = {}  # ridge -> visible facets on it
-        for f in visible:
+        new_facets: Dict[int, tuple] = {}
+        for f, lf in visible.items():
             members = _members(f)
             cells.append(tuple(members) + (idx,))
+            if len(cells) > config.volume_simplex_budget:
+                raise BudgetExceeded("triangulation grew past the simplex budget")
+            # the other facet on a ridge adds one placed point outside f
+            others = [1 << w for w in order[:pos] if not f >> w & 1]
             for v in members:
-                on_ridge.setdefault(f ^ (1 << v), []).append(f)
-        hidden: Dict[int, List[int]] = {}  # ridge -> non-visible facets on it
-        for f in boundary:
-            if f not in visible:
-                for v in _members(f):
-                    if f ^ (1 << v) in on_ridge:
-                        hidden.setdefault(f ^ (1 << v), []).append(f)
+                r = f ^ (1 << v)
+                partner = [r | b for b in others if r | b in boundary]
+                # a closed boundary has exactly two facets on each ridge
+                if len(partner) != 1:
+                    raise CertificateError("boundary complex is not closed")
+                if partner[0] not in visible:
+                    nf = r | (1 << idx)
+                    new_facets[nf] = oriented(nf, _pencil(lf, boundary[partner[0]], p))
         for f in visible:
             del boundary[f]
-        for r, faces in on_ridge.items():
-            # a closed boundary has exactly two facets on each ridge
-            if len(faces) + len(hidden.get(r, ())) != 2:
-                raise CertificateError("boundary complex is not closed")
-            if len(faces) == 1:
-                nf = r | (1 << idx)
-                boundary[nf] = oriented(nf, _pencil(visible[faces[0]], boundary[hidden[r][0]], p))
+        boundary.update(new_facets)
 
     dim = nd - len(normals)
-    full = tuple(sorted(c for c in cells if len(c) == dim + 1))
+    full = tuple(sorted(cells))
     return Triangulation(dim, full, tuple(skipped))
 
 

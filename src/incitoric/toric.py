@@ -514,7 +514,12 @@ def markov_from_groebner(gb: BinomialBasis, config: RunConfig = DEFAULT_CONFIG) 
     elements this is by increasing degree.  One is kept exactly when its
     two monomials are not yet connected in their fiber by the moves
     accepted so far, which is ideal membership in the graded piece.
+
+    Only a generating set of the lattice ideal makes the kept moves a
+    Markov basis, so any other kind of basis raises BadParameters.
     """
+    if gb.kind != "groebner":
+        raise BadParameters(f"a Markov basis is extracted from a groebner basis, not {gb.kind} binomials")
 
     def run(order: DegrevlexOrder) -> list:
         accepted, moves = [], []

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 import incitoric
 from incitoric import designs, exactmath, polytope
 from incitoric.combinat import colex_rank, subsets_colex
-from incitoric.errors import BadParameters, CertificateError
+from incitoric.config import RunConfig
+from incitoric.errors import BadParameters, BudgetExceeded, CertificateError
 from incitoric.exactmath import IntMatrix
 from incitoric.incidence import build_matrix
 from incitoric.lp import LinearConstraint, RationalLpProblem, lp_feasible
@@ -299,6 +300,14 @@ class TestPlacing:
         assert tri632.dim == 14
         assert len(tri632.simplices) == 162
         assert tri632.skipped == ()
+
+    def test_simplex_budget_is_a_hard_limit(self, cfg632):
+        # the budget is checked as each cell is added, so 161 stops the
+        # 162nd cell and 162 returns them all
+        with pytest.raises(BudgetExceeded, match="simplex budget"):
+            placing_triangulation(cfg632, config=RunConfig(volume_simplex_budget=161))
+        tri = placing_triangulation(cfg632, config=RunConfig(volume_simplex_budget=162))
+        assert len(tri.simplices) == 162
 
     def test_order_independent_volume(self, cfg632, tri632):
         reversed_tri = placing_triangulation(cfg632, order=list(reversed(range(20))))
@@ -644,11 +653,19 @@ class TestPencilUpdates:
         order = data.draw(st.permutations(range(len(cfg.points))))
         assert placing_triangulation(cfg, order) == placing_by_kernels(cfg, order)
 
-    def test_agrees_with_kernel_oracle_743(self):
-        cfg = PointConfig.from_incidence(build_matrix(7, 4, 3))
-        rng = random.Random(743)
-        for _ in range(2):
-            order = rng.sample(range(35), 35)
+    @pytest.mark.parametrize(
+        "nkt, seed, draws",
+        [((7, 4, 3), 743, 2)] + [(nkt, s, 1) for nkt in [(6, 2, 1), (6, 3, 1), (7, 3, 1)] for s in (1, 2)],
+        ids=lambda v: "".join(map(str, v)) if isinstance(v, tuple) else str(v),
+    )
+    def test_agrees_with_kernel_oracle_on_seeded_orders(self, nkt, seed, draws):
+        # the hypersimplices make the most same-dimension steps, with many
+        # points on facet hyperplanes
+        cfg = PointConfig.from_incidence(build_matrix(*nkt))
+        m = len(cfg.points)
+        rng = random.Random(seed)
+        for _ in range(draws):
+            order = rng.sample(range(m), m)
             assert placing_triangulation(cfg, order) == placing_by_kernels(cfg, order)
 
     @settings(max_examples=150, deadline=None)

@@ -346,6 +346,12 @@ class TestStructure632:
         doubled = toric.BinomialBasis("groebner", gb632.elements + negated, inc632)
         assert toric.markov_from_groebner(doubled).elements == markov632.elements
 
+    def test_markov_refuses_octahedral_input(self):
+        # the 15 octahedral quartics generate a smaller ideal than the
+        # lattice ideal, whose minimal Markov basis has 30 elements
+        with pytest.raises(BadParameters, match="not octahedral binomials"):
+            toric.markov_from_groebner(toric.octahedral_generators(6, 3, 2))
+
     def test_markov_quartics_match_octahedral_relabelings(self, markov632):
         quartics = {
             frozenset((b.plus, b.minus))
