@@ -48,7 +48,10 @@ class CriterionResult:
 
 
 class Workspace:
-    """Lazily computed shared state for the acceptance criteria."""
+    """Lazily computed state that the acceptance criteria share: the rank
+    report, and incidence matrices, point configurations and placing
+    triangulations by (n, k, t).  A toric basis is read by one criterion
+    alone, which computes it itself."""
 
     def __init__(self, config: RunConfig = DEFAULT_CONFIG):
         self.config = config
@@ -64,15 +67,6 @@ class Workspace:
 
     def rank_report(self):
         return self._get("rank_report", check_rank_laws)
-
-    def markov632(self):
-        return self._get("markov632", lambda: toric.markov_from_groebner(self.gb632(), self.config))
-
-    def gb632(self):
-        return self._get("gb632", lambda: toric.lattice_ideal_groebner(self.inc(6, 3, 2), self.config))
-
-    def octahedral632(self):
-        return self._get("oct632", lambda: toric.octahedral_generators(6, 3, 2))
 
     def cfg(self, n, k, t) -> PointConfig:
         return self._get(("cfg", n, k, t), lambda: PointConfig.from_incidence(self.inc(n, k, t)))
@@ -137,8 +131,8 @@ def criterion_02(ws: Workspace) -> Tuple[bool, str]:
 
 @criterion(3, "minimal Markov basis of (6,3,2)")
 def criterion_03(ws: Workspace) -> Tuple[bool, str]:
-    markov = ws.markov632()
-    gb = ws.gb632()
+    gb = toric.lattice_ideal_groebner(ws.inc(6, 3, 2), ws.config)
+    markov = toric.markov_from_groebner(gb, ws.config)
     degrees = markov.degree_multiset()
     ok = len(markov.elements) == 30 and degrees == {4: 15, 6: 15}
     qp, qm = _displayed_quartic()
@@ -219,7 +213,7 @@ def criterion_08(ws: Workspace) -> Tuple[bool, str]:
 
 @criterion(9, "octahedral generators saturate to the full ideal")
 def criterion_09(ws: Workspace) -> Tuple[bool, str]:
-    ok = toric.saturation_equals(ws.octahedral632(), ws.inc(6, 3, 2), ws.config)
+    ok = toric.saturation_equals(toric.octahedral_generators(6, 3, 2), ws.inc(6, 3, 2), ws.config)
     return ok, "mutual containment by reduction in both directions"
 
 

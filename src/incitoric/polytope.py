@@ -266,7 +266,11 @@ def placing_triangulation(
     through a ridge gets the member of the pencil of the ridge's two old
     functionals that vanishes at the new point, and a dimension step
     pencils every old functional, and every other hull normal, with the
-    one hull normal that does not vanish on the new direction.  Visibility
+    first hull normal that does not vanish at the new point.  The hull
+    normals are affine functionals vanishing on the hull's affine span,
+    the unit functionals at the first point to begin with, so a point
+    raises the dimension exactly when one of them is nonzero there, and
+    that one is the new facet functional of the old hull.  Visibility
     depends only on each functional restricted to the hull, so no integer
     kernel is needed.  Every new facet functional is re-checked in
     integers against its facet.
@@ -274,9 +278,11 @@ def placing_triangulation(
     A boundary facet is an int bitmask of its point indices, so the ridge
     of facet f opposite vertex v is ``f ^ (1 << v)``; a cell is a tuple,
     the points of the facet it cones over in increasing order, then the
-    point placed.  Functionals are dense and points sparse: each
-    evaluation runs over a point's nonzero coordinates, the column
-    nonzeros of ``cfg.matrix``.
+    point placed.  Every functional, facet functional or hull normal, is
+    a dense pair (g, beta) and every point sparse: each evaluation
+    ``g . p - beta`` runs over a point's nonzero coordinates, the column
+    nonzeros of ``cfg.matrix``, which is all the triangulation reads of
+    the configuration.
 
     Each placed point walks the boundary once, to find the visible
     facets.  The other boundary facet on a ridge r of a visible facet f
@@ -287,8 +293,8 @@ def placing_triangulation(
     visible facet, and ``config.volume_simplex_budget`` is checked there:
     BudgetExceeded as soon as the cells outnumber it.
     """
-    pts, sup = cfg.points, cfg.matrix.column_nonzeros
-    m = len(pts)
+    sup = cfg.matrix.column_nonzeros
+    m = len(sup)
     nd = cfg.ambient_dim
     order = list(order) if order is not None else list(range(m))
     if sorted(order) != list(range(m)):
@@ -297,8 +303,8 @@ def placing_triangulation(
     cells: List[tuple] = []
     # facet bitmask -> functional (g, beta) with g.x - beta negative inside the hull
     boundary: Dict[int, tuple] = {}
-    normals: tuple = ()  # independent functionals whose common zeros are the hull's directions
-    origin: Optional[int] = None
+    # independent functionals (g, beta) whose common zeros are the hull's affine span
+    normals: tuple = ()
     # interior reference: the nonzero entries of the sum of the first
     # cell's vertices, i.e. their centroid scaled by ``weight``, the
     # number of vertices
@@ -319,28 +325,25 @@ def placing_triangulation(
     skipped: List[int] = []
     for pos, idx in enumerate(order):
         p = sup[idx]
-        if origin is None:
-            origin = idx
+        if not cells:
             cells = [(idx,)]
             # the empty facet of a point: the constant functional -1
             boundary = {0: ((0,) * nd, 1)}
-            normals = IntMatrix.identity(nd).entries
+            normals = tuple((e, sparse_dot(p, e)) for e in IntMatrix.identity(nd).entries)
             continue
-        diff = exactmath.nonzeros([[a - b for a, b in zip(pts[idx], pts[origin])]])[0]
-        normal = next((v for v in normals if sparse_dot(diff, v)), None)
+        normal = next((v for v in normals if sparse_dot(p, v[0]) != v[1]), None)
         if normal is not None:
             # dimension grows: cone over everything; the normal vanishes
             # on the old hull and not at the new point
-            off_hull = (normal, sparse_dot(sup[origin], normal))
-            normals = tuple(_pencil((v, 0), (normal, 0), diff)[0] for v in normals if v != normal)
+            normals = tuple(_pencil(v, normal, p) for v in normals if v != normal)
             cells = [c + (idx,) for c in cells]
-            interior = exactmath.nonzeros([[sum(pts[v][r] for v in cells[0]) for r in range(nd)]])[0]
+            interior = exactmath.nonzeros([cfg.matrix.mat_vec([int(j in cells[0]) for j in range(m)])])[0]
             weight = len(cells[0])
             # every old cell, c[:-1] of a new one, is now a facet on the old hull
-            new_boundary = {f: oriented(f, off_hull) for f in [sum([1 << v for v in c[:-1]]) for c in cells]}
+            new_boundary = {f: oriented(f, normal) for f in [sum([1 << v for v in c[:-1]]) for c in cells]}
             for f, lf in boundary.items():
                 nf = f | (1 << idx)
-                new_boundary[nf] = oriented(nf, _pencil(lf, off_hull, p))
+                new_boundary[nf] = oriented(nf, _pencil(lf, normal, p))
             boundary = new_boundary
             continue
         # same dimension: find strictly visible boundary facets

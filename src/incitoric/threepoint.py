@@ -236,6 +236,7 @@ def det_as_c_expression(n: int, config: RunConfig = DEFAULT_CONFIG) -> DetExpres
     symbolically against the Leibniz expansion."""
     if n % 3 != 0:
         raise PreconditionFailed("determinant lies in the triangle group only for 3 | n")
+    _derangements_within_cap(n, config)
     inc = build_matrix(n, 3, 2)
     solver = exactmath.HnfSolver(inc.matrix)
     det = det_leibniz(n, config)

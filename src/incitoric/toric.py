@@ -261,7 +261,12 @@ def _checked(q: int, order: DegrevlexOrder) -> int:
 
 def _normal_form(a: int, b: int, reducers: Sequence[tuple], order: DegrevlexOrder):
     """Full normal form of x^a - x^b against the reducers, all packed in
-    ``order``; None if 0."""
+    ``order``; None if 0.
+
+    Every reducer is oriented, lead above tail, and packed order is
+    multiplicative, ``pack(a * b) = pack(a) + pack(b) - one``; so each
+    tail step lowers the tail, which stays below the lead, and only the
+    lead steps can cancel the binomial."""
     pair = _orient(a, b)
     while pair is not None and (r := _first_divisor(pair[0], reducers, order)) is not None:
         pair = _orient(_checked(pair[0] - r[0] + r[1], order), pair[1])
@@ -271,8 +276,6 @@ def _normal_form(a: int, b: int, reducers: Sequence[tuple], order: DegrevlexOrde
     # tail reduction for canonical output
     while (r := _first_divisor(tail, reducers, order)) is not None:
         tail = _checked(tail - r[0] + r[1], order)
-        if tail == lead:
-            return None
     return lead, tail
 
 

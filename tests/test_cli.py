@@ -209,6 +209,16 @@ def test_malformed_complex_file_is_usage_error(tmp_path, capsys):
         assert captured.err.startswith("error: line ")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("0 1 2\n", "error: facet vertices must lie in [1..n]\n"),
+    ("1 2 3\n3 2 1\n", "error: duplicate facet\n"),
+])
+def test_invalid_complex_is_usage_error(tmp_path, capsys, text, message):
+    path = tmp_path / "invalid.cplx"
+    path.write_text(text)
+    assert usage_error(capsys, "--no-meta", "complex", "verify", str(path)) == message
+
+
 def test_complex_file_of_comments_is_usage_error(tmp_path, capsys):
     path = tmp_path / "comments.cplx"
     path.write_text("# no facets here\n\n")
@@ -466,6 +476,11 @@ def test_threepoint_fibers(capsys):
     payload = json.loads(out)
     assert payload["all_match"] is True
     assert len(payload["derangements"]) == 9
+
+
+def test_threepoint_fibers_over_the_cap_is_usage_error(capsys):
+    err = usage_error(capsys, "--no-meta", "threepoint", "fibers", "-n", "10")
+    assert err == "budget exceeded: derangement enumeration capped at n = 9\n"
 
 
 def test_out_file(tmp_path, capsys):

@@ -263,6 +263,11 @@ class TestNeighborliness:
         with pytest.raises(BadParameters):
             neighborliness(cfg632, s_max)
 
+    def test_face_tests_past_the_budget_raise(self, cfg632):
+        # the 20 singletons fit a budget of 100; the 190 pairs do not
+        with pytest.raises(BudgetExceeded, match=r"C\(20,2\) face tests exceed the budget"):
+            neighborliness(cfg632, 2, RunConfig(box_budget=100))
+
     def test_s_max_past_the_point_count_rejected(self, cfg632):
         # sizes past the point count have no subset, so no non-face
         with pytest.raises(BadParameters, match="s_max 21 exceeds the 20 points"):
@@ -308,6 +313,18 @@ class TestPlacing:
             placing_triangulation(cfg632, config=RunConfig(volume_simplex_budget=161))
         tri = placing_triangulation(cfg632, config=RunConfig(volume_simplex_budget=162))
         assert len(tri.simplices) == 162
+
+    def test_triangulations_pinned(self):
+        # the whole Triangulation of 36 (configuration, order) pairs,
+        # pinned by the sha256 of their joined reprs
+        reprs = []
+        for nkt in [(6, 3, 2), (5, 3, 2), (6, 3, 1), (6, 4, 2), (7, 4, 3), (6, 2, 1), (5, 2, 1), (7, 3, 1), (6, 4, 1)]:
+            cfg = PointConfig.from_incidence(build_matrix(*nkt))
+            m = len(cfg.points)
+            orders = [list(range(m)), list(range(m))[::-1]] + [random.Random(s).sample(range(m), m) for s in (1, 23)]
+            reprs += [repr(placing_triangulation(cfg, order)) for order in orders]
+        digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
+        assert digest == "93bd0fcacc418f8f369c937ab9d70fee58b0d030b185f806aaa3fd73a3c33c31"
 
     def test_order_independent_volume(self, cfg632, tri632):
         reversed_tri = placing_triangulation(cfg632, order=list(reversed(range(20))))

@@ -17,8 +17,10 @@ from sympy.matrices.normalforms import invariant_factors
 import incitoric
 from incitoric import exactmath, threepoint as tp
 from incitoric.combinat import colex_rank, derangement_from_images, derangements, subsets_colex
+from incitoric.config import RunConfig
 from incitoric.errors import (
     BadParameters,
+    BudgetExceeded,
     CertificateError,
     DimensionMismatch,
     PreconditionFailed,
@@ -161,6 +163,27 @@ class TestFibers:
         d = derangement_from_images((2, 1, 4, 3))
         with pytest.raises(DimensionMismatch):
             tp.fiber(tp.phi(d), 5)
+
+
+class TestDerangementCap:
+    def test_fiber_over_the_cap_raises(self):
+        d = derangement_from_images((2, 3, 4, 5, 6, 1))
+        with pytest.raises(BudgetExceeded, match="capped at n = 5"):
+            tp.fiber(tp.phi(d), 6, RunConfig(derangement_max_n=5))
+
+    def test_section5_over_the_cap_raises(self):
+        with pytest.raises(BudgetExceeded, match="capped at n = 5"):
+            tp.check_section5(6, RunConfig(derangement_max_n=5))
+
+    def test_det_expression_over_the_cap_builds_no_matrix(self, monkeypatch):
+        # n = 12 is refused before the (12,3,2) matrix or its solver is made
+        def refuse(*args):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(tp, "build_matrix", refuse)
+        monkeypatch.setattr(exactmath, "HnfSolver", refuse)
+        with pytest.raises(BudgetExceeded, match="capped at n = 9"):
+            tp.det_as_c_expression(12)
 
 
 class TestCosets:

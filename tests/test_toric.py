@@ -759,6 +759,11 @@ class TestSaturation:
         single = toric.BinomialBasis("octahedral", octas.elements[:1], inc632)
         assert not toric.saturation_equals(single, inc632)
 
+    def test_generator_outside_the_kernel_raises(self, inc632):
+        # the (6,3,1) quartics have 20 variables too, but (6,3,2) does not kill them
+        with pytest.raises(BadParameters, match="generator outside the kernel"):
+            toric.saturation_equals(toric.octahedral_generators(6, 3, 1), inc632)
+
     def test_without_lattice_groebner(self, inc632, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("saturation_equals must not need the lattice basis")
