@@ -2,9 +2,10 @@
 
 Each criterion checks its claim and returns a pass flag with a short
 detail string; the ``criterion`` decorator times it and wraps both in a
-CriterionResult.  The Workspace memoizes the expensive shared objects
-(Groebner bases, triangulations, rank reports) so the whole suite runs
-in a few minutes.  All comparisons are exact.
+CriterionResult.  The Workspace memoizes what several criteria share
+(the rank report, incidence matrices, point configurations and placing
+triangulations), so the whole suite runs in seconds.  All comparisons
+are exact.
 """
 
 from __future__ import annotations

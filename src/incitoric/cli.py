@@ -164,7 +164,7 @@ def _cmd_neighborly(args):
     }
     if rep.non_face_witness:
         labels = _labels(args.n, args.k)
-        subset, witness = rep.non_face_witness
+        subset = rep.non_face_witness[0]
         payload["non_face"] = sorted(labels[i] for i in subset)
     return payload, True
 

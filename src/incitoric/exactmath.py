@@ -3,9 +3,10 @@
 Matrices are stored dense.  Each also keeps the nonzero ``(row, value)``
 pairs of its columns, built once on first use; such pairs are the
 library's one sparse vector shape.  ``mat_vec`` runs over them alone,
-``sparse_dot`` evaluates a dense functional at a sparse vector, and the
-polytope module's points and the staircase the HNF solver keeps take the
-same shape, so that a membership test touches only nonzero entries.
+``sparse_dot`` evaluates a dense functional at a sparse vector.  A
+point configuration is such a matrix, so its sparse points are its
+column nonzeros, and the staircase the HNF solver keeps takes the same
+shape, so that a membership test touches only nonzero entries.
 One elimination kernel, the Euclidean column echelon over Z, does all the
 work; no arithmetic runs mod p.  Its pivot count is the rank over Q, and
 the signed product of its pivots is the determinant.  Echelons of a

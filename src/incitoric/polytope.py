@@ -2,6 +2,11 @@
 exact face tests with certificates, neighborliness, placing
 triangulations and normalized volumes.
 
+A point configuration is the matrix whose columns are its points, and
+its Gale dual the matrix whose rows are its affine dependences (De
+Loera, Rambau and Santos, *Triangulations*, ch. 2 and 4); each is one
+IntMatrix, kept once.
+
 A subset S of points is a face exactly when the Gale vectors of the
 points outside S have a strictly positive linear dependence (Ziegler,
 *Lectures on Polytopes*, Lecture 6; De Loera, Rambau and Santos,
@@ -32,30 +37,24 @@ from .lp import LinearConstraint, RationalLpProblem, lp_feasible
 
 @dataclass(frozen=True)
 class PointConfig:
-    points: tuple  # integer coordinate tuples
+    """The matrix whose columns are the points.  Their nonzero ``(row,
+    value)`` pairs, ``matrix.column_nonzeros``, are the sparse points
+    every functional is evaluated on; ``from_incidence`` shares them with
+    the incidence matrix, as it wraps that matrix itself."""
+
+    matrix: IntMatrix
 
     def __post_init__(self):
-        if len(set(self.points)) != len(self.points):
+        if len(set(self.matrix.transpose().entries)) != self.matrix.cols:
             raise BadParameters("configuration points must be distinct")
 
     @classmethod
     def from_incidence(cls, inc: IncidenceMatrix) -> "PointConfig":
-        pts = tuple(inc.matrix.column(j) for j in range(inc.matrix.cols))
         target = comb(inc.k, inc.t)
-        for p in pts:
+        for p in inc.matrix.transpose().entries:
             if sum(p) != target:
                 raise BadParameters("incidence columns left the degree hyperplane")
-        return cls(pts)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.points[0]) if self.points else 0
-
-    @cached_property
-    def matrix(self) -> IntMatrix:
-        """The points as the columns of a matrix.  Its column nonzeros are
-        the sparse points: every functional is evaluated on these."""
-        return IntMatrix(self.ambient_dim, len(self.points), tuple(zip(*self.points)))
+        return cls(inc.matrix)
 
     @cached_property
     def gale(self) -> "GaleDual":
@@ -69,7 +68,7 @@ class PointConfig:
         positive diagonal.  So ``D y_R = s L`` with ``L = U_K X`` and ``X =
         D T^-1``, the adjugate of T when D is the product of the pivots,
         found by integer forward substitution."""
-        res = exactmath.hnf(IntMatrix.from_rows([*zip(*self.points), (1,) * len(self.points)]))
+        res = exactmath.hnf(IntMatrix.from_rows([*self.matrix.entries, (1,) * self.matrix.cols]))
         rank = len(res.pivots)
         t = [[res.h[k][i] for k in range(rank)] for i, _ in res.pivots]
         den = prod([t[a][a] for a in range(rank)])
@@ -81,10 +80,10 @@ class PointConfig:
         u_k = list(zip(*res.u[:rank]))
         cols = [[sum([u * xk[b] for u, xk in zip(uj, x) if u]) for uj in u_k] for b in range(rank)]
         g = gcd(den, *[v for col in cols for v in col])
-        left = [()] * (self.ambient_dim + 1)
+        left = [()] * (self.matrix.rows + 1)
         for (i, _), col in zip(res.pivots, cols):
             left[i] = tuple([v // g for v in col])
-        return GaleDual(res.u[rank:], tuple(left), den // g)
+        return GaleDual(IntMatrix(len(res.u) - rank, self.matrix.cols, res.u[rank:]), tuple(left), den // g)
 
     @cached_property
     def volume_frame(self) -> tuple:
@@ -99,8 +98,9 @@ class PointConfig:
         which spans the same space, one to one onto a lattice between them.
         [S : L] is the order of the torsion of Z^N / L, the product of the
         diagonal form of the basis, and divides the index of L."""
-        diffs = [tuple([a - b for a, b in zip(p, self.points[0])]) for p in self.points[1:]]
-        col = exactmath.lattice_from_generators(self.ambient_dim, diffs)
+        # each row less its first entry; the columns are then p_j - p_0
+        diffs = list(zip(*[[x - row[0] for x in row[1:]] for row in self.matrix.entries]))
+        col = exactmath.lattice_from_generators(self.matrix.rows, diffs)
         rows, i_col = exactmath.staircase(col)
         i_euc, rest = divmod(i_col, prod(exactmath.diagonal(IntMatrix.from_rows(col))))
         if rest:
@@ -120,18 +120,19 @@ class GaleDual:
     """The integer affine dependences of a configuration and the left
     inverse that turns a slack vector back into its functional.
 
-    Row i of ``rows`` is dependence i over all the points, so entry j of
-    the rows is the Gale vector of point j; each row sums to zero, which
-    the last row of ``[P; 1]`` makes exact.  ``left`` has one entry per
-    row of ``[P; 1]``: on a pivot row, the column of L, one integer per
-    point; elsewhere the empty tuple, as y is zero there."""
+    Row i of the matrix ``rows`` is dependence i over all the points, so
+    column j is the Gale vector of point j, and the column nonzeros are
+    the sparse Gale vectors; each row sums to zero, which the last row of
+    ``[P; 1]`` makes exact.  ``left`` has one entry per row of ``[P; 1]``:
+    on a pivot row, the column of L, one integer per point; elsewhere the
+    empty tuple, as y is zero there."""
 
-    rows: tuple  # one dependence per Gale coordinate, one entry per point
+    rows: IntMatrix  # one row per dependence, one column per point
     left: tuple  # one column of L per pivot row of [P; 1], () off them
     den: int
 
     def __post_init__(self):
-        if any(sum(row) for row in self.rows):
+        if any(sum(row) for row in self.rows.entries):
             raise CertificateError("a Gale row does not sum to zero over the points")
 
     def functional_with_slacks(self, slacks: Sequence[int]) -> tuple:
@@ -158,7 +159,7 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
     CertificateError.
     """
     subset = sorted(set(subset))
-    m = len(cfg.points)
+    m = cfg.matrix.cols
     if not subset or subset[0] < 0 or subset[-1] >= m:
         raise BadParameters("subset must name existing points")
     inside = set(subset)
@@ -168,7 +169,7 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
     # the rhs -sum_{j not in S} G_j is sum_{i in S} G_i, as each Gale row
     # sums to zero; tuples from lists, not generators: see the lp module
     cons = [
-        LinearConstraint.of([g[j] for j in outside], sum([g[i] for i in subset])) for g in gale.rows
+        LinearConstraint.of([g[j] for j in outside], sum([g[i] for i in subset])) for g in gale.rows.entries
     ]
     res = lp_feasible(RationalLpProblem.of(cons, len(outside)))
 
@@ -190,7 +191,7 @@ def is_face(cfg: PointConfig, subset: Iterable[int]) -> FaceCertificate:
     if res.status != "infeasible":
         raise CertificateError(f"face LP came back {res.status}")
     # den times the Farkas multipliers y; the dependence is v_j = y . G_j
-    v = [sparse_dot(g, res.values) for g in exactmath.nonzeros(zip(*gale.rows))]
+    v = [sparse_dot(g, res.values) for g in gale.rows.column_nonzeros]
     g = gcd(*v)
     if not g:
         raise CertificateError("Farkas multipliers combine to the zero dependence")
@@ -221,7 +222,7 @@ def neighborliness(
     Sizes are tested exhaustively in colex order; at the first failing
     size the witness is reported.
     """
-    m = len(cfg.points)
+    m = cfg.matrix.cols
     if s_max < 1:
         raise BadParameters(f"s_max must be at least 1, not {s_max}")
     if s_max > m:
@@ -295,7 +296,7 @@ def placing_triangulation(
     """
     sup = cfg.matrix.column_nonzeros
     m = len(sup)
-    nd = cfg.ambient_dim
+    nd = cfg.matrix.rows
     order = list(order) if order is not None else list(range(m))
     if sorted(order) != list(range(m)):
         raise BadParameters("order must be a permutation of the point indices")
@@ -420,11 +421,11 @@ def normalized_volume(
     rows, indices = cfg.volume_frame
     if len(rows) != triangulation.dim:
         raise BadParameters("lattice rank does not match triangulation dimension")
-    pts = cfg.points
+    ent = cfg.matrix.entries
     total = 0
     for simplex in triangulation.simplices:
-        p0 = pts[simplex[0]]
-        edges = [[pts[v][r] - p0[r] for r in rows] for v in simplex[1:]]
+        v0 = simplex[0]
+        edges = [[ent[r][v] - ent[r][v0] for r in rows] for v in simplex[1:]]
         det = abs(exactmath.determinant(IntMatrix.from_rows(edges)))
         if det == 0:
             raise CertificateError("degenerate simplex in triangulation")

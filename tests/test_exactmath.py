@@ -342,6 +342,19 @@ class TestSympyOracles:
         for p in RANK_LAW_PRIMES:
             assert sum(1 for d in diag if d % p) == sum(1 for f in factors if f % p)
 
+    def test_diagonal_of_every_incidence_matrix_up_to_8_is_sympys(self):
+        # on the 83 triples 1 <= t < k <= n, 3 <= n <= 8, the entries are
+        # sympy's nonzero invariant factors themselves, in order
+        from sympy import ZZ, Matrix
+        from sympy.matrices.normalforms import invariant_factors
+
+        triples = [(n, k, t) for n in range(3, 9) for k in range(2, n + 1) for t in range(1, k)]
+        assert len(triples) == 83
+        for nkt in triples:
+            m = build_matrix(*nkt).matrix
+            factors = [int(f) for f in invariant_factors(Matrix(m.entries), domain=ZZ) if f]
+            assert list(em.diagonal(m)) == factors, nkt
+
     @pytest.mark.parametrize(
         "m",
         [IntMatrix(0, 3, ()), IntMatrix(3, 0, ((), (), ())), IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])],

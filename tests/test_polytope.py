@@ -1,5 +1,6 @@
 """Face tests, neighborliness, triangulations, volumes."""
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -32,8 +33,13 @@ from incitoric.polytope import (
 
 
 def points_config(pts):
-    """A configuration of integer points."""
-    return PointConfig(tuple(tuple(p) for p in pts))
+    """A configuration of integer points: the matrix with them as columns."""
+    return PointConfig(IntMatrix.from_rows(zip(*pts)))
+
+
+def columns(cfg):
+    """The points of a configuration, as dense coordinate tuples."""
+    return cfg.matrix.transpose().entries
 
 
 @pytest.fixture(scope="module")
@@ -46,14 +52,32 @@ def tri632(cfg632):
     return placing_triangulation(cfg632)
 
 
+class TestPointConfig:
+    def test_equal_points_raise(self):
+        with pytest.raises(BadParameters, match="configuration points must be distinct"):
+            points_config([(0, 0), (1, 0), (0, 1), (1, 0)])
+
+    def test_incidence_column_off_the_degree_hyperplane_raises(self):
+        inc = build_matrix(4, 2, 1)
+        rows = [list(row) for row in inc.matrix.entries]
+        rows[0][-1] += 1  # the last column, (0, 0, 1, 1), gets a third 1
+        bad = dataclasses.replace(inc, matrix=IntMatrix.from_rows(rows))
+        with pytest.raises(BadParameters, match="incidence columns left the degree hyperplane"):
+            PointConfig.from_incidence(bad)
+
+    def test_the_configuration_is_the_incidence_matrix(self):
+        inc = build_matrix(6, 3, 2)
+        assert PointConfig.from_incidence(inc).matrix is inc.matrix
+
+
 class TestIsFace:
     def test_single_vertex(self, cfg632):
         cert = is_face(cfg632, [0])
         assert cert.is_face
         c, beta = cert.functional
-        assert sum(a * b for a, b in zip(c, cfg632.points[0])) == beta
+        assert sum(a * b for a, b in zip(c, cfg632.matrix.column(0))) == beta
         for j in range(1, 20):
-            assert sum(a * b for a, b in zip(c, cfg632.points[j])) < beta
+            assert sum(a * b for a, b in zip(c, cfg632.matrix.column(j))) < beta
 
     def test_full_set_improper_face(self, cfg632):
         cert = is_face(cfg632, range(20))
@@ -68,9 +92,9 @@ class TestIsFace:
             return lp_feasible(problem)
 
         monkeypatch.setattr(polytope, "lp_feasible", counting_lp)
-        triangle = PointConfig(((0, 0), (1, 0), (0, 1)))
+        triangle = points_config([(0, 0), (1, 0), (0, 1)])
         for cfg in (cfg632, triangle):
-            d, m = cfg.ambient_dim, len(cfg.points)
+            d, m = cfg.matrix.rows, cfg.matrix.cols
             assert is_face(cfg, range(m)) == FaceCertificate(True, ((0,) * d, 0), None)
         assert [p.nvars for p in calls] == [0, 0]
 
@@ -86,8 +110,8 @@ class TestIsFace:
         assert all(w[j] <= 0 for j in range(20) if j not in subset)
         # and the witness is an affine dependence of the configuration
         assert sum(w) == 0
-        for r in range(cfg632.ambient_dim):
-            assert sum(w[i] * cfg632.points[i][r] for i in range(20)) == 0
+        for row in cfg632.matrix.entries:
+            assert sum(w[i] * row[i] for i in range(20)) == 0
 
     def test_certificates_reproducible(self, cfg632):
         a = is_face(cfg632, [3, 7])
@@ -101,9 +125,9 @@ def primal_face_oracle(cfg, subset):
     weight 1, with v >= 0 outside the subset: a solution refutes the face
     (its negative is the witness), and the Farkas multipliers of an
     insoluble system give the supporting functional."""
-    m, nd = len(cfg.points), cfg.ambient_dim
+    m, nd = cfg.matrix.cols, cfg.matrix.rows
     inside = set(subset)
-    rows = [LinearConstraint.of([p[r] for p in cfg.points], 0) for r in range(nd)]
+    rows = [LinearConstraint.of(row, 0) for row in cfg.matrix.entries]
     rows.append(LinearConstraint.of([1] * m, 0))
     rows.append(LinearConstraint.of([0 if i in inside else 1 for i in range(m)], 1))
     # the LP takes non-negative variables only: v_i = v_i+ - v_i- inside
@@ -124,15 +148,15 @@ def primal_face_oracle(cfg, subset):
 def certificate_holds(cfg, subset, cert):
     """Plain integer re-check of a face certificate of either path."""
     inside = set(subset)
-    outside = [j for j in range(len(cfg.points)) if j not in inside]
+    outside = [j for j in range(cfg.matrix.cols) if j not in inside]
     if cert.is_face:
         c, beta = cert.functional
-        dots = [sum(a * b for a, b in zip(c, p)) for p in cfg.points]
+        dots = [sum(a * b for a, b in zip(c, p)) for p in columns(cfg)]
         return all(dots[i] == beta for i in inside) and all(dots[j] < beta for j in outside)
     w = cert.witness
     return (
         any(w) and sum(w) == 0
-        and all(sum(w[i] * p[r] for i, p in enumerate(cfg.points)) == 0 for r in range(cfg.ambient_dim))
+        and all(sum(a * b for a, b in zip(w, row)) == 0 for row in cfg.matrix.entries)
         and all(w[j] <= 0 for j in outside) and any(w[j] < 0 for j in outside)
     )
 
@@ -204,9 +228,9 @@ class TestGaleDual:
         import sympy  # test-only oracle
 
         cfg = PointConfig.from_incidence(build_matrix(n, 3, 2))
-        m = len(cfg.points)
-        a = sympy.Matrix([*map(list, zip(*cfg.points)), [1] * m])
-        basis = sympy.Matrix(cfg.gale.rows).T  # m x r
+        m = cfg.matrix.cols
+        a = sympy.Matrix([*map(list, cfg.matrix.entries), [1] * m])
+        basis = sympy.Matrix(cfg.gale.rows.entries).T  # m x r
         r = m - a.rank()
         assert basis.shape == (m, r) and basis.rank() == r
         assert a * basis == sympy.zeros(a.rows, r)
@@ -214,7 +238,7 @@ class TestGaleDual:
 
     def test_simplex_has_rank_zero_and_every_subset_is_a_face(self, monkeypatch):
         cfg = PointConfig.from_incidence(build_matrix(7, 4, 3))
-        assert cfg.gale.rows == ()
+        assert cfg.gale.rows == IntMatrix(0, 35, ())
         rows = []
 
         def counting_lp(problem):
@@ -229,9 +253,21 @@ class TestGaleDual:
             assert cert.is_face and certificate_holds(cfg, subset, cert)
         assert rows == [0] * len(subsets)
 
+    def test_face_tests_reuse_the_cached_sparse_columns(self, monkeypatch):
+        # the Gale vectors and the points are the column nonzeros of two
+        # matrices, built once: later face tests, non-faces included,
+        # build no sparse vector
+        cfg = PointConfig.from_incidence(build_matrix(6, 3, 2))
+        quartic = [colex_rank(s) for s in [(1, 3, 6), (2, 4, 6), (1, 4, 5), (2, 3, 5)]]
+        assert not is_face(cfg, quartic).is_face and is_face(cfg, [0]).is_face
+        monkeypatch.setattr(exactmath, "nonzeros", lambda vectors: pytest.fail("nonzeros rebuilt"))
+        for subset in (quartic, quartic[:3], [1], [2, 5]):
+            assert certificate_holds(cfg, subset, is_face(cfg, subset))
+        assert not is_face(cfg, quartic).is_face
+
     def test_square_has_rank_one_and_the_diagonal_witness(self):
         cfg = points_config([(0, 0), (1, 0), (0, 1), (1, 1)])
-        assert [len(g) for g in cfg.gale.rows] == [4]
+        assert [len(g) for g in cfg.gale.rows.entries] == [4]
         assert is_face(cfg, (1, 2)).witness == (-1, 1, 1, -1)
         assert is_face(cfg, (0, 3)).witness == (1, -1, -1, 1)
         assert all(is_face(cfg, edge).is_face for edge in ((0, 1), (0, 2), (1, 3), (2, 3)))
@@ -320,7 +356,7 @@ class TestPlacing:
         reprs = []
         for nkt in [(6, 3, 2), (5, 3, 2), (6, 3, 1), (6, 4, 2), (7, 4, 3), (6, 2, 1), (5, 2, 1), (7, 3, 1), (6, 4, 1)]:
             cfg = PointConfig.from_incidence(build_matrix(*nkt))
-            m = len(cfg.points)
+            m = cfg.matrix.cols
             orders = [list(range(m)), list(range(m))[::-1]] + [random.Random(s).sample(range(m), m) for s in (1, 23)]
             reprs += [repr(placing_triangulation(cfg, order)) for order in orders]
         digest = hashlib.sha256("\n".join(reprs).encode()).hexdigest()
@@ -345,7 +381,7 @@ class TestPlacing:
 
     def test_interior_point_covered_once(self, cfg632, tri632):
         rng = random.Random(31)
-        pts = cfg632.points
+        pts = columns(cfg632)
         # the points on the staircase rows, which map the affine hull
         # injectively, behind a leading 1 so that barycentric weights are
         # linear
@@ -443,8 +479,9 @@ class TestVolumes:
     def test_forged_index_raises_under_python_O(self):
         code = (
             "from incitoric.errors import CertificateError\n"
+            "from incitoric.exactmath import IntMatrix\n"
             "from incitoric.polytope import PointConfig, normalized_volume\n"
-            "cfg = PointConfig(((0, 0), (2, 0), (0, 1)))\n"
+            "cfg = PointConfig(IntMatrix.from_rows([(0, 2, 0), (0, 0, 1)]))\n"
             "cfg.__dict__['volume_frame'] = ((0, 1), {'column_lattice': 1, 'euclidean': 4})\n"
             "try:\n"
             "    normalized_volume(cfg, 'euclidean')\n"
@@ -472,7 +509,7 @@ class TestVolumes:
             "from incitoric.polytope import PointConfig, normalized_volume\n"
             "exactmath.diagonal = lambda m: (1, 3)\n"
             "try:\n"
-            "    normalized_volume(PointConfig(((0, 0), (2, 0), (0, 1))))\n"
+            "    normalized_volume(PointConfig(exactmath.IntMatrix.from_rows([(0, 2, 0), (0, 0, 1)])))\n"
             "except CertificateError as e:\n"
             "    print(e)\n"
         )
@@ -499,7 +536,7 @@ class TestVolumes:
             "from incitoric.polytope import PointConfig, normalized_volume\n"
             "exactmath.determinant = lambda m: 0\n"
             "try:\n"
-            "    normalized_volume(PointConfig(((0, 0), (1, 0), (0, 1))))\n"
+            "    normalized_volume(PointConfig(exactmath.IntMatrix.from_rows([(0, 1, 0), (0, 0, 1)])))\n"
             "except CertificateError as e:\n"
             "    print(e)\n"
         )
@@ -514,8 +551,9 @@ def volumes_by_solves(cfg, lattice, tri):
     """Oracle for normalized_volume: the integer coordinates of every
     ``p_j - p_0`` in a basis of the lattice, one ``HnfSolver`` solve per
     point, then one determinant of coordinate differences per simplex."""
-    nd = cfg.ambient_dim
-    diffs = [tuple(a - b for a, b in zip(p, cfg.points[0])) for p in cfg.points]
+    nd = cfg.matrix.rows
+    pts = columns(cfg)
+    diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts]
     basis = exactmath.lattice_from_generators(nd, diffs[1:])
     if lattice == "euclidean":
         normals = exactmath.kernel_basis(IntMatrix(len(basis), nd, basis))
@@ -543,7 +581,7 @@ class TestStaircaseVolumes:
         cfg = PointConfig.from_incidence(build_matrix(*nkt))
         _, index = cfg.volume_frame
         for seed in (None, 1, 23):
-            order = list(range(len(cfg.points)))
+            order = list(range(cfg.matrix.cols))
             if seed is not None:
                 random.Random(seed).shuffle(order)
             tri = placing_triangulation(cfg, order)
@@ -575,7 +613,8 @@ class TestStaircaseVolumes:
 
     def test_staircase_rows_are_the_pivots_of_the_column_hnf(self, cfg632):
         rows, index = cfg632.volume_frame
-        diffs = [tuple(a - b for a, b in zip(p, cfg632.points[0])) for p in cfg632.points[1:]]
+        pts = columns(cfg632)
+        diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
         res = exactmath.hnf(IntMatrix.from_rows(diffs).transpose())
         assert rows == tuple(i for i, _ in res.pivots)
         assert index["column_lattice"] == prod(res.h[j][i] for i, j in res.pivots)
@@ -585,7 +624,7 @@ def placing_by_kernels(cfg, order):
     """Oracle for placing_triangulation: the same placing rule, with the
     affine hull tested by rank and every new boundary facet's functional
     taken from an integer kernel of its own edge vectors."""
-    pts = cfg.points
+    pts = columns(cfg)
     cells, boundary, basis_rows, skipped = [], {}, [], []
     origin = interior = None
     weight = 0
@@ -616,7 +655,7 @@ def placing_by_kernels(cfg, order):
             boundary = {**{frozenset(c): None for c in cells}, **{f | {idx}: None for f in boundary}}
             cells = [c + (idx,) for c in cells]
             basis_rows.append(tuple(a - b for a, b in zip(pts[idx], pts[origin])))
-            interior = tuple(sum(pts[v][r] for v in cells[0]) for r in range(cfg.ambient_dim))
+            interior = tuple(sum(pts[v][r] for v in cells[0]) for r in range(cfg.matrix.rows))
             weight = len(cells[0])
             boundary = {f: facet_functional(f) for f in boundary}
             continue
@@ -667,7 +706,7 @@ class TestPencilUpdates:
     @given(data=st.data())
     def test_agrees_with_kernel_oracle(self, cfg632, cfg532, data):
         cfg = data.draw(st.sampled_from([cfg632, cfg532]))
-        order = data.draw(st.permutations(range(len(cfg.points))))
+        order = data.draw(st.permutations(range(cfg.matrix.cols)))
         assert placing_triangulation(cfg, order) == placing_by_kernels(cfg, order)
 
     @pytest.mark.parametrize(
@@ -679,7 +718,7 @@ class TestPencilUpdates:
         # the hypersimplices make the most same-dimension steps, with many
         # points on facet hyperplanes
         cfg = PointConfig.from_incidence(build_matrix(*nkt))
-        m = len(cfg.points)
+        m = cfg.matrix.cols
         rng = random.Random(seed)
         for _ in range(draws):
             order = rng.sample(range(m), m)
@@ -716,9 +755,10 @@ class TestPencilUpdates:
         code = (
             "from incitoric import polytope\n"
             "from incitoric.errors import CertificateError\n"
+            "from incitoric.exactmath import IntMatrix\n"
             "polytope._reduced = lambda g, beta: (tuple(g), beta + 1)\n"
             "try:\n"
-            "    polytope.placing_triangulation(polytope.PointConfig(((0, 0), (1, 0), (0, 1))))\n"
+            "    polytope.placing_triangulation(polytope.PointConfig(IntMatrix.from_rows([(0, 1, 0), (0, 0, 1)])))\n"
             "except CertificateError as e:\n"
             "    print(e)\n"
         )
@@ -734,8 +774,8 @@ def back_substitution_oracle(cfg):
     over the outside points, and each functional found by integer
     back-substitution through the staircase of the HNF of ``[P; 1]``, from
     the last pivot up, re-checked densely."""
-    m = len(cfg.points)
-    res = exactmath.hnf(IntMatrix.from_rows([*zip(*cfg.points), (1,) * m]))
+    m = cfg.matrix.cols
+    res = exactmath.hnf(IntMatrix.from_rows([*cfg.matrix.entries, (1,) * m]))
     h, u, rank = res.h, res.u, len(res.pivots)
     gale = [tuple(d[j] for d in u[rank:]) for j in range(m)]
 
@@ -763,7 +803,7 @@ def back_substitution_oracle(cfg):
             den, num, y = den * scale, num * scale, [x * scale for x in y]
             y[pi] = num // h[pk][pi]
         c, beta = y[:-1], -y[-1]
-        assert [sum(a * b for a, b in zip(c, p)) - beta for p in cfg.points] == [den * z for z in slacks]
+        assert [sum(a * b for a, b in zip(c, p)) - beta for p in columns(cfg)] == [den * z for z in slacks]
         return FaceCertificate(True, polytope._reduced(c, beta), None)
 
     return oracle
@@ -793,7 +833,7 @@ class TestLeftInverse:
         # (7,4,3) is a simplex: Gale rank 0, an LP without rows
         cfg = PointConfig.from_incidence(build_matrix(*nkt))
         oracle = back_substitution_oracle(cfg)
-        m = len(cfg.points)
+        m = cfg.matrix.cols
         subsets = [s for size in range(1, s_max + 1) for s in subsets_colex(m, size, first=0)]
         assert [is_face(cfg, s) for s in subsets] == [oracle(s) for s in subsets]
 
@@ -811,18 +851,18 @@ class TestLeftInverse:
         cfg = data.draw(st.sampled_from([cfg632, cfg732, None]))
         if cfg is None:
             cfg = data.draw(point_sets_with_order())[0]
-        nd = cfg.ambient_dim
+        nd = cfg.matrix.rows
         c = data.draw(st.lists(st.integers(-50, 50), min_size=nd, max_size=nd))
         beta = data.draw(st.integers(-50, 50))
-        slacks = [sum(a * b for a, b in zip(c, p)) - beta for p in cfg.points]
+        slacks = [sum(a * b for a, b in zip(c, p)) - beta for p in columns(cfg)]
         gale = cfg.gale
-        m = len(cfg.points)
-        rank = m - len(gale.rows)
+        m = cfg.matrix.cols
+        rank = m - gale.rows.rows
         assert gale.den > 0 and len(gale.left) == nd + 1
         assert sorted(map(len, gale.left)) == [0] * (nd + 1 - rank) + [m] * rank
         # D y_R = sum_j s_j L[j] on the pivot rows R, y zero off them
         y = [sum(z * x for z, x in zip(slacks, col)) for col in gale.left]
-        assert [sum(a * b for a, b in zip(y, (*p, 1))) for p in cfg.points] == [gale.den * z for z in slacks]
+        assert [sum(a * b for a, b in zip(y, (*p, 1))) for p in columns(cfg)] == [gale.den * z for z in slacks]
         assert gale.functional_with_slacks(slacks) == (y[:-1], -y[-1], gale.den)
 
     def test_forged_left_inverse_entry_raises(self):
@@ -854,7 +894,7 @@ class TestLeftInverse:
             "cfg.__dict__['gale'] = polytope.GaleDual(g.rows, tuple(map(tuple, left)), g.den)\n"
             + FORGE_GALE_ROW +
             "exactmath.hnf = forged_hnf\n"
-            "for config in (cfg, polytope.PointConfig(cfg.points)):\n"
+            "for config in (cfg, polytope.PointConfig(cfg.matrix)):\n"
             "    try:\n"
             "        polytope.is_face(config, [0])\n"
             "    except CertificateError as e:\n"
@@ -871,13 +911,14 @@ class TestLeftInverse:
         cfg = data.draw(st.sampled_from([cfg632, None]))
         if cfg is None:
             cfg = data.draw(point_sets_with_order())[0]
-        m = len(cfg.points)
+        m = cfg.matrix.cols
         # an integer combination of the dependences, or any small vector
-        weights = data.draw(st.lists(st.integers(-3, 3), min_size=len(cfg.gale.rows), max_size=len(cfg.gale.rows)))
-        dependence = [sum(w * row[j] for w, row in zip(weights, cfg.gale.rows)) for j in range(m)]
+        r = cfg.gale.rows.rows
+        weights = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        dependence = [sum(w * row[j] for w, row in zip(weights, cfg.gale.rows.entries)) for j in range(m)]
         other = data.draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
         for v in (dependence, other):
             dense = any(v) and sum(v) == 0 and all(
-                sum(v[i] * cfg.points[i][r] for i in range(m)) == 0 for r in range(cfg.ambient_dim)
+                sum(a * b for a, b in zip(v, row)) == 0 for row in cfg.matrix.entries
             )
             assert polytope._is_affine_dependence(cfg, v) == dense
