@@ -1,4 +1,5 @@
-"""Canonical enumeration and ranking of subsets and derangements.
+"""Canonical enumeration and ranking of subsets and derangements, and the
+action of S_n on subsets through two generators.
 
 Colex order is the single global subset order used everywhere in the
 package: a k-subset S ranks as sum(C(s_i - 1, i)) over its sorted elements
@@ -45,6 +46,18 @@ def subsets_colex(n: int, k: int, first: int = 1) -> Iterator[tuple]:
                 yield rest + (top,)
 
     return gen(k, first + n - 1)
+
+
+def generator_tables(n: int, k: int) -> tuple:
+    """The action of S_n on k-subsets through its generators, the
+    transposition (1 2), the identity for n < 2, and the n-cycle
+    (1 2 ... n): for each, the table whose entry r is the colex rank of
+    sigma(S) for the subset S of rank r.  A vector u over the k-subsets
+    read through a table, (u[table[0]], u[table[1]], ...), is its image
+    under sigma^-1."""
+    perms = ({1: 2, 2: 1} if n > 1 else {}, {i: i % n + 1 for i in range(1, n + 1)})
+    return tuple(tuple(colex_rank(sorted(p.get(x, x) for x in s)) for s in subsets_colex(n, k))
+                 for p in perms)
 
 
 def subset_label(s: Sequence[int], n: int) -> str:

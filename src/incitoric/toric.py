@@ -2,19 +2,16 @@
 
 Everything here works on pure-difference binomials x^a - x^b, closed under
 S-pairs and reduction, so no coefficient arithmetic beyond signs is ever
-needed.  The saturated lattice ideal is computed by the standard loop:
-start from the binomials of the kernel's HNF basis and of the pods (the
-octahedra) and saturate one variable at a time, each round re-running
-Buchberger in a degree-reverse-lexicographic order that makes the active
-variable cheapest and then stripping its common power from every basis
-element.  The rounds of the basis's unit variables, each +-1 in one basis
-vector and 0 in the others, are skipped: once the other variables are
-inverted, the basis binomials make every unit variable a unit, so the
-ideal of the basis already agrees with the lattice ideal there (Hosten and
-Sturmfels, "GRIN", IPCO 1995).  The last round runs in the default order,
-so interreduction alone finishes the reduced basis.  Buchberger queues
-S-pairs by criteria M and F of the Gebauer-Moeller update, so no pair is
-remembered once it is popped.  Graver bases come from a completion on
+needed.  The saturated lattice ideal is computed by one loop in the
+default degree-reverse-lexicographic order, whose cheapest variable is the
+last: start from the binomials of the kernel's HNF basis and of the pods
+(the octahedra); each round runs Buchberger, strips the last variable's
+common power from every element, interreduces, and adds the images of the
+basis under two generators of S_n that do not reduce to zero.  An ideal
+saturated by one variable and closed under S_n, which is transitive on
+the variables, is saturated by all of them (``saturate_binomials``).
+Buchberger queues S-pairs by criteria M and F of the Gebauer-Moeller
+update, so no pair is remembered once it is popped.  Graver bases come from a completion on
 kernel vectors, Markov bases from fiber connectivity and primitivity from
 a meet-in-the-middle search of a box.
 
@@ -48,13 +45,13 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product
+from itertools import chain, count, product
 from math import prod
 from operator import lshift
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import designs, exactmath
-from .combinat import colex_rank
+from .combinat import colex_rank, generator_tables
 from .config import DEFAULT_CONFIG, RunConfig
 from .errors import BadParameters, BudgetExceeded, CertificateError
 from .incidence import IncidenceMatrix, build_matrix
@@ -69,26 +66,20 @@ class _Overflow(Exception):
 
 
 class DegrevlexOrder:
-    """Degree-reverse-lexicographic order with a configurable cheapest end,
-    and the packing of monomials, ``width`` bits a field, that makes it int
-    order.
+    """Degree-reverse-lexicographic order on ``nvars`` variables, x_(nvars-1)
+    the cheapest, and the packing of monomials, ``width`` bits a field,
+    that makes it int order.
 
-    ``scan`` lists variable indices from cheapest to most expensive; on a
-    degree tie the first scanned variable where two monomials differ
-    decides, the monomial with the smaller exponent there being larger.
-    The i-th scanned variable v has the field at bit ``offsets[v] =
-    (nvars - 1 - i) * width``, holding ``top - m_v``; the degree sits at
-    bit ``shift = nvars * width``.
+    On a degree tie the last variable where two monomials differ decides,
+    the monomial with the smaller exponent there being larger.  Variable v
+    has the field at bit ``offsets[v] = v * width``, holding ``top - m_v``;
+    the degree sits at bit ``shift = nvars * width``.
     """
 
-    def __init__(self, nvars: int, cheapest: Optional[int] = None, width: int = 8):
-        if cheapest is not None and not 0 <= cheapest < nvars:
-            raise BadParameters("cheapest variable out of range")
-        rest = tuple(v for v in range(nvars - 1, -1, -1) if v != cheapest)
-        self.scan = rest if cheapest is None else (cheapest,) + rest
+    def __init__(self, nvars: int, width: int = 8):
         self.nvars, self.width = nvars, width
         self.top = (1 << width - 1) - 1
-        self.offsets = [(nvars - 1 - self.scan.index(v)) * width for v in range(nvars)]
+        self.offsets = range(0, nvars * width, width)
         self.shift = nvars * width
         self.fields = (1 << self.shift) - 1
         self.units = self.fields // ((1 << width) - 1)  # a 1 in every field
@@ -100,7 +91,7 @@ class DegrevlexOrder:
         """The same order at twice the width."""
         if self.width == 64:
             raise CertificateError("an exponent outgrew the widest packing, 64 bits a field")
-        return DegrevlexOrder(self.nvars, self.scan[0] if self.scan else None, 2 * self.width)
+        return DegrevlexOrder(self.nvars, 2 * self.width)
 
     def pack(self, m: Sequence[int]) -> int:
         """The packed monomial x^m; _Overflow if an exponent exceeds top."""
@@ -382,40 +373,52 @@ def strip_variable(pair: tuple, v: int) -> tuple:
 
 
 def saturate_binomials(
-    generators: Iterable[tuple], nvars: int, config: RunConfig = DEFAULT_CONFIG, skip: Iterable[int] = ()
+    generators: Iterable[tuple], inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG
 ) -> list:
     """Reduced degrevlex Groebner basis, as (lead, tail) monomial pairs, of
-    the saturation of the binomial ideal the generators span by the product
-    of all variables but those in ``skip``; empty for no generators.
+    Sat(J), the saturation by the product of all variables of the ideal J
+    spanned by the homogeneous binomials ``generators`` in the variables
+    of ``inc`` and by their images under S_n; empty for no generators.
 
-    One round per variable in ascending colex order: Groebner basis in the
-    order making that variable cheapest, then strip its common power from
-    every element.  Each round packs its generators afresh, since the
-    cheapest variable, and with it the packing, moves.  Sound for
-    homogeneous binomial ideals.  A BudgetExceeded also names the round it
-    stopped in by its variable.
+    Each round runs Buchberger in the default order, strips x_(N-1), the
+    cheapest variable, from every element and interreduces; then it
+    reduces the images of that basis under the inverses of two generators
+    of S_n, read through ``combinat.generator_tables``; they generate S_n
+    too.  The loop stops when every image reduces to zero, and otherwise
+    adds the nonzero normal forms to the basis and runs another round.  A
+    BudgetExceeded names the round.
 
-    The last round, that of x_(nvars-1), runs in the default order and is
-    never skipped.  For a homogeneous ideal, stripping that variable from a
-    reduced degrevlex basis leaves a Groebner basis of the saturation
-    (Sturmfels, *Groebner bases and convex polytopes*, 1996, ch. 12), so
-    interreducing it finishes the job without another Buchberger run.
-
-    Skipping loses nothing when the generators contain the binomials of a
-    lattice basis B and every skipped variable is a unit variable of B
-    (``_unit_variables``): the saturation by the other variables is then
-    already the lattice ideal, by the lemma in ``lattice_ideal_groebner``.
+    Soundness.  For a homogeneous ideal, stripping x_(N-1) from a degrevlex
+    Groebner basis leaves a Groebner basis of its saturation by x_(N-1)
+    (Bayer and Stillman, Invent. Math. 87, 1987; Sturmfels, *Groebner
+    bases and convex polytopes*, 1996, ch. 12), so interreducing it gives
+    the reduced basis without another Buchberger run.  S_n permutes the
+    variables and keeps J, so it keeps Sat(J), and each basis the loop
+    makes spans an ideal K between the generators and Sat(J).  The last K
+    is saturated by x_(N-1), and it is S_n-invariant, as the images of its
+    basis under both inverses reduce to zero.  S_n is transitive on the
+    k-subsets, so K : x_v^inf = sigma(K : x_(N-1)^inf) = K for every
+    variable x_v and a sigma taking x_(N-1) to x_v.  So K is saturated and
+    contains J, hence Sat(J): K = Sat(J).  (Compare Aschenbrenner and
+    Hillar, "An algorithm for finding symmetric Groebner bases in infinite
+    dimensional rings", ISSAC 2008.)
     """
+    order = DegrevlexOrder(inc.matrix.cols)
+    tables = generator_tables(inc.n, inc.k)
     gens = [(tuple(a), tuple(b)) for a, b in generators]
-    skip = frozenset(skip) - {nvars - 1}  # the finish needs the default order's round
-    for v in sorted(set(range(nvars)) - skip):
-        order = DegrevlexOrder(nvars, cheapest=v)
+    for rnd in count(1):
         try:
             gb = buchberger(gens, order, config.pair_queue_budget)
         except BudgetExceeded as e:
-            raise BudgetExceeded(f"saturation round for variable {v} of {nvars}: {e}") from e
-        gens = [strip_variable(g, v) for g in gb]
-    return _on_pairs(_interreduce, gens, DegrevlexOrder(nvars))
+            raise BudgetExceeded(f"saturation round {rnd}: {e}") from e
+        basis = _on_pairs(_interreduce, [strip_variable(g, order.nvars - 1) for g in gb], order)
+        images = [tuple(tuple(map(m.__getitem__, table)) for m in g) for table in tables for g in basis]
+        # the nonzero normal forms of the images against the basis, packed first
+        new = _on_pairs(lambda packed, order: [nf for a, b in packed[len(basis):] if (
+            nf := _normal_form(a, b, packed[:len(basis)], order)) is not None], basis + images, order)
+        if not new:
+            return basis
+        gens = basis + new
 
 
 # ---------------------------------------------------------------------------
@@ -425,32 +428,17 @@ def _binomial_pairs(vectors: Iterable[Sequence[int]]) -> list:
     return [(b.plus, b.minus) for b in map(Binomial.from_vector, vectors)]
 
 
-def _unit_variables(vectors: Sequence[Sequence[int]]) -> frozenset:
-    """The unit variables of a lattice basis, at most one per vector: for
-    each vector, the first coordinate where it is +-1 and every other
-    vector is 0.  For a column HNF basis these are its pivots equal to 1."""
-    support = Counter(c for v in vectors for c, x in enumerate(v) if x)
-    units = (next((c for c, x in enumerate(v) if x in (1, -1) and support[c] == 1), None)
-             for v in vectors)
-    return frozenset(c for c in units if c is not None)
-
-
 def lattice_ideal_groebner(
     inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG
 ) -> BinomialBasis:
     """Reduced degrevlex Groebner basis of the saturated lattice ideal I_L.
 
     The saturation starts from the binomials of the kernel's HNF basis B
-    and of the triple's pods, all in I_L, and skips the rounds of the unit
-    variables of B: coordinates where exactly one vector b of B is nonzero,
-    with entry +-1.  Lemma (Hosten and Sturmfels, "GRIN", IPCO 1995;
-    Sturmfels 1996, ch. 12): if J lies between I_B and I_L, then
-    J : (product of the other variables)^inf = I_L.  Sketch: invert the
-    other variables.  The binomial of b then makes its unit variable a
-    Laurent monomial in them, so every variable is a unit modulo I_B, and
-    the quotient by I_B is the Laurent ring modulo the lattice L, which is
-    the quotient by I_L.  Contracting back gives I_L, as I_L is saturated.
-    Pods exist exactly when the kernel is nonzero, k + t + 1 <= n.
+    and of the triple's pods.  Every one of them lies in I_L, and so do
+    their images under S_n, which permutes the columns of ``inc`` and keeps
+    L.  As their exponent vectors span L, the saturation of the ideal they
+    span is I_L (Sturmfels 1996, ch. 12); ``saturate_binomials`` computes
+    it.  Pods exist exactly when the kernel is nonzero, k + t + 1 <= n.
 
     Every binomial met is homogeneous, as the saturation needs: each
     column of an incidence matrix sums to C(k, t), so every kernel vector
@@ -460,7 +448,7 @@ def lattice_ideal_groebner(
     a = inc.matrix
     basis = exactmath.lattice_from_generators(a.cols, exactmath.kernel_basis(a))
     seeds = _binomial_pairs(chain(basis, designs.pods(inc.n, inc.k, inc.t)))
-    pairs = saturate_binomials(seeds, a.cols, config, _unit_variables(basis))
+    pairs = saturate_binomials(seeds, inc, config)
     return BinomialBasis("groebner", tuple(Binomial(*pair) for pair in pairs), inc)
 
 
@@ -717,11 +705,19 @@ def saturation_equals(
     of a kernel lattice basis reduce to zero against that basis, as
     ``reduce_to_zero`` reduces: I is the saturation of their ideal, and J
     is saturated.  ``basis`` is checked against ``inc`` first
-    (BadParameters otherwise), as ``inc`` need not be its matrix.
+    (BadParameters otherwise), as ``inc`` need not be its matrix, and so is
+    its S_n-invariance: ``saturate_binomials`` saturates the span of the
+    generators and their images, which is J only when the generators are
+    closed, up to sign, under the generators of S_n.
     """
     a = inc.matrix
-    if any(any(a.mat_vec(b.vector)) for b in basis.elements):
+    vectors = {b.vector for b in basis.elements}
+    if any(any(a.mat_vec(u)) for u in vectors):
         raise BadParameters("generator outside the kernel")
-    pairs = saturate_binomials([(b.plus, b.minus) for b in basis.elements], a.cols, config)
+    signed = vectors | {tuple(-x for x in u) for u in vectors}
+    if any(tuple(map(u.__getitem__, table)) not in signed
+           for table in generator_tables(inc.n, inc.k) for u in vectors):
+        raise BadParameters("generators not closed under S_n, up to sign")
+    pairs = saturate_binomials([(b.plus, b.minus) for b in basis.elements], inc, config)
     j = BinomialBasis("groebner", tuple(Binomial(*pair) for pair in pairs), inc)
     return all(_reduces_to_zero(b, j) for b in map(Binomial.from_vector, exactmath.kernel_basis(a)))

@@ -1,6 +1,7 @@
-"""Subset ranking, derangements, tableaux."""
+"""Subset ranking, the S_n action on subsets, derangements, tableaux."""
 
-from itertools import permutations
+from collections import Counter
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -49,6 +50,69 @@ class TestColex:
     def test_labels(self):
         assert cb.subset_label((1, 3, 6), 6) == "136"
         assert cb.subset_label((1, 3, 12), 12) == "1,3,12"
+
+
+def orbit_sizes(members, image, tables):
+    """Sizes of the orbits of ``members`` under the group the tables
+    generate, by union-find over the image of each member under each
+    table; an image outside ``members`` raises KeyError."""
+    parent = {m: m for m in members}
+
+    def find(m):
+        while parent[m] != m:
+            parent[m] = m = parent[parent[m]]  # path halving
+        return m
+
+    for m in members:
+        for table in tables:
+            parent[find(m)] = find(image(m, table))
+    return sorted(Counter(find(m) for m in members).values())
+
+
+def subset_image(s, table):
+    return tuple(sorted(table[c] for c in s))
+
+
+def vector_image(u, table):
+    """u read through the table, with its first nonzero entry made positive."""
+    v = tuple(u[r] for r in table)
+    return v if next(x for x in v if x) > 0 else tuple(-x for x in v)
+
+
+class TestGeneratorTables:
+    def test_tables_permute_the_ranks(self):
+        for n in range(9):
+            for k in range(n + 1):
+                tables = cb.generator_tables(n, k)
+                assert len(tables) == 2
+                assert all(sorted(table) == list(range(comb(n, k))) for table in tables)
+
+    def test_tables_move_the_members(self):
+        # (1 2) swaps 1 and 2, and the n-cycle adds 1 to every member mod n
+        subsets = list(cb.subsets_colex(5, 3))
+        swap, cycle = cb.generator_tables(5, 3)
+        assert subsets[swap[cb.colex_rank((1, 3, 4))]] == (2, 3, 4)
+        assert subsets[swap[cb.colex_rank((1, 2, 5))]] == (1, 2, 5)
+        assert subsets[cycle[cb.colex_rank((1, 3, 5))]] == (1, 2, 4)
+
+    @pytest.mark.parametrize("n, counts", [(6, [1, 3, 7, 21]), (7, [1, 3, 10, 38])])
+    def test_orbits_of_column_subsets(self, n, counts):
+        # S_n-orbits of the sets of 1-4 columns of (n,3,2), as Burnside's
+        # lemma counts them; one orbit of single columns: S_n is transitive
+        tables = cb.generator_tables(n, 3)
+        for size, count in enumerate(counts, 1):
+            members = list(combinations(range(comb(n, 3)), size))
+            assert len(orbit_sizes(members, subset_image, tables)) == count
+
+    def test_markov_632_is_two_orbits(self):
+        from incitoric import toric
+        from incitoric.incidence import build_matrix
+
+        markov = toric.minimal_markov(build_matrix(6, 3, 2)).elements
+        vectors = [vector_image(b.vector, range(20)) for b in markov]
+        sizes = orbit_sizes(vectors, vector_image, cb.generator_tables(6, 3))
+        assert sizes == [15, 15]
+        assert Counter(b.degree for b in markov) == {4: 15, 6: 15}
 
 
 class TestDerangements:

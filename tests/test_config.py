@@ -35,11 +35,10 @@ def test_budget_message_says_how_far_the_run_got():
     inc = build_matrix(6, 3, 2)
     with pytest.raises(BudgetExceeded) as saturation:
         toric.lattice_ideal_groebner(inc, RunConfig(pair_queue_budget=3))
-    # x0, x1 and x2 are unit variables of the HNF kernel basis, so the
-    # first round that runs is x3's; it starts from the 5 basis binomials
-    # and the 15 pods, 4 of which are basis binomials
+    # the first round starts from the 5 basis binomials and the 15 pods,
+    # 4 of which are basis binomials
     assert str(saturation.value) == (
-        "saturation round for variable 3 of 20: pair queue budget of 3 exhausted: "
+        "saturation round 1: pair queue budget of 3 exhausted: "
         "4 pairs popped, basis of 16 elements"
     )
     with pytest.raises(BudgetExceeded) as completion:

@@ -61,9 +61,22 @@ class TestOrders:
         assert plain_compare(order, (1, 1, 0), (1, 0, 1)) > 0  # less of the cheapest var wins
 
     def test_cheapest_variable_moves(self):
-        order = toric.DegrevlexOrder(3, cheapest=0)
-        # with x0 cheapest, x0^2 is the smallest degree-2 monomial
-        assert plain_compare(order, (2, 0, 0), (0, 1, 1)) < 0
+        # relabelled as the last variable, x0 is the cheapest, and x0^2 the
+        # smallest degree-2 monomial
+        order = toric.DegrevlexOrder(3)
+        assert plain_compare(order, to_last((2, 0, 0), 0), to_last((0, 1, 1), 0)) < 0
+        assert all(from_last(to_last(m, v), v) == m for m in ((1, 2, 3), (0, 0, 4)) for v in range(3))
+
+
+def to_last(m, v):
+    """The exponent vector m with x_v relabelled as the last variable, the
+    cheapest of the default order, the others keeping their order."""
+    return m[:v] + m[v + 1 :] + m[v : v + 1]
+
+
+def from_last(m, v):
+    """The inverse relabelling of ``to_last``."""
+    return m[:v] + m[-1:] + m[v:-1]
 
 
 class TestEngineSmall:
@@ -118,11 +131,10 @@ def plain_normal_form(a, b, basis, order):
 
 @st.composite
 def binomial_generators(draw):
-    """Pure-difference binomials in 3-6 variables and a cheapest variable."""
+    """Pure-difference binomials in 3-6 variables."""
     nvars = draw(st.integers(3, 6))
     monomial = st.tuples(*[st.integers(0, 2)] * nvars)
-    gens = draw(st.lists(st.tuples(monomial, monomial), min_size=1, max_size=5))
-    return nvars, gens, draw(st.integers(0, nvars - 1))
+    return nvars, draw(st.lists(st.tuples(monomial, monomial), min_size=1, max_size=5))
 
 
 @st.composite
@@ -140,16 +152,15 @@ def homogeneous_generators(draw):
     return nvars, [(monomial(d), monomial(d)) for d in degrees]
 
 
-def assert_matches_sympy(gens, nvars, cheapest):
-    """buchberger's reduced basis of the generators, with x_cheapest the
-    cheapest variable, is the one sympy's grevlex Groebner basis gives."""
+def assert_matches_sympy(gens, nvars):
+    """buchberger's reduced basis of the generators in the default order is
+    the one sympy's grevlex Groebner basis gives."""
     import sympy
 
-    ours = toric.buchberger(gens, toric.DegrevlexOrder(nvars, cheapest))
-    # sympy's grevlex breaks degree ties at its last generator first
-    perm = [v for v in range(nvars) if v != cheapest] + [cheapest]
+    ours = toric.buchberger(gens, toric.DegrevlexOrder(nvars))
+    # sympy's grevlex breaks degree ties at its last generator first, the
+    # default order's cheapest variable
     xs = sympy.symbols(f"x0:{nvars}")
-    syms = [xs[v] for v in perm]
 
     def monomial(exps):
         return sympy.Mul(*(x**e for x, e in zip(xs, exps)))
@@ -157,12 +168,10 @@ def assert_matches_sympy(gens, nvars, cheapest):
     polys = [monomial(a) - monomial(b) for a, b in gens if a != b]
     theirs = set()
     if polys:
-        for poly in sympy.groebner(polys, *syms, order="grevlex").exprs:
-            terms = sympy.Poly(poly, *syms).terms()
+        for poly in sympy.groebner(polys, *xs, order="grevlex").exprs:
+            terms = sympy.Poly(poly, *xs).terms()
             assert sorted(c for _, c in terms) == [-1, 1]
-            theirs.add(frozenset(
-                tuple(m[perm.index(v)] for v in range(nvars)) for m, _ in terms
-            ))
+            theirs.add(frozenset(m for m, _ in terms))
     assert len(ours) == len(theirs)
     assert {frozenset(g) for g in ours} == theirs
 
@@ -171,20 +180,21 @@ class TestEngineOracles:
     @settings(max_examples=40, deadline=None)
     @given(binomial_generators())
     def test_buchberger_matches_sympy(self, case):
-        nvars, gens, cheapest = case
-        assert_matches_sympy(gens, nvars, cheapest)
+        assert_matches_sympy(case[1], case[0])
 
     @pytest.mark.parametrize("gens, cheapest", [
         # exponents above 127 from the start: no 8-bit field holds them
         ([((130, 0, 1), (0, 131, 0)), ((0, 2, 0), (1, 0, 1))], 2),
         # exponents of at most 100 whose reductions pass 127 on the way
+        # once x0 is relabelled as the cheapest variable
         ([((0, 90, 0), (0, 0, 60)), ((0, 100, 0), (0, 60, 0))], 0),
     ])
     def test_widening_matches_sympy(self, gens, cheapest):
-        order = toric.DegrevlexOrder(3, cheapest)
+        gens = [(to_last(a, cheapest), to_last(b, cheapest)) for a, b in gens]
+        order = toric.DegrevlexOrder(3)
         with pytest.raises(toric._Overflow):  # 8-bit fields cannot hold the run
             toric._groebner([(order.pack(a), order.pack(b)) for a, b in gens], order, 10**6)
-        assert_matches_sympy(gens, 3, cheapest)
+        assert_matches_sympy(gens, 3)
 
     def test_widening_stops_at_64_bits(self):
         with pytest.raises(CertificateError, match="widest packing"):
@@ -193,10 +203,13 @@ class TestEngineOracles:
     @settings(max_examples=60, deadline=None)
     @given(homogeneous_generators())
     def test_saturation_finished_by_interreduction(self, case):
-        # the last saturation round already runs in the default order, so
-        # interreducing its stripped basis must equal one more Buchberger run
+        # the one step the saturation loop trusts (Bayer and Stillman): for
+        # homogeneous generators, x_(nvars-1) stripped from the reduced
+        # default-order basis and interreduced equals one more Buchberger run
         nvars, gens = case
-        assert toric.saturate_binomials(gens, nvars) == full_saturation(gens, nvars)
+        order = toric.DegrevlexOrder(nvars)
+        stripped = [toric.strip_variable(g, nvars - 1) for g in toric.buchberger(gens, order)]
+        assert toric._on_pairs(toric._interreduce, stripped, order) == toric.buchberger(stripped, order)
 
     def test_reduce_to_zero_matches_plain_reduction(self, inc632, gb632, markov632):
         rng = Random(632)
@@ -227,11 +240,11 @@ class TestEngineOracles:
 
 
 def plain_compare(order, a, b):
-    """Oracle for the packed order: degree first, then the first scanned
-    variable where a and b differ, the smaller exponent there winning."""
+    """Oracle for the packed order: degree first, then the last variable
+    where a and b differ, the smaller exponent there winning."""
     if sum(a) != sum(b):
         return 1 if sum(a) > sum(b) else -1
-    for v in order.scan:
+    for v in reversed(range(order.nvars)):
         if a[v] != b[v]:
             return 1 if a[v] < b[v] else -1
     return 0
@@ -244,7 +257,7 @@ def packing_cases(draw):
     of a field."""
     nvars = draw(st.integers(1, 6))
     width = draw(st.sampled_from([8, 16, 32, 64]))
-    order = toric.DegrevlexOrder(nvars, draw(st.integers(0, nvars - 1)), width)
+    order = toric.DegrevlexOrder(nvars, width)
     exponent = st.one_of(st.integers(0, 3), st.integers(order.top - 3, order.top + 2))
     return order, *(draw(st.tuples(*[exponent] * nvars)) for _ in range(3))
 
@@ -697,52 +710,14 @@ class TestOctahedral:
 
 def full_saturation(pairs, nvars):
     """Oracle for saturate_binomials: the reduced basis of the saturation
-    by every variable, one Buchberger run and strip per round, then one
-    more Buchberger run in the default order after the last round."""
+    by every variable, one Buchberger run and strip per variable, with that
+    variable relabelled as the last, cheapest one of the default order,
+    then one more Buchberger run in the default order."""
+    order = toric.DegrevlexOrder(nvars)
     for v in range(nvars):
-        gb = toric.buchberger(pairs, toric.DegrevlexOrder(nvars, v))
-        pairs = [toric.strip_variable(g, v) for g in gb]
-    return toric.buchberger(pairs, toric.DegrevlexOrder(nvars))
-
-
-@st.composite
-def graded_matrices(draw):
-    """A row of ones over 1-3 rows of entries 0..3, in 3-7 columns."""
-    cols = draw(st.integers(3, 7))
-    row = st.lists(st.integers(0, 3), min_size=cols, max_size=cols)
-    return IntMatrix.from_rows([[1] * cols] + draw(st.lists(row, min_size=1, max_size=3)))
-
-
-class TestUnitVariables:
-    def test_hnf_pivots_of_one(self, inc632):
-        a = inc632.matrix
-        basis = em.lattice_from_generators(a.cols, em.kernel_basis(a))
-        assert toric._unit_variables(basis) == {0, 1, 2, 4, 5}
-
-    def test_rejects_a_shared_coordinate(self):
-        # coordinate 0 is 1 in both vectors, coordinate 1 only in the second
-        assert toric._unit_variables([(1, 0), (1, 1)]) == {1}
-        assert toric._unit_variables([(1, 0, 1), (-1, 1, 0), (0, 1, 1)]) == frozenset()
-
-    def test_rejects_an_entry_of_two(self):
-        assert toric._unit_variables([(2, 0, -1)]) == {2}
-        assert toric._unit_variables([(2, 0), (0, -2)]) == frozenset()
-
-    def test_at_most_one_per_vector(self):
-        assert toric._unit_variables([(1, -1, 1, 0)]) == {0}
-        assert toric._unit_variables([(0, -1, 1, 0), (0, 0, 0, 1)]) == {1, 3}
-        assert toric._unit_variables([]) == frozenset()
-
-    @settings(max_examples=60, deadline=None)
-    @given(graded_matrices())
-    def test_skipping_keeps_the_reduced_basis(self, a):
-        basis = em.lattice_from_generators(a.cols, em.kernel_basis(a))
-        units = toric._unit_variables(basis)
-        for c in units:
-            assert sorted(abs(v[c]) for v in basis) == [0] * (len(basis) - 1) + [1]
-        assert all(sum(1 for c in units if v[c]) <= 1 for v in basis)
-        pairs = toric._binomial_pairs(basis)
-        assert toric.saturate_binomials(pairs, a.cols, RunConfig(), units) == full_saturation(pairs, a.cols)
+        gb = toric.buchberger([tuple(to_last(m, v) for m in g) for g in pairs], order)
+        pairs = [tuple(from_last(m, v) for m in toric.strip_variable(g, nvars - 1)) for g in gb]
+    return toric.buchberger(pairs, order)
 
 
 class TestSaturation:
@@ -755,9 +730,19 @@ class TestSaturation:
         assert toric.saturation_equals(markov632, inc632)
 
     def test_single_quartic_does_not(self, inc632):
+        # the saturation loop closes its generators under S_n, so a set
+        # that is not closed is refused rather than answered for its orbit
         octas = toric.octahedral_generators(6, 3, 2)
         single = toric.BinomialBasis("octahedral", octas.elements[:1], inc632)
-        assert not toric.saturation_equals(single, inc632)
+        with pytest.raises(BadParameters, match="not closed under S_n"):
+            toric.saturation_equals(single, inc632)
+
+    def test_squared_quartics_do_not(self, inc632):
+        # closed under S_n, but their lattice is 2L: the saturation is the
+        # lattice ideal of 2L, which misses the quartics themselves
+        octas = toric.octahedral_generators(6, 3, 2).elements
+        squares = tuple(toric.Binomial.from_vector([2 * x for x in b.vector]) for b in octas)
+        assert not toric.saturation_equals(toric.BinomialBasis("octahedral", squares, inc632), inc632)
 
     def test_generator_outside_the_kernel_raises(self, inc632):
         # the (6,3,1) quartics have 20 variables too, but (6,3,2) does not kill them
@@ -771,10 +756,9 @@ class TestSaturation:
         monkeypatch.setattr(toric, "lattice_ideal_groebner", forbidden)
         assert toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
 
-    def test_groebner_runs_skip_the_unit_variables(self, inc632, monkeypatch):
-        # one Buchberger run per saturation round; the lattice basis skips
-        # the rounds of its 5 unit variables, the octahedra run all 20; the
-        # default-order basis is then finished by interreduction alone
+    def test_groebner_runs_of_the_closure(self, inc632, monkeypatch):
+        # one Buchberger run per saturation round: 3 rounds from the
+        # lattice basis and the pods, 5 from the octahedra alone
         calls = []
         buchberger = toric.buchberger
 
@@ -784,25 +768,15 @@ class TestSaturation:
 
         monkeypatch.setattr(toric, "buchberger", counted)
         assert len(toric.lattice_ideal_groebner(inc632).elements) == 30
-        assert len(calls) == 15
-        assert [order.scan[0] for _, order, _ in calls] == [3] + list(range(6, 20))
+        assert len(calls) == 3
         calls.clear()
         assert toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
-        assert len(calls) == 20
-
-    def test_last_round_always_runs(self, monkeypatch):
-        # the interreduction finish needs the round of x_(nvars-1), whose
-        # order is the default one, even when every variable may be skipped
-        orders = []
-        buchberger = toric.buchberger
-        monkeypatch.setattr(toric, "buchberger", lambda *args: orders.append(args[1]) or buchberger(*args))
-        gb = toric.saturate_binomials([((1, 0, 1), (0, 2, 0))], 3, RunConfig(), range(3))
-        assert [order.scan for order in orders] == [toric.DegrevlexOrder(3).scan]
-        assert gb == [((0, 2, 0), (1, 0, 1))]
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("nkt", KERNEL_TRIPLES)
     def test_lattice_ideal_groebner_matches_full_saturation(self, nkt):
-        # seeded with the bare kernel basis, every variable saturated
+        # the oracle saturates the bare kernel basis by every variable in
+        # turn, with no S_n closure
         inc = build_matrix(*nkt)
         nvars = inc.matrix.cols
         expected = full_saturation(toric._binomial_pairs(em.kernel_basis(inc.matrix)), nvars)
@@ -812,7 +786,7 @@ class TestSaturation:
     def test_non_kernel_saturation_raises(self, inc632, monkeypatch):
         junk = binom(20, [(1, 2, 3)], [(1, 2, 4)])
         monkeypatch.setattr(
-            toric, "saturate_binomials", lambda pairs, nvars, config: [(junk.plus, junk.minus)]
+            toric, "saturate_binomials", lambda pairs, inc, config: [(junk.plus, junk.minus)]
         )
         with pytest.raises(CertificateError):
             toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
