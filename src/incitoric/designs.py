@@ -107,7 +107,8 @@ def min_support_scan(
         for cset in combinations(range(a.cols), s):
             enumerated += 1
             if enumerated > config.box_budget:
-                raise BudgetExceeded("support scan budget exhausted")
+                raise BudgetExceeded(f"support scan budget exhausted: over box_budget "
+                                     f"{config.box_budget} column subsets, at size {s}")
             key = tuple(map(sum, zip(*(columns[j] for j in cset))))
             if key in sums:
                 vec = [0] * a.cols

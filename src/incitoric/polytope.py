@@ -230,7 +230,8 @@ def neighborliness(
     tested = 0
     for s in range(1, s_max + 1):
         if comb(m, s) > config.box_budget:
-            raise BudgetExceeded(f"C({m},{s}) face tests exceed the budget")
+            raise BudgetExceeded(f"C({m},{s}) face tests exceed the budget: over box_budget "
+                                 f"{config.box_budget}, after {tested} face tests")
         for subset in subsets_colex(m, s, first=0):
             tested += 1
             cert = is_face(cfg, subset)

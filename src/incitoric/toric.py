@@ -2,16 +2,16 @@
 
 Everything here works on pure-difference binomials x^a - x^b, closed under
 S-pairs and reduction, so no coefficient arithmetic beyond signs is ever
-needed.  The saturated lattice ideal is computed by one loop in the
-default degree-reverse-lexicographic order, whose cheapest variable is the
-last: start from the binomials of the kernel's HNF basis and of the pods
-(the octahedra); each round runs Buchberger, strips the last variable's
-common power from every element, interreduces, and adds the images of the
-basis under two generators of S_n that do not reduce to zero.  An ideal
-saturated by one variable and closed under S_n, which is transitive on
-the variables, is saturated by all of them (``saturate_binomials``).
-Buchberger queues S-pairs by criteria M and F of the Gebauer-Moeller
-update, so no pair is remembered once it is popped.  Graver bases come from a completion on
+needed.  The saturated lattice ideal is computed by one Buchberger
+completion in the default degree-reverse-lexicographic order, whose
+cheapest variable is the last, from the binomials of the kernel's HNF
+basis and of the pods (the octahedra): each binomial that joins the basis
+drops the gcd of its two monomials, and its images under two generators
+of S_n are queued and reduced like the seeds.  An ideal saturated by one
+variable and closed under S_n, which is transitive on the variables, is
+saturated by all of them (``saturate_binomials``).  Buchberger queues
+S-pairs by criteria M and F of the Gebauer-Moeller update, so no pair is
+remembered once it is popped.  Graver bases come from a completion on
 kernel vectors, Markov bases from fiber connectivity and primitivity from
 a meet-in-the-middle search of a box.
 
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, count, product
@@ -286,32 +286,51 @@ def buchberger(
     generators: Iterable[tuple],
     order: DegrevlexOrder,
     pair_budget: int = DEFAULT_CONFIG.pair_queue_budget,
+    tables: Sequence[Sequence[int]] = (),
 ) -> list:
-    """Reduced Groebner basis of the binomial ideal the generators span.
+    """Reduced Groebner basis of the binomial ideal the generators span;
+    given ``tables``, those of ``combinat.generator_tables``, that of the
+    saturation of the ideal that homogeneous generators and their S_n
+    images span (``saturate_binomials``).
 
     Generators and result are (lead, tail) monomial pairs; zero input
-    binomials are dropped.  Pairs are popped by increasing lcm in the
-    order, ties in the order the pairs were made.  Each time an element h
-    joins the basis, criteria M and F of Gebauer and Moeller ("On an
-    installation of Buchberger's algorithm", 1988) keep, of the new pairs
-    of h, one per lcm that no other new lcm strictly divides, and none of
-    those whose lcm some new pair with coprime leads has.  Every element
-    stays a reducer and a pair partner; the final interreduction leaves
-    the reduced basis.
+    binomials are dropped.  The generators, and each S-pair when none is
+    left, go through one FIFO queue: each is reduced to normal form against
+    every element so far and, if nonzero, joins the basis.  With
+    ``tables`` an element first drops the gcd of its two monomials, and
+    its images under both tables join the queue.  Pairs are popped by
+    increasing lcm in the order, ties in the order the pairs were made.
+    Each time an element h joins the basis, criteria M and F of Gebauer and
+    Moeller ("On an installation of Buchberger's algorithm", 1988) keep,
+    of the new pairs of h, one per lcm that no other new lcm strictly
+    divides, and none of those whose lcm some new pair with coprime leads
+    has.  Every element stays a reducer and a pair partner; the final
+    interreduction leaves the reduced basis.
 
     The engine runs on monomials packed in ``order``, each lcm being its
     own heap key.  Raises BudgetExceeded, naming the pairs popped and the
     elements kept, when more than ``pair_budget`` pairs are popped.
     """
-    return _on_pairs(lambda gens, order: _groebner(gens, order, pair_budget), generators, order)
+    return _on_pairs(lambda gens, order: _groebner(gens, order, pair_budget, tables), generators, order)
 
 
-def _groebner(generators: list, order: DegrevlexOrder, pair_budget: int) -> list:
+def _divide_gcd(a: int, b: int, order: DegrevlexOrder) -> tuple:
+    """x^a and x^b, packed, divided by their gcd: lcm / x^b and lcm / x^a."""
+    lcm = order.lcm(a, b)
+    return lcm - b + order.one, lcm - a + order.one
+
+
+def _groebner(generators: list, order: DegrevlexOrder, pair_budget: int, tables: Sequence = ()) -> list:
     guard, one, fields = order.guard, order.one, order.fields
     elements: list = []  # every element so far, by index, as a packed (lead, tail)
     heap: list = []  # (lcm, newer member, older member)
+    queue = deque(generators)  # first in, first out: seeds are reduced before their images
 
     def add(h: tuple) -> None:
+        if tables:
+            h = _divide_gcd(*h, order)
+            ms = [order.unpack(m) for m in h]
+            queue.extend(tuple(order.pack(tuple(map(m.__getitem__, table))) for m in ms) for table in tables)
         lead = h[0]
         t = len(elements)
         # criteria M and F: per lcm, its first partner and whether any is coprime
@@ -335,21 +354,17 @@ def _groebner(generators: list, order: DegrevlexOrder, pair_budget: int) -> list
                     heapq.heappush(heap, (lcm, t, k))
         elements.append(h)
 
-    for a, b in generators:
-        pair = _orient(a, b)
-        if pair is not None and pair not in elements:
-            add(pair)
-
     popped = 0
-    while heap:
-        lcm, i, j = heapq.heappop(heap)
-        popped += 1
-        if popped > pair_budget:
-            raise BudgetExceeded(f"pair queue budget of {pair_budget} exhausted: {popped} pairs "
-                                 f"popped, basis of {len(elements)} elements")
-        (ai, bi), (aj, bj) = elements[i], elements[j]
-        s1, s2 = _checked(lcm - ai + bi, order), _checked(lcm - aj + bj, order)
-        nf = _normal_form(s1, s2, elements, order)
+    while queue or heap:
+        if not queue:
+            lcm, i, j = heapq.heappop(heap)
+            popped += 1
+            if popped > pair_budget:
+                raise BudgetExceeded(f"pair queue budget of {pair_budget} exhausted: {popped} pairs "
+                                     f"popped, basis of {len(elements)} elements")
+            (ai, bi), (aj, bj) = elements[i], elements[j]
+            queue.append((_checked(lcm - ai + bi, order), _checked(lcm - aj + bj, order)))
+        nf = _normal_form(*queue.popleft(), elements, order)
         if nf is not None:
             add(nf)
 
@@ -367,11 +382,6 @@ def _interreduce(pairs: Sequence[tuple], order: DegrevlexOrder) -> list:
     return sorted(nf for nf in reduced if nf is not None)
 
 
-def strip_variable(pair: tuple, v: int) -> tuple:
-    m = min(pair[0][v], pair[1][v])
-    return tuple(e[:v] + (e[v] - m,) + e[v + 1 :] for e in pair)
-
-
 def saturate_binomials(
     generators: Iterable[tuple], inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG
 ) -> list:
@@ -380,45 +390,41 @@ def saturate_binomials(
     spanned by the homogeneous binomials ``generators`` in the variables
     of ``inc`` and by their images under S_n; empty for no generators.
 
-    Each round runs Buchberger in the default order, strips x_(N-1), the
-    cheapest variable, from every element and interreduces; then it
-    reduces the images of that basis under the inverses of two generators
-    of S_n, read through ``combinat.generator_tables``; they generate S_n
-    too.  The loop stops when every image reduces to zero, and otherwise
-    adds the nonzero normal forms to the basis and runs another round.  A
-    BudgetExceeded names the round.
+    One ``buchberger`` completion in the default order, where x_(N-1) is
+    the cheapest variable, given the tables of ``combinat.generator_tables``:
+    each element that joins the basis drops the gcd of its monomials, and
+    its images under the inverses of the transposition (1 2) and the
+    n-cycle (1 ... n), which generate S_n, are reduced like the generators.
+    Before returning, the basis is re-checked: every element has coprime
+    monomials, and every image of it under both tables reduces to zero
+    against it; CertificateError otherwise.
 
-    Soundness.  For a homogeneous ideal, stripping x_(N-1) from a degrevlex
-    Groebner basis leaves a Groebner basis of its saturation by x_(N-1)
-    (Bayer and Stillman, Invent. Math. 87, 1987; Sturmfels, *Groebner
-    bases and convex polytopes*, 1996, ch. 12), so interreducing it gives
-    the reduced basis without another Buchberger run.  S_n permutes the
-    variables and keeps J, so it keeps Sat(J), and each basis the loop
-    makes spans an ideal K between the generators and Sat(J).  The last K
-    is saturated by x_(N-1), and it is S_n-invariant, as the images of its
-    basis under both inverses reduce to zero.  S_n is transitive on the
-    k-subsets, so K : x_v^inf = sigma(K : x_(N-1)^inf) = K for every
-    variable x_v and a sigma taking x_(N-1) to x_v.  So K is saturated and
-    contains J, hence Sat(J): K = Sat(J).  (Compare Aschenbrenner and
-    Hillar, "An algorithm for finding symmetric Groebner bases in infinite
-    dimensional rings", ISSAC 2008.)
+    Soundness.  S_n permutes the variables and keeps J, so it keeps Sat(J),
+    and Sat(J) is saturated by every variable; so each element, stripped
+    of its gcd or imaged, stays in Sat(J), and the final basis spans an
+    ideal K between J and Sat(J).  That basis is a Groebner basis of K, as
+    every S-pair reduced to zero.  Its elements are homogeneous with
+    coprime monomials, so in degrevlex no lead term is divisible by
+    x_(N-1), and K is saturated by x_(N-1) (Bayer and Stillman, Invent.
+    Math. 87, 1987; Sturmfels, *Groebner bases and convex polytopes*, 1996,
+    ch. 12).  The images of its basis under both inverses reduce to zero,
+    so K is S_n-invariant.  S_n is transitive on the k-subsets, so
+    K : x_v^inf = sigma(K : x_(N-1)^inf) = K for every variable x_v and a
+    sigma taking x_(N-1) to x_v.  So K is saturated and contains J, hence
+    Sat(J): K = Sat(J).  (Compare Bigatti, La Scala and Robbiano,
+    "Computing toric ideals", 1999, and Aschenbrenner and Hillar, "An
+    algorithm for finding symmetric Groebner bases in infinite dimensional
+    rings", ISSAC 2008.)
     """
-    order = DegrevlexOrder(inc.matrix.cols)
-    tables = generator_tables(inc.n, inc.k)
-    gens = [(tuple(a), tuple(b)) for a, b in generators]
-    for rnd in count(1):
-        try:
-            gb = buchberger(gens, order, config.pair_queue_budget)
-        except BudgetExceeded as e:
-            raise BudgetExceeded(f"saturation round {rnd}: {e}") from e
-        basis = _on_pairs(_interreduce, [strip_variable(g, order.nvars - 1) for g in gb], order)
-        images = [tuple(tuple(map(m.__getitem__, table)) for m in g) for table in tables for g in basis]
-        # the nonzero normal forms of the images against the basis, packed first
-        new = _on_pairs(lambda packed, order: [nf for a, b in packed[len(basis):] if (
-            nf := _normal_form(a, b, packed[:len(basis)], order)) is not None], basis + images, order)
-        if not new:
-            return basis
-        gens = basis + new
+    order, tables = DegrevlexOrder(inc.matrix.cols), generator_tables(inc.n, inc.k)
+    basis = buchberger(generators, order, config.pair_queue_budget, tables)
+    if any(x and y for lead, tail in basis for x, y in zip(lead, tail)):
+        raise CertificateError("a saturated basis element has monomials with a common factor")
+    images = [tuple(tuple(map(m.__getitem__, table)) for m in g) for table in tables for g in basis]
+    if _on_pairs(lambda packed, order: [(a, b) for a, b in packed[len(basis):] if _normal_form(
+            a, b, packed[:len(basis)], order) is not None], basis + images, order):
+        raise CertificateError("an S_n image of the saturated basis does not reduce to zero")
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +484,10 @@ def _reduces_to_zero(b: Binomial, basis: BinomialBasis) -> bool:
 # Markov bases
 
 
-def _component(start: int, moves: list, budget: int, order: DegrevlexOrder) -> set:
-    """Packed monomials reachable from ``start`` by applying the packed
-    moves non-negatively."""
+def _component(start: int, moves: list, budget: int, order: DegrevlexOrder, candidate: int) -> set:
+    """Packed monomials reachable from ``start``, the lead of the Groebner
+    basis element with index ``candidate``, by applying the packed moves
+    non-negatively."""
     guard = order.guard
     seen = {start}
     stack = [start]
@@ -493,7 +500,8 @@ def _component(start: int, moves: list, budget: int, order: DegrevlexOrder) -> s
                     seen.add(w)
                     stack.append(w)
         if len(seen) > budget:
-            raise BudgetExceeded("fiber component budget exhausted")
+            raise BudgetExceeded(f"fiber component budget exhausted: over fiber_budget {budget}, "
+                                 f"{len(seen)} monomials reached at candidate index {candidate}")
     return seen
 
 
@@ -501,10 +509,11 @@ def markov_from_groebner(gb: BinomialBasis, config: RunConfig = DEFAULT_CONFIG) 
     """Inclusion-minimal Markov basis extracted from a Groebner basis.
 
     Candidates are processed in the order of their packed (lead, tail)
-    pairs: the degree sits above every packed field, so for homogeneous
-    elements this is by increasing degree.  One is kept exactly when its
-    two monomials are not yet connected in their fiber by the moves
-    accepted so far, which is ideal membership in the graded piece.
+    pairs, ties in basis order: the degree sits above every packed field,
+    so for homogeneous elements this is by increasing degree.  One is kept
+    exactly when its two monomials are not yet connected in their fiber by
+    the moves accepted so far, which is ideal membership in the graded
+    piece.
 
     Only a generating set of the lattice ideal makes the kept moves a
     Markov basis, so any other kind of basis raises BadParameters.
@@ -514,8 +523,8 @@ def markov_from_groebner(gb: BinomialBasis, config: RunConfig = DEFAULT_CONFIG) 
 
     def run(order: DegrevlexOrder) -> list:
         accepted, moves = [], []
-        for (lead, tail), cand in sorted(zip(gb.reducers(order), gb.elements), key=lambda r: r[0]):
-            if tail not in _component(lead, moves, config.fiber_budget, order):
+        for (lead, tail), i, cand in sorted(zip(gb.reducers(order), count(), gb.elements)):
+            if tail not in _component(lead, moves, config.fiber_budget, order, i):
                 accepted.append(cand)
                 moves.append((lead, tail))
         return accepted
@@ -597,9 +606,8 @@ def _graver(moves: list, order: DegrevlexOrder, budget: int) -> list:
                     raise BudgetExceeded(f"pair queue budget of {budget} exhausted: "
                                          f"{pairs} sums reduced, {len(moves)} moves")
                 plus, minus = _checked(fp + hp - one, order), _checked(fm + hm - one, order)
-                # dividing both by their gcd, (plus + minus) / lcm, leaves the halves
-                lcm = order.lcm(plus, minus)
-                r = _conformal_remainder((lcm - minus + one, lcm - plus + one), moves, order)
+                # dividing both by their gcd leaves the halves
+                r = _conformal_remainder(_divide_gcd(plus, minus, order), moves, order)
                 if r is not None:
                     moves.append(r)
     # h fits conformally inside g exactly when subtracting it changes g

@@ -35,15 +35,30 @@ def test_budget_message_says_how_far_the_run_got():
     inc = build_matrix(6, 3, 2)
     with pytest.raises(BudgetExceeded) as saturation:
         toric.lattice_ideal_groebner(inc, RunConfig(pair_queue_budget=3))
-    # the first round starts from the 5 basis binomials and the 15 pods,
-    # 4 of which are basis binomials
-    assert str(saturation.value) == (
-        "saturation round 1: pair queue budget of 3 exhausted: "
-        "4 pairs popped, basis of 16 elements"
-    )
+    # the 5 basis binomials, the 15 pods and their S_6 images are all
+    # reduced before the first pair is popped
+    assert str(saturation.value) == "pair queue budget of 3 exhausted: 4 pairs popped, basis of 30 elements"
     with pytest.raises(BudgetExceeded) as completion:
         toric.graver_basis(inc, RunConfig(pair_queue_budget=3))
     assert str(completion.value) == "pair queue budget of 3 exhausted: 4 sums reduced, 8 moves"
+
+
+def test_fiber_and_box_budget_messages_name_their_budget():
+    from incitoric import designs, polytope, toric
+
+    gb = toric.lattice_ideal_groebner(build_matrix(5, 2, 1))
+    with pytest.raises(BudgetExceeded) as fiber:
+        toric.markov_from_groebner(gb, RunConfig(fiber_budget=3))
+    assert str(fiber.value) == (
+        "fiber component budget exhausted: over fiber_budget 3, 5 monomials reached at candidate index 10"
+    )
+    with pytest.raises(BudgetExceeded) as scan:
+        designs.min_support_scan(7, 3, 2, config=RunConfig(box_budget=10))
+    assert str(scan.value) == "support scan budget exhausted: over box_budget 10 column subsets, at size 1"
+    cfg = polytope.PointConfig.from_incidence(build_matrix(6, 3, 2))
+    with pytest.raises(BudgetExceeded) as faces:
+        polytope.neighborliness(cfg, 2, RunConfig(box_budget=100))
+    assert str(faces.value) == "C(20,2) face tests exceed the budget: over box_budget 100, after 20 face tests"
 
 
 def test_primitivity_box_budget():

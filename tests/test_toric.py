@@ -138,9 +138,9 @@ def binomial_generators(draw):
 
 
 @st.composite
-def homogeneous_generators(draw):
-    """Homogeneous pure-difference binomials in 3-6 variables."""
-    nvars = draw(st.integers(3, 6))
+def homogeneous_generators(draw, max_vars=6):
+    """Homogeneous pure-difference binomials in 3 to ``max_vars`` variables."""
+    nvars = draw(st.integers(3, max_vars))
 
     def monomial(degree):
         e = [0] * nvars
@@ -199,17 +199,6 @@ class TestEngineOracles:
     def test_widening_stops_at_64_bits(self):
         with pytest.raises(CertificateError, match="widest packing"):
             toric.buchberger([((2**63, 0), (0, 1))], toric.DegrevlexOrder(2))
-
-    @settings(max_examples=60, deadline=None)
-    @given(homogeneous_generators())
-    def test_saturation_finished_by_interreduction(self, case):
-        # the one step the saturation loop trusts (Bayer and Stillman): for
-        # homogeneous generators, x_(nvars-1) stripped from the reduced
-        # default-order basis and interreduced equals one more Buchberger run
-        nvars, gens = case
-        order = toric.DegrevlexOrder(nvars)
-        stripped = [toric.strip_variable(g, nvars - 1) for g in toric.buchberger(gens, order)]
-        assert toric._on_pairs(toric._interreduce, stripped, order) == toric.buchberger(stripped, order)
 
     def test_reduce_to_zero_matches_plain_reduction(self, inc632, gb632, markov632):
         rng = Random(632)
@@ -281,6 +270,9 @@ def test_packed_operations_match_tuples(case):
     assert order.lcm(qa, qb) == order.pack(lcm)
     coprime = not any(x and y for x, y in zip(a, b))
     assert (order.lcm(qa, qb) == qa + qb - order.one) is coprime
+    gcd = tuple(map(min, a, b))
+    divided = tuple(tuple(x - g for x, g in zip(m, gcd)) for m in (a, b))
+    assert tuple(map(order.unpack, toric._divide_gcd(qa, qb, order))) == divided
     # lcm - a + t: a divides the lcm, and t may push a field past the top
     q = order.pack(lcm) - qa + qt
     s = tuple(m - x + y for m, x, y in zip(lcm, a, t))
@@ -708,6 +700,12 @@ class TestOctahedral:
             assert b.vector in (pod, tuple(-x for x in pod))
 
 
+def strip_variable(pair, v):
+    """The monomial pair with the common power of x_v divided out."""
+    m = min(pair[0][v], pair[1][v])
+    return tuple(e[:v] + (e[v] - m,) + e[v + 1 :] for e in pair)
+
+
 def full_saturation(pairs, nvars):
     """Oracle for saturate_binomials: the reduced basis of the saturation
     by every variable, one Buchberger run and strip per variable, with that
@@ -716,7 +714,7 @@ def full_saturation(pairs, nvars):
     order = toric.DegrevlexOrder(nvars)
     for v in range(nvars):
         gb = toric.buchberger([tuple(to_last(m, v) for m in g) for g in pairs], order)
-        pairs = [tuple(from_last(m, v) for m in toric.strip_variable(g, nvars - 1)) for g in gb]
+        pairs = [tuple(from_last(m, v) for m in strip_variable(g, nvars - 1)) for g in gb]
     return toric.buchberger(pairs, order)
 
 
@@ -757,8 +755,8 @@ class TestSaturation:
         assert toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
 
     def test_groebner_runs_of_the_closure(self, inc632, monkeypatch):
-        # one Buchberger run per saturation round: 3 rounds from the
-        # lattice basis and the pods, 5 from the octahedra alone
+        # the saturation is one completion, from the lattice basis and the
+        # pods as from the octahedra alone
         calls = []
         buchberger = toric.buchberger
 
@@ -768,10 +766,85 @@ class TestSaturation:
 
         monkeypatch.setattr(toric, "buchberger", counted)
         assert len(toric.lattice_ideal_groebner(inc632).elements) == 30
-        assert len(calls) == 3
+        assert len(calls) == 1
         calls.clear()
         assert toric.saturation_equals(toric.octahedral_generators(6, 3, 2), inc632)
-        assert len(calls) == 5
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("nkt", [(7, 3, 1), (7, 4, 1)])
+    def test_octahedral_saturates_at_n_7(self, nkt):
+        # criterion 9's claim on the two hypersimplices of n = 7
+        inc = build_matrix(*nkt)
+        assert toric.saturation_equals(toric.octahedral_generators(*nkt), inc)
+
+    def test_widened_saturation_matches_full_saturation(self, inc632):
+        # 128 times the octahedral quartics: no 8-bit field holds their
+        # exponents, so the whole completion, the gcd division and the S_6
+        # images run at 16 bits; the saturation is the lattice ideal of 128L
+        octas = toric.octahedral_generators(6, 3, 2).elements
+        pairs = [(tuple(128 * x for x in b.plus), tuple(128 * x for x in b.minus)) for b in octas]
+        with pytest.raises(toric._Overflow):
+            toric.DegrevlexOrder(20).pack(pairs[0][0])
+        ours = toric.saturate_binomials(pairs, inc632)
+        assert ours == full_saturation(pairs, 20)
+        assert len(ours) == 30 and {x for g in ours for m in g for x in m} == {0, 128}
+
+    @settings(max_examples=40, deadline=None)
+    @given(homogeneous_generators(max_vars=4))
+    def test_symmetric_completion_matches_full_saturation(self, case):
+        # with the tables of the transposition (0 1) and the cycle
+        # (0 1 ... N-1) acting on the variables themselves, one completion
+        # saturates the ideal of the generators' whole S_N orbit
+        nvars, gens = case
+        tables = [(1, 0) + tuple(range(2, nvars)), tuple(range(1, nvars)) + (0,)]
+        orbit, todo = set(), list(gens)
+        while todo:
+            g = todo.pop()
+            if g not in orbit:
+                orbit.add(g)
+                todo.extend(tuple(tuple(m[i] for i in table) for m in g) for table in tables)
+        order = toric.DegrevlexOrder(nvars)
+        ours = toric.buchberger(gens, order, tables=tables)
+        assert ours == full_saturation(sorted(orbit), nvars)
+
+    def test_certificate_refuses_a_common_factor(self, inc632, gb632, monkeypatch):
+        # a forged engine returns the lattice basis with one element times x_0
+        (lead, tail), *rest = [(b.plus, b.minus) for b in gb632.elements]
+        bumped = [((lead[0] + 1,) + lead[1:], (tail[0] + 1,) + tail[1:])]
+        monkeypatch.setattr(toric, "buchberger", lambda *args: bumped + rest)
+        with pytest.raises(CertificateError, match="common factor"):
+            toric.saturate_binomials([], inc632)
+
+    def test_certificate_refuses_a_basis_not_closed_under_s_n(self, inc632, monkeypatch):
+        # a forged engine returns one octahedral quartic: coprime, but its
+        # images reduce to nonzero normal forms against it
+        quartic = toric.octahedral_generators(6, 3, 2).elements[0]
+        monkeypatch.setattr(toric, "buchberger", lambda *args: [(quartic.plus, quartic.minus)])
+        with pytest.raises(CertificateError, match="S_n image"):
+            toric.saturate_binomials([], inc632)
+
+    @pytest.mark.parametrize("forged, message", [
+        ("[((1,) + (0,) * 18 + (1,), (0, 1) + (0,) * 17 + (1,))]",
+         "a saturated basis element has monomials with a common factor"),
+        ("[((1,) + (0,) * 19, (0, 1) + (0,) * 18)]",
+         "an S_n image of the saturated basis does not reduce to zero"),
+    ])
+    def test_certificate_under_python_O(self, forged, message):
+        code = (
+            "from incitoric import toric\n"
+            "from incitoric.errors import CertificateError\n"
+            "from incitoric.incidence import build_matrix\n"
+            f"toric.buchberger = lambda *args: {forged}\n"
+            "try:\n"
+            "    toric.saturate_binomials([], build_matrix(6, 3, 2))\n"
+            "except CertificateError as e:\n"
+            "    print(e)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == message
 
     @pytest.mark.parametrize("nkt", KERNEL_TRIPLES)
     def test_lattice_ideal_groebner_matches_full_saturation(self, nkt):
