@@ -11,9 +11,10 @@ of S_n are queued and reduced like the seeds.  An ideal saturated by one
 variable and closed under S_n, which is transitive on the variables, is
 saturated by all of them (``saturate_binomials``).  Buchberger queues
 S-pairs by criteria M and F of the Gebauer-Moeller update, so no pair is
-remembered once it is popped.  Graver bases come from a completion on
-kernel vectors, Markov bases from fiber connectivity and primitivity from
-a meet-in-the-middle search of a box.
+remembered once it is popped.  Graver bases come from the same
+saturating completion, run on the Lawrence lifting, Markov bases from
+fiber connectivity and primitivity from a meet-in-the-middle search of a
+box.
 
 At the boundary a monomial is an exponent tuple indexed by colex subset
 rank.  In the default order the colex-first variable is the most expensive
@@ -82,9 +83,9 @@ class DegrevlexOrder:
         self.offsets = range(0, nvars * width, width)
         self.shift = nvars * width
         self.fields = (1 << self.shift) - 1
-        self.units = self.fields // ((1 << width) - 1)  # a 1 in every field
-        self.guard = self.units << width - 1
-        self.one = self.units * self.top  # the monomial 1
+        units = self.fields // ((1 << width) - 1)  # a 1 in every field
+        self.guard = units << width - 1
+        self.one = units * self.top  # the monomial 1
 
     @cached_property
     def wider(self) -> "DegrevlexOrder":
@@ -289,16 +290,16 @@ def buchberger(
     tables: Sequence[Sequence[int]] = (),
 ) -> list:
     """Reduced Groebner basis of the binomial ideal the generators span;
-    given ``tables``, those of ``combinat.generator_tables``, that of the
-    saturation of the ideal that homogeneous generators and their S_n
-    images span (``saturate_binomials``).
+    given ``tables``, permutations of the variables generating a group
+    transitive on them, that of the saturation of the ideal that
+    homogeneous generators and their images span (``saturate_binomials``).
 
     Generators and result are (lead, tail) monomial pairs; zero input
     binomials are dropped.  The generators, and each S-pair when none is
     left, go through one FIFO queue: each is reduced to normal form against
     every element so far and, if nonzero, joins the basis.  With
     ``tables`` an element first drops the gcd of its two monomials, and
-    its images under both tables join the queue.  Pairs are popped by
+    its images under every table join the queue.  Pairs are popped by
     increasing lcm in the order, ties in the order the pairs were made.
     Each time an element h joins the basis, criteria M and F of Gebauer and
     Moeller ("On an installation of Buchberger's algorithm", 1988) keep,
@@ -383,23 +384,27 @@ def _interreduce(pairs: Sequence[tuple], order: DegrevlexOrder) -> list:
 
 
 def saturate_binomials(
-    generators: Iterable[tuple], inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG
+    generators: Iterable[tuple], tables: Sequence[Sequence[int]], config: RunConfig = DEFAULT_CONFIG
 ) -> list:
     """Reduced degrevlex Groebner basis, as (lead, tail) monomial pairs, of
     Sat(J), the saturation by the product of all variables of the ideal J
-    spanned by the homogeneous binomials ``generators`` in the variables
-    of ``inc`` and by their images under S_n; empty for no generators.
+    spanned by the homogeneous binomials ``generators`` and by their images
+    under the group G that the permutation ``tables`` of the variables
+    generate; empty for no generators.  There are ``len(tables[0])``
+    variables, and a monomial m read through a table, (m[table[0]],
+    m[table[1]], ...), is its image; for the lattice ideal of an incidence
+    matrix the tables are the two of ``combinat.generator_tables``.
 
-    One ``buchberger`` completion in the default order, where x_(N-1) is
-    the cheapest variable, given the tables of ``combinat.generator_tables``:
-    each element that joins the basis drops the gcd of its monomials, and
-    its images under the inverses of the transposition (1 2) and the
-    n-cycle (1 ... n), which generate S_n, are reduced like the generators.
-    Before returning, the basis is re-checked: every element has coprime
-    monomials, and every image of it under both tables reduces to zero
-    against it; CertificateError otherwise.
+    The orbit of x_(N-1) under G must be every variable, or BadParameters
+    is raised before any completion.  Then one ``buchberger`` completion
+    in the default order, where x_(N-1) is the cheapest variable, given
+    the tables: each element that joins the basis drops the gcd of its
+    monomials, and its images under every table are reduced like the
+    generators.  Before returning, the basis is re-checked: every element
+    has coprime monomials, and every image of it under every table reduces
+    to zero against it; CertificateError otherwise.
 
-    Soundness.  S_n permutes the variables and keeps J, so it keeps Sat(J),
+    Soundness.  G permutes the variables and keeps J, so it keeps Sat(J),
     and Sat(J) is saturated by every variable; so each element, stripped
     of its gcd or imaged, stays in Sat(J), and the final basis spans an
     ideal K between J and Sat(J).  That basis is a Groebner basis of K, as
@@ -407,23 +412,31 @@ def saturate_binomials(
     coprime monomials, so in degrevlex no lead term is divisible by
     x_(N-1), and K is saturated by x_(N-1) (Bayer and Stillman, Invent.
     Math. 87, 1987; Sturmfels, *Groebner bases and convex polytopes*, 1996,
-    ch. 12).  The images of its basis under both inverses reduce to zero,
-    so K is S_n-invariant.  S_n is transitive on the k-subsets, so
+    ch. 12).  The images of its basis under every table reduce to zero,
+    so K is G-invariant.  G is transitive on the variables, so
     K : x_v^inf = sigma(K : x_(N-1)^inf) = K for every variable x_v and a
-    sigma taking x_(N-1) to x_v.  So K is saturated and contains J, hence
-    Sat(J): K = Sat(J).  (Compare Bigatti, La Scala and Robbiano,
+    sigma in G taking x_(N-1) to x_v.  So K is saturated and contains J,
+    hence Sat(J): K = Sat(J).  (Compare Bigatti, La Scala and Robbiano,
     "Computing toric ideals", 1999, and Aschenbrenner and Hillar, "An
     algorithm for finding symmetric Groebner bases in infinite dimensional
     rings", ISSAC 2008.)
     """
-    order, tables = DegrevlexOrder(inc.matrix.cols), generator_tables(inc.n, inc.k)
+    nvars = len(tables[0])
+    orbit, new = set(), {nvars - 1}
+    while new:
+        orbit |= new
+        new = {table[v] for table in tables for v in new} - orbit
+    if len(orbit) < nvars:
+        raise BadParameters(f"the orbit of x_{nvars - 1} under the tables holds {len(orbit)} of the "
+                            f"{nvars} variables, not every one")
+    order = DegrevlexOrder(nvars)
     basis = buchberger(generators, order, config.pair_queue_budget, tables)
     if any(x and y for lead, tail in basis for x, y in zip(lead, tail)):
         raise CertificateError("a saturated basis element has monomials with a common factor")
     images = [tuple(tuple(map(m.__getitem__, table)) for m in g) for table in tables for g in basis]
     if _on_pairs(lambda packed, order: [(a, b) for a, b in packed[len(basis):] if _normal_form(
             a, b, packed[:len(basis)], order) is not None], basis + images, order):
-        raise CertificateError("an S_n image of the saturated basis does not reduce to zero")
+        raise CertificateError("an image of the saturated basis under a table does not reduce to zero")
     return basis
 
 
@@ -454,7 +467,7 @@ def lattice_ideal_groebner(
     a = inc.matrix
     basis = exactmath.lattice_from_generators(a.cols, exactmath.kernel_basis(a))
     seeds = _binomial_pairs(chain(basis, designs.pods(inc.n, inc.k, inc.t)))
-    pairs = saturate_binomials(seeds, inc, config)
+    pairs = saturate_binomials(seeds, generator_tables(inc.n, inc.k), config)
     return BinomialBasis("groebner", tuple(Binomial(*pair) for pair in pairs), inc)
 
 
@@ -538,81 +551,46 @@ def minimal_markov(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> 
 
 
 # ---------------------------------------------------------------------------
-# Graver bases by completion
-
-
-def _conformal_remainder(s: tuple, moves: Sequence[tuple], order: DegrevlexOrder) -> Optional[tuple]:
-    """Subtract packed moves that fit conformally inside the packed move
-    ``s``, cycling through the moves from the one after the last move
-    subtracted, until a whole cycle subtracts none; None if nothing is
-    left.  These are the subtractions of whole passes over the moves,
-    without the tail of the last pass, which can subtract nothing."""
-    guard, one, fields = order.guard, order.one, order.fields
-    sp, sm = s
-    n = len(moves)
-    j = n - 1  # the last move subtracted
-    while True:
-        x0, x1, x = guard - (sp & fields), guard - (sm & fields), guard - (sp + sm - one & fields)
-        for idx in chain(range(j + 1, n), range(j + 1)):
-            hp, hm = moves[idx]
-            if (hp + x) & guard != guard:  # not even inside plus * minus
-                continue
-            if (hp + x0) & (hm + x1) & guard != guard:
-                if (hm + x0) & (hp + x1) & guard != guard:
-                    continue
-                hp, hm = hm, hp
-            sp, sm, j = sp - hp + one, sm - hm + one, idx
-            break
-        else:
-            return None if sp == sm == one else (sp, sm)
+# Graver bases and primitivity
 
 
 def graver_basis(inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> BinomialBasis:
-    """Graver basis of the lattice ideal by completion on kernel vectors.
+    """Graver basis of the lattice ideal, read off the reduced Groebner
+    basis of its Lawrence lifting.
 
-    A move, a pair (plus, minus) of packed monomials, stands for itself
-    and its negative.  Starting from a kernel basis, the sum of every two
-    moves whose signs conflict somewhere is reduced by the moves that fit
-    conformally inside it, and a nonzero remainder becomes a new move
-    (Hemmecke, "On the positive sum property and the computation of Graver
-    test sets", 2003).  The moves then have the positive sum property, so
-    the conformally minimal ones are the primitive vectors.  Signs
-    conflict exactly where opposite halves share a variable, and a move
-    fits when both its halves divide, each one packed test.  Each pair
-    reduced counts against ``pair_queue_budget``.  The completion runs on
-    packed pairs through ``_on_pairs``, as ``buchberger`` does, and the
-    kernel check of ``BinomialBasis`` certifies the result.
+    Each kernel basis vector u is lifted to x^(u+) y^(u-) - x^(u-) y^(u+)
+    in 2N variables, x_0 .. x_(N-1) then y_0 .. y_(N-1), and one
+    ``saturate_binomials`` call saturates them, with the two tables of
+    ``combinat.generator_tables`` acting on both halves alike and the swap
+    x_i <-> y_i as a third table.  Every element returned must have the
+    form x^a y^b - x^b y^a (CertificateError otherwise); it projects to
+    x^a - x^b, and the projections, oriented and sorted in the default
+    order of the N variables, form the basis.  The pairs the saturation
+    pops count against ``pair_queue_budget``.
+
+    Soundness.  The lifted vectors (u, -u) span the Lawrence lattice
+    {(u, -u) : u in L}, which is saturated because L, a kernel, is; so the
+    saturation of their ideal is the toric ideal of the Lawrence lifting
+    [A 0; I I] (Sturmfels, *Groebner bases and convex polytopes*, 1996,
+    ch. 12).  S_n on both halves and the swap keep that lattice, and with
+    the swap the group they generate is transitive on the 2N variables, as
+    ``saturate_binomials`` needs.  For a Lawrence lifting every reduced
+    Groebner basis is its Graver basis (Sturmfels 1996, Thm 7.1), whose
+    elements are the lifts of the primitive vectors of L, since (v, -v)
+    fits conformally inside (u, -u) exactly when v fits inside u.  So the
+    projection is the Graver basis of L, and the kernel check of
+    ``BinomialBasis`` certifies that each element lies in L.
     """
-    a = inc.matrix
-    pairs = _on_pairs(lambda moves, order: _graver(moves, order, config.pair_queue_budget),
-                      _binomial_pairs(exactmath.kernel_basis(a)), DegrevlexOrder(a.cols))
+    cols = inc.matrix.cols
+    tables = [table + tuple(cols + v for v in table) for table in generator_tables(inc.n, inc.k)]
+    tables.append(tuple(range(cols, 2 * cols)) + tuple(range(cols)))
+    lifted = [(p + m, m + p) for p, m in _binomial_pairs(exactmath.kernel_basis(inc.matrix))]
+    pairs = saturate_binomials(lifted, tables, config)
+    if any(tail != lead[cols:] + lead[:cols] for lead, tail in pairs):
+        raise CertificateError("a Lawrence basis element is not of the form x^a y^b - x^b y^a")
+    pairs = _on_pairs(lambda packed, _: sorted(_orient(a, b) for a, b in packed),
+                      [(lead[:cols], lead[cols:]) for lead, _ in pairs], DegrevlexOrder(cols))
     return BinomialBasis("graver", tuple(Binomial(*pair) for pair in pairs), inc)
-
-
-def _graver(moves: list, order: DegrevlexOrder, budget: int) -> list:
-    """The conformally minimal moves of the completion of the packed
-    moves, as sorted oriented pairs; ``moves`` grows in place."""
-    guard, one, units = order.guard, order.one, order.units
-    pairs = 0
-    for i, (fp, fm) in enumerate(moves):  # grows while iterated
-        # adding a 1 to every field sets the guard bits of the zero exponents
-        zp, zm = fp + units, fm + units
-        for gp, gm in moves[:i]:
-            for hp, hm in ((gp, gm), (gm, gp)):
-                if (zp | hm + units) & (zm | hp + units) & guard == guard:
-                    continue
-                pairs += 1
-                if pairs > budget:
-                    raise BudgetExceeded(f"pair queue budget of {budget} exhausted: "
-                                         f"{pairs} sums reduced, {len(moves)} moves")
-                plus, minus = _checked(fp + hp - one, order), _checked(fm + hm - one, order)
-                # dividing both by their gcd leaves the halves
-                r = _conformal_remainder(_divide_gcd(plus, minus, order), moves, order)
-                if r is not None:
-                    moves.append(r)
-    # h fits conformally inside g exactly when subtracting it changes g
-    return sorted(_orient(*g) for g in moves if not any(
-        h is not g and _conformal_remainder(g, [h], order) != g for h in moves))
 
 
 def is_primitive(b: Binomial, inc: IncidenceMatrix, config: RunConfig = DEFAULT_CONFIG) -> bool:
@@ -722,10 +700,9 @@ def saturation_equals(
     vectors = {b.vector for b in basis.elements}
     if any(any(a.mat_vec(u)) for u in vectors):
         raise BadParameters("generator outside the kernel")
-    signed = vectors | {tuple(-x for x in u) for u in vectors}
-    if any(tuple(map(u.__getitem__, table)) not in signed
-           for table in generator_tables(inc.n, inc.k) for u in vectors):
+    signed, tables = vectors | {tuple(-x for x in u) for u in vectors}, generator_tables(inc.n, inc.k)
+    if any(tuple(map(u.__getitem__, table)) not in signed for table in tables for u in vectors):
         raise BadParameters("generators not closed under S_n, up to sign")
-    pairs = saturate_binomials([(b.plus, b.minus) for b in basis.elements], inc, config)
+    pairs = saturate_binomials([(b.plus, b.minus) for b in basis.elements], tables, config)
     j = BinomialBasis("groebner", tuple(Binomial(*pair) for pair in pairs), inc)
     return all(_reduces_to_zero(b, j) for b in map(Binomial.from_vector, exactmath.kernel_basis(a)))

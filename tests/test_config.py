@@ -40,7 +40,7 @@ def test_budget_message_says_how_far_the_run_got():
     assert str(saturation.value) == "pair queue budget of 3 exhausted: 4 pairs popped, basis of 30 elements"
     with pytest.raises(BudgetExceeded) as completion:
         toric.graver_basis(inc, RunConfig(pair_queue_budget=3))
-    assert str(completion.value) == "pair queue budget of 3 exhausted: 4 sums reduced, 8 moves"
+    assert str(completion.value) == "pair queue budget of 3 exhausted: 4 pairs popped, basis of 15 elements"
 
 
 def test_fiber_and_box_budget_messages_name_their_budget():

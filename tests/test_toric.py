@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import incitoric
 from incitoric import designs, exactmath as em, toric
+from incitoric.combinat import colex_rank, generator_tables, subsets_colex
 from incitoric.config import RunConfig
 from incitoric.errors import BadParameters, BudgetExceeded, CertificateError
 from incitoric.exactmath import IntMatrix
@@ -51,6 +52,11 @@ def markov632(gb632):
 @pytest.fixture(scope="module")
 def graver632(inc632):
     return toric.graver_basis(inc632)
+
+
+@pytest.fixture(scope="module")
+def graver621():
+    return toric.graver_basis(build_matrix(6, 2, 1))
 
 
 class TestOrders:
@@ -499,64 +505,63 @@ class TestGraver:
         with pytest.raises(BudgetExceeded):
             toric.graver_basis(inc632, RunConfig(pair_queue_budget=3))
 
-    def test_no_groebner_route(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("graver_basis must not run Buchberger")
+    def test_621_moves_are_primitive_and_closed_under_s_6(self, graver621):
+        # 285 moves, each primitive by the box search, which shares no code
+        # with the completion, and the set closed up to sign under S_6
+        inc = build_matrix(6, 2, 1)
+        assert len(graver621.elements) == 285
+        assert all(toric.is_primitive(b, inc) for b in graver621.elements)
+        vectors = {b.vector for b in graver621.elements}
+        signed = vectors | {tuple(-x for x in u) for u in vectors}
+        for table in generator_tables(6, 2):
+            assert {tuple(map(u.__getitem__, table)) for u in vectors} <= signed
 
-        monkeypatch.setattr(toric, "buchberger", forbidden)
-        monkeypatch.setattr(toric, "saturate_binomials", forbidden)
-        assert len(toric.graver_basis(build_matrix(5, 3, 1)).elements) == 30
+    def test_641_is_the_complement_image_of_621(self, graver621):
+        # S -> [6] \ S keeps the kernel, as every kernel vector sums to 0
+        complement = [colex_rank(sorted(set(range(1, 7)) - set(s))) for s in subsets_colex(6, 2)]
+        image = set()
+        for b in graver621.elements:
+            v = [0] * 15
+            for rank, x in zip(complement, b.vector):
+                v[rank] = x
+            image |= {tuple(v), tuple(-x for x in v)}
+        graver641 = toric.graver_basis(build_matrix(6, 4, 1))
+        assert len(graver641.elements) == 285
+        assert {b.vector for b in graver641.elements} <= image
 
-
-def plain_conformal_remainder(s, moves):
-    """Oracle for _conformal_remainder: the same subtractions, each fit
-    decided on the exponents alone."""
-
-    def inside(d, m):
-        return all(x <= y for x, y in zip(d, m))
-
-    changed = True
-    while changed:
-        changed = False
-        for gp, gm in moves:
-            if inside(gp, s[0]) and inside(gm, s[1]):
-                h = gp, gm
-            elif inside(gm, s[0]) and inside(gp, s[1]):
-                h = gm, gp
-            else:
-                continue
-            s = tuple(x - y for x, y in zip(s[0], h[0])), tuple(x - y for x, y in zip(s[1], h[1]))
-            changed = True
-    return s if any(s[0]) or any(s[1]) else None
-
-
-def halves(u):
-    return tuple(max(x, 0) for x in u), tuple(max(-x, 0) for x in u)
-
-
-@st.composite
-def remainder_cases(draw):
-    """A vector and a list of nonzero moves in 2-8 coordinates, as halves."""
-    n = draw(st.integers(2, 8))
-    moves = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n).filter(any),
-                          min_size=1, max_size=10))
-    s = draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
-    return halves(s), [halves(m) for m in moves]
+    def test_refuses_a_non_lawrence_element(self, monkeypatch):
+        # a forged engine returns x^1 y^1 - 1 in the 20 variables of the
+        # lifted (5,3,1): coprime and fixed by every table, so it passes
+        # the saturation's checks and only the Lawrence form check is left
+        monkeypatch.setattr(toric, "buchberger", lambda *args: [((1,) * 20, (0,) * 20)])
+        with pytest.raises(CertificateError, match="not of the form x\\^a y\\^b - x\\^b y\\^a"):
+            toric.graver_basis(build_matrix(5, 3, 1))
+        forged, call = "lambda *args: [((1,) * 20, (0,) * 20)]", "toric.graver_basis(build_matrix(5, 3, 1))"
+        assert under_python_O(forged, call, "CertificateError") == (
+            "a Lawrence basis element is not of the form x^a y^b - x^b y^a")
 
 
-@settings(max_examples=200, deadline=None)
-@given(remainder_cases())
-def test_conformal_remainder_matches_plain(case):
-    s, moves = case
-    order = toric.DegrevlexOrder(len(s[0]))
-
-    def pack(g):
-        return order.pack(g[0]), order.pack(g[1])
-
-    r = toric._conformal_remainder(pack(s), [pack(g) for g in moves], order)
-    halves_r = r if r is None else tuple(map(order.unpack, r))
-    assert halves_r == plain_conformal_remainder(s, moves)
-    assert r is None or r == pack(halves_r)  # its packing is that of its halves
+def under_python_O(forged, call, error):
+    """The message of the ``error`` that ``call`` raises under python -O,
+    in a fresh interpreter where ``toric.buchberger`` is replaced by the
+    expression ``forged``; the asserts of the library, had it any, are
+    gone there, so only its explicit checks can raise."""
+    code = (
+        "from incitoric import toric\n"
+        "from incitoric.combinat import generator_tables\n"
+        f"from incitoric.errors import {error}\n"
+        "from incitoric.incidence import build_matrix\n"
+        f"toric.buchberger = {forged}\n"
+        "try:\n"
+        f"    {call}\n"
+        f"except {error} as e:\n"
+        "    print(e)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.strip()
 
 
 def box_scan_primitive(u, a):
@@ -785,7 +790,7 @@ class TestSaturation:
         pairs = [(tuple(128 * x for x in b.plus), tuple(128 * x for x in b.minus)) for b in octas]
         with pytest.raises(toric._Overflow):
             toric.DegrevlexOrder(20).pack(pairs[0][0])
-        ours = toric.saturate_binomials(pairs, inc632)
+        ours = toric.saturate_binomials(pairs, generator_tables(6, 3))
         assert ours == full_saturation(pairs, 20)
         assert len(ours) == 30 and {x for g in ours for m in g for x in m} == {0, 128}
 
@@ -813,38 +818,39 @@ class TestSaturation:
         bumped = [((lead[0] + 1,) + lead[1:], (tail[0] + 1,) + tail[1:])]
         monkeypatch.setattr(toric, "buchberger", lambda *args: bumped + rest)
         with pytest.raises(CertificateError, match="common factor"):
-            toric.saturate_binomials([], inc632)
+            toric.saturate_binomials([], generator_tables(6, 3))
 
     def test_certificate_refuses_a_basis_not_closed_under_s_n(self, inc632, monkeypatch):
         # a forged engine returns one octahedral quartic: coprime, but its
         # images reduce to nonzero normal forms against it
         quartic = toric.octahedral_generators(6, 3, 2).elements[0]
         monkeypatch.setattr(toric, "buchberger", lambda *args: [(quartic.plus, quartic.minus)])
-        with pytest.raises(CertificateError, match="S_n image"):
-            toric.saturate_binomials([], inc632)
+        with pytest.raises(CertificateError, match="image of the saturated basis under a table"):
+            toric.saturate_binomials([], generator_tables(6, 3))
 
     @pytest.mark.parametrize("forged, message", [
         ("[((1,) + (0,) * 18 + (1,), (0, 1) + (0,) * 17 + (1,))]",
          "a saturated basis element has monomials with a common factor"),
         ("[((1,) + (0,) * 19, (0, 1) + (0,) * 18)]",
-         "an S_n image of the saturated basis does not reduce to zero"),
+         "an image of the saturated basis under a table does not reduce to zero"),
     ])
     def test_certificate_under_python_O(self, forged, message):
-        code = (
-            "from incitoric import toric\n"
-            "from incitoric.errors import CertificateError\n"
-            "from incitoric.incidence import build_matrix\n"
-            f"toric.buchberger = lambda *args: {forged}\n"
-            "try:\n"
-            "    toric.saturate_binomials([], build_matrix(6, 3, 2))\n"
-            "except CertificateError as e:\n"
-            "    print(e)\n"
-        )
-        env = dict(os.environ, PYTHONPATH=str(Path(incitoric.__file__).parent.parent))
-        out = subprocess.run(
-            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert out.stdout.strip() == message
+        call = "toric.saturate_binomials([], generator_tables(6, 3))"
+        assert under_python_O(f"lambda *args: {forged}", call, "CertificateError") == message
+
+    def test_refuses_non_transitive_tables(self, monkeypatch):
+        # the orbit of x_19 = {4, 5, 6} under (1 2) alone is x_19 itself
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no completion may start")
+
+        monkeypatch.setattr(toric, "buchberger", forbidden)
+        pairs = [(b.plus, b.minus) for b in toric.octahedral_generators(6, 3, 2).elements]
+        with pytest.raises(BadParameters, match="orbit of x_19 under the tables"):
+            toric.saturate_binomials(pairs, generator_tables(6, 3)[:1])
+        call = ("toric.saturate_binomials([(b.plus, b.minus) for b in "
+                "toric.octahedral_generators(6, 3, 2).elements], generator_tables(6, 3)[:1])")
+        assert under_python_O("None", call, "BadParameters") == (
+            "the orbit of x_19 under the tables holds 1 of the 20 variables, not every one")
 
     @pytest.mark.parametrize("nkt", KERNEL_TRIPLES)
     def test_lattice_ideal_groebner_matches_full_saturation(self, nkt):
